@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from . import correlations, infotheory, linalg, measurement, optimizer, states
-from .errors import BadOrder, ParseError, QcorrError
+from .errors import (BadOrder, DimensionMismatch, ParamOutOfRange, ParseError,
+                     QcorrError)
 
 SCHEMA_VERSION = "1"
 
@@ -132,7 +133,17 @@ def emit(doc: dict, as_json: bool, lines: list[str]):
 def _make_config(args) -> optimizer.OptimizerConfig:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("QCORR_SEED", "0"))
+        env = os.environ.get("QCORR_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ParseError(f"QCORR_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ParamOutOfRange(f"seed must be >= 0, got {seed}")
+    for flag in ("grid", "restarts"):
+        value = getattr(args, flag)
+        if value is not None and value <= 0:
+            raise ParamOutOfRange(f"--{flag} must be positive, got {value}")
     kwargs = {"seed": seed}
     if args.grid is not None:
         kwargs["grid_theta"] = kwargs["grid_phi"] = args.grid
@@ -160,6 +171,9 @@ def cmd_info(args) -> int:
 def cmd_discord(args) -> int:
     rho = load_state(args.statefile)
     config = _make_config(args)
+    if not 0 <= args.subsystem < rho.n_subsystems:
+        raise DimensionMismatch(f"--subsystem {args.subsystem} is out of range "
+                                f"for {rho.n_subsystems} subsystems")
     res = optimizer.optimize_measurement(rho, args.subsystem, config)
     doc = {"subsystem": args.subsystem, "discord": res.discord,
            "classical_hv": res.j_value,
@@ -207,7 +221,11 @@ def cmd_overall(args) -> int:
         lines.append(f"max Q discrepancy across orders = {max(qs) - min(qs):.3e}")
         emit(doc, args.json, lines)
         return 0
-    order = range(m) if args.order is None else [int(x) for x in args.order.split(",")]
+    try:
+        order = range(m) if args.order is None else [int(x) for x in args.order.split(",")]
+    except ValueError:
+        raise BadOrder(f"--order must be comma-separated integers, "
+                       f"got {args.order!r}") from None
     seq = correlations.sequential_measure(rho, order, config)
     emit(_sequential_doc(seq), args.json, _order_lines(seq))
     return 0
@@ -216,6 +234,9 @@ def cmd_overall(args) -> int:
 def cmd_sweep(args) -> int:
     if args.family != "werner":
         raise QcorrError(f"sweep supports the werner family, not {args.family!r}")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)
+            and math.isfinite(args.step) and args.step > 0):
+        raise ParamOutOfRange("--start and --stop must be finite and --step positive")
     config = _make_config(args)
     rows = ["param,I,D0,D1,Q,C"]
     n = int(round((args.stop - args.start) / args.step))

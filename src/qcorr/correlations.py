@@ -18,7 +18,8 @@ from .infotheory import (ProbabilityTable, classical_mutual_information,
                          mutual_information, probability_table,
                          von_neumann_entropy)
 from .measurement import ProjectiveMeasurement, apply_nonselective
-from .optimizer import OptimizerConfig, optimize_measurement
+from .optimizer import (OptimalMeasurementResult, OptimizerConfig,
+                        optimize_measurement)
 from .states import DensityMatrix, reduced
 
 CLASSIFY_TOL = 1e-6
@@ -81,14 +82,27 @@ def sequential_measure(rho: DensityMatrix, order,
     the non-selective channel output. The final state is classical; its
     joint outcome distribution gives the overall classical correlations.
     """
+    return _sequential_measure(rho, order, config)
+
+
+def _sequential_measure(rho: DensityMatrix, order, config: OptimizerConfig,
+                        first: OptimalMeasurementResult | None = None) -> SequentialReport:
+    """sequential_measure, taking `first` as the step-0 result when given.
+
+    `first` must be optimize_measurement(rho, order[0], config); callers that
+    already hold it skip optimizing the same subsystem of the same state twice.
+    """
     order = tuple(int(k) for k in order)
     if sorted(order) != list(range(rho.n_subsystems)):
         raise BadOrder(f"{order} is not a permutation of 0..{rho.n_subsystems - 1}")
     info = mutual_information(rho)
     current = rho
     step_discords, step_measurements, step_params = [], [], []
-    for k in order:
-        result = optimize_measurement(current, k, config)
+    for step, k in enumerate(order):
+        if step == 0 and first is not None:
+            result = first
+        else:
+            result = optimize_measurement(current, k, config)
         step_discords.append(result.discord)
         step_measurements.append(result.measurement)
         step_params.append(result.params)
@@ -118,12 +132,10 @@ def full_report(rho: DensityMatrix,
                       for k in range(rho.n_subsystems))
     joint = von_neumann_entropy(rho)
     info = mutual_information(rho)
-    per = []
-    for k in range(rho.n_subsystems):
-        res = optimize_measurement(rho, k, config)
-        per.append((res.discord, res.j_value))
-    seq = sequential_measure(rho, range(rho.n_subsystems), config)
-    return CorrelationReport(rho.dims, marginals, joint, info, tuple(per), seq)
+    results = [optimize_measurement(rho, k, config) for k in range(rho.n_subsystems)]
+    per = tuple((res.discord, res.j_value) for res in results)
+    seq = _sequential_measure(rho, range(rho.n_subsystems), config, first=results[0])
+    return CorrelationReport(rho.dims, marginals, joint, info, per, seq)
 
 
 def classify(rho: DensityMatrix, config: OptimizerConfig = OptimizerConfig(),

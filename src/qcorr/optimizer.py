@@ -20,7 +20,9 @@ from .states import DensityMatrix, reduced
 from .infotheory import von_neumann_entropy
 
 _CLAMP = 1e-12
-_GRID_CHUNK = 1 << 16
+# Bound on the entries of one (chunk, dr, dr) stack of grid blocks, so the
+# grid's working set stays flat as the unmeasured dimension dr grows.
+_GRID_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -75,31 +77,47 @@ class _JEvaluator:
             raise NotAQubit(f"subsystem dimension is {self.dk}")
         return self.j_vectors(np.array(basis_vectors(theta, phi)))
 
-    def j_qubit_batch(self, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-        """Vectorized J over paired angle arrays (same length)."""
-        c, s = np.cos(thetas / 2), np.sin(thetas / 2)
-        e = np.exp(1j * phis)
-        n = thetas.size
-        vecs = np.empty((n, 2, 2), dtype=np.complex128)
-        vecs[:, 0, 0] = c
-        vecs[:, 0, 1] = e * s
-        vecs[:, 1, 0] = -s
-        vecs[:, 1, 1] = e * c
-        blocks = np.einsum('nia,abcd,nic->nibd', vecs.conj(), self.view, vecs)
-        probs = np.einsum('nibb->ni', blocks).real
-        safe = np.maximum(probs, ZERO_PROB)
-        if self.dr == 2:
-            # closed-form 2x2 Hermitian spectrum of the normalized blocks
-            det = (blocks[..., 0, 0] * blocks[..., 1, 1]
-                   - blocks[..., 0, 1] * blocks[..., 1, 0]).real / safe ** 2
-            disc = np.sqrt(np.maximum(1.0 - 4.0 * det, 0.0))
-            lam = np.stack([(1 - disc) / 2, (1 + disc) / 2], axis=-1)
-        else:
-            lam = np.linalg.eigvalsh(blocks / safe[..., None, None])
-        plogp = np.where(lam > _CLAMP, lam * np.log2(np.maximum(lam, _CLAMP)), 0.0)
-        cond_entropy = -plogp.sum(axis=-1)
-        cond = np.where(probs > ZERO_PROB, probs * cond_entropy, 0.0).sum(axis=1)
-        return self.rest_entropy - cond
+
+def _grid_rows(n_theta: int, n_phi: int) -> int:
+    """Number of leading theta rows of the qubit grid that are evaluated.
+
+    Measuring along -n only swaps the two outcomes, so J(-n) = J(n). With
+    an even n_phi the antipode of grid point (theta_i, phi_j) is the grid
+    point (theta_{n_theta-1-i}, phi_{j+n_phi/2}), which has the smaller flat
+    index whenever i >= ceil(n_theta / 2); skipping those rows leaves the
+    argmax and its tie-break unchanged.
+    """
+    return (n_theta + 1) // 2 if n_phi % 2 == 0 else n_theta
+
+
+def _bloch_conditional_entropy(half_rest: np.ndarray, half_tensor: np.ndarray,
+                               dirs: np.ndarray) -> np.ndarray:
+    """sum_i p_i S(rho_rest|i) for measurements along Bloch directions `dirs`.
+
+    The two outcome blocks of the measurement along unit vector n are
+    (rest +- n . T) / 2, with `rest` the reduced state of the other parties
+    and T_j = Tr_k[(sigma_j x I) rho]. The arguments hold rest / 2 (dr x dr)
+    and T / 2 (3 x dr*dr).
+    """
+    dr = half_rest.shape[0]
+    m = (dirs @ half_tensor).reshape(-1, dr, dr)
+    blocks = np.empty((2,) + m.shape, dtype=np.complex128)
+    np.add(half_rest, m, out=blocks[0])
+    np.subtract(half_rest, m, out=blocks[1])
+    probs = np.trace(blocks, axis1=-2, axis2=-1).real
+    safe = np.maximum(probs, ZERO_PROB)
+    if dr == 2:
+        # closed-form 2x2 Hermitian spectrum of the normalized blocks
+        det = (blocks[..., 0, 0] * blocks[..., 1, 1]
+               - blocks[..., 0, 1] * blocks[..., 1, 0]).real / safe ** 2
+        disc = np.sqrt(np.maximum(1.0 - 4.0 * det, 0.0))
+        lam = np.stack([(1 - disc) / 2, (1 + disc) / 2], axis=-1)
+    else:
+        # spectrum of blocks / p without a normalized copy of the blocks
+        lam = np.linalg.eigvalsh(blocks) / safe[..., None]
+    plogp = np.where(lam > _CLAMP, lam * np.log2(np.maximum(lam, _CLAMP)), 0.0)
+    cond_entropy = -plogp.sum(axis=-1)
+    return np.where(probs > ZERO_PROB, probs * cond_entropy, 0.0).sum(axis=0)
 
 
 def grid_search_qubit(rho: DensityMatrix, k: int, n_theta: int = 128,
@@ -107,17 +125,29 @@ def grid_search_qubit(rho: DensityMatrix, k: int, n_theta: int = 128,
     """Best J over an inclusive theta / periodic phi grid.
 
     Ties within 1e-12 break to the lexicographically smallest (theta, phi).
+    Only the first `_grid_rows` theta rows are evaluated (half the sphere
+    when n_phi is even).
     """
     if rho.dims[k] != 2:
         raise NotAQubit(f"subsystem {k} has dimension {rho.dims[k]}")
     ev = _JEvaluator(rho, k)
-    thetas = np.linspace(0.0, math.pi, n_theta)
+    dr, view = ev.dr, ev.view
+    up, down = view[0, :, 0, :], view[1, :, 1, :]
+    upper, lower = view[0, :, 1, :], view[1, :, 0, :]
+    half_rest = (up + down) / 2
+    half_tensor = np.stack([upper + lower, 1j * (upper - lower),
+                            up - down]).reshape(3, dr * dr) / 2
+    thetas = np.linspace(0.0, math.pi, n_theta)[:_grid_rows(n_theta, n_phi)]
     phis = np.arange(n_phi) * (2 * math.pi / n_phi)
     tt, pp = [a.ravel() for a in np.meshgrid(thetas, phis, indexing='ij')]
+    dirs = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp),
+                     np.cos(tt)], axis=1)
     j = np.empty(tt.size)
-    for lo in range(0, tt.size, _GRID_CHUNK):
-        hi = min(lo + _GRID_CHUNK, tt.size)
-        j[lo:hi] = ev.j_qubit_batch(tt[lo:hi], pp[lo:hi])
+    chunk = max(1, _GRID_CHUNK_ELEMENTS // (dr * dr))
+    for lo in range(0, tt.size, chunk):
+        hi = min(lo + chunk, tt.size)
+        j[lo:hi] = ev.rest_entropy - _bloch_conditional_entropy(
+            half_rest, half_tensor, dirs[lo:hi])
     best = int(np.flatnonzero(j >= j.max() - 1e-12)[0])
     return float(tt[best]), float(pp[best]), float(j[best])
 
@@ -206,7 +236,8 @@ def optimize_measurement(rho: DensityMatrix, k: int,
         theta, phi = canonical_qubit_angles(float(params[0]), float(params[1]))
         m = qubit_measurement(theta, phi)
         result_params = (theta, phi)
-        iterations = config.grid_theta * config.grid_phi + evals
+        iterations = (_grid_rows(config.grid_theta, config.grid_phi)
+                      * config.grid_phi + evals)
         gap = j - j_grid
     else:
         rng = np.random.default_rng(config.seed)

@@ -200,6 +200,24 @@ class TestVerify:
         assert code == 2
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("argv, env", [
+        (["discord", "{paper}", "--grid", "0"], {}),
+        (["discord", "{paper}", "--subsystem", "5"], {}),
+        (["discord", "{paper}", "--subsystem", "-1"], {}),
+        (["sweep", "werner", "--step", "0"], {}),
+        (["discord", "{paper}"], {"QCORR_SEED": "x"}),
+        (["discord", "{paper}", "--seed", "-1"], {}),
+        (["overall", "{paper}", "--order", "0,x"], {}),
+    ])
+    def test_exit_code_two(self, capsys, paper_file, monkeypatch, argv, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, _, err = run(capsys, [a.format(paper=paper_file) for a in argv])
+        assert code == 2
+        assert err.startswith("error: ")
+
+
 class TestDeterminism:
     def test_same_seed_same_output(self, capsys, paper_file):
         _, out1, _ = run(capsys, ["discord", paper_file, "--seed", "5",

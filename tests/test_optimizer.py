@@ -10,6 +10,18 @@ from qcorr.errors import LengthMismatch, NotAQubit
 PAPER_DA = 0.6008760366928562
 
 
+def planted_cq_state(rng, dims, theta, phi):
+    """Classical-quantum state in the qubit-0 basis at (theta, phi).
+
+    sup J over measurements on qubit 0 is attained only along that basis.
+    """
+    v0, v1 = measurement.basis_vectors(theta, phi)
+    tau0, tau1 = (states.random_density(dims[1:], rng).matrix for _ in range(2))
+    m = (0.3 * np.kron(np.outer(v0, v0.conj()), tau0)
+         + 0.7 * np.kron(np.outer(v1, v1.conj()), tau1))
+    return states.from_dense(m, dims)
+
+
 class TestGridSearchQubit:
     def test_paper_example(self, paper_state):
         theta, phi, j = optimizer.grid_search_qubit(paper_state, 0, 128, 128)
@@ -32,6 +44,25 @@ class TestGridSearchQubit:
     def test_rejects_non_qubit(self, rng):
         with pytest.raises(NotAQubit):
             optimizer.grid_search_qubit(states.random_density((3, 2), rng), 0)
+
+    @pytest.mark.parametrize("n_theta, n_phi", [(8, 8), (7, 8), (8, 7), (7, 7)])
+    @pytest.mark.parametrize("dims, k", [((2, 2), 0), ((2, 3), 0), ((2, 2, 2), 1)])
+    def test_matches_brute_force_full_grid(self, rng, dims, k, n_theta, n_phi):
+        # induced_J at every point of the full grid, same tie-break rule
+        thetas = np.linspace(0.0, math.pi, n_theta)
+        phis = np.arange(n_phi) * (2 * math.pi / n_phi)
+        points = [(theta, phi) for theta in thetas for phi in phis]
+        # the planted optimum sits on row n_theta // 2: the equator for odd
+        # n_theta, the first row of the lower half otherwise
+        planted = planted_cq_state(rng, dims, thetas[n_theta // 2], phis[1])
+        for rho, kk in ((states.random_density(dims, rng), k), (planted, 0)):
+            js = np.array([measurement.induced_J(rho, kk,
+                                                 measurement.qubit_measurement(*p))
+                           for p in points])
+            best = int(np.flatnonzero(js >= js.max() - 1e-12)[0])
+            theta, phi, j = optimizer.grid_search_qubit(rho, kk, n_theta, n_phi)
+            assert (theta, phi) == points[best]
+            assert abs(j - js[best]) < 1e-12
 
 
 class TestRefineLocal:
@@ -144,6 +175,36 @@ class TestOptimizeMeasurement:
         assert res.oracle_gap is None
         assert res.measurement.subsystem_dim == 3
         assert res.j_value <= infotheory.mutual_information(rho) + 1e-9
+
+    @pytest.mark.parametrize("n_theta, n_phi, grid_evals", [(8, 8, 32), (7, 8, 32),
+                                                            (8, 7, 56)])
+    def test_iterations_count_evaluations(self, rng, n_theta, n_phi, grid_evals):
+        rho = states.random_density((2, 2), rng)
+        config = OptimizerConfig(grid_theta=n_theta, grid_phi=n_phi)
+        t0, p0, _ = optimizer.grid_search_qubit(rho, 0, n_theta, n_phi)
+        _, _, refine_evals = optimizer.refine_local(rho, 0, (t0, p0), config)
+        res = optimizer.optimize_measurement(rho, 0, config)
+        assert res.iterations == grid_evals + refine_evals
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_pure_state_discord_is_marginal_entropy(self, rng, dims):
+        for _ in range(3):
+            n = math.prod(dims)
+            psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            rho = states.from_pure(psi / np.linalg.norm(psi), dims)
+            res = optimizer.optimize_measurement(rho, 0)
+            s0 = infotheory.von_neumann_entropy(states.reduced(rho, {0}))
+            assert abs(res.discord - s0) < 1e-6
+
+    def test_bell_diagonal_classical_matches_luo(self, rng):
+        paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                  np.diag([1, -1])]
+        for _ in range(5):
+            rho = states.random_bell_diagonal(rng)
+            c = max(abs(np.trace(rho.matrix @ np.kron(s, s)).real) for s in paulis)
+            luo = ((1 + c) / 2 * math.log2(1 + c)
+                   + (1 - c) / 2 * math.log2(1 - c))
+            assert abs(optimizer.optimize_measurement(rho, 0).j_value - luo) < 1e-6
 
     def test_oracle_agreement_small(self, rng):
         for _ in range(5):
