@@ -243,12 +243,10 @@ def cmd_sweep(args) -> int:
     for i in range(n + 1):
         p = args.start + i * args.step
         rho = states.named("werner", p=min(max(p, 0.0), 1.0))
-        info = infotheory.mutual_information(rho)
-        d0 = correlations.discord(rho, 0, config)
-        d1 = correlations.discord(rho, 1, config)
-        seq = correlations.sequential_measure(rho, (0, 1), config)
-        rows.append(f"{p:.12g},{info:.12g},{d0:.12g},{d1:.12g},"
-                    f"{seq.q_total:.12g},{seq.c_total:.12g}")
+        rep = correlations.full_report(rho, config)
+        (d0, _), (d1, _) = rep.per_subsystem
+        rows.append(f"{p:.12g},{rep.mutual_info:.12g},{d0:.12g},{d1:.12g},"
+                    f"{rep.sequential.q_total:.12g},{rep.sequential.c_total:.12g}")
     text = "\n".join(rows) + "\n"
     if args.csv:
         with open(args.csv, "w") as f:
@@ -272,12 +270,10 @@ def _verify_paper_example(config, failures):
     d_a = 0.6008760366928562
     d_b = 0.2017520733857121
     q_ref = d_a + d_b
-    r0 = optimizer.optimize_measurement(rho, 0, config)
-    _check("paper-example step-1 discord", abs(r0.discord - d_a), 5e-4, failures)
-    after = measurement.apply_nonselective(rho, 0, r0.measurement)
-    r1 = optimizer.optimize_measurement(after, 1, config)
-    _check("paper-example step-2 discord", abs(r1.discord - d_b), 5e-4, failures)
     seq = correlations.sequential_measure(rho, (0, 1), config)
+    step_a, step_b = seq.step_discords
+    _check("paper-example step-1 discord", abs(step_a - d_a), 5e-4, failures)
+    _check("paper-example step-2 discord", abs(step_b - d_b), 5e-4, failures)
     _check("paper-example Q", abs(seq.q_total - q_ref), 1e-3, failures)
 
 
@@ -305,6 +301,12 @@ def _verify_oracle(config, failures):
         _, _, j_grid = optimizer.grid_search_qubit(rho, 0, 512, 512)
         worst = max(worst, abs(res.j_value - j_grid))
     _check("oracle 512x512 grid agreement", worst, 1e-4, failures)
+    # qudit search: a pure state's discord is its marginal entropy
+    psi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    rho = states.from_pure(psi / np.linalg.norm(psi), (3, 2))
+    res = optimizer.optimize_measurement(rho, 0, config)
+    s0 = infotheory.von_neumann_entropy(states.reduced(rho, {0}))
+    _check("oracle pure 3x2 D_0 = S(rho_0)", abs(res.discord - s0), 1e-6, failures)
 
 
 def _verify_identities(config, failures):

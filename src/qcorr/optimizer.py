@@ -2,10 +2,12 @@
 
 Qubit subsystems get an exhaustive Bloch-angle grid followed by compass
 refinement; higher dimensions use seeded random restarts over a Hermitian
-generator parameterization, each refined by compass search.
+generator parameterization, each refined by compass search; the restarts
+run in lockstep, so each round of their probes is one batched J evaluation.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +25,8 @@ _CLAMP = 1e-12
 # Bound on the entries of one (chunk, dr, dr) stack of grid blocks, so the
 # grid's working set stays flat as the unmeasured dimension dr grows.
 _GRID_CHUNK_ELEMENTS = 1 << 20
+# First compass step on each generator parameter.
+_GENERATOR_STEP = 0.3
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,16 @@ class _JEvaluator:
             raise NotAQubit(f"subsystem dimension is {self.dk}")
         return self.j_vectors(np.array(basis_vectors(theta, phi)))
 
+    def j_generators(self, params) -> np.ndarray:
+        """J for the basis exp(i H(p)) of every generator row p of `params`.
+
+        One batched evaluation: the unitaries from one `eigh`, every outcome
+        block of every row from one einsum, then `_conditional_entropy`.
+        """
+        u = _unitaries(np.asarray(params, dtype=float), self.dk)
+        blocks = np.einsum('nai,abcd,nci->inbd', u.conj(), self.view, u)
+        return self.rest_entropy - _conditional_entropy(blocks)
+
 
 def _grid_rows(n_theta: int, n_phi: int) -> int:
     """Number of leading theta rows of the qubit grid that are evaluated.
@@ -90,20 +104,14 @@ def _grid_rows(n_theta: int, n_phi: int) -> int:
     return (n_theta + 1) // 2 if n_phi % 2 == 0 else n_theta
 
 
-def _bloch_conditional_entropy(half_rest: np.ndarray, half_tensor: np.ndarray,
-                               dirs: np.ndarray) -> np.ndarray:
-    """sum_i p_i S(rho_rest|i) for measurements along Bloch directions `dirs`.
+def _conditional_entropy(blocks: np.ndarray) -> np.ndarray:
+    """sum_i p_i S(block_i / p_i) over the leading outcome axis of `blocks`.
 
-    The two outcome blocks of the measurement along unit vector n are
-    (rest +- n . T) / 2, with `rest` the reduced state of the other parties
-    and T_j = Tr_k[(sigma_j x I) rho]. The arguments hold rest / 2 (dr x dr)
-    and T / 2 (3 x dr*dr).
+    `blocks` has shape (outcomes, ..., dr, dr) and holds unnormalized
+    conditional blocks, each of trace p_i; outcomes with p_i <= 1e-12
+    contribute 0.
     """
-    dr = half_rest.shape[0]
-    m = (dirs @ half_tensor).reshape(-1, dr, dr)
-    blocks = np.empty((2,) + m.shape, dtype=np.complex128)
-    np.add(half_rest, m, out=blocks[0])
-    np.subtract(half_rest, m, out=blocks[1])
+    dr = blocks.shape[-1]
     probs = np.trace(blocks, axis1=-2, axis2=-1).real
     safe = np.maximum(probs, ZERO_PROB)
     if dr == 2:
@@ -120,6 +128,23 @@ def _bloch_conditional_entropy(half_rest: np.ndarray, half_tensor: np.ndarray,
     return np.where(probs > ZERO_PROB, probs * cond_entropy, 0.0).sum(axis=0)
 
 
+def _bloch_conditional_entropy(half_rest: np.ndarray, half_tensor: np.ndarray,
+                               dirs: np.ndarray) -> np.ndarray:
+    """sum_i p_i S(rho_rest|i) for measurements along Bloch directions `dirs`.
+
+    The two outcome blocks of the measurement along unit vector n are
+    (rest +- n . T) / 2, with `rest` the reduced state of the other parties
+    and T_j = Tr_k[(sigma_j x I) rho]. The arguments hold rest / 2 (dr x dr)
+    and T / 2 (3 x dr*dr).
+    """
+    dr = half_rest.shape[0]
+    m = (dirs @ half_tensor).reshape(-1, dr, dr)
+    blocks = np.empty((2,) + m.shape, dtype=np.complex128)
+    np.add(half_rest, m, out=blocks[0])
+    np.subtract(half_rest, m, out=blocks[1])
+    return _conditional_entropy(blocks)
+
+
 def grid_search_qubit(rho: DensityMatrix, k: int, n_theta: int = 128,
                       n_phi: int = 128) -> tuple[float, float, float]:
     """Best J over an inclusive theta / periodic phi grid.
@@ -130,7 +155,12 @@ def grid_search_qubit(rho: DensityMatrix, k: int, n_theta: int = 128,
     """
     if rho.dims[k] != 2:
         raise NotAQubit(f"subsystem {k} has dimension {rho.dims[k]}")
-    ev = _JEvaluator(rho, k)
+    return _grid_search(_JEvaluator(rho, k), n_theta, n_phi)
+
+
+def _grid_search(ev: _JEvaluator, n_theta: int,
+                 n_phi: int) -> tuple[float, float, float]:
+    """grid_search_qubit on the state and qubit subsystem of `ev`."""
     dr, view = ev.dr, ev.view
     up, down = view[0, :, 0, :], view[1, :, 1, :]
     upper, lower = view[0, :, 1, :], view[1, :, 0, :]
@@ -161,34 +191,51 @@ def canonical_qubit_angles(theta: float, phi: float) -> tuple[float, float]:
     return theta, phi % (2 * math.pi)
 
 
+@functools.lru_cache(maxsize=None)
+def _generator_basis(d: int) -> np.ndarray:
+    """(d*d, d*d) matrix B with (params @ B).reshape(d, d) the generator.
+
+    Row r of B is the flattened Hermitian matrix that parameter r multiplies:
+    d diagonal entries, then (re, im) pairs for each upper-triangle entry in
+    row-major order.
+    """
+    basis = np.zeros((d * d, d, d), dtype=np.complex128)
+    basis[np.arange(d), np.arange(d), np.arange(d)] = 1
+    rows, cols = np.triu_indices(d, 1)
+    re = d + 2 * np.arange(rows.size)
+    basis[re, rows, cols] = basis[re, cols, rows] = 1
+    basis[re + 1, rows, cols], basis[re + 1, cols, rows] = 1j, -1j
+    basis = basis.reshape(d * d, d * d)
+    basis.flags.writeable = False
+    return basis
+
+
+def _unitaries(params: np.ndarray, d: int) -> np.ndarray:
+    """exp(i H) for the generator H of every row of `params` (n x d^2)."""
+    if params.shape[-1] != d * d:
+        raise LengthMismatch(f"need {d * d} parameters, got {params.shape[-1]}")
+    w, v = np.linalg.eigh((params @ _generator_basis(d)).reshape(-1, d, d))
+    return (v * np.exp(1j * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
 def unitary_from_generator(params, d: int) -> np.ndarray:
     """Unitary exp(i H) from d^2 real parameters of a Hermitian generator.
 
     Layout: d diagonal entries, then (re, im) pairs for each upper-triangle
     entry in row-major order.
     """
-    params = np.asarray(params, dtype=float).ravel()
-    if params.size != d * d:
-        raise LengthMismatch(f"need {d * d} parameters, got {params.size}")
-    h = np.diag(params[:d].astype(np.complex128))
-    idx = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            h[i, j] = params[idx] + 1j * params[idx + 1]
-            h[j, i] = params[idx] - 1j * params[idx + 1]
-            idx += 2
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return _unitaries(np.asarray(params, dtype=float).reshape(1, -1), d)[0]
 
 
-def _compass_search(fun, start, step0: float, config: OptimizerConfig):
+def _compass_search(start, step0: float, config: OptimizerConfig):
     """Derivative-free ascent: axis-aligned probes with shrinking step.
 
-    Returns (params, value, evaluations). Never returns a value below the
-    starting one.
+    A coroutine: it yields each probe point and is sent back its J. It
+    returns (params, value, evaluations) and never returns a value below
+    the starting one. `_lockstep` drives it.
     """
     x = np.asarray(start, dtype=float).copy()
-    best = fun(x)
+    best = yield x
     evals = 1
     step = step0
     for _ in range(config.max_refine_steps):
@@ -199,7 +246,7 @@ def _compass_search(fun, start, step0: float, config: OptimizerConfig):
             for sign in (1.0, -1.0):
                 cand = x.copy()
                 cand[axis] += sign * step
-                val = fun(cand)
+                val = yield cand
                 evals += 1
                 if val > best + config.refine_tolerance:
                     x, best = cand, val
@@ -209,30 +256,58 @@ def _compass_search(fun, start, step0: float, config: OptimizerConfig):
     return x, best, evals
 
 
+def _lockstep(searches, fun) -> list:
+    """Advance compass searches together; one `fun` call per round of probes.
+
+    `fun` maps the list of pending probe points of the live searches to
+    their J values. Each search sees only its own values, so it takes the
+    same path it takes alone. Returns every search's (params, value,
+    evaluations), in the order of `searches`.
+    """
+    results = [None] * len(searches)
+    live = [(i, search, next(search)) for i, search in enumerate(searches)]
+    while live:
+        values = fun([probe for _, _, probe in live])
+        pending = []
+        for (i, search, _), value in zip(live, values):
+            try:
+                pending.append((i, search, search.send(value)))
+            except StopIteration as done:
+                results[i] = done.value
+        live = pending
+    return results
+
+
 def refine_local(rho: DensityMatrix, k: int, start_params, config: OptimizerConfig):
     """Local compass refinement of J starting from qubit angles or a generator."""
+    return _refine(_JEvaluator(rho, k), start_params, config)
+
+
+def _refine(ev: _JEvaluator, start_params, config: OptimizerConfig):
+    """refine_local on the state and subsystem of `ev`."""
     start = np.asarray(start_params, dtype=float)
-    ev = _JEvaluator(rho, k)
-    d = rho.dims[k]
-    if d == 2 and start.size == 2:
-        fun = lambda p: ev.j_qubit(*canonical_qubit_angles(p[0], p[1]))
+    if ev.dk == 2 and start.size == 2:
+        fun = lambda probes: [ev.j_qubit(*canonical_qubit_angles(*probes[0]))]
         step0 = max(math.pi / config.grid_theta, 2 * math.pi / config.grid_phi)
     else:
-        u = lambda p: unitary_from_generator(p, d)
-        fun = lambda p: ev.j_vectors(u(p).T)
-        step0 = 0.3
-    params, j, evals = _compass_search(fun, start, step0, config)
-    return params, j, evals
+        fun, step0 = ev.j_generators, _GENERATOR_STEP
+    (result,) = _lockstep([_compass_search(start, step0, config)], fun)
+    return result
 
 
 def optimize_measurement(rho: DensityMatrix, k: int,
                          config: OptimizerConfig = OptimizerConfig()) -> OptimalMeasurementResult:
-    """Measurement attaining sup J on subsystem k; discord = I - J, floored at 0."""
+    """Measurement attaining sup J on subsystem k; discord = I - J, floored at 0.
+
+    For dimension > 2 the seeded restarts run in lockstep: each round of
+    compass probes, one per live restart, is one batched J evaluation.
+    """
     info = mutual_information(rho)
-    d = rho.dims[k]
+    ev = _JEvaluator(rho, k)
+    d = ev.dk
     if d == 2:
-        t0, p0, j_grid = grid_search_qubit(rho, k, config.grid_theta, config.grid_phi)
-        params, j, evals = refine_local(rho, k, (t0, p0), config)
+        t0, p0, j_grid = _grid_search(ev, config.grid_theta, config.grid_phi)
+        params, j, evals = _refine(ev, (t0, p0), config)
         theta, phi = canonical_qubit_angles(float(params[0]), float(params[1]))
         m = qubit_measurement(theta, phi)
         result_params = (theta, phi)
@@ -240,14 +315,15 @@ def optimize_measurement(rho: DensityMatrix, k: int,
                       * config.grid_phi + evals)
         gap = j - j_grid
     else:
-        rng = np.random.default_rng(config.seed)
-        best_params, j, iterations = None, -math.inf, 0
-        for _ in range(config.restarts):
-            start = rng.uniform(-math.pi, math.pi, d * d)
-            params, val, evals = refine_local(rho, k, start, config)
-            iterations += evals
+        starts = np.random.default_rng(config.seed).uniform(
+            -math.pi, math.pi, (config.restarts, d * d))
+        runs = _lockstep([_compass_search(s, _GENERATOR_STEP, config)
+                          for s in starts], ev.j_generators)
+        best_params, j = None, -math.inf
+        for params, val, _ in runs:
             if val > j + 1e-12:
                 best_params, j = params, val
+        iterations = sum(evals for _, _, evals in runs)
         m = measurement_from_unitary(unitary_from_generator(best_params, d))
         result_params = tuple(float(x) for x in best_params)
         gap = None

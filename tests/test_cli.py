@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qcorr import cli
+from qcorr import OptimizerConfig, cli, correlations, infotheory, states
 
 PAPER_DA = 0.6008760366928562
 PAPER_I = 2 * PAPER_DA
@@ -179,6 +179,31 @@ class TestSweep:
         i_col = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(b >= a - 1e-9 for a, b in zip(i_col, i_col[1:]))
 
+    def test_each_row_optimizes_each_subsystem_once(self, capsys, monkeypatch):
+        config = OptimizerConfig(grid_theta=16, grid_phi=16)
+        expected = ["param,I,D0,D1,Q,C"]
+        for p in (0.0, 0.5, 1.0):
+            rho = states.named("werner", p=p)
+            seq = correlations.sequential_measure(rho, (0, 1), config)
+            expected.append(
+                f"{p:.12g},{infotheory.mutual_information(rho):.12g},"
+                f"{correlations.discord(rho, 0, config):.12g},"
+                f"{correlations.discord(rho, 1, config):.12g},"
+                f"{seq.q_total:.12g},{seq.c_total:.12g}")
+        calls = []
+        optimize = correlations.optimize_measurement
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(correlations, "optimize_measurement", counting)
+        code, out, _ = run(capsys, ["sweep", "werner", "--start", "0", "--stop", "1",
+                                    "--step", "0.5", "--grid", "16"])
+        assert code == 0
+        assert out == "\n".join(expected) + "\n"
+        assert calls == [0, 1, 1] * 3  # D0 (= step 0), D1, step 1
+
     def test_unknown_family(self, capsys):
         code, _, _ = run(capsys, ["sweep", "unknown"])
         assert code == 2
@@ -194,6 +219,12 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--suite", "identities",
                                     "--grid", "64"])
         assert code == 0
+
+    def test_oracle_suite_covers_the_qudit_search(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--suite", "oracle"])
+        assert code == 0
+        assert out.count("PASS") == 2
+        assert "PASS oracle pure 3x2" in out
 
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, ["verify", "--suite", "nope"])

@@ -113,6 +113,22 @@ class TestUnitaryFromGenerator:
         with pytest.raises(LengthMismatch):
             optimizer.unitary_from_generator([0.0, 0.0], 2)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_generator_layout(self, d, rng):
+        # d diagonal entries, then (re, im) per upper-triangle entry, row-major
+        params = rng.uniform(-math.pi, math.pi, d * d)
+        h = np.diag(params[:d]).astype(complex)
+        idx = d
+        for i in range(d):
+            for j in range(i + 1, d):
+                h[i, j] = params[idx] + 1j * params[idx + 1]
+                h[j, i] = np.conj(h[i, j])
+                idx += 2
+        w, v = np.linalg.eigh(h)
+        expected = (v * np.exp(1j * w)) @ v.conj().T
+        u = optimizer.unitary_from_generator(params, d)
+        assert np.abs(u - expected).max() < 1e-12
+
 
 class TestOptimizeMeasurement:
     def test_paper_example(self, paper_state):
@@ -186,7 +202,7 @@ class TestOptimizeMeasurement:
         res = optimizer.optimize_measurement(rho, 0, config)
         assert res.iterations == grid_evals + refine_evals
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
     def test_pure_state_discord_is_marginal_entropy(self, rng, dims):
         for _ in range(3):
             n = math.prod(dims)
@@ -212,3 +228,36 @@ class TestOptimizeMeasurement:
             res = optimizer.optimize_measurement(rho, 0)
             _, _, j_grid = optimizer.grid_search_qubit(rho, 0, 256, 256)
             assert abs(res.j_value - j_grid) < 1e-4
+
+
+class TestQuditRestarts:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("dims", [(3, 2), (3, 3), (4, 2)])
+    def test_lockstep_matches_restarts_one_by_one(self, rng, dims, seed):
+        rho = states.random_density(dims, rng)
+        d = dims[0]
+        config = OptimizerConfig(restarts=4, seed=seed, max_refine_steps=40)
+        draws = np.random.default_rng(seed)
+        best, best_j, evals = None, -math.inf, 0
+        for _ in range(config.restarts):
+            start = draws.uniform(-math.pi, math.pi, d * d)
+            params, j, n = optimizer.refine_local(rho, 0, start, config)
+            evals += n
+            if j > best_j + 1e-12:
+                best, best_j = params, j
+        res = optimizer.optimize_measurement(rho, 0, config)
+        assert np.abs(np.array(res.params) - best).max() < 1e-12
+        assert abs(res.j_value - best_j) < 1e-12
+        assert res.iterations == evals
+        # induced_J is an independent kernel: projectors, one eigvalsh per outcome
+        assert abs(res.j_value - measurement.induced_J(rho, 0, res.measurement)) < 1e-12
+
+    def test_classical_quantum_discord_is_zero(self, rng):
+        # sum_i p_i |i><i| x rho_i with the qubit turned by a random unitary
+        p = rng.dirichlet(np.ones(3))
+        u = linalg.random_unitary(2, rng)
+        m = sum(p[i] * np.kron(np.diag(np.eye(3)[i]),
+                               u @ states.random_density([2], rng).matrix @ u.conj().T)
+                for i in range(3))
+        rho = states.from_dense(m, (3, 2))
+        assert optimizer.optimize_measurement(rho, 0).discord <= 1e-6
