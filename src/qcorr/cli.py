@@ -210,7 +210,10 @@ def cmd_overall(args) -> int:
     if args.all_orders:
         if m > 4:
             raise BadOrder("--all-orders supports at most 4 subsystems")
-        reports = [correlations.sequential_measure(rho, order, config)
+        # step 0 depends only on the first subsystem: one search per subsystem
+        firsts = [optimizer.optimize_measurement(rho, k, config) for k in range(m)]
+        reports = [correlations._sequential_measure(rho, order, config,
+                                                    first=firsts[order[0]])
                    for order in itertools.permutations(range(m))]
         qs = [r.q_total for r in reports]
         doc = {"orders": [_sequential_doc(r) for r in reports],

@@ -3,11 +3,11 @@
 Per-subsystem discord D_k and Henderson-Vedral classical correlation C_k,
 plus the sequential overall quantum measure Q and overall classical
 measure C obtained by measuring every subsystem in turn with its optimal
-projective measurement.
+projective measurement. The sequential run carries the classical-quantum
+ensemble of its leaves, not a dense state.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +17,8 @@ from .errors import BadOrder
 from .infotheory import (ProbabilityTable, classical_mutual_information,
                          mutual_information, probability_table,
                          von_neumann_entropy)
-from .measurement import ProjectiveMeasurement, apply_nonselective
-from .optimizer import (OptimalMeasurementResult, OptimizerConfig,
+from .measurement import CQEnsemble, ProjectiveMeasurement, _outcome_vectors
+from .optimizer import (OptimalMeasurementResult, OptimizerConfig, _optimize,
                         optimize_measurement)
 from .states import DensityMatrix, reduced
 
@@ -60,27 +60,17 @@ def classical_hv(rho: DensityMatrix, k: int,
     return optimize_measurement(rho, k, config).j_value
 
 
-def _joint_outcome_table(rho: DensityMatrix,
-                         measurements: dict[int, ProjectiveMeasurement]) -> ProbabilityTable:
-    """p[i_1 ... i_m] = Tr[(P_{i_1} x ... x P_{i_m}) rho]."""
-    dims = rho.dims
-    probs = np.empty(tuple(dims))
-    for outcome in itertools.product(*(range(d) for d in dims)):
-        full = np.eye(1)
-        for k, i in enumerate(outcome):
-            full = np.kron(full, measurements[k].projectors[i])
-        probs[outcome] = float(np.trace(full @ rho.matrix).real)
-    return probability_table(probs, dims)
-
-
 def sequential_measure(rho: DensityMatrix, order,
                        config: OptimizerConfig = OptimizerConfig()) -> SequentialReport:
     """Measure every subsystem in `order` with its step-optimal measurement.
 
     Each step optimizes the measurement on the current (already partially
     measured) state, records the step discord, and replaces the state by
-    the non-selective channel output. The final state is classical; its
-    joint outcome distribution gives the overall classical correlations.
+    the non-selective channel output. The state after t steps is
+    sum_i p_i |i><i| x rho_i over the leaves i (joint outcomes so far), so a
+    step only splits each block rho_i on the unmeasured subsystems. The
+    final leaf probabilities are the joint outcome distribution, which gives
+    the overall classical correlations.
     """
     return _sequential_measure(rho, order, config)
 
@@ -96,19 +86,20 @@ def _sequential_measure(rho: DensityMatrix, order, config: OptimizerConfig,
     if sorted(order) != list(range(rho.n_subsystems)):
         raise BadOrder(f"{order} is not a permutation of 0..{rho.n_subsystems - 1}")
     info = mutual_information(rho)
-    current = rho
+    ens = CQEnsemble.of(rho)
     step_discords, step_measurements, step_params = [], [], []
     for step, k in enumerate(order):
-        if step == 0 and first is not None:
+        if step > 0:
+            result = _optimize(ens, k, config)
+        elif first is not None:
             result = first
         else:
-            result = optimize_measurement(current, k, config)
+            result = optimize_measurement(rho, k, config)
         step_discords.append(result.discord)
         step_measurements.append(result.measurement)
         step_params.append(result.params)
-        current = apply_nonselective(current, k, result.measurement)
-    by_subsystem = dict(zip(order, step_measurements))
-    table = _joint_outcome_table(rho, by_subsystem)
+        ens = ens.split(k, _outcome_vectors(result.measurement))
+    table = probability_table(ens.outcome_table(), rho.dims)
     q = float(sum(step_discords))
     c = classical_mutual_information(table)
     residuals = (abs(q + c - info), abs(q - (info - c)))

@@ -1,18 +1,21 @@
 """Complete rank-1 projective measurements on one subsystem.
 
 Provides the non-selective channel M(rho) = sum_i (I x Pi_i x I) rho (...),
-conditional post-measurement ensembles, and the measurement-induced mutual
-information J.
+conditional post-measurement ensembles, the measurement-induced mutual
+information J, and the classical-quantum ensemble that a run measuring one
+subsystem after another carries.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, states
-from .errors import AngleOutOfRange, DimensionMismatch, NotUnitary
+from .errors import (AngleOutOfRange, DimensionMismatch, NotUnitary,
+                     SinglePartyState)
 from .infotheory import entropy_of_spectrum, von_neumann_entropy
 from .states import DensityMatrix, from_dense, reduced
 
@@ -97,21 +100,17 @@ def _check_dims(rho: DensityMatrix, k: int, m: ProjectiveMeasurement):
             f"measurement dim {m.subsystem_dim} vs subsystem dim {rho.dims[k]}")
 
 
-def embed(op: np.ndarray, dims, k: int) -> np.ndarray:
-    """I x ... x op x ... x I with op at tensor slot k."""
-    left = int(np.prod(dims[:k])) if k > 0 else 1
-    right = int(np.prod(dims[k + 1:])) if k + 1 < len(dims) else 1
-    return np.kron(np.kron(np.eye(left), op), np.eye(right))
-
-
-def _measured_view(rho: DensityMatrix, k: int) -> np.ndarray:
-    """rho reshaped to (d_k, d_rest, d_k, d_rest) with subsystem k first."""
-    n = rho.n_subsystems
-    dims = list(rho.dims)
+def _measured_view(blocks: np.ndarray, dims, k: int) -> np.ndarray:
+    """Blocks (..., D, D) over `dims` as (..., d_k, d_rest, d_k, d_rest), k first."""
+    n = len(dims)
+    lead = blocks.shape[:-2]
+    b = len(lead)
     perm = [k] + [i for i in range(n) if i != k]
-    t = rho.matrix.reshape(dims + dims).transpose(perm + [p + n for p in perm])
+    t = blocks.reshape(lead + tuple(dims) * 2).transpose(
+        list(range(b)) + [b + p for p in perm] + [b + n + p for p in perm])
     dk = dims[k]
-    return t.reshape(dk, rho.dim // dk, dk, rho.dim // dk)
+    dr = math.prod(dims) // dk
+    return t.reshape(lead + (dk, dr, dk, dr))
 
 
 def raw_conditionals(rho: DensityMatrix, k: int, vectors: np.ndarray):
@@ -121,7 +120,7 @@ def raw_conditionals(rho: DensityMatrix, k: int, vectors: np.ndarray):
     (probabilities, blocks) where blocks[i] is d_rest x d_rest and has
     trace p_i.
     """
-    t = _measured_view(rho, k)
+    t = _measured_view(rho.matrix, rho.dims, k)
     blocks = np.einsum('ia,abcd,ic->ibd', vectors.conj(), t, vectors)
     probs = np.einsum('ibb->i', blocks).real
     return probs, blocks
@@ -137,13 +136,18 @@ def _outcome_vectors(m: ProjectiveMeasurement) -> np.ndarray:
 
 
 def apply_nonselective(rho: DensityMatrix, k: int, m: ProjectiveMeasurement) -> DensityMatrix:
-    """Non-selective channel: sum_i P_i rho P_i with P_i embedded at slot k."""
+    """Non-selective channel: sum_i P_i rho P_i with P_i acting on subsystem k."""
     _check_dims(rho, k, m)
-    out = np.zeros_like(rho.matrix)
-    for p in m.projectors:
-        full = embed(p, rho.dims, k)
-        out += full @ rho.matrix @ full
-    return from_dense(out, rho.dims)
+    v = _outcome_vectors(m)
+    out = np.einsum('ix,ia,abcd,ic,iy->xbyd', v, v.conj(),
+                    _measured_view(rho.matrix, rho.dims, k), v, v.conj())
+    # back from (d_k, rest..., d_k, rest...) to the tensor order of rho
+    n = rho.n_subsystems
+    perm = [k] + [i for i in range(n) if i != k]
+    dims = [rho.dims[i] for i in perm]
+    inv = list(np.argsort(perm))
+    out = out.reshape(dims + dims).transpose(inv + [n + i for i in inv])
+    return from_dense(out.reshape(rho.dim, rho.dim), rho.dims)
 
 
 def conditionals(rho: DensityMatrix, k: int, m: ProjectiveMeasurement) -> ConditionalEnsemble:
@@ -175,3 +179,85 @@ def induced_J(rho: DensityMatrix, k: int, m: ProjectiveMeasurement) -> float:
         if p >= ZERO_PROB:
             cond += p * entropy_of_spectrum(np.linalg.eigvalsh(b / p))
     return rest_entropy - cond
+
+
+@dataclass(frozen=True)
+class CQEnsemble:
+    """The state sum_i |i><i| x W_i of a run that measures subsystems in turn.
+
+    Leaf i holds its outcome indices on the subsystems measured so far
+    (`outcomes[i]`, in the order of `measured`) and its weighted block
+    W_i = p_i rho_i on the unmeasured subsystems, which keep increasing
+    subsystem order; `probs[i]` = p_i = Tr W_i. A state before any
+    measurement is the single leaf {1, rho}.
+    """
+    dims: tuple[int, ...]
+    measured: tuple[int, ...]
+    outcomes: np.ndarray  # (L, len(measured)) outcome indices
+    blocks: np.ndarray    # (L, d_u, d_u) weighted blocks W_i
+    probs: np.ndarray     # (L,) leaf probabilities p_i
+
+    @classmethod
+    def of(cls, rho: DensityMatrix) -> CQEnsemble:
+        return cls(rho.dims, (), np.zeros((1, 0), dtype=int), rho.matrix[None],
+                   np.ones(1))
+
+    @property
+    def unmeasured(self) -> tuple[int, ...]:
+        return tuple(j for j in range(len(self.dims)) if j not in self.measured)
+
+    def view(self, k: int) -> np.ndarray:
+        """The weighted blocks as (L, d_k, d_rest, d_k, d_rest), subsystem k first."""
+        u = self.unmeasured
+        return _measured_view(self.blocks, [self.dims[j] for j in u], u.index(k))
+
+    def split(self, k: int, vectors: np.ndarray) -> CQEnsemble:
+        """The ensemble after measuring subsystem k in the basis `vectors` (rows).
+
+        Leaf i and outcome a make the leaf <v_a| W_i |v_a>_k; leaves of
+        probability <= 1e-12 are dropped.
+        """
+        blocks = np.einsum('ia,labcd,ic->libd', vectors.conj(), self.view(k), vectors)
+        n_leaves, dk, dr = blocks.shape[:3]
+        blocks = blocks.reshape(n_leaves * dk, dr, dr)
+        probs = np.trace(blocks, axis1=1, axis2=2).real
+        outcomes = np.column_stack([np.repeat(self.outcomes, dk, axis=0),
+                                    np.tile(np.arange(dk), n_leaves)])
+        keep = probs > ZERO_PROB
+        return CQEnsemble(self.dims, self.measured + (k,), outcomes[keep],
+                          blocks[keep], probs[keep])
+
+    def outcome_table(self) -> np.ndarray:
+        """Leaf probabilities by outcome, measured subsystems in increasing order.
+
+        Outcomes of dropped leaves read 0.
+        """
+        table = np.zeros([self.dims[j] for j in sorted(self.measured)])
+        table[tuple(self.outcomes[:, np.argsort(self.measured)].T)] = self.probs
+        return table
+
+    @functools.cached_property
+    def marginal_entropies(self) -> tuple[float, ...]:
+        """S(rho_j) of every subsystem; a measured one's from the leaf table."""
+        u = self.unmeasured
+        u_dims = [self.dims[j] for j in u]
+        total = self.blocks.sum(axis=0)
+        out = []
+        for j, d in enumerate(self.dims):
+            if j in self.measured:
+                column = self.outcomes[:, self.measured.index(j)]
+                out.append(entropy_of_spectrum(np.bincount(column, self.probs, d)))
+            else:
+                marginal = linalg.partial_trace(total, u_dims, [u.index(j)])
+                out.append(entropy_of_spectrum(np.linalg.eigvalsh(marginal)))
+        return tuple(out)
+
+    def mutual_information(self) -> float:
+        """sum_j S(rho_j) - H(p) - sum_i p_i S(rho_i).
+
+        The last two terms are the entropy of the spectra of all W_i together.
+        """
+        if len(self.dims) < 2:
+            raise SinglePartyState("mutual information needs at least 2 subsystems")
+        joint = entropy_of_spectrum(np.linalg.eigvalsh(self.blocks).ravel())
+        return sum(self.marginal_entropies) - joint

@@ -4,6 +4,9 @@ Qubit subsystems get an exhaustive Bloch-angle grid followed by compass
 refinement; higher dimensions use seeded random restarts over a Hermitian
 generator parameterization, each refined by compass search; the restarts
 run in lockstep, so each round of their probes is one batched J evaluation.
+J is evaluated on a classical-quantum ensemble of leaves (a state that no
+step has measured yet is a single leaf), so later steps of a sequential run
+diagonalize per-leaf blocks, not the dense state.
 """
 from __future__ import annotations
 
@@ -14,16 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, NotAQubit
-from .infotheory import mutual_information
-from .measurement import (ProjectiveMeasurement, ZERO_PROB, _measured_view,
+from .measurement import (CQEnsemble, ProjectiveMeasurement, ZERO_PROB,
                           basis_vectors, measurement_from_unitary,
                           qubit_measurement)
-from .states import DensityMatrix, reduced
-from .infotheory import von_neumann_entropy
+from .states import DensityMatrix
 
 _CLAMP = 1e-12
-# Bound on the entries of one (chunk, dr, dr) stack of grid blocks, so the
-# grid's working set stays flat as the unmeasured dimension dr grows.
+# Bound on the entries of one (chunk, L, dr, dr) stack of grid blocks, so the
+# grid's working set stays flat as the leaves L and their dimension dr grow.
 _GRID_CHUNK_ELEMENTS = 1 << 20
 # First compass step on each generator parameter.
 _GENERATOR_STEP = 0.3
@@ -55,26 +56,23 @@ class OptimalMeasurementResult:
 
 
 class _JEvaluator:
-    """Fast J evaluation for measurements on one fixed subsystem."""
+    """Fast J evaluation for measurements on one fixed subsystem.
 
-    def __init__(self, rho: DensityMatrix, k: int):
-        self.view = _measured_view(rho, k)
-        self.dk = rho.dims[k]
-        self.dr = rho.dim // self.dk
-        self.rest_entropy = sum(von_neumann_entropy(reduced(rho, {j}))
-                                for j in range(rho.n_subsystems) if j != k)
+    Works on a classical-quantum ensemble: `view` holds the leaves' weighted
+    blocks as (L, d_k, d_rest, d_k, d_rest), where d_rest counts only the
+    unmeasured subsystems other than k. A state nobody has measured is L = 1.
+    """
+
+    def __init__(self, ens: CQEnsemble, k: int):
+        self.view = ens.view(k)
+        self.dk = ens.dims[k]
+        self.rest_entropy = sum(s for j, s in enumerate(ens.marginal_entropies)
+                                if j != k)
 
     def j_vectors(self, vectors: np.ndarray) -> float:
         """J for the basis given as rows of `vectors` (shape d_k x d_k)."""
-        blocks = np.einsum('ia,abcd,ic->ibd', vectors.conj(), self.view, vectors)
-        probs = np.einsum('ibb->i', blocks).real
-        cond = 0.0
-        for p, b in zip(probs, blocks):
-            if p >= ZERO_PROB:
-                w = np.linalg.eigvalsh(b / p)
-                w = w[w > _CLAMP]
-                cond -= p * (w * np.log2(w)).sum()
-        return self.rest_entropy - cond
+        blocks = np.einsum('ia,labcd,ic->ilbd', vectors.conj(), self.view, vectors)
+        return self.rest_entropy - float(_conditional_entropy(blocks))
 
     def j_qubit(self, theta: float, phi: float) -> float:
         if self.dk != 2:
@@ -88,7 +86,7 @@ class _JEvaluator:
         block of every row from one einsum, then `_conditional_entropy`.
         """
         u = _unitaries(np.asarray(params, dtype=float), self.dk)
-        blocks = np.einsum('nai,abcd,nci->inbd', u.conj(), self.view, u)
+        blocks = np.einsum('nai,labcd,nci->inlbd', u.conj(), self.view, u)
         return self.rest_entropy - _conditional_entropy(blocks)
 
 
@@ -105,26 +103,34 @@ def _grid_rows(n_theta: int, n_phi: int) -> int:
 
 
 def _conditional_entropy(blocks: np.ndarray) -> np.ndarray:
-    """sum_i p_i S(block_i / p_i) over the leading outcome axis of `blocks`.
+    """sum_a q_a S(rest | a) over the leading outcome axis of `blocks`.
 
-    `blocks` has shape (outcomes, ..., dr, dr) and holds unnormalized
-    conditional blocks, each of trace p_i; outcomes with p_i <= 1e-12
-    contribute 0.
+    `blocks` has shape (outcomes, ..., L, dr, dr): block (a, ..., i) is
+    <v_a| W_i |v_a> for leaf i, unnormalized. Given outcome a the rest is
+    block diagonal over the leaves, so its spectrum is the union of the leaf
+    blocks' spectra divided by q_a = sum_i Tr B_{a,i}. Outcomes with
+    q_a <= 1e-12 contribute 0.
     """
     dr = blocks.shape[-1]
-    probs = np.trace(blocks, axis1=-2, axis2=-1).real
-    safe = np.maximum(probs, ZERO_PROB)
-    if dr == 2:
-        # closed-form 2x2 Hermitian spectrum of the normalized blocks
-        det = (blocks[..., 0, 0] * blocks[..., 1, 1]
-               - blocks[..., 0, 1] * blocks[..., 1, 0]).real / safe ** 2
-        disc = np.sqrt(np.maximum(1.0 - 4.0 * det, 0.0))
-        lam = np.stack([(1 - disc) / 2, (1 + disc) / 2], axis=-1)
+    traces = np.einsum('...ii->...', blocks.real)
+    probs = traces.sum(axis=-1)
+    safe = np.maximum(probs, ZERO_PROB)[..., None]
+    if dr == 1:
+        lam = (traces / safe)[..., None]
+    elif dr == 2:
+        # closed-form 2x2 Hermitian spectrum (t -+ sqrt(t^2 - 4 det)) / 2
+        det4 = 4.0 * (blocks[..., 0, 0] * blocks[..., 1, 1]
+                      - blocks[..., 0, 1] * blocks[..., 1, 0]).real
+        disc = np.sqrt(np.maximum(traces * traces - det4, 0.0))
+        lam = np.empty(traces.shape + (2,))
+        np.subtract(traces, disc, out=lam[..., 0])
+        np.add(traces, disc, out=lam[..., 1])
+        lam *= (0.5 / safe)[..., None]
     else:
-        # spectrum of blocks / p without a normalized copy of the blocks
+        # spectrum of blocks / q_a without a normalized copy of the blocks
         lam = np.linalg.eigvalsh(blocks) / safe[..., None]
     plogp = np.where(lam > _CLAMP, lam * np.log2(np.maximum(lam, _CLAMP)), 0.0)
-    cond_entropy = -plogp.sum(axis=-1)
+    cond_entropy = -plogp.sum(axis=(-2, -1))
     return np.where(probs > ZERO_PROB, probs * cond_entropy, 0.0).sum(axis=0)
 
 
@@ -133,12 +139,11 @@ def _bloch_conditional_entropy(half_rest: np.ndarray, half_tensor: np.ndarray,
     """sum_i p_i S(rho_rest|i) for measurements along Bloch directions `dirs`.
 
     The two outcome blocks of the measurement along unit vector n are
-    (rest +- n . T) / 2, with `rest` the reduced state of the other parties
-    and T_j = Tr_k[(sigma_j x I) rho]. The arguments hold rest / 2 (dr x dr)
-    and T / 2 (3 x dr*dr).
+    (rest +- n . T) / 2 for every leaf, with `rest` the leaf's block traced
+    over subsystem k and T_j = Tr_k[(sigma_j x I) W]. The arguments hold
+    rest / 2 (L x dr x dr) and T / 2 (3 x L*dr*dr).
     """
-    dr = half_rest.shape[0]
-    m = (dirs @ half_tensor).reshape(-1, dr, dr)
+    m = (dirs @ half_tensor).reshape((-1,) + half_rest.shape)
     blocks = np.empty((2,) + m.shape, dtype=np.complex128)
     np.add(half_rest, m, out=blocks[0])
     np.subtract(half_rest, m, out=blocks[1])
@@ -155,25 +160,25 @@ def grid_search_qubit(rho: DensityMatrix, k: int, n_theta: int = 128,
     """
     if rho.dims[k] != 2:
         raise NotAQubit(f"subsystem {k} has dimension {rho.dims[k]}")
-    return _grid_search(_JEvaluator(rho, k), n_theta, n_phi)
+    return _grid_search(_JEvaluator(CQEnsemble.of(rho), k), n_theta, n_phi)
 
 
 def _grid_search(ev: _JEvaluator, n_theta: int,
                  n_phi: int) -> tuple[float, float, float]:
-    """grid_search_qubit on the state and qubit subsystem of `ev`."""
-    dr, view = ev.dr, ev.view
-    up, down = view[0, :, 0, :], view[1, :, 1, :]
-    upper, lower = view[0, :, 1, :], view[1, :, 0, :]
+    """grid_search_qubit on the ensemble and qubit subsystem of `ev`."""
+    view = ev.view
+    up, down = view[:, 0, :, 0, :], view[:, 1, :, 1, :]
+    upper, lower = view[:, 0, :, 1, :], view[:, 1, :, 0, :]
     half_rest = (up + down) / 2
     half_tensor = np.stack([upper + lower, 1j * (upper - lower),
-                            up - down]).reshape(3, dr * dr) / 2
+                            up - down]).reshape(3, half_rest.size) / 2
     thetas = np.linspace(0.0, math.pi, n_theta)[:_grid_rows(n_theta, n_phi)]
     phis = np.arange(n_phi) * (2 * math.pi / n_phi)
     tt, pp = [a.ravel() for a in np.meshgrid(thetas, phis, indexing='ij')]
     dirs = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp),
                      np.cos(tt)], axis=1)
     j = np.empty(tt.size)
-    chunk = max(1, _GRID_CHUNK_ELEMENTS // (dr * dr))
+    chunk = max(1, _GRID_CHUNK_ELEMENTS // half_rest.size)
     for lo in range(0, tt.size, chunk):
         hi = min(lo + chunk, tt.size)
         j[lo:hi] = ev.rest_entropy - _bloch_conditional_entropy(
@@ -280,11 +285,11 @@ def _lockstep(searches, fun) -> list:
 
 def refine_local(rho: DensityMatrix, k: int, start_params, config: OptimizerConfig):
     """Local compass refinement of J starting from qubit angles or a generator."""
-    return _refine(_JEvaluator(rho, k), start_params, config)
+    return _refine(_JEvaluator(CQEnsemble.of(rho), k), start_params, config)
 
 
 def _refine(ev: _JEvaluator, start_params, config: OptimizerConfig):
-    """refine_local on the state and subsystem of `ev`."""
+    """refine_local on the ensemble and subsystem of `ev`."""
     start = np.asarray(start_params, dtype=float)
     if ev.dk == 2 and start.size == 2:
         fun = lambda probes: [ev.j_qubit(*canonical_qubit_angles(*probes[0]))]
@@ -302,8 +307,14 @@ def optimize_measurement(rho: DensityMatrix, k: int,
     For dimension > 2 the seeded restarts run in lockstep: each round of
     compass probes, one per live restart, is one batched J evaluation.
     """
-    info = mutual_information(rho)
-    ev = _JEvaluator(rho, k)
+    return _optimize(CQEnsemble.of(rho), k, config)
+
+
+def _optimize(ens: CQEnsemble, k: int,
+              config: OptimizerConfig) -> OptimalMeasurementResult:
+    """optimize_measurement on unmeasured subsystem k of a cq ensemble."""
+    info = ens.mutual_information()
+    ev = _JEvaluator(ens, k)
     d = ev.dk
     if d == 2:
         t0, p0, j_grid = _grid_search(ev, config.grid_theta, config.grid_phi)

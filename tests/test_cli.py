@@ -1,10 +1,12 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from qcorr import OptimizerConfig, cli, correlations, infotheory, states
+from qcorr import (OptimizerConfig, cli, correlations, infotheory, optimizer,
+                   states)
 
 PAPER_DA = 0.6008760366928562
 PAPER_I = 2 * PAPER_DA
@@ -25,6 +27,26 @@ def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def count_searches(monkeypatch) -> list:
+    """Record the subsystem of every measurement search the CLI starts.
+
+    Step 0 of a sequential run goes through `optimize_measurement`; later
+    steps search the run's classical-quantum ensemble through `_optimize`.
+    """
+    calls = []
+    for module, name in ((optimizer, "optimize_measurement"),
+                         (correlations, "optimize_measurement"),
+                         (correlations, "_optimize")):
+        search = getattr(module, name)
+
+        def counting(state, k, *args, search=search, **kwargs):
+            calls.append(k)
+            return search(state, k, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 class TestStateFiles:
@@ -144,6 +166,29 @@ class TestOverall:
         assert len(doc["orders"]) == 2
         assert "q_discrepancy" in doc
 
+    def test_all_orders_search_step_zero_once_per_subsystem(self, capsys, tmp_path,
+                                                           monkeypatch, rng):
+        rho = states.random_density((2, 2, 2), rng)
+        path = write_state(tmp_path, {"kind": "dense", "dims": [2, 2, 2],
+                                      "matrix": [[[x.real, x.imag] for x in row]
+                                                 for row in rho.matrix]})
+        rho = cli.load_state(path)
+        config = OptimizerConfig(grid_theta=16, grid_phi=16)
+        orders = list(itertools.permutations(range(3)))
+        reports = [correlations.sequential_measure(rho, order, config) for order in orders]
+        qs = [r.q_total for r in reports]
+        expected = json.dumps({"schema_version": cli.SCHEMA_VERSION,
+                               "orders": [cli._sequential_doc(r) for r in reports],
+                               "q_discrepancy": max(qs) - min(qs)}, indent=2) + "\n"
+        calls = count_searches(monkeypatch)
+        code, out, _ = run(capsys, ["overall", path, "--all-orders", "--grid", "16",
+                                    "--json"])
+        assert code == 0
+        assert out == expected
+        # one step-0 search per first subsystem (3, not 3! = 6), then the
+        # later steps of every order
+        assert calls == [0, 1, 2] + [k for order in orders for k in order[1:]]
+
     def test_explicit_order(self, capsys, paper_file):
         code, out, _ = run(capsys, ["overall", paper_file, "--order", "1,0",
                                     "--grid", "32", "--json"])
@@ -190,14 +235,7 @@ class TestSweep:
                 f"{correlations.discord(rho, 0, config):.12g},"
                 f"{correlations.discord(rho, 1, config):.12g},"
                 f"{seq.q_total:.12g},{seq.c_total:.12g}")
-        calls = []
-        optimize = correlations.optimize_measurement
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return optimize(*args, **kwargs)
-
-        monkeypatch.setattr(correlations, "optimize_measurement", counting)
+        calls = count_searches(monkeypatch)
         code, out, _ = run(capsys, ["sweep", "werner", "--start", "0", "--stop", "1",
                                     "--step", "0.5", "--grid", "16"])
         assert code == 0

@@ -1,10 +1,12 @@
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from qcorr import (OptimizerConfig, correlations, infotheory, measurement,
-                   states)
+                   optimizer, states)
 from qcorr.errors import BadOrder
 
 PAPER_DA = 0.6008760366928562
@@ -89,6 +91,68 @@ class TestSequentialMeasure:
         q01 = correlations.sequential_measure(rho, (0, 1), fast_config).q_total
         q10 = correlations.sequential_measure(rho, (1, 0), fast_config).q_total
         assert math.isfinite(q01 - q10)
+
+
+def dense_sequential(rho, order, config):
+    """The sequential run on dense states, as an oracle for the cq path.
+
+    One optimize_measurement and one apply_nonselective per step, and the
+    outcome table by the Born rule from the product projectors.
+    """
+    current, discords, params, chosen = rho, [], [], {}
+    for k in order:
+        res = optimizer.optimize_measurement(current, k, config)
+        discords.append(res.discord)
+        params.append(res.params)
+        chosen[k] = res.measurement
+        current = measurement.apply_nonselective(current, k, res.measurement)
+    probs = np.empty(rho.dims)
+    for outcome in itertools.product(*(range(d) for d in rho.dims)):
+        projector = functools.reduce(
+            np.kron, [chosen[k].projectors[i] for k, i in enumerate(outcome)])
+        probs[outcome] = np.trace(projector @ rho.matrix).real
+    table = infotheory.probability_table(probs, rho.dims)
+    return discords, params, infotheory.classical_mutual_information(table), table
+
+
+def _oracle_fixtures():
+    rng = np.random.default_rng(2011)
+    random = lambda dims: states.random_density(dims, rng)
+    pure_product = states.named("product", bloch=[[0, 0, 1], [1, 0, 0], [0, 0, -1]])
+    return [
+        ("paper_example", states.named("paper_example"), (0, 1)),
+        *((f"ghz_{n}", states.named("ghz", n=n), tuple(range(n))) for n in (3, 4, 5, 6)),
+        ("random_3", random((2, 2, 2)), (0, 1, 2)),
+        ("random_3_reversed", random((2, 2, 2)), (2, 1, 0)),
+        ("random_4", random((2, 2, 2, 2)), (0, 1, 2, 3)),
+        ("3x2", random((3, 2)), (0, 1)),
+        ("3x2_reversed", random((3, 2)), (1, 0)),
+        ("2x3", random((2, 3)), (0, 1)),
+        ("2x2x3", random((2, 2, 3)), (0, 1, 2)),
+        ("2x3x2_rank2", states.random_density((2, 3, 2), rng, rank=2), (2, 1, 0)),
+        ("classical_diag", states.from_dense(np.diag([0.5, 0, 0, 0.5]), (2, 2)), (0, 1)),
+        ("pure_product", pure_product, (0, 1, 2)),
+    ]
+
+
+ORACLE_FIXTURES = _oracle_fixtures()
+
+
+class TestSequentialOracle:
+    """The cq-ensemble run against the dense recipe, step by step."""
+
+    @pytest.mark.parametrize("name, rho, order", ORACLE_FIXTURES,
+                             ids=[f[0] for f in ORACLE_FIXTURES])
+    def test_matches_dense_recipe(self, name, rho, order):
+        config = OptimizerConfig(grid_theta=32, grid_phi=32, restarts=4,
+                                 max_refine_steps=60)
+        discords, params, c, table = dense_sequential(rho, order, config)
+        seq = correlations.sequential_measure(rho, order, config)
+        assert seq.step_params == tuple(params)
+        assert np.abs(np.array(seq.step_discords) - discords).max() <= 1e-9
+        assert abs(seq.q_total - sum(discords)) <= 1e-9
+        assert abs(seq.c_total - c) <= 1e-9
+        assert np.abs(seq.classical_table.probs - table.probs).max() <= 1e-9
 
 
 class TestOverall:

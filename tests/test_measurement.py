@@ -108,6 +108,20 @@ class TestApplyNonselective:
         with pytest.raises(DimensionMismatch):
             measurement.apply_nonselective(rho, 1, random_qubit_measurement(rng))
 
+    def test_matches_kronecker_recipe(self, rng):
+        # sum_i (I x P_i x I) rho (I x P_i x I) with the embedding spelled out
+        dims = (2, 3, 2)
+        rho = states.random_density(dims, rng)
+        for k, d in enumerate(dims):
+            m = measurement.measurement_from_unitary(linalg.random_unitary(d, rng))
+            left, right = np.eye(math.prod(dims[:k])), np.eye(math.prod(dims[k + 1:]))
+            expected = np.zeros_like(rho.matrix)
+            for p in m.projectors:
+                full = np.kron(np.kron(left, p), right)
+                expected += full @ rho.matrix @ full
+            out = measurement.apply_nonselective(rho, k, m)
+            assert np.abs(out.matrix - expected).max() < 1e-12
+
 
 class TestConditionals:
     def test_paper_example_computational(self, paper_state):
@@ -187,3 +201,38 @@ def test_channel_monotonicity(rng):
         out = measurement.apply_nonselective(rho, k, m)
         assert (infotheory.mutual_information(out)
                 <= infotheory.mutual_information(rho) + 1e-9)
+
+
+class TestCQEnsemble:
+    def test_one_leaf_is_the_state(self, rng):
+        rho = states.random_density((2, 3), rng)
+        ens = measurement.CQEnsemble.of(rho)
+        assert abs(ens.mutual_information() - infotheory.mutual_information(rho)) < 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (2, 3, 2)])
+    def test_split_matches_the_channel(self, rng, dims):
+        # each step's leaves describe the dense channel output: same mutual
+        # information, and the same probability for every joint outcome
+        rho = states.random_density(dims, rng)
+        ens, current, projectors = measurement.CQEnsemble.of(rho), rho, {}
+        for k in (1, 0):
+            u = linalg.random_unitary(dims[k], rng)
+            m = measurement.measurement_from_unitary(u)
+            ens = ens.split(k, u.T)  # outcome vectors as rows
+            current = measurement.apply_nonselective(current, k, m)
+            projectors[k] = m.projectors
+            assert abs(ens.mutual_information()
+                       - infotheory.mutual_information(current)) < 1e-12
+        assert ens.measured == (1, 0)
+        for (b, a), p in zip(ens.outcomes, ens.probs):
+            born = np.kron(np.kron(projectors[0][a], projectors[1][b]), np.eye(dims[2]))
+            assert abs(p - np.trace(born @ rho.matrix).real) < 1e-12
+
+    def test_zero_probability_leaves_are_dropped(self):
+        ghz = states.named("ghz", n=3)
+        ens = measurement.CQEnsemble.of(ghz)
+        for k in range(3):
+            ens = ens.split(k, np.eye(2))
+        assert ens.outcomes.tolist() == [[0, 0, 0], [1, 1, 1]]
+        assert np.allclose(ens.probs, [0.5, 0.5])
+        assert ens.blocks.shape == (2, 1, 1)

@@ -80,7 +80,7 @@ class TestRefineLocal:
     def test_never_decreases(self, rng, fast_config):
         rho = states.random_density((2, 2), rng)
         start = (1.0, 2.0)
-        ev_start = optimizer._JEvaluator(rho, 0).j_qubit(*start)
+        ev_start = optimizer._JEvaluator(measurement.CQEnsemble.of(rho), 0).j_qubit(*start)
         _, j, _ = optimizer.refine_local(rho, 0, start, fast_config)
         assert j >= ev_start - 1e-12
 
