@@ -154,10 +154,9 @@ def _make_config(args) -> optimizer.OptimizerConfig:
 
 def cmd_info(args) -> int:
     rho = load_state(args.statefile)
-    marginals = [infotheory.von_neumann_entropy(states.reduced(rho, {k}))
-                 for k in range(rho.n_subsystems)]
-    joint = infotheory.von_neumann_entropy(rho)
-    info = infotheory.mutual_information(rho)
+    ens = measurement.CQEnsemble.of(rho)
+    marginals, joint = list(ens.marginal_entropies), ens.joint_entropy
+    info = ens.mutual_information()
     doc = {"dims": list(rho.dims), "marginal_entropies": marginals,
            "joint_entropy": joint, "mutual_info": info}
     lines = [f"dims: {list(rho.dims)}",
@@ -212,7 +211,8 @@ def cmd_overall(args) -> int:
             raise BadOrder("--all-orders supports at most 4 subsystems")
         # step 0 depends only on the first subsystem: one search per subsystem
         firsts = [optimizer.optimize_measurement(rho, k, config) for k in range(m)]
-        reports = [correlations._sequential_measure(rho, order, config,
+        ens = measurement.CQEnsemble.of(rho)
+        reports = [correlations._sequential_measure(ens, order, config,
                                                     first=firsts[order[0]])
                    for order in itertools.permutations(range(m))]
         qs = [r.q_total for r in reports]
@@ -287,7 +287,8 @@ def _verify_bounds(config, failures):
         rho = states.random_density((2, 2), rng)
         info = infotheory.mutual_information(rho)
         res = optimizer.optimize_measurement(rho, 0, config)
-        seq = correlations.sequential_measure(rho, (0, 1), config)
+        seq = correlations._sequential_measure(measurement.CQEnsemble.of(rho), (0, 1),
+                                               config, first=res)
         worst_chain = max(worst_chain, -res.discord,
                           res.discord - seq.q_total, seq.q_total - info)
         worst_c = max(worst_c, seq.c_total - res.j_value)

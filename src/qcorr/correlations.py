@@ -15,12 +15,11 @@ import numpy as np
 from . import measurement as msr
 from .errors import BadOrder
 from .infotheory import (ProbabilityTable, classical_mutual_information,
-                         mutual_information, probability_table,
-                         von_neumann_entropy)
-from .measurement import CQEnsemble, ProjectiveMeasurement, _outcome_vectors
+                         probability_table)
+from .measurement import CQEnsemble, ProjectiveMeasurement
 from .optimizer import (OptimalMeasurementResult, OptimizerConfig, _optimize,
                         optimize_measurement)
-from .states import DensityMatrix, reduced
+from .states import DensityMatrix
 
 CLASSIFY_TOL = 1e-6
 
@@ -72,34 +71,30 @@ def sequential_measure(rho: DensityMatrix, order,
     final leaf probabilities are the joint outcome distribution, which gives
     the overall classical correlations.
     """
-    return _sequential_measure(rho, order, config)
+    return _sequential_measure(CQEnsemble.of(rho), order, config)
 
 
-def _sequential_measure(rho: DensityMatrix, order, config: OptimizerConfig,
+def _sequential_measure(ens: CQEnsemble, order, config: OptimizerConfig,
                         first: OptimalMeasurementResult | None = None) -> SequentialReport:
-    """sequential_measure, taking `first` as the step-0 result when given.
+    """sequential_measure on `ens` = CQEnsemble.of(rho), taking `first` as step 0.
 
-    `first` must be optimize_measurement(rho, order[0], config); callers that
-    already hold it skip optimizing the same subsystem of the same state twice.
+    `first`, when given, must be optimize_measurement(rho, order[0], config);
+    callers that already hold it skip optimizing the same subsystem of the
+    same state twice. Sharing `ens` shares its entropies.
     """
+    n = len(ens.dims)
     order = tuple(int(k) for k in order)
-    if sorted(order) != list(range(rho.n_subsystems)):
-        raise BadOrder(f"{order} is not a permutation of 0..{rho.n_subsystems - 1}")
-    info = mutual_information(rho)
-    ens = CQEnsemble.of(rho)
+    if sorted(order) != list(range(n)):
+        raise BadOrder(f"{order} is not a permutation of 0..{n - 1}")
+    info = ens.mutual_information()
     step_discords, step_measurements, step_params = [], [], []
     for step, k in enumerate(order):
-        if step > 0:
-            result = _optimize(ens, k, config)
-        elif first is not None:
-            result = first
-        else:
-            result = optimize_measurement(rho, k, config)
+        result = first if step == 0 and first is not None else _optimize(ens, k, config)
         step_discords.append(result.discord)
         step_measurements.append(result.measurement)
         step_params.append(result.params)
-        ens = ens.split(k, _outcome_vectors(result.measurement))
-    table = probability_table(ens.outcome_table(), rho.dims)
+        ens = ens.split(k, result.measurement.basis)
+    table = probability_table(ens.outcome_table(), ens.dims)
     q = float(sum(step_discords))
     c = classical_mutual_information(table)
     residuals = (abs(q + c - info), abs(q - (info - c)))
@@ -119,14 +114,12 @@ def overall_c(rho: DensityMatrix, config: OptimizerConfig = OptimizerConfig()) -
 
 def full_report(rho: DensityMatrix,
                 config: OptimizerConfig = OptimizerConfig()) -> CorrelationReport:
-    marginals = tuple(von_neumann_entropy(reduced(rho, {k}))
-                      for k in range(rho.n_subsystems))
-    joint = von_neumann_entropy(rho)
-    info = mutual_information(rho)
-    results = [optimize_measurement(rho, k, config) for k in range(rho.n_subsystems)]
+    ens = CQEnsemble.of(rho)
+    results = [_optimize(ens, k, config) for k in range(rho.n_subsystems)]
     per = tuple((res.discord, res.j_value) for res in results)
-    seq = _sequential_measure(rho, range(rho.n_subsystems), config, first=results[0])
-    return CorrelationReport(rho.dims, marginals, joint, info, per, seq)
+    seq = _sequential_measure(ens, range(rho.n_subsystems), config, first=results[0])
+    return CorrelationReport(rho.dims, ens.marginal_entropies, ens.joint_entropy,
+                             seq.mutual_info, per, seq)
 
 
 def classify(rho: DensityMatrix, config: OptimizerConfig = OptimizerConfig(),
@@ -138,14 +131,14 @@ def classify(rho: DensityMatrix, config: OptimizerConfig = OptimizerConfig(),
     """
     if rho.n_subsystems != 2:
         raise BadOrder("classification is defined for bipartite states")
-    info = mutual_information(rho)
-    if info <= tol:
+    ens = CQEnsemble.of(rho)
+    if ens.mutual_information() <= tol:
         return "product"
-    results = [optimize_measurement(rho, k, config) for k in (0, 1)]
+    results = [_optimize(ens, k, config) for k in (0, 1)]
     zero = [r.discord <= tol for r in results]
     if all(zero):
-        ens = msr.conditionals(rho, 0, results[0].measurement)
-        present = [s.matrix for s in ens.states if s is not None]
+        cond = msr.conditionals(rho, 0, results[0].measurement)
+        present = [s.matrix for s in cond.states if s is not None]
         commuting = all(
             np.abs(a @ b - b @ a).max() <= tol
             for i, a in enumerate(present) for b in present[i + 1:])

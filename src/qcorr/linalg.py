@@ -8,11 +8,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPSD
+from .errors import DimensionMismatch, NotHermitian
 
 HERMITICITY_TOL = 1e-9
-PSD_TOL = 1e-9
-SUPPORT_EPS = 1e-12
 
 
 class EigenDecomposition(NamedTuple):
@@ -86,23 +84,3 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
         traced += 1
     d_keep = int(np.prod([dims[k] for k in keep]))
     return t.reshape(d_keep, d_keep)
-
-
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def log2_psd(s: np.ndarray, eps: float = SUPPORT_EPS) -> np.ndarray:
-    """Base-2 matrix logarithm of a PSD matrix.
-
-    Eigenvalues below `eps` are clamped to `eps` before taking the log;
-    support mismatch is the caller's concern (see relative_entropy).
-    """
-    w, u = eigh(s)
-    if w[0] < -PSD_TOL:
-        raise NotPSD(f"smallest eigenvalue {w[0]:.3e} below -{PSD_TOL:.0e}")
-    logw = np.log2(np.maximum(w, eps))
-    return (u * logw) @ dag(u)

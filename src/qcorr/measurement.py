@@ -1,9 +1,11 @@
 """Complete rank-1 projective measurements on one subsystem.
 
-Provides the non-selective channel M(rho) = sum_i (I x Pi_i x I) rho (...),
-conditional post-measurement ensembles, the measurement-induced mutual
-information J, and the classical-quantum ensemble that a run measuring one
-subsystem after another carries.
+A measurement is an orthonormal basis {v_a} of the measured subsystem, and
+everything it induces comes from the outcome blocks <v_a| rho |v_a>. Provides
+the non-selective channel M(rho) = sum_a (I x |v_a><v_a| x I) rho (...),
+conditional post-measurement ensembles, the classical-quantum ensemble that a
+run measuring one subsystem after another carries, and the one kernel for the
+measurement-induced mutual information J on that ensemble.
 """
 from __future__ import annotations
 
@@ -13,50 +15,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, states
+from . import linalg
 from .errors import (AngleOutOfRange, DimensionMismatch, NotUnitary,
                      SinglePartyState)
 from .infotheory import entropy_of_spectrum, von_neumann_entropy
-from .states import DensityMatrix, from_dense, reduced
+from .states import DensityMatrix, from_dense
 
-PROJ_TOL = 1e-9
+UNITARY_TOL = 1e-8
 ZERO_PROB = 1e-12
+_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
 class ProjectiveMeasurement:
-    """A complete set of d orthogonal rank-1 projectors on a d-dim subsystem."""
-    subsystem_dim: int
-    projectors: tuple[np.ndarray, ...]
+    """A complete rank-1 projective measurement on a d-dim subsystem.
+
+    `basis` is d x d with one outcome vector per row: outcome a projects
+    onto basis[a]. The rows must be orthonormal within 1e-8.
+    """
+    basis: np.ndarray
 
     def __post_init__(self):
-        d = self.subsystem_dim
-        if len(self.projectors) != d:
-            raise DimensionMismatch(f"{len(self.projectors)} projectors for dim {d}")
-        total = np.zeros((d, d), dtype=np.complex128)
-        for i, p in enumerate(self.projectors):
-            if p.shape != (d, d):
-                raise DimensionMismatch(f"projector {i} has shape {p.shape}")
-            if linalg.hermitian_defect(p) > PROJ_TOL:
-                raise DimensionMismatch(f"projector {i} is not Hermitian")
-            if np.abs(p @ p - p).max() > PROJ_TOL:
-                raise DimensionMismatch(f"projector {i} is not idempotent")
-            if abs(np.trace(p).real - 1.0) > PROJ_TOL:
-                raise DimensionMismatch(f"projector {i} is not rank 1")
-            for q in self.projectors[i + 1:]:
-                if np.abs(p @ q).max() > PROJ_TOL:
-                    raise DimensionMismatch("projectors are not pairwise orthogonal")
-            total += p
-        if np.abs(total - np.eye(d)).max() > PROJ_TOL:
-            raise DimensionMismatch("projectors do not sum to the identity")
+        b = linalg.as_matrix(self.basis)
+        if (not 0 < b.shape[0] == b.shape[1]
+                or np.abs(b @ linalg.dag(b) - np.eye(len(b))).max() > UNITARY_TOL):
+            raise NotUnitary(f"basis is not orthonormal within {UNITARY_TOL:.0e}")
+        object.__setattr__(self, "basis", b)
+
+    @property
+    def subsystem_dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.outer(v, v.conj()) for v in self.basis)
 
 
 @dataclass(frozen=True)
 class ConditionalEnsemble:
     """Outcome probabilities and conditional states on the unmeasured part.
 
-    Outcomes with probability below 1e-12 carry None instead of a state and
-    contribute 0 to conditional-entropy sums.
+    Outcomes with probability at most 1e-12 read probability 0 and carry
+    None instead of a state.
     """
     probabilities: np.ndarray
     states: tuple[DensityMatrix | None, ...]
@@ -72,24 +72,17 @@ def basis_vectors(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def qubit_measurement(theta: float, phi: float) -> ProjectiveMeasurement:
-    """Projectors onto cos(t/2)|0> + e^{i phi} sin(t/2)|1> and its complement."""
+    """The basis cos(t/2)|0> + e^{i phi} sin(t/2)|1> and its complement."""
     if not 0.0 <= theta <= math.pi:
         raise AngleOutOfRange(f"theta={theta} outside [0, pi]")
     if not 0.0 <= phi < 2 * math.pi:
         raise AngleOutOfRange(f"phi={phi} outside [0, 2 pi)")
-    v0, v1 = basis_vectors(theta, phi)
-    return ProjectiveMeasurement(
-        2, (np.outer(v0, v0.conj()), np.outer(v1, v1.conj())))
+    return ProjectiveMeasurement(np.array(basis_vectors(theta, phi)))
 
 
 def measurement_from_unitary(u: np.ndarray) -> ProjectiveMeasurement:
-    """Measurement whose projectors are onto the columns of a unitary."""
-    u = linalg.as_matrix(u)
-    d = u.shape[0]
-    if u.shape[1] != d or np.abs(linalg.dag(u) @ u - np.eye(d)).max() > 1e-8:
-        raise NotUnitary("input is not unitary within 1e-8")
-    projs = tuple(np.outer(u[:, i], u[:, i].conj()) for i in range(d))
-    return ProjectiveMeasurement(d, projs)
+    """Measurement in the basis of the columns of a unitary (within 1e-8)."""
+    return ProjectiveMeasurement(linalg.as_matrix(u).T)
 
 
 def _check_dims(rho: DensityMatrix, k: int, m: ProjectiveMeasurement):
@@ -113,32 +106,10 @@ def _measured_view(blocks: np.ndarray, dims, k: int) -> np.ndarray:
     return t.reshape(lead + (dk, dr, dk, dr))
 
 
-def raw_conditionals(rho: DensityMatrix, k: int, vectors: np.ndarray):
-    """Unnormalized conditional blocks <v_i| rho |v_i>_k for basis `vectors`.
-
-    `vectors` has shape (d_k, d_k), one outcome vector per row. Returns
-    (probabilities, blocks) where blocks[i] is d_rest x d_rest and has
-    trace p_i.
-    """
-    t = _measured_view(rho.matrix, rho.dims, k)
-    blocks = np.einsum('ia,abcd,ic->ibd', vectors.conj(), t, vectors)
-    probs = np.einsum('ibb->i', blocks).real
-    return probs, blocks
-
-
-def _outcome_vectors(m: ProjectiveMeasurement) -> np.ndarray:
-    """One unit vector per projector (the rank-1 range), as rows."""
-    vecs = []
-    for p in m.projectors:
-        w, u = np.linalg.eigh((p + linalg.dag(p)) / 2)
-        vecs.append(u[:, -1])
-    return np.array(vecs)
-
-
 def apply_nonselective(rho: DensityMatrix, k: int, m: ProjectiveMeasurement) -> DensityMatrix:
-    """Non-selective channel: sum_i P_i rho P_i with P_i acting on subsystem k."""
+    """Non-selective channel: sum_a P_a rho P_a with P_a = |v_a><v_a| on subsystem k."""
     _check_dims(rho, k, m)
-    v = _outcome_vectors(m)
+    v = m.basis
     out = np.einsum('ix,ia,abcd,ic,iy->xbyd', v, v.conj(),
                     _measured_view(rho.matrix, rho.dims, k), v, v.conj())
     # back from (d_k, rest..., d_k, rest...) to the tensor order of rho
@@ -153,32 +124,22 @@ def apply_nonselective(rho: DensityMatrix, k: int, m: ProjectiveMeasurement) -> 
 def conditionals(rho: DensityMatrix, k: int, m: ProjectiveMeasurement) -> ConditionalEnsemble:
     """Outcome probabilities and renormalized conditional states on the rest."""
     _check_dims(rho, k, m)
+    ens = CQEnsemble.of(rho).split(k, m.basis)
     rest_dims = [d for i, d in enumerate(rho.dims) if i != k]
-    probs, blocks = raw_conditionals(rho, k, _outcome_vectors(m))
-    out_states = []
-    for p, b in zip(probs, blocks):
-        if p < ZERO_PROB:
-            out_states.append(None)
-        else:
-            out_states.append(from_dense(b / p, rest_dims))
-    return ConditionalEnsemble(np.maximum(probs, 0.0), tuple(out_states))
+    out_states = [None] * m.subsystem_dim
+    for (a,), block, p in zip(ens.outcomes, ens.blocks, ens.probs):
+        out_states[a] = from_dense(block / p, rest_dims)
+    return ConditionalEnsemble(ens.outcome_table(), tuple(out_states))
 
 
 def induced_J(rho: DensityMatrix, k: int, m: ProjectiveMeasurement) -> float:
     """Measurement-induced mutual information, in bits.
 
-    J = sum_{j != k} S(rho_j) - sum_i p_i S(rho_rest|i). Equals the mutual
+    J = sum_{j != k} S(rho_j) - sum_a p_a S(rho_rest|a). Equals the mutual
     information of the non-selective channel output.
     """
     _check_dims(rho, k, m)
-    rest_entropy = sum(von_neumann_entropy(reduced(rho, {j}))
-                       for j in range(rho.n_subsystems) if j != k)
-    probs, blocks = raw_conditionals(rho, k, _outcome_vectors(m))
-    cond = 0.0
-    for p, b in zip(probs, blocks):
-        if p >= ZERO_PROB:
-            cond += p * entropy_of_spectrum(np.linalg.eigvalsh(b / p))
-    return rest_entropy - cond
+    return float(_JEvaluator(CQEnsemble.of(rho), k).j_bases(m.basis[None])[0])
 
 
 @dataclass(frozen=True)
@@ -199,8 +160,11 @@ class CQEnsemble:
 
     @classmethod
     def of(cls, rho: DensityMatrix) -> CQEnsemble:
-        return cls(rho.dims, (), np.zeros((1, 0), dtype=int), rho.matrix[None],
-                   np.ones(1))
+        ens = cls(rho.dims, (), np.zeros((1, 0), dtype=int), rho.matrix[None],
+                  np.ones(1))
+        # from_dense has diagonalized rho already
+        ens.__dict__["joint_entropy"] = von_neumann_entropy(rho)
+        return ens
 
     @property
     def unmeasured(self) -> tuple[int, ...]:
@@ -209,15 +173,17 @@ class CQEnsemble:
     def view(self, k: int) -> np.ndarray:
         """The weighted blocks as (L, d_k, d_rest, d_k, d_rest), subsystem k first."""
         u = self.unmeasured
+        if k not in u:
+            raise DimensionMismatch(f"subsystem {k} is not one of the unmeasured {u}")
         return _measured_view(self.blocks, [self.dims[j] for j in u], u.index(k))
 
-    def split(self, k: int, vectors: np.ndarray) -> CQEnsemble:
-        """The ensemble after measuring subsystem k in the basis `vectors` (rows).
+    def split(self, k: int, basis: np.ndarray) -> CQEnsemble:
+        """The ensemble after measuring subsystem k in `basis` (vectors as rows).
 
         Leaf i and outcome a make the leaf <v_a| W_i |v_a>_k; leaves of
         probability <= 1e-12 are dropped.
         """
-        blocks = np.einsum('ia,labcd,ic->libd', vectors.conj(), self.view(k), vectors)
+        blocks = np.einsum('ia,labcd,ic->libd', basis.conj(), self.view(k), basis)
         n_leaves, dk, dr = blocks.shape[:3]
         blocks = blocks.reshape(n_leaves * dk, dr, dr)
         probs = np.trace(blocks, axis1=1, axis2=2).real
@@ -252,12 +218,71 @@ class CQEnsemble:
                 out.append(entropy_of_spectrum(np.linalg.eigvalsh(marginal)))
         return tuple(out)
 
-    def mutual_information(self) -> float:
-        """sum_j S(rho_j) - H(p) - sum_i p_i S(rho_i).
+    @functools.cached_property
+    def joint_entropy(self) -> float:
+        """H(p) + sum_i p_i S(rho_i): the entropy of the spectra of all W_i together."""
+        return entropy_of_spectrum(np.linalg.eigvalsh(self.blocks).ravel())
 
-        The last two terms are the entropy of the spectra of all W_i together.
-        """
+    def mutual_information(self) -> float:
+        """sum_j S(rho_j) - H(p) - sum_i p_i S(rho_i)."""
         if len(self.dims) < 2:
             raise SinglePartyState("mutual information needs at least 2 subsystems")
-        joint = entropy_of_spectrum(np.linalg.eigvalsh(self.blocks).ravel())
-        return sum(self.marginal_entropies) - joint
+        return sum(self.marginal_entropies) - self.joint_entropy
+
+
+def _conditional_entropy(blocks: np.ndarray) -> np.ndarray:
+    """sum_a q_a S(rest | a) over the leading outcome axis of `blocks`.
+
+    `blocks` has shape (outcomes, ..., L, dr, dr): block (a, ..., i) is
+    <v_a| W_i |v_a> for leaf i, unnormalized. Given outcome a the rest is
+    block diagonal over the leaves, so its spectrum is the union of the leaf
+    blocks' spectra divided by q_a = sum_i Tr B_{a,i}. Outcomes with
+    q_a <= 1e-12 contribute 0.
+    """
+    dr = blocks.shape[-1]
+    traces = np.einsum('...ii->...', blocks.real)
+    probs = traces.sum(axis=-1)
+    safe = np.maximum(probs, ZERO_PROB)[..., None]
+    if dr == 1:
+        lam = (traces / safe)[..., None]
+    elif dr == 2:
+        # closed-form 2x2 Hermitian spectrum (t -+ sqrt(t^2 - 4 det)) / 2
+        det4 = 4.0 * (blocks[..., 0, 0] * blocks[..., 1, 1]
+                      - blocks[..., 0, 1] * blocks[..., 1, 0]).real
+        disc = np.sqrt(np.maximum(traces * traces - det4, 0.0))
+        lam = np.empty(traces.shape + (2,))
+        np.subtract(traces, disc, out=lam[..., 0])
+        np.add(traces, disc, out=lam[..., 1])
+        lam *= (0.5 / safe)[..., None]
+    else:
+        # spectrum of blocks / q_a without a normalized copy of the blocks
+        lam = np.linalg.eigvalsh(blocks) / safe[..., None]
+    plogp = np.where(lam > _CLAMP, lam * np.log2(np.maximum(lam, _CLAMP)), 0.0)
+    cond_entropy = -plogp.sum(axis=(-2, -1))
+    return np.where(probs > ZERO_PROB, probs * cond_entropy, 0.0).sum(axis=0)
+
+
+class _JEvaluator:
+    """J for measurements on one unmeasured subsystem k of a cq ensemble.
+
+    `view` holds the leaves' weighted blocks as (L, d_k, d_rest, d_k, d_rest),
+    where d_rest counts only the unmeasured subsystems other than k. A state
+    nobody has measured is L = 1.
+    """
+
+    def __init__(self, ens: CQEnsemble, k: int):
+        self.view = ens.view(k)
+        self.dk = ens.dims[k]
+        self.rest_entropy = sum(s for j, s in enumerate(ens.marginal_entropies)
+                                if j != k)
+
+    def j_bases(self, bases: np.ndarray) -> np.ndarray:
+        """J for every basis of the stack `bases` (n, d_k, d_k), vectors as rows.
+
+        Every outcome block of every basis comes from one einsum.
+        """
+        blocks = np.einsum('nia,labcd,nic->inlbd', bases.conj(), self.view, bases)
+        return self.rest_entropy - _conditional_entropy(blocks)
+
+    def j_qubit(self, theta: float, phi: float) -> float:
+        return float(self.j_bases(np.array([basis_vectors(theta, phi)]))[0])

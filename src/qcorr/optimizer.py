@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LengthMismatch, NotAQubit
-from .measurement import (CQEnsemble, ProjectiveMeasurement, ZERO_PROB,
-                          basis_vectors, measurement_from_unitary,
+from .measurement import (CQEnsemble, ProjectiveMeasurement, _JEvaluator,
+                          _conditional_entropy, measurement_from_unitary,
                           qubit_measurement)
 from .states import DensityMatrix
 
-_CLAMP = 1e-12
 # Bound on the entries of one (chunk, L, dr, dr) stack of grid blocks, so the
 # grid's working set stays flat as the leaves L and their dimension dr grow.
 _GRID_CHUNK_ELEMENTS = 1 << 20
@@ -40,9 +40,15 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.grid_theta, self.grid_phi, self.restarts,
-               self.max_refine_steps) <= 0 or self.refine_tolerance <= 0:
-            raise ValueError("all optimizer config fields must be positive")
+        counts = (self.grid_theta, self.grid_phi, self.restarts, self.max_refine_steps)
+        if not all(isinstance(n, numbers.Integral) for n in counts + (self.seed,)):
+            raise ValueError("grid sizes, restarts, max_refine_steps and seed "
+                             "must be integers")
+        if min(counts) <= 0 or not self.refine_tolerance > 0:
+            raise ValueError("grid sizes, restarts, max_refine_steps and "
+                             "refine_tolerance must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -55,41 +61,6 @@ class OptimalMeasurementResult:
     params: tuple[float, ...] | None = None  # (theta, phi) for qubits, generator otherwise
 
 
-class _JEvaluator:
-    """Fast J evaluation for measurements on one fixed subsystem.
-
-    Works on a classical-quantum ensemble: `view` holds the leaves' weighted
-    blocks as (L, d_k, d_rest, d_k, d_rest), where d_rest counts only the
-    unmeasured subsystems other than k. A state nobody has measured is L = 1.
-    """
-
-    def __init__(self, ens: CQEnsemble, k: int):
-        self.view = ens.view(k)
-        self.dk = ens.dims[k]
-        self.rest_entropy = sum(s for j, s in enumerate(ens.marginal_entropies)
-                                if j != k)
-
-    def j_vectors(self, vectors: np.ndarray) -> float:
-        """J for the basis given as rows of `vectors` (shape d_k x d_k)."""
-        blocks = np.einsum('ia,labcd,ic->ilbd', vectors.conj(), self.view, vectors)
-        return self.rest_entropy - float(_conditional_entropy(blocks))
-
-    def j_qubit(self, theta: float, phi: float) -> float:
-        if self.dk != 2:
-            raise NotAQubit(f"subsystem dimension is {self.dk}")
-        return self.j_vectors(np.array(basis_vectors(theta, phi)))
-
-    def j_generators(self, params) -> np.ndarray:
-        """J for the basis exp(i H(p)) of every generator row p of `params`.
-
-        One batched evaluation: the unitaries from one `eigh`, every outcome
-        block of every row from one einsum, then `_conditional_entropy`.
-        """
-        u = _unitaries(np.asarray(params, dtype=float), self.dk)
-        blocks = np.einsum('nai,labcd,nci->inlbd', u.conj(), self.view, u)
-        return self.rest_entropy - _conditional_entropy(blocks)
-
-
 def _grid_rows(n_theta: int, n_phi: int) -> int:
     """Number of leading theta rows of the qubit grid that are evaluated.
 
@@ -100,38 +71,6 @@ def _grid_rows(n_theta: int, n_phi: int) -> int:
     argmax and its tie-break unchanged.
     """
     return (n_theta + 1) // 2 if n_phi % 2 == 0 else n_theta
-
-
-def _conditional_entropy(blocks: np.ndarray) -> np.ndarray:
-    """sum_a q_a S(rest | a) over the leading outcome axis of `blocks`.
-
-    `blocks` has shape (outcomes, ..., L, dr, dr): block (a, ..., i) is
-    <v_a| W_i |v_a> for leaf i, unnormalized. Given outcome a the rest is
-    block diagonal over the leaves, so its spectrum is the union of the leaf
-    blocks' spectra divided by q_a = sum_i Tr B_{a,i}. Outcomes with
-    q_a <= 1e-12 contribute 0.
-    """
-    dr = blocks.shape[-1]
-    traces = np.einsum('...ii->...', blocks.real)
-    probs = traces.sum(axis=-1)
-    safe = np.maximum(probs, ZERO_PROB)[..., None]
-    if dr == 1:
-        lam = (traces / safe)[..., None]
-    elif dr == 2:
-        # closed-form 2x2 Hermitian spectrum (t -+ sqrt(t^2 - 4 det)) / 2
-        det4 = 4.0 * (blocks[..., 0, 0] * blocks[..., 1, 1]
-                      - blocks[..., 0, 1] * blocks[..., 1, 0]).real
-        disc = np.sqrt(np.maximum(traces * traces - det4, 0.0))
-        lam = np.empty(traces.shape + (2,))
-        np.subtract(traces, disc, out=lam[..., 0])
-        np.add(traces, disc, out=lam[..., 1])
-        lam *= (0.5 / safe)[..., None]
-    else:
-        # spectrum of blocks / q_a without a normalized copy of the blocks
-        lam = np.linalg.eigvalsh(blocks) / safe[..., None]
-    plogp = np.where(lam > _CLAMP, lam * np.log2(np.maximum(lam, _CLAMP)), 0.0)
-    cond_entropy = -plogp.sum(axis=(-2, -1))
-    return np.where(probs > ZERO_PROB, probs * cond_entropy, 0.0).sum(axis=0)
 
 
 def _bloch_conditional_entropy(half_rest: np.ndarray, half_tensor: np.ndarray,
@@ -158,9 +97,10 @@ def grid_search_qubit(rho: DensityMatrix, k: int, n_theta: int = 128,
     Only the first `_grid_rows` theta rows are evaluated (half the sphere
     when n_phi is even).
     """
-    if rho.dims[k] != 2:
-        raise NotAQubit(f"subsystem {k} has dimension {rho.dims[k]}")
-    return _grid_search(_JEvaluator(CQEnsemble.of(rho), k), n_theta, n_phi)
+    ev = _JEvaluator(CQEnsemble.of(rho), k)
+    if ev.dk != 2:
+        raise NotAQubit(f"subsystem {k} has dimension {ev.dk}")
+    return _grid_search(ev, n_theta, n_phi)
 
 
 def _grid_search(ev: _JEvaluator, n_theta: int,
@@ -232,6 +172,16 @@ def unitary_from_generator(params, d: int) -> np.ndarray:
     return _unitaries(np.asarray(params, dtype=float).reshape(1, -1), d)[0]
 
 
+def _j_generators(ev: _JEvaluator, params) -> np.ndarray:
+    """J for the basis exp(i H(p)) of every generator row p of `params`.
+
+    One batched evaluation: the unitaries from one `eigh`, their columns the
+    outcome vectors, then the kernel's one einsum over every basis.
+    """
+    u = _unitaries(np.asarray(params, dtype=float), ev.dk)
+    return ev.j_bases(u.transpose(0, 2, 1))
+
+
 def _compass_search(start, step0: float, config: OptimizerConfig):
     """Derivative-free ascent: axis-aligned probes with shrinking step.
 
@@ -295,7 +245,7 @@ def _refine(ev: _JEvaluator, start_params, config: OptimizerConfig):
         fun = lambda probes: [ev.j_qubit(*canonical_qubit_angles(*probes[0]))]
         step0 = max(math.pi / config.grid_theta, 2 * math.pi / config.grid_phi)
     else:
-        fun, step0 = ev.j_generators, _GENERATOR_STEP
+        fun, step0 = functools.partial(_j_generators, ev), _GENERATOR_STEP
     (result,) = _lockstep([_compass_search(start, step0, config)], fun)
     return result
 
@@ -329,7 +279,7 @@ def _optimize(ens: CQEnsemble, k: int,
         starts = np.random.default_rng(config.seed).uniform(
             -math.pi, math.pi, (config.restarts, d * d))
         runs = _lockstep([_compass_search(s, _GENERATOR_STEP, config)
-                          for s in starts], ev.j_generators)
+                          for s in starts], functools.partial(_j_generators, ev))
         best_params, j = None, -math.inf
         for params, val, _ in runs:
             if val > j + 1e-12:

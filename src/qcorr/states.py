@@ -25,9 +25,12 @@ class DensityMatrix:
     Invariants (checked in from_dense): Hermitian within 1e-9, unit trace
     within 1e-9, smallest eigenvalue >= -1e-9. Eigenvalues in [-1e-9, 0)
     are harmless numerical dust and are clamped to 0 by entropy code.
+    `spectrum` holds the ascending eigenvalues from_dense computed to check
+    the last invariant, so the state is diagonalized once.
     """
     dims: tuple[int, ...]
     matrix: np.ndarray = field(repr=False)
+    spectrum: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -38,7 +41,7 @@ class DensityMatrix:
         return len(self.dims)
 
     def eigenvalues(self) -> np.ndarray:
-        return linalg.eigh(self.matrix).eigenvalues
+        return self.spectrum
 
 
 def from_dense(matrix, dims: Sequence[int]) -> DensityMatrix:
@@ -58,7 +61,8 @@ def from_dense(matrix, dims: Sequence[int]) -> DensityMatrix:
     w = np.linalg.eigvalsh(m)
     if w[0] < -EIG_TOL:
         raise NotPSD(f"smallest eigenvalue {w[0]:.3e}")
-    return DensityMatrix(dims, m)
+    w.flags.writeable = False
+    return DensityMatrix(dims, m, w)
 
 
 def from_pure(amplitudes, dims: Sequence[int]) -> DensityMatrix:

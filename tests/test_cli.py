@@ -264,6 +264,28 @@ class TestVerify:
         assert out.count("PASS") == 2
         assert "PASS oracle pure 3x2" in out
 
+    def test_bounds_suite_searches_step_zero_once_per_state(self, capsys, monkeypatch):
+        # the suite's output by the recipe that searched subsystem 0 twice
+        config = OptimizerConfig(grid_theta=32, grid_phi=32)
+        rng = np.random.default_rng(config.seed + 1)
+        worst_chain, worst_c = 0.0, 0.0
+        for _ in range(20):
+            rho = states.random_density((2, 2), rng)
+            info = infotheory.mutual_information(rho)
+            res = optimizer.optimize_measurement(rho, 0, config)
+            seq = correlations.sequential_measure(rho, (0, 1), config)
+            worst_chain = max(worst_chain, -res.discord,
+                              res.discord - seq.q_total, seq.q_total - info)
+            worst_c = max(worst_c, seq.c_total - res.j_value)
+        expected = (f"PASS bounds 0 <= D_A <= Q <= I: residual {worst_chain:.3e} (tol 1e-06)\n"
+                    f"PASS bounds C <= C_A: residual {worst_c:.3e} (tol 1e-06)\n"
+                    "all checks passed\n")
+        calls = count_searches(monkeypatch)
+        code, out, _ = run(capsys, ["verify", "--suite", "bounds", "--grid", "32"])
+        assert code == 0
+        assert out == expected
+        assert calls == [0, 1] * 20  # one step-0 search per state, then step 1
+
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, ["verify", "--suite", "nope"])
         assert code == 2

@@ -155,6 +155,40 @@ class TestSequentialOracle:
         assert np.abs(seq.classical_table.probs - table.probs).max() <= 1e-9
 
 
+def count_diagonalizations(monkeypatch, dim) -> dict:
+    """Count eigh / eigvalsh calls on dim x dim matrices, and on projectors."""
+    seen = {"full": 0, "projectors": 0}
+    for name in ("eigh", "eigvalsh"):
+        eig = getattr(np.linalg, name)
+
+        def counting(a, *args, eig=eig, **kwargs):
+            a = np.asarray(a)
+            seen["full"] += a.shape[-2:] == (dim, dim)
+            idempotent = np.abs(a @ a - a).max(axis=(-2, -1)) <= 1e-9
+            unit_trace = np.abs(np.trace(a, axis1=-2, axis2=-1) - 1) <= 1e-9
+            seen["projectors"] += int(np.count_nonzero(idempotent & unit_trace))
+            return eig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return seen
+
+
+@pytest.mark.parametrize("rho", [states.named("ghz", n=5),
+                                 states.random_density((2, 2, 2), np.random.default_rng(8))],
+                         ids=["ghz_5", "random_3"])
+@pytest.mark.parametrize("run", [
+    correlations.full_report,
+    lambda rho, config: correlations.sequential_measure(rho, range(rho.n_subsystems),
+                                                        config)],
+    ids=["full_report", "sequential_measure"])
+def test_state_is_diagonalized_once(monkeypatch, rho, run):
+    # from_dense diagonalized rho; no grid or leaf block is D x D here
+    seen = count_diagonalizations(monkeypatch, rho.dim)
+    run(rho, OptimizerConfig(grid_theta=16, grid_phi=16))
+    assert seen["full"] <= 1
+    assert seen["projectors"] == 0
+
+
 class TestOverall:
     def test_paper_example(self, paper_state):
         assert abs(correlations.overall_q(paper_state) - PAPER_Q) < 1e-3

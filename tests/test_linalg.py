@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_unitary
 from qcorr import linalg
-from qcorr.errors import DimensionMismatch, NotHermitian, NotPSD
+from qcorr.errors import DimensionMismatch, NotHermitian
 
 SQRT2 = np.sqrt(2)
 
@@ -118,23 +119,6 @@ class TestPartialTrace:
             linalg.partial_trace(np.eye(4), [2, 2], set())
 
 
-class TestLog2Psd:
-    def test_identity(self):
-        assert np.abs(linalg.log2_psd(np.eye(2))).max() < 1e-12
-
-    def test_half(self):
-        out = linalg.log2_psd(np.diag([0.5, 0.5]))
-        assert np.allclose(out, -np.eye(2))
-
-    def test_diagonal(self):
-        out = linalg.log2_psd(np.diag([0.25, 0.75]))
-        assert np.allclose(np.diag(out), [-2, np.log2(0.75)])
-
-    def test_rejects_negative(self):
-        with pytest.raises(NotPSD):
-            linalg.log2_psd(np.diag([1.0, -0.5]))
-
-
 def test_random_unitary_is_unitary(rng):
-    u = linalg.random_unitary(4, rng)
+    u = random_unitary(4, rng)
     assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-10

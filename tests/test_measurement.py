@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_unitary
 from qcorr import infotheory, linalg, measurement, states
 from qcorr.errors import AngleOutOfRange, DimensionMismatch, NotUnitary
 
@@ -56,13 +57,32 @@ class TestMeasurementFromUnitary:
         assert np.abs(m.projectors[1] - minus).max() < 1e-12
 
     def test_invariants_for_random_unitary(self, rng):
-        m = measurement.measurement_from_unitary(linalg.random_unitary(3, rng))
+        u = random_unitary(3, rng)
+        m = measurement.measurement_from_unitary(u)
         total = sum(m.projectors)
         assert np.abs(total - np.eye(3)).max() < 1e-9
+        # the basis rows are the columns of u, and each projector is their
+        # outer product, bit for bit
+        assert m.subsystem_dim == 3
+        for a in range(3):
+            assert np.array_equal(m.projectors[a], np.outer(u[:, a], u[:, a].conj()))
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             measurement.measurement_from_unitary(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("u", [np.zeros((0, 0)), np.eye(3)[:2]], ids=["empty", "2x3"])
+    def test_rejects_empty_and_non_square(self, u):
+        with pytest.raises(NotUnitary):
+            measurement.measurement_from_unitary(u)
+
+    def test_one_tolerance_for_unitarity(self):
+        # a scaled Hadamard has unitarity defect (1 + eps)^2 - 1 ~ 2 eps
+        h = np.array([[1, 1], [1, -1]]) / SQRT2
+        m = measurement.measurement_from_unitary(h * (1 + 2e-9))
+        assert np.abs(m.basis - h.T * (1 + 2e-9)).max() == 0
+        with pytest.raises(NotUnitary):
+            measurement.measurement_from_unitary(h * (1 + 1e-7))
 
 
 class TestApplyNonselective:
@@ -113,7 +133,7 @@ class TestApplyNonselective:
         dims = (2, 3, 2)
         rho = states.random_density(dims, rng)
         for k, d in enumerate(dims):
-            m = measurement.measurement_from_unitary(linalg.random_unitary(d, rng))
+            m = measurement.measurement_from_unitary(random_unitary(d, rng))
             left, right = np.eye(math.prod(dims[:k])), np.eye(math.prod(dims[k + 1:]))
             expected = np.zeros_like(rho.matrix)
             for p in m.projectors:
@@ -216,7 +236,7 @@ class TestCQEnsemble:
         rho = states.random_density(dims, rng)
         ens, current, projectors = measurement.CQEnsemble.of(rho), rho, {}
         for k in (1, 0):
-            u = linalg.random_unitary(dims[k], rng)
+            u = random_unitary(dims[k], rng)
             m = measurement.measurement_from_unitary(u)
             ens = ens.split(k, u.T)  # outcome vectors as rows
             current = measurement.apply_nonselective(current, k, m)

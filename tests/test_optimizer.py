@@ -3,11 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from qcorr import (OptimizerConfig, infotheory, linalg, measurement,
-                   optimizer, states)
-from qcorr.errors import LengthMismatch, NotAQubit
+from conftest import random_unitary
+from qcorr import (OptimizerConfig, correlations, infotheory, linalg,
+                   measurement, optimizer, states)
+from qcorr.errors import DimensionMismatch, LengthMismatch, NotAQubit
 
 PAPER_DA = 0.6008760366928562
+
+
+def reference_J(rho, k, m):
+    """J by the textbook recipe, sharing no code with the optimizer's kernel.
+
+    Each projector is embedded as I x P_a x I, the outcome block is the
+    partial trace of P rho P over subsystem k, and its normalized spectrum
+    comes from one eigvalsh per outcome; the marginals come from `reduced`.
+    """
+    rest = [j for j in range(rho.n_subsystems) if j != k]
+    rest_entropy = sum(infotheory.von_neumann_entropy(states.reduced(rho, {j}))
+                       for j in rest)
+    left = np.eye(math.prod(rho.dims[:k]))
+    right = np.eye(math.prod(rho.dims[k + 1:]))
+    cond = 0.0
+    for p in m.projectors:
+        full = np.kron(np.kron(left, p), right)
+        block = linalg.partial_trace(full @ rho.matrix @ full, rho.dims, rest)
+        prob = np.trace(block).real
+        if prob >= 1e-12:
+            cond += prob * infotheory.entropy_of_spectrum(np.linalg.eigvalsh(block / prob))
+    return rest_entropy - cond
 
 
 def planted_cq_state(rng, dims, theta, phi):
@@ -48,7 +71,7 @@ class TestGridSearchQubit:
     @pytest.mark.parametrize("n_theta, n_phi", [(8, 8), (7, 8), (8, 7), (7, 7)])
     @pytest.mark.parametrize("dims, k", [((2, 2), 0), ((2, 3), 0), ((2, 2, 2), 1)])
     def test_matches_brute_force_full_grid(self, rng, dims, k, n_theta, n_phi):
-        # induced_J at every point of the full grid, same tie-break rule
+        # the reference J at every point of the full grid, same tie-break rule
         thetas = np.linspace(0.0, math.pi, n_theta)
         phis = np.arange(n_phi) * (2 * math.pi / n_phi)
         points = [(theta, phi) for theta in thetas for phi in phis]
@@ -56,8 +79,7 @@ class TestGridSearchQubit:
         # n_theta, the first row of the lower half otherwise
         planted = planted_cq_state(rng, dims, thetas[n_theta // 2], phis[1])
         for rho, kk in ((states.random_density(dims, rng), k), (planted, 0)):
-            js = np.array([measurement.induced_J(rho, kk,
-                                                 measurement.qubit_measurement(*p))
+            js = np.array([reference_J(rho, kk, measurement.qubit_measurement(*p))
                            for p in points])
             best = int(np.flatnonzero(js >= js.max() - 1e-12)[0])
             theta, phi, j = optimizer.grid_search_qubit(rho, kk, n_theta, n_phi)
@@ -176,7 +198,7 @@ class TestOptimizeMeasurement:
     def test_local_unitary_invariance(self, rng, fast_config):
         for _ in range(5):
             rho = states.random_density((2, 2), rng)
-            u = np.kron(linalg.random_unitary(2, rng), linalg.random_unitary(2, rng))
+            u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
             rotated = states.from_dense(u @ rho.matrix @ u.conj().T, (2, 2))
             d0 = optimizer.optimize_measurement(rho, 0, fast_config).discord
             d1 = optimizer.optimize_measurement(rotated, 0, fast_config).discord
@@ -249,15 +271,47 @@ class TestQuditRestarts:
         assert np.abs(np.array(res.params) - best).max() < 1e-12
         assert abs(res.j_value - best_j) < 1e-12
         assert res.iterations == evals
-        # induced_J is an independent kernel: projectors, one eigvalsh per outcome
-        assert abs(res.j_value - measurement.induced_J(rho, 0, res.measurement)) < 1e-12
+        # the reference recipe is independent: projectors, one eigvalsh per outcome
+        assert abs(res.j_value - reference_J(rho, 0, res.measurement)) < 1e-12
 
     def test_classical_quantum_discord_is_zero(self, rng):
         # sum_i p_i |i><i| x rho_i with the qubit turned by a random unitary
         p = rng.dirichlet(np.ones(3))
-        u = linalg.random_unitary(2, rng)
+        u = random_unitary(2, rng)
         m = sum(p[i] * np.kron(np.diag(np.eye(3)[i]),
                                u @ states.random_density([2], rng).matrix @ u.conj().T)
                 for i in range(3))
         rho = states.from_dense(m, (3, 2))
         assert optimizer.optimize_measurement(rho, 0).discord <= 1e-6
+
+
+ENTRY_POINTS = {
+    "optimize_measurement": optimizer.optimize_measurement,
+    "discord": correlations.discord,
+    "classical_hv": correlations.classical_hv,
+    "grid_search_qubit": lambda rho, k: optimizer.grid_search_qubit(rho, k, 8, 8),
+    "refine_local": lambda rho, k: optimizer.refine_local(rho, k, (0.5, 0.5),
+                                                          OptimizerConfig()),
+}
+
+
+@pytest.mark.parametrize("k", [-1, 2])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_subsystem_out_of_range(paper_state, entry, k):
+    with pytest.raises(DimensionMismatch):
+        ENTRY_POINTS[entry](paper_state, k)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", 1.5), ("grid_theta", 16.5), ("grid_phi", 8.0),
+    ("restarts", 2.5), ("max_refine_steps", 10.0), ("grid_theta", 0),
+    ("restarts", -3), ("refine_tolerance", 0.0), ("refine_tolerance", math.nan),
+])
+def test_config_rejects_bad_fields(field, value):
+    with pytest.raises(ValueError):
+        OptimizerConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    config = OptimizerConfig(grid_theta=np.int64(8), seed=np.int32(3))
+    assert config.grid_theta == 8 and config.seed == 3
