@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -20,8 +21,7 @@ import sys
 import numpy as np
 
 from . import correlations, infotheory, linalg, measurement, optimizer, states
-from .errors import (BadOrder, DimensionMismatch, ParamOutOfRange, ParseError,
-                     QcorrError)
+from .errors import BadOrder, ParamOutOfRange, ParseError, QcorrError
 
 SCHEMA_VERSION = "1"
 
@@ -97,10 +97,7 @@ def _measurement_doc(m: measurement.ProjectiveMeasurement,
 
 
 def _config_doc(config: optimizer.OptimizerConfig) -> dict:
-    return {"grid_theta": config.grid_theta, "grid_phi": config.grid_phi,
-            "restarts": config.restarts,
-            "refine_tolerance": config.refine_tolerance,
-            "max_refine_steps": config.max_refine_steps, "seed": config.seed}
+    return dataclasses.asdict(config)
 
 
 def _sequential_doc(seq: correlations.SequentialReport) -> dict:
@@ -138,12 +135,6 @@ def _make_config(args) -> optimizer.OptimizerConfig:
             seed = int(env)
         except ValueError:
             raise ParseError(f"QCORR_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise ParamOutOfRange(f"seed must be >= 0, got {seed}")
-    for flag in ("grid", "restarts"):
-        value = getattr(args, flag)
-        if value is not None and value <= 0:
-            raise ParamOutOfRange(f"--{flag} must be positive, got {value}")
     kwargs = {"seed": seed}
     if args.grid is not None:
         kwargs["grid_theta"] = kwargs["grid_phi"] = args.grid
@@ -170,9 +161,6 @@ def cmd_info(args) -> int:
 def cmd_discord(args) -> int:
     rho = load_state(args.statefile)
     config = _make_config(args)
-    if not 0 <= args.subsystem < rho.n_subsystems:
-        raise DimensionMismatch(f"--subsystem {args.subsystem} is out of range "
-                                f"for {rho.n_subsystems} subsystems")
     res = optimizer.optimize_measurement(rho, args.subsystem, config)
     doc = {"subsystem": args.subsystem, "discord": res.discord,
            "classical_hv": res.j_value,
@@ -209,12 +197,8 @@ def cmd_overall(args) -> int:
     if args.all_orders:
         if m > 4:
             raise BadOrder("--all-orders supports at most 4 subsystems")
-        # step 0 depends only on the first subsystem: one search per subsystem
-        firsts = [optimizer.optimize_measurement(rho, k, config) for k in range(m)]
-        ens = measurement.CQEnsemble.of(rho)
-        reports = [correlations._sequential_measure(ens, order, config,
-                                                    first=firsts[order[0]])
-                   for order in itertools.permutations(range(m))]
+        reports = correlations._sequential_reports(
+            measurement.CQEnsemble.of(rho), itertools.permutations(range(m)), config)
         qs = [r.q_total for r in reports]
         doc = {"orders": [_sequential_doc(r) for r in reports],
                "q_discrepancy": max(qs) - min(qs)}
@@ -286,9 +270,8 @@ def _verify_bounds(config, failures):
     for _ in range(20):
         rho = states.random_density((2, 2), rng)
         info = infotheory.mutual_information(rho)
-        res = optimizer.optimize_measurement(rho, 0, config)
-        seq = correlations._sequential_measure(measurement.CQEnsemble.of(rho), (0, 1),
-                                               config, first=res)
+        seq = correlations.sequential_measure(rho, (0, 1), config)
+        res = seq.steps[0]  # the search on subsystem 0 of rho
         worst_chain = max(worst_chain, -res.discord,
                           res.discord - seq.q_total, seq.q_total - info)
         worst_c = max(worst_c, seq.c_total - res.j_value)

@@ -24,20 +24,30 @@ from .states import DensityMatrix
 CLASSIFY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequentialReport:
     order: tuple[int, ...]
-    step_discords: tuple[float, ...]
-    step_measurements: tuple[ProjectiveMeasurement, ...]
-    step_params: tuple[tuple[float, ...] | None, ...]
+    steps: tuple[OptimalMeasurementResult, ...]  # the search of each step, in order
     q_total: float
     c_total: float
     mutual_info: float
     classical_table: ProbabilityTable
     identity_residuals: tuple[float, float]  # |Q + C - I|, |Q - (I - I_cl)|
 
+    @property
+    def step_discords(self) -> tuple[float, ...]:
+        return tuple(step.discord for step in self.steps)
 
-@dataclass(frozen=True)
+    @property
+    def step_measurements(self) -> tuple[ProjectiveMeasurement, ...]:
+        return tuple(step.measurement for step in self.steps)
+
+    @property
+    def step_params(self) -> tuple[tuple[float, ...] | None, ...]:
+        return tuple(step.params for step in self.steps)
+
+
+@dataclass(frozen=True, eq=False)
 class CorrelationReport:
     dims: tuple[int, ...]
     marginal_entropies: tuple[float, ...]
@@ -71,35 +81,41 @@ def sequential_measure(rho: DensityMatrix, order,
     final leaf probabilities are the joint outcome distribution, which gives
     the overall classical correlations.
     """
-    return _sequential_measure(CQEnsemble.of(rho), order, config)
+    return _sequential_reports(CQEnsemble.of(rho), [order], config)[0]
 
 
-def _sequential_measure(ens: CQEnsemble, order, config: OptimizerConfig,
-                        first: OptimalMeasurementResult | None = None) -> SequentialReport:
-    """sequential_measure on `ens` = CQEnsemble.of(rho), taking `first` as step 0.
+def _sequential_reports(ens: CQEnsemble, orders,
+                        config: OptimizerConfig) -> list[SequentialReport]:
+    """sequential_measure on `ens` = CQEnsemble.of(rho) for every order in `orders`.
 
-    `first`, when given, must be optimize_measurement(rho, order[0], config);
-    callers that already hold it skip optimizing the same subsystem of the
-    same state twice. Sharing `ens` shares its entropies.
+    A step's search and the ensemble it leaves depend only on the measured
+    prefix of the order, so each prefix is searched and split once and the
+    orders that share it share its steps: every order of 4 subsystems takes
+    64 searches, not 4 x 4! = 96. Sharing `ens` shares its entropies.
     """
     n = len(ens.dims)
-    order = tuple(int(k) for k in order)
-    if sorted(order) != list(range(n)):
-        raise BadOrder(f"{order} is not a permutation of 0..{n - 1}")
     info = ens.mutual_information()
-    step_discords, step_measurements, step_params = [], [], []
-    for step, k in enumerate(order):
-        result = first if step == 0 and first is not None else _optimize(ens, k, config)
-        step_discords.append(result.discord)
-        step_measurements.append(result.measurement)
-        step_params.append(result.params)
-        ens = ens.split(k, result.measurement.basis)
-    table = probability_table(ens.outcome_table(), ens.dims)
-    q = float(sum(step_discords))
-    c = classical_mutual_information(table)
-    residuals = (abs(q + c - info), abs(q - (info - c)))
-    return SequentialReport(order, tuple(step_discords), tuple(step_measurements),
-                            tuple(step_params), q, c, info, table, residuals)
+    walked = {}  # measured prefix -> (its last step's search, the ensemble after it)
+    reports = []
+    for order in orders:
+        order = tuple(int(k) for k in order)
+        if sorted(order) != list(range(n)):
+            raise BadOrder(f"{order} is not a permutation of 0..{n - 1}")
+        current, steps = ens, []
+        for t, k in enumerate(order):
+            prefix = order[:t + 1]
+            if prefix not in walked:
+                result = _optimize(current, k, config)
+                walked[prefix] = result, current.split(k, result.measurement.basis)
+            result, current = walked[prefix]
+            steps.append(result)
+        table = probability_table(current.outcome_table(), current.dims)
+        q = float(sum(step.discord for step in steps))
+        c = classical_mutual_information(table)
+        residuals = (abs(q + c - info), abs(q - (info - c)))
+        reports.append(SequentialReport(order, tuple(steps), q, c, info, table,
+                                        residuals))
+    return reports
 
 
 def overall_q(rho: DensityMatrix, config: OptimizerConfig = OptimizerConfig()) -> float:
@@ -115,9 +131,11 @@ def overall_c(rho: DensityMatrix, config: OptimizerConfig = OptimizerConfig()) -
 def full_report(rho: DensityMatrix,
                 config: OptimizerConfig = OptimizerConfig()) -> CorrelationReport:
     ens = CQEnsemble.of(rho)
-    results = [_optimize(ens, k, config) for k in range(rho.n_subsystems)]
+    (seq,) = _sequential_reports(ens, [range(rho.n_subsystems)], config)
+    # step 0 is the search on subsystem 0 of the unmeasured state
+    results = [seq.steps[0]] + [_optimize(ens, k, config)
+                                for k in range(1, rho.n_subsystems)]
     per = tuple((res.discord, res.j_value) for res in results)
-    seq = _sequential_measure(ens, range(rho.n_subsystems), config, first=results[0])
     return CorrelationReport(rho.dims, ens.marginal_entropies, ens.joint_entropy,
                              seq.mutual_info, per, seq)
 

@@ -29,7 +29,7 @@ class UnknownFamily(QcorrError):
     pass
 
 
-class ParamOutOfRange(QcorrError):
+class ParamOutOfRange(QcorrError, ValueError):
     pass
 
 

@@ -15,7 +15,7 @@ CLAMP = 1e-12
 INFINITE = math.inf  # distinguished relative-entropy result, not a failure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityTable:
     """Joint outcome distribution over a product outcome space.
 

@@ -26,7 +26,7 @@ ZERO_PROB = 1e-12
 _CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
     """A complete rank-1 projective measurement on a d-dim subsystem.
 
@@ -51,7 +51,7 @@ class ProjectiveMeasurement:
         return tuple(np.outer(v, v.conj()) for v in self.basis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalEnsemble:
     """Outcome probabilities and conditional states on the unmeasured part.
 
@@ -142,7 +142,7 @@ def induced_J(rho: DensityMatrix, k: int, m: ProjectiveMeasurement) -> float:
     return float(_JEvaluator(CQEnsemble.of(rho), k).j_bases(m.basis[None])[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CQEnsemble:
     """The state sum_i |i><i| x W_i of a run that measures subsystems in turn.
 

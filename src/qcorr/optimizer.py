@@ -13,11 +13,11 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NotAQubit
+from .errors import LengthMismatch, NotAQubit, ParamOutOfRange
 from .measurement import (CQEnsemble, ProjectiveMeasurement, _JEvaluator,
                           _conditional_entropy, measurement_from_unitary,
                           qubit_measurement)
@@ -40,18 +40,15 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        counts = (self.grid_theta, self.grid_phi, self.restarts, self.max_refine_steps)
-        if not all(isinstance(n, numbers.Integral) for n in counts + (self.seed,)):
-            raise ValueError("grid sizes, restarts, max_refine_steps and seed "
-                             "must be integers")
-        if min(counts) <= 0 or not self.refine_tolerance > 0:
-            raise ValueError("grid sizes, restarts, max_refine_steps and "
-                             "refine_tolerance must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, value in asdict(self).items():
+            kind = numbers.Real if name == "refine_tolerance" else numbers.Integral
+            if not (isinstance(value, kind) and (value >= 0 if name == "seed" else value > 0)):
+                need = {"refine_tolerance": "a number > 0", "seed": "an integer >= 0"}
+                raise ParamOutOfRange(f"{name} must be {need.get(name, 'an integer > 0')}, "
+                                      f"got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalMeasurementResult:
     measurement: ProjectiveMeasurement
     j_value: float       # bits

@@ -5,6 +5,7 @@ Subsystem index 0 is the leftmost tensor factor (the paper-style A or A1).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -18,7 +19,7 @@ TRACE_TOL = 1e-9
 EIG_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated quantum state over subsystems of dimensions `dims`.
 
@@ -94,59 +95,89 @@ def _bell_vector(which: str) -> np.ndarray:
         "psi+": [0, s, s, 0],
         "psi-": [0, s, -s, 0],
     }
-    if which not in table:
+    if not isinstance(which, str) or which not in table:
         raise ParamOutOfRange(f"unknown Bell state {which!r}; choose from {sorted(table)}")
     return np.array(table[which], dtype=np.complex128)
 
 
+def _number(name: str, value, kind=numbers.Real):
+    """`value` if it is a finite real (with kind=Integral, an integer); bools are not."""
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not (isinstance(value, numbers.Integral) or math.isfinite(value))):
+        raise ParamOutOfRange(f"{name} must be a finite "
+                              f"{'integer' if kind is numbers.Integral else 'number'}, "
+                              f"got {value!r}")
+    return value
+
+
+def _sequence(name: str, value) -> list:
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)) or len(value) == 0:
+        raise ParamOutOfRange(f"{name} must be a nonempty list, got {value!r}")
+    return list(value)
+
+
 def _qubit_from_bloch(vec) -> np.ndarray:
-    x, y, z = (float(v) for v in vec)
+    vec = _sequence("a Bloch vector", vec)
+    if len(vec) != 3:
+        raise ParamOutOfRange(f"a Bloch vector has 3 components, got {vec!r}")
+    x, y, z = (float(_number("a Bloch component", v)) for v in vec)
     r = math.sqrt(x * x + y * y + z * z)
     if r > 1 + 1e-9:
         raise ParamOutOfRange(f"Bloch vector length {r} exceeds 1")
     return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
 
 
+_FAMILY_PARAMS = {"paper_example": (), "bell": ("which",), "ghz": ("n",),
+                  "werner": ("p",), "product": ("bloch",), "maximally_mixed": ("dims",)}
+
+
 def named(family: str, **params) -> DensityMatrix:
     """Named benchmark states.
 
     Families: paper_example, bell(which), ghz(n), werner(p),
-    product(bloch=[...]), maximally_mixed(dims).
+    product(bloch=[...]), maximally_mixed(dims). A parameter of the wrong
+    type or shape, or one the family does not take, raises ParamOutOfRange.
 
     Convention: werner(p) = p |psi-><psi-| + (1-p) I/4 with
     |psi-> = (|01> - |10>)/sqrt(2).
     """
+    if family not in _FAMILY_PARAMS:
+        raise UnknownFamily(f"unknown state family {family!r}")
+    unknown = sorted(set(params) - set(_FAMILY_PARAMS[family]))
+    if unknown:
+        raise ParamOutOfRange(f"{family} takes no parameter {', '.join(unknown)}; "
+                              f"it takes {list(_FAMILY_PARAMS[family])}")
     if family == "paper_example":
         s = 1 / math.sqrt(2)
         return from_pure([s, 0, 0.5, 0.5], (2, 2))
     if family == "bell":
         return from_pure(_bell_vector(params.get("which", "phi+")), (2, 2))
     if family == "ghz":
-        n = int(params.get("n", 3))
+        n = int(_number("ghz n", params.get("n", 3), numbers.Integral))
         if n < 2:
             raise ParamOutOfRange("ghz needs n >= 2")
         psi = np.zeros(2 ** n, dtype=np.complex128)
         psi[0] = psi[-1] = 1 / math.sqrt(2)
         return from_pure(psi, (2,) * n)
     if family == "werner":
-        p = float(params.get("p", 0.0))
+        p = float(_number("werner p", params.get("p", 0.0)))
         if not 0.0 <= p <= 1.0:
             raise ParamOutOfRange(f"werner p={p} outside [0, 1]")
         singlet = np.outer(_bell_vector("psi-"), _bell_vector("psi-").conj())
         return from_dense(p * singlet + (1 - p) * np.eye(4) / 4, (2, 2))
     if family == "product":
-        blochs = params.get("bloch")
-        if not blochs:
-            raise ParamOutOfRange("product needs a nonempty list of Bloch vectors")
+        blochs = _sequence("product bloch", params.get("bloch"))
         m = np.array([[1.0]])
         for vec in blochs:
             m = linalg.kron(m, _qubit_from_bloch(vec))
         return from_dense(m, (2,) * len(blochs))
-    if family == "maximally_mixed":
-        dims = tuple(int(d) for d in params.get("dims", (2, 2)))
-        total = int(np.prod(dims))
-        return from_dense(np.eye(total) / total, dims)
-    raise UnknownFamily(f"unknown state family {family!r}")
+    # maximally_mixed
+    dims = tuple(int(_number("maximally_mixed dims entry", d, numbers.Integral))
+                 for d in _sequence("maximally_mixed dims", params.get("dims", (2, 2))))
+    total = int(np.prod(dims))
+    return from_dense(np.eye(total) / total, dims)
 
 
 def random_density(dims: Sequence[int], rng: np.random.Generator,

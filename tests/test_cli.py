@@ -1,10 +1,15 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import count_searches
 from qcorr import (OptimizerConfig, cli, correlations, infotheory, optimizer,
                    states)
 
@@ -27,26 +32,6 @@ def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def count_searches(monkeypatch) -> list:
-    """Record the subsystem of every measurement search the CLI starts.
-
-    Step 0 of a sequential run goes through `optimize_measurement`; later
-    steps search the run's classical-quantum ensemble through `_optimize`.
-    """
-    calls = []
-    for module, name in ((optimizer, "optimize_measurement"),
-                         (correlations, "optimize_measurement"),
-                         (correlations, "_optimize")):
-        search = getattr(module, name)
-
-        def counting(state, k, *args, search=search, **kwargs):
-            calls.append(k)
-            return search(state, k, *args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
-    return calls
 
 
 class TestStateFiles:
@@ -166,28 +151,48 @@ class TestOverall:
         assert len(doc["orders"]) == 2
         assert "q_discrepancy" in doc
 
-    def test_all_orders_search_step_zero_once_per_subsystem(self, capsys, tmp_path,
-                                                           monkeypatch, rng):
-        rho = states.random_density((2, 2, 2), rng)
-        path = write_state(tmp_path, {"kind": "dense", "dims": [2, 2, 2],
+    def all_orders_case(self, tmp_path, dims, rng):
+        """A random state's file and the --all-orders --grid 16 --json output
+        by the recipe of one sequential_measure per order."""
+        rho = states.random_density(dims, rng)
+        path = write_state(tmp_path, {"kind": "dense", "dims": list(dims),
                                       "matrix": [[[x.real, x.imag] for x in row]
                                                  for row in rho.matrix]})
         rho = cli.load_state(path)
         config = OptimizerConfig(grid_theta=16, grid_phi=16)
-        orders = list(itertools.permutations(range(3)))
-        reports = [correlations.sequential_measure(rho, order, config) for order in orders]
+        reports = [correlations.sequential_measure(rho, order, config)
+                   for order in itertools.permutations(range(len(dims)))]
         qs = [r.q_total for r in reports]
         expected = json.dumps({"schema_version": cli.SCHEMA_VERSION,
                                "orders": [cli._sequential_doc(r) for r in reports],
                                "q_discrepancy": max(qs) - min(qs)}, indent=2) + "\n"
+        return path, expected
+
+    def test_all_orders_search_step_zero_once_per_subsystem(self, capsys, tmp_path,
+                                                           monkeypatch, rng):
+        path, expected = self.all_orders_case(tmp_path, (2, 2, 2), rng)
         calls = count_searches(monkeypatch)
         code, out, _ = run(capsys, ["overall", path, "--all-orders", "--grid", "16",
                                     "--json"])
         assert code == 0
         assert out == expected
-        # one step-0 search per first subsystem (3, not 3! = 6), then the
-        # later steps of every order
-        assert calls == [0, 1, 2] + [k for order in orders for k in order[1:]]
+        # the orders in turn, each searching only the prefixes not yet measured:
+        # 3 + 3 * 2 + 3 * 2 = 15 searches, not 3 * 3! = 18
+        assert calls == [0, 1, 2, 2, 1,   # (0, 1, 2), (0, 2, 1)
+                         1, 0, 2, 2, 0,   # (1, 0, 2), (1, 2, 0)
+                         2, 0, 1, 1, 0]   # (2, 0, 1), (2, 1, 0)
+
+    def test_all_orders_search_each_prefix_once_on_four_qubits(self, capsys, tmp_path,
+                                                              monkeypatch, rng):
+        path, expected = self.all_orders_case(tmp_path, (2, 2, 2, 2), rng)
+        calls = count_searches(monkeypatch)
+        code, out, _ = run(capsys, ["overall", path, "--all-orders", "--grid", "16",
+                                    "--json"])
+        assert code == 0
+        assert out == expected
+        prefixes = {order[:t] for order in itertools.permutations(range(4))
+                    for t in range(1, 5)}
+        assert len(calls) == len(prefixes) == 4 + 12 + 24 + 24
 
     def test_explicit_order(self, capsys, paper_file):
         code, out, _ = run(capsys, ["overall", paper_file, "--order", "1,0",
@@ -307,6 +312,53 @@ class TestInputErrors:
         code, _, err = run(capsys, [a.format(paper=paper_file) for a in argv])
         assert code == 2
         assert err.startswith("error: ")
+
+
+MALFORMED_NAMED = [
+    pytest.param("ghz", {"n": "x"}, id="ghz-n-string"),
+    pytest.param("ghz", {"m": 3}, id="ghz-unknown-name"),
+    pytest.param("werner", {"p": "x"}, id="werner-p-string"),
+    pytest.param("werner", {"p": None}, id="werner-p-null"),
+    pytest.param("product", {"bloch": [[1, 0]]}, id="product-two-components"),
+    pytest.param("product", {"bloch": [0, 0, 1]}, id="product-bare-vector"),
+    pytest.param("bell", {"which": ["phi+"]}, id="bell-which-list"),
+    pytest.param("maximally_mixed", {"dims": [2, "a"]}, id="maximally_mixed-dims-string"),
+]
+
+
+@pytest.mark.parametrize("family, params", MALFORMED_NAMED)
+def test_malformed_named_state_is_an_input_error(capsys, tmp_path, family, params):
+    path = write_state(tmp_path, {"kind": "named", "family": family, "params": params})
+    code, out, err = run(capsys, ["info", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ParamOutOfRange: ")
+
+
+class TestProcessExitCodes:
+    """The exit-code contract of `python -m qcorr.cli`, seen from outside."""
+
+    def run_module(self, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "qcorr.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+
+    def test_info_exits_zero(self, paper_file):
+        proc = self.run_module("info", paper_file)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("dims: [2, 2]")
+        assert proc.stderr == ""
+
+    def test_malformed_named_state_exits_two(self, tmp_path):
+        path = write_state(tmp_path, {"kind": "named", "family": "werner",
+                                      "params": {"p": None}})
+        proc = self.run_module("info", path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestDeterminism:

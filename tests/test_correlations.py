@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import count_searches
 from qcorr import (OptimizerConfig, correlations, infotheory, measurement,
                    optimizer, states)
 from qcorr.errors import BadOrder
@@ -249,6 +250,63 @@ class TestClassify:
     def test_rejects_multipartite(self, rng):
         with pytest.raises(BadOrder):
             correlations.classify(states.random_density((2, 2, 2), rng))
+
+
+def test_full_report_takes_subsystem_zero_from_step_zero(monkeypatch, rng):
+    rho = states.random_density((2, 2, 2), rng)
+    config = OptimizerConfig(grid_theta=16, grid_phi=16)
+    calls = count_searches(monkeypatch)
+    report = correlations.full_report(rho, config)
+    step0 = report.sequential.steps[0]
+    assert report.per_subsystem[0] == (step0.discord, step0.j_value)
+    # the sequential steps 0, 1, 2, then D_1 and D_2: 2n - 1 searches
+    assert calls == [0, 1, 2, 1, 2]
+
+
+def test_sequential_report_steps_carry_each_search(rng):
+    rho = states.random_density((2, 3), rng)
+    config = OptimizerConfig(grid_theta=16, grid_phi=16, restarts=4, max_refine_steps=60)
+    seq = correlations.sequential_measure(rho, (1, 0), config)
+    assert seq.step_discords == tuple(step.discord for step in seq.steps)
+    assert seq.step_params == tuple(step.params for step in seq.steps)
+    assert all(a is step.measurement
+               for a, step in zip(seq.step_measurements, seq.steps))
+    assert seq.steps[0].oracle_gap is None and seq.steps[1].oracle_gap is not None
+    assert all(step.iterations > 0 for step in seq.steps)
+
+
+def _bell_instances():
+    bell = states.named("bell")
+    config = OptimizerConfig(grid_theta=8, grid_phi=8)
+    m = measurement.qubit_measurement(0.0, 0.0)
+    return {
+        "DensityMatrix": lambda: states.named("bell"),
+        "ProjectiveMeasurement": lambda: measurement.qubit_measurement(0.0, 0.0),
+        "ConditionalEnsemble": lambda: measurement.conditionals(bell, 0, m),
+        "CQEnsemble": lambda: measurement.CQEnsemble.of(bell),
+        "ProbabilityTable": lambda: infotheory.probability_table([0.5, 0.5], [2]),
+        "OptimalMeasurementResult": lambda: optimizer.optimize_measurement(bell, 0, config),
+        "SequentialReport": lambda: correlations.sequential_measure(bell, (0, 1), config),
+        "CorrelationReport": lambda: correlations.full_report(bell, config),
+    }
+
+
+BELL_INSTANCES = _bell_instances()
+
+
+@pytest.mark.parametrize("cls", BELL_INSTANCES)
+def test_results_compare_by_identity(cls):
+    # ndarray members make value equality ill-defined; == and hash are identity's
+    x, y = BELL_INSTANCES[cls](), BELL_INSTANCES[cls]()
+    assert type(x).__name__ == cls
+    assert x == x
+    assert x != y
+    assert len({x, x, y}) == 2
+
+
+def test_config_compares_by_value():
+    assert OptimizerConfig(seed=3) == OptimizerConfig(seed=3) != OptimizerConfig()
+    assert len({OptimizerConfig(), OptimizerConfig()}) == 1
 
 
 def test_full_report_consistency(paper_state, fast_config):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,21 @@ class TestNamed:
     def test_unknown_family(self):
         with pytest.raises(UnknownFamily):
             states.named("nope")
+
+    def test_accepts_numpy_numbers(self):
+        assert states.named("ghz", n=np.int64(3)).dims == (2, 2, 2)
+        assert states.named("maximally_mixed", dims=np.array([2, 3])).dims == (2, 3)
+        rho = states.named("werner", p=np.float64(0.0))
+        assert np.abs(rho.matrix - np.eye(4) / 4).max() < 1e-12
+
+    @pytest.mark.parametrize("family, params", [
+        ("paper_example", {"p": 0.5}), ("ghz", {"n": True}), ("ghz", {"n": 3.0}),
+        ("werner", {"p": math.nan}), ("product", {"bloch": []}),
+        ("product", {"bloch": [[0, 0, "1"]]}), ("maximally_mixed", {"dims": 2}),
+    ])
+    def test_rejects_malformed_params(self, family, params):
+        with pytest.raises(ParamOutOfRange):
+            states.named(family, **params)
 
 
 class TestReducedAndTensor:
