@@ -11,8 +11,7 @@ from .measurement import (ConditionalEnsemble, ProjectiveMeasurement,
                           apply_nonselective, conditionals, induced_J,
                           measurement_from_unitary, qubit_measurement)
 from .optimizer import (OptimalMeasurementResult, OptimizerConfig,
-                        grid_search_qubit, optimize_measurement, refine_local,
-                        unitary_from_generator)
+                        grid_search_qubit, optimize_measurement)
 from .states import DensityMatrix, from_dense, from_pure, named, reduced, tensor
 
 __all__ = [
@@ -25,7 +24,7 @@ __all__ = [
     "conditionals", "induced_J", "measurement_from_unitary",
     "qubit_measurement",
     "OptimalMeasurementResult", "OptimizerConfig", "grid_search_qubit",
-    "optimize_measurement", "refine_local", "unitary_from_generator",
+    "optimize_measurement",
     "DensityMatrix", "from_dense", "from_pure", "named", "reduced", "tensor",
 ]
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import correlations, infotheory, linalg, measurement, optimizer, states
 from .errors import BadOrder, ParamOutOfRange, ParseError, QcorrError
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 # ---------------------------------------------------------------- state files
@@ -56,6 +56,10 @@ def parse_state_spec(doc: dict) -> states.DensityMatrix:
         rows = doc.get("matrix")
         if not isinstance(rows, list):
             raise ParseError("dense state needs a `matrix` field")
+        for i, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise ParseError(f"matrix[{i}]: expected a list of [re, im] pairs, "
+                                 f"got {row!r}")
         m = [[_complex_from_pair(x, f"matrix[{i}][{j}]")
               for j, x in enumerate(row)] for i, row in enumerate(rows)]
         return states.from_dense(m, dims)
@@ -137,7 +141,7 @@ def _make_config(args) -> optimizer.OptimizerConfig:
             raise ParseError(f"QCORR_SEED must be an integer, got {env!r}") from None
     kwargs = {"seed": seed}
     if args.grid is not None:
-        kwargs["grid_theta"] = kwargs["grid_phi"] = args.grid
+        kwargs["grid"] = args.grid
     if args.restarts is not None:
         kwargs["restarts"] = args.restarts
     return optimizer.OptimizerConfig(**kwargs)
@@ -221,14 +225,16 @@ def cmd_overall(args) -> int:
 def cmd_sweep(args) -> int:
     if args.family != "werner":
         raise QcorrError(f"sweep supports the werner family, not {args.family!r}")
-    if not (math.isfinite(args.start) and math.isfinite(args.stop)
+    if not (0.0 <= args.start <= 1.0 and 0.0 <= args.stop <= 1.0
             and math.isfinite(args.step) and args.step > 0):
-        raise ParamOutOfRange("--start and --stop must be finite and --step positive")
+        raise ParamOutOfRange("--start and --stop must lie in [0, 1] and --step be "
+                              "finite and positive")
     config = _make_config(args)
     rows = ["param,I,D0,D1,Q,C"]
     n = int(round((args.stop - args.start) / args.step))
     for i in range(n + 1):
         p = args.start + i * args.step
+        # the clamp absorbs float drift on the last row only
         rho = states.named("werner", p=min(max(p, 0.0), 1.0))
         rep = correlations.full_report(rho, config)
         (d0, _), (d1, _) = rep.per_subsystem
@@ -285,7 +291,7 @@ def _verify_oracle(config, failures):
     for _ in range(5):
         rho = states.random_density((2, 2), rng)
         res = optimizer.optimize_measurement(rho, 0, config)
-        _, _, j_grid = optimizer.grid_search_qubit(rho, 0, 512, 512)
+        _, _, j_grid = optimizer.grid_search_qubit(rho, 0, 512)
         worst = max(worst, abs(res.j_value - j_grid))
     _check("oracle 512x512 grid agreement", worst, 1e-4, failures)
     # qudit search: a pure state's discord is its marginal entropy
@@ -344,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="optimizer seed (default: QCORR_SEED env or 0)")
         p.add_argument("--grid", type=int, default=None,
-                       help="qubit grid resolution per angle")
+                       help="qubit grid of N x N Bloch angles (default 128)")
         p.add_argument("--restarts", type=int, default=None,
                        help="random restarts for subsystem dim > 2")
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -362,10 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overall", help="sequential overall Q and C")
     p.add_argument("statefile")
-    p.add_argument("--order", default=None,
-                   help="comma-separated measurement order, e.g. 1,0")
-    p.add_argument("--all-orders", action="store_true",
-                   help="report every measurement order (up to 4 subsystems)")
+    orders = p.add_mutually_exclusive_group()
+    orders.add_argument("--order", default=None,
+                        help="comma-separated measurement order, e.g. 1,0")
+    orders.add_argument("--all-orders", action="store_true",
+                        help="report every measurement order (up to 4 subsystems)")
     common(p)
     p.set_defaults(func=cmd_overall)
 

@@ -53,10 +53,6 @@ class NotAQubit(QcorrError):
     pass
 
 
-class LengthMismatch(QcorrError):
-    pass
-
-
 class BadOrder(QcorrError):
     pass
 

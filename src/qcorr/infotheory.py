@@ -62,7 +62,7 @@ def entropy_of_spectrum(w: np.ndarray) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr(rho log2 rho), in bits."""
-    return entropy_of_spectrum(rho.eigenvalues())
+    return entropy_of_spectrum(rho.spectrum)
 
 
 def mutual_information(rho: DensityMatrix) -> float:
@@ -82,7 +82,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimension {rho.dim} vs {sigma.dim}")
-    w, u = linalg.eigh(sigma.matrix)
+    w, u = np.linalg.eigh(sigma.matrix)
     # rho-weight carried by the near-null eigenspace of sigma
     null = w < CLAMP
     if null.any():

@@ -4,23 +4,21 @@ Matrices are plain numpy arrays of complex128. All functions are pure.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch
 
 HERMITICITY_TOL = 1e-9
 
 
-class EigenDecomposition(NamedTuple):
-    eigenvalues: np.ndarray   # real, ascending
-    eigenvectors: np.ndarray  # orthonormal columns
-
-
 def as_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce to a 2-d complex128 array, rejecting non-finite entries."""
-    m = np.asarray(entries, dtype=np.complex128)
+    """Coerce to a 2-d complex128 array, rejecting ragged and non-finite entries."""
+    try:
+        m = np.asarray(entries, dtype=np.complex128)
+    except (ValueError, TypeError) as e:
+        raise DimensionMismatch(f"not a matrix of numbers: {e}") from None
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {m.shape}")
     if rows is not None and m.shape != (rows, cols):
@@ -34,29 +32,9 @@ def dag(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product; dimensions multiply."""
-    return np.kron(a, b)
-
-
 def hermitian_defect(h: np.ndarray) -> float:
     """Max entrywise modulus of h - h^dagger."""
     return float(np.abs(h - dag(h)).max())
-
-
-def eigh(h: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
-    """Hermitian eigendecomposition with ascending eigenvalues.
-
-    The input is symmetrized as (H + H^dagger)/2 before decomposition to
-    suppress roundoff from channel arithmetic.
-    """
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise DimensionMismatch(f"matrix is {h.shape}, not square")
-    if hermitian_defect(h) > tol:
-        raise NotHermitian(f"hermiticity defect {hermitian_defect(h):.3e} exceeds {tol:.0e}")
-    w, u = np.linalg.eigh((h + dag(h)) / 2)
-    return EigenDecomposition(w, u)
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:

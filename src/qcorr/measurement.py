@@ -283,6 +283,3 @@ class _JEvaluator:
         """
         blocks = np.einsum('nia,labcd,nic->inlbd', bases.conj(), self.view, bases)
         return self.rest_entropy - _conditional_entropy(blocks)
-
-    def j_qubit(self, theta: float, phi: float) -> float:
-        return float(self.j_bases(np.array([basis_vectors(theta, phi)]))[0])

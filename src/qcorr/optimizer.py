@@ -1,9 +1,9 @@
 """Search over complete projective measurements to attain sup J.
 
-Qubit subsystems get an exhaustive Bloch-angle grid followed by compass
-refinement; higher dimensions use seeded random restarts over a Hermitian
-generator parameterization, each refined by compass search; the restarts
-run in lockstep, so each round of their probes is one batched J evaluation.
+A qubit subsystem starts from the argmax of an exhaustive Bloch-angle
+grid; higher dimensions start from seeded random draws of a Hermitian
+generator. Every start is refined by compass search, and the searches run
+in lockstep, so each round of their probes is one batched J evaluation.
 J is evaluated on a classical-quantum ensemble of leaves (a state that no
 step has measured yet is a single leaf), so later steps of a sequential run
 diagonalize per-leaf blocks, not the dense state.
@@ -17,10 +17,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NotAQubit, ParamOutOfRange
+from .errors import NotAQubit, ParamOutOfRange
 from .measurement import (CQEnsemble, ProjectiveMeasurement, _JEvaluator,
-                          _conditional_entropy, measurement_from_unitary,
-                          qubit_measurement)
+                          _conditional_entropy, basis_vectors,
+                          measurement_from_unitary, qubit_measurement)
 from .states import DensityMatrix
 
 # Bound on the entries of one (chunk, L, dr, dr) stack of grid blocks, so the
@@ -28,24 +28,23 @@ from .states import DensityMatrix
 _GRID_CHUNK_ELEMENTS = 1 << 20
 # First compass step on each generator parameter.
 _GENERATOR_STEP = 0.3
+# A compass probe moves the search only if it beats the current J by more.
+_REFINE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    grid_theta: int = 128
-    grid_phi: int = 128
+    grid: int = 128              # the qubit grid is grid x grid Bloch angles
     restarts: int = 32           # used for subsystem dim > 2
-    refine_tolerance: float = 1e-9
     max_refine_steps: int = 500
     seed: int = 0
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            kind = numbers.Real if name == "refine_tolerance" else numbers.Integral
-            if not (isinstance(value, kind) and (value >= 0 if name == "seed" else value > 0)):
-                need = {"refine_tolerance": "a number > 0", "seed": "an integer >= 0"}
-                raise ParamOutOfRange(f"{name} must be {need.get(name, 'an integer > 0')}, "
-                                      f"got {value!r}")
+            if not (isinstance(value, numbers.Integral)
+                    and (value >= 0 if name == "seed" else value > 0)):
+                raise ParamOutOfRange(f"{name} must be an integer "
+                                      f"{'>= 0' if name == 'seed' else '> 0'}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,16 +57,17 @@ class OptimalMeasurementResult:
     params: tuple[float, ...] | None = None  # (theta, phi) for qubits, generator otherwise
 
 
-def _grid_rows(n_theta: int, n_phi: int) -> int:
-    """Number of leading theta rows of the qubit grid that are evaluated.
+def _grid_rows(n: int) -> int:
+    """Number of leading theta rows of the n x n qubit grid that are evaluated.
 
-    Measuring along -n only swaps the two outcomes, so J(-n) = J(n). With
-    an even n_phi the antipode of grid point (theta_i, phi_j) is the grid
-    point (theta_{n_theta-1-i}, phi_{j+n_phi/2}), which has the smaller flat
-    index whenever i >= ceil(n_theta / 2); skipping those rows leaves the
-    argmax and its tie-break unchanged.
+    Measuring along the Bloch direction -u only swaps the two outcomes, so
+    J(-u) = J(u). With an even n the antipode of grid point (theta_i, phi_j)
+    is the grid point (theta_{n-1-i}, phi_{j+n/2}), which has the smaller
+    flat index whenever i >= n / 2; skipping those rows leaves the argmax
+    and its tie-break unchanged. An odd n puts the antipodes of all but the
+    poles off the grid, so every row is kept.
     """
-    return (n_theta + 1) // 2 if n_phi % 2 == 0 else n_theta
+    return n // 2 if n % 2 == 0 else n
 
 
 def _bloch_conditional_entropy(half_rest: np.ndarray, half_tensor: np.ndarray,
@@ -86,22 +86,21 @@ def _bloch_conditional_entropy(half_rest: np.ndarray, half_tensor: np.ndarray,
     return _conditional_entropy(blocks)
 
 
-def grid_search_qubit(rho: DensityMatrix, k: int, n_theta: int = 128,
-                      n_phi: int = 128) -> tuple[float, float, float]:
-    """Best J over an inclusive theta / periodic phi grid.
+def grid_search_qubit(rho: DensityMatrix, k: int,
+                      n: int = 128) -> tuple[float, float, float]:
+    """Best J over an n x n grid: inclusive theta, periodic phi.
 
     Ties within 1e-12 break to the lexicographically smallest (theta, phi).
     Only the first `_grid_rows` theta rows are evaluated (half the sphere
-    when n_phi is even).
+    when n is even).
     """
     ev = _JEvaluator(CQEnsemble.of(rho), k)
     if ev.dk != 2:
         raise NotAQubit(f"subsystem {k} has dimension {ev.dk}")
-    return _grid_search(ev, n_theta, n_phi)
+    return _grid_search(ev, n)
 
 
-def _grid_search(ev: _JEvaluator, n_theta: int,
-                 n_phi: int) -> tuple[float, float, float]:
+def _grid_search(ev: _JEvaluator, n: int) -> tuple[float, float, float]:
     """grid_search_qubit on the ensemble and qubit subsystem of `ev`."""
     view = ev.view
     up, down = view[:, 0, :, 0, :], view[:, 1, :, 1, :]
@@ -109,8 +108,8 @@ def _grid_search(ev: _JEvaluator, n_theta: int,
     half_rest = (up + down) / 2
     half_tensor = np.stack([upper + lower, 1j * (upper - lower),
                             up - down]).reshape(3, half_rest.size) / 2
-    thetas = np.linspace(0.0, math.pi, n_theta)[:_grid_rows(n_theta, n_phi)]
-    phis = np.arange(n_phi) * (2 * math.pi / n_phi)
+    thetas = np.linspace(0.0, math.pi, n)[:_grid_rows(n)]
+    phis = np.arange(n) * (2 * math.pi / n)
     tt, pp = [a.ravel() for a in np.meshgrid(thetas, phis, indexing='ij')]
     dirs = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp),
                      np.cos(tt)], axis=1)
@@ -124,7 +123,7 @@ def _grid_search(ev: _JEvaluator, n_theta: int,
     return float(tt[best]), float(pp[best]), float(j[best])
 
 
-def canonical_qubit_angles(theta: float, phi: float) -> tuple[float, float]:
+def _canonical_qubit_angles(theta: float, phi: float) -> tuple[float, float]:
     """Map arbitrary angles to theta in [0, pi], phi in [0, 2 pi)."""
     theta = theta % (2 * math.pi)
     if theta > math.pi:
@@ -153,30 +152,24 @@ def _generator_basis(d: int) -> np.ndarray:
 
 
 def _unitaries(params: np.ndarray, d: int) -> np.ndarray:
-    """exp(i H) for the generator H of every row of `params` (n x d^2)."""
-    if params.shape[-1] != d * d:
-        raise LengthMismatch(f"need {d * d} parameters, got {params.shape[-1]}")
+    """exp(i H) for the generator H of every row of `params` (n x d^2).
+
+    Layout of a row: d diagonal entries of H, then (re, im) pairs for each
+    upper-triangle entry in row-major order.
+    """
     w, v = np.linalg.eigh((params @ _generator_basis(d)).reshape(-1, d, d))
     return (v * np.exp(1j * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
-def unitary_from_generator(params, d: int) -> np.ndarray:
-    """Unitary exp(i H) from d^2 real parameters of a Hermitian generator.
+def _bases(probes: np.ndarray, d: int) -> np.ndarray:
+    """Bases (vectors as rows) at compass points.
 
-    Layout: d diagonal entries, then (re, im) pairs for each upper-triangle
-    entry in row-major order.
+    A qubit's points are Bloch angles (theta, phi); a qudit's are the d^2
+    parameters of a Hermitian generator.
     """
-    return _unitaries(np.asarray(params, dtype=float).reshape(1, -1), d)[0]
-
-
-def _j_generators(ev: _JEvaluator, params) -> np.ndarray:
-    """J for the basis exp(i H(p)) of every generator row p of `params`.
-
-    One batched evaluation: the unitaries from one `eigh`, their columns the
-    outcome vectors, then the kernel's one einsum over every basis.
-    """
-    u = _unitaries(np.asarray(params, dtype=float), ev.dk)
-    return ev.j_bases(u.transpose(0, 2, 1))
+    if d == 2:
+        return np.array([basis_vectors(*_canonical_qubit_angles(*p)) for p in probes])
+    return _unitaries(probes, d).transpose(0, 2, 1)
 
 
 def _compass_search(start, step0: float, config: OptimizerConfig):
@@ -200,7 +193,7 @@ def _compass_search(start, step0: float, config: OptimizerConfig):
                 cand[axis] += sign * step
                 val = yield cand
                 evals += 1
-                if val > best + config.refine_tolerance:
+                if val > best + _REFINE_TOLERANCE:
                     x, best = cand, val
                     moved = True
         if not moved:
@@ -230,21 +223,15 @@ def _lockstep(searches, fun) -> list:
     return results
 
 
-def refine_local(rho: DensityMatrix, k: int, start_params, config: OptimizerConfig):
-    """Local compass refinement of J starting from qubit angles or a generator."""
-    return _refine(_JEvaluator(CQEnsemble.of(rho), k), start_params, config)
+def _refine(ev: _JEvaluator, starts: np.ndarray, step0: float,
+            config: OptimizerConfig) -> list:
+    """Compass search from every row of `starts`, all in lockstep.
 
-
-def _refine(ev: _JEvaluator, start_params, config: OptimizerConfig):
-    """refine_local on the ensemble and subsystem of `ev`."""
-    start = np.asarray(start_params, dtype=float)
-    if ev.dk == 2 and start.size == 2:
-        fun = lambda probes: [ev.j_qubit(*canonical_qubit_angles(*probes[0]))]
-        step0 = max(math.pi / config.grid_theta, 2 * math.pi / config.grid_phi)
-    else:
-        fun, step0 = functools.partial(_j_generators, ev), _GENERATOR_STEP
-    (result,) = _lockstep([_compass_search(start, step0, config)], fun)
-    return result
+    Each round maps the live searches' probes to bases and evaluates them in
+    one `j_bases` call. Returns every search's (params, value, evaluations).
+    """
+    return _lockstep([_compass_search(s, step0, config) for s in starts],
+                     lambda probes: ev.j_bases(_bases(np.asarray(probes), ev.dk)))
 
 
 def optimize_measurement(rho: DensityMatrix, k: int,
@@ -259,34 +246,38 @@ def optimize_measurement(rho: DensityMatrix, k: int,
 
 def _optimize(ens: CQEnsemble, k: int,
               config: OptimizerConfig) -> OptimalMeasurementResult:
-    """optimize_measurement on unmeasured subsystem k of a cq ensemble."""
+    """optimize_measurement on unmeasured subsystem k of a cq ensemble.
+
+    The starts are the grid argmax on a qubit and seeded generator draws
+    otherwise; the best refined start wins, the first of any tie.
+    """
     info = ens.mutual_information()
     ev = _JEvaluator(ens, k)
     d = ev.dk
     if d == 2:
-        t0, p0, j_grid = _grid_search(ev, config.grid_theta, config.grid_phi)
-        params, j, evals = _refine(ev, (t0, p0), config)
-        theta, phi = canonical_qubit_angles(float(params[0]), float(params[1]))
-        m = qubit_measurement(theta, phi)
-        result_params = (theta, phi)
-        iterations = (_grid_rows(config.grid_theta, config.grid_phi)
-                      * config.grid_phi + evals)
-        gap = j - j_grid
+        theta, phi, j_grid = _grid_search(ev, config.grid)
+        starts, step0 = np.array([[theta, phi]]), 2 * math.pi / config.grid
     else:
         starts = np.random.default_rng(config.seed).uniform(
             -math.pi, math.pi, (config.restarts, d * d))
-        runs = _lockstep([_compass_search(s, _GENERATOR_STEP, config)
-                          for s in starts], functools.partial(_j_generators, ev))
-        best_params, j = None, -math.inf
-        for params, val, _ in runs:
-            if val > j + 1e-12:
-                best_params, j = params, val
-        iterations = sum(evals for _, _, evals in runs)
-        m = measurement_from_unitary(unitary_from_generator(best_params, d))
-        result_params = tuple(float(x) for x in best_params)
+        step0 = _GENERATOR_STEP
+    runs = _refine(ev, starts, step0, config)
+    best, j = None, -math.inf
+    for params, val, _ in runs:
+        if val > j + 1e-12:
+            best, j = params, val
+    j = float(j)
+    params = tuple(float(x) for x in best)
+    iterations = sum(evals for _, _, evals in runs)
+    if d == 2:
+        params = _canonical_qubit_angles(*params)
+        m = qubit_measurement(*params)
+        iterations += _grid_rows(config.grid) * config.grid
+        gap = j - j_grid
+    else:
+        m = measurement_from_unitary(_unitaries(best[None], d)[0])
         gap = None
     discord = info - j
     if discord < 0.0:
         discord = 0.0
-    return OptimalMeasurementResult(m, float(j), float(discord), iterations,
-                                    gap, result_params)
+    return OptimalMeasurementResult(m, j, float(discord), iterations, gap, params)

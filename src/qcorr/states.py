@@ -12,8 +12,8 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (DimensionMismatch, NotNormalized, NotPSD, ParamOutOfRange,
-                     TraceNotOne, UnknownFamily)
+from .errors import (DimensionMismatch, NotHermitian, NotNormalized, NotPSD,
+                     ParamOutOfRange, TraceNotOne, UnknownFamily)
 
 TRACE_TOL = 1e-9
 EIG_TOL = 1e-9
@@ -41,9 +41,6 @@ class DensityMatrix:
     def n_subsystems(self) -> int:
         return len(self.dims)
 
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectrum
-
 
 def from_dense(matrix, dims: Sequence[int]) -> DensityMatrix:
     """Validate and wrap a dense matrix as a density matrix."""
@@ -53,8 +50,7 @@ def from_dense(matrix, dims: Sequence[int]) -> DensityMatrix:
     total = int(np.prod(dims))
     m = linalg.as_matrix(matrix, total, total)
     if linalg.hermitian_defect(m) > linalg.HERMITICITY_TOL:
-        raise linalg.NotHermitian(
-            f"hermiticity defect {linalg.hermitian_defect(m):.3e}")
+        raise NotHermitian(f"hermiticity defect {linalg.hermitian_defect(m):.3e}")
     m = (m + linalg.dag(m)) / 2
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_TOL:
@@ -84,7 +80,7 @@ def reduced(rho: DensityMatrix, keep) -> DensityMatrix:
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Tensor product state; dims concatenate."""
-    return from_dense(linalg.kron(a.matrix, b.matrix), a.dims + b.dims)
+    return from_dense(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
 def _bell_vector(which: str) -> np.ndarray:
@@ -171,7 +167,7 @@ def named(family: str, **params) -> DensityMatrix:
         blochs = _sequence("product bloch", params.get("bloch"))
         m = np.array([[1.0]])
         for vec in blochs:
-            m = linalg.kron(m, _qubit_from_bloch(vec))
+            m = np.kron(m, _qubit_from_bloch(vec))
         return from_dense(m, (2,) * len(blochs))
     # maximally_mixed
     dims = tuple(int(_number("maximally_mixed dims entry", d, numbers.Integral))

@@ -45,4 +45,4 @@ def paper_state():
 @pytest.fixture
 def fast_config():
     # coarser grid keeps the unit tests quick; acceptance uses defaults
-    return OptimizerConfig(grid_theta=64, grid_phi=64)
+    return OptimizerConfig(grid=64)

@@ -136,7 +136,7 @@ def test_criterion_7_oracle_equivalence():
     for _ in range(50):
         rho = states.random_density((2, 2), rng)
         res = optimizer.optimize_measurement(rho, 0, DEFAULT)
-        _, _, j_grid = optimizer.grid_search_qubit(rho, 0, 512, 512)
+        _, _, j_grid = optimizer.grid_search_qubit(rho, 0, 512)
         worst = max(worst, abs(res.j_value - j_grid))
     report("criterion 7: optimizer J matches 512x512 grid within 1e-4 on 50 states",
            worst <= 1e-4, f"(worst gap={worst:.2e})")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -74,7 +75,7 @@ class TestInfo:
         code, out, _ = run(capsys, ["info", paper_file, "--json"])
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         assert abs(doc["mutual_info"] - PAPER_I) < 1e-9
 
     def test_bell(self, capsys, tmp_path):
@@ -112,7 +113,19 @@ class TestDiscord:
         doc = json.loads(out)
         assert abs(doc["discord"] - PAPER_DA) < 5e-4
         assert "theta" in doc["measurement"]
-        assert doc["optimizer_config"]["grid_theta"] == 128
+        assert doc["optimizer_config"]["grid"] == 128
+
+    def test_json_schema_two(self, capsys, paper_file):
+        code, out, _ = run(capsys, ["discord", paper_file, "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["schema_version", "subsystem", "discord", "classical_hv",
+                             "measurement", "oracle_gap", "iterations",
+                             "optimizer_config"]
+        assert doc["schema_version"] == "2"
+        assert doc["optimizer_config"] == dataclasses.asdict(OptimizerConfig())
+        assert list(doc["optimizer_config"]) == ["grid", "restarts", "max_refine_steps",
+                                                 "seed"]
 
     def test_subsystem_b_bounds(self, capsys, paper_file):
         code, out, _ = run(capsys, ["discord", paper_file, "--subsystem", "1",
@@ -159,7 +172,7 @@ class TestOverall:
                                       "matrix": [[[x.real, x.imag] for x in row]
                                                  for row in rho.matrix]})
         rho = cli.load_state(path)
-        config = OptimizerConfig(grid_theta=16, grid_phi=16)
+        config = OptimizerConfig(grid=16)
         reports = [correlations.sequential_measure(rho, order, config)
                    for order in itertools.permutations(range(len(dims)))]
         qs = [r.q_total for r in reports]
@@ -199,6 +212,12 @@ class TestOverall:
                                     "--grid", "32", "--json"])
         assert json.loads(out)["order"] == [1, 0]
 
+    def test_order_and_all_orders_are_exclusive(self, capsys, paper_file):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["overall", paper_file, "--order", "1,0", "--all-orders"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_bad_order(self, capsys, paper_file):
         code, _, err = run(capsys, ["overall", paper_file, "--order", "0,0"])
         assert code == 2
@@ -230,7 +249,7 @@ class TestSweep:
         assert all(b >= a - 1e-9 for a, b in zip(i_col, i_col[1:]))
 
     def test_each_row_optimizes_each_subsystem_once(self, capsys, monkeypatch):
-        config = OptimizerConfig(grid_theta=16, grid_phi=16)
+        config = OptimizerConfig(grid=16)
         expected = ["param,I,D0,D1,Q,C"]
         for p in (0.0, 0.5, 1.0):
             rho = states.named("werner", p=p)
@@ -271,7 +290,7 @@ class TestVerify:
 
     def test_bounds_suite_searches_step_zero_once_per_state(self, capsys, monkeypatch):
         # the suite's output by the recipe that searched subsystem 0 twice
-        config = OptimizerConfig(grid_theta=32, grid_phi=32)
+        config = OptimizerConfig(grid=32)
         rng = np.random.default_rng(config.seed + 1)
         worst_chain, worst_c = 0.0, 0.0
         for _ in range(20):
@@ -305,6 +324,8 @@ class TestInputErrors:
         (["discord", "{paper}"], {"QCORR_SEED": "x"}),
         (["discord", "{paper}", "--seed", "-1"], {}),
         (["overall", "{paper}", "--order", "0,x"], {}),
+        (["sweep", "werner", "--start", "1", "--stop", "1.5", "--step", "0.25"], {}),
+        (["sweep", "werner", "--start", "-0.5", "--stop", "1"], {}),
     ])
     def test_exit_code_two(self, capsys, paper_file, monkeypatch, argv, env):
         for name, value in env.items():
@@ -333,6 +354,18 @@ def test_malformed_named_state_is_an_input_error(capsys, tmp_path, family, param
     assert code == 2
     assert out == ""
     assert err.startswith("error: ParamOutOfRange: ")
+
+
+@pytest.mark.parametrize("matrix", [
+    pytest.param([[[1, 0]], [[0, 0], [0, 0]]], id="ragged-rows"),
+    pytest.param([1, 2], id="rows-not-lists"),
+])
+def test_malformed_dense_state_is_an_input_error(capsys, tmp_path, matrix):
+    path = write_state(tmp_path, {"kind": "dense", "dims": [2, 2], "matrix": matrix})
+    code, out, err = run(capsys, ["info", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 class TestProcessExitCodes:

@@ -145,8 +145,7 @@ class TestSequentialOracle:
     @pytest.mark.parametrize("name, rho, order", ORACLE_FIXTURES,
                              ids=[f[0] for f in ORACLE_FIXTURES])
     def test_matches_dense_recipe(self, name, rho, order):
-        config = OptimizerConfig(grid_theta=32, grid_phi=32, restarts=4,
-                                 max_refine_steps=60)
+        config = OptimizerConfig(grid=32, restarts=4, max_refine_steps=60)
         discords, params, c, table = dense_sequential(rho, order, config)
         seq = correlations.sequential_measure(rho, order, config)
         assert seq.step_params == tuple(params)
@@ -185,7 +184,7 @@ def count_diagonalizations(monkeypatch, dim) -> dict:
 def test_state_is_diagonalized_once(monkeypatch, rho, run):
     # from_dense diagonalized rho; no grid or leaf block is D x D here
     seen = count_diagonalizations(monkeypatch, rho.dim)
-    run(rho, OptimizerConfig(grid_theta=16, grid_phi=16))
+    run(rho, OptimizerConfig(grid=16))
     assert seen["full"] <= 1
     assert seen["projectors"] == 0
 
@@ -254,7 +253,7 @@ class TestClassify:
 
 def test_full_report_takes_subsystem_zero_from_step_zero(monkeypatch, rng):
     rho = states.random_density((2, 2, 2), rng)
-    config = OptimizerConfig(grid_theta=16, grid_phi=16)
+    config = OptimizerConfig(grid=16)
     calls = count_searches(monkeypatch)
     report = correlations.full_report(rho, config)
     step0 = report.sequential.steps[0]
@@ -265,7 +264,7 @@ def test_full_report_takes_subsystem_zero_from_step_zero(monkeypatch, rng):
 
 def test_sequential_report_steps_carry_each_search(rng):
     rho = states.random_density((2, 3), rng)
-    config = OptimizerConfig(grid_theta=16, grid_phi=16, restarts=4, max_refine_steps=60)
+    config = OptimizerConfig(grid=16, restarts=4, max_refine_steps=60)
     seq = correlations.sequential_measure(rho, (1, 0), config)
     assert seq.step_discords == tuple(step.discord for step in seq.steps)
     assert seq.step_params == tuple(step.params for step in seq.steps)
@@ -277,7 +276,7 @@ def test_sequential_report_steps_carry_each_search(rng):
 
 def _bell_instances():
     bell = states.named("bell")
-    config = OptimizerConfig(grid_theta=8, grid_phi=8)
+    config = OptimizerConfig(grid=8)
     m = measurement.qubit_measurement(0.0, 0.0)
     return {
         "DensityMatrix": lambda: states.named("bell"),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unitary
-from qcorr import linalg
+from qcorr import linalg, states
 from qcorr.errors import DimensionMismatch, NotHermitian
 
 SQRT2 = np.sqrt(2)
@@ -15,67 +15,88 @@ def random_hermitian(n, rng):
     return (g + g.conj().T) / 2
 
 
+def random_state_matrix(n, rng):
+    h = random_hermitian(n, rng)
+    m = h @ h.conj().T
+    return m / np.trace(m).real
+
+
 class TestKron:
+    """states.tensor is np.kron in the big-endian order partial_trace reads."""
+
     def test_identity(self):
-        assert np.allclose(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
+        mixed = states.from_dense(np.eye(2) / 2, (2,))
+        assert np.allclose(states.tensor(mixed, mixed).matrix, np.eye(4) / 4)
 
     def test_diagonal_expansion(self):
-        out = linalg.kron(np.diag([1, 2]), np.diag([3, 4]))
-        assert np.allclose(out, np.diag([3, 4, 6, 8]))
+        a = states.from_dense(np.diag([0.25, 0.75]), (2,))
+        b = states.from_dense(np.diag([0.4, 0.6]), (2,))
+        out = states.tensor(a, b).matrix
+        assert np.allclose(out, np.diag([0.1, 0.15, 0.3, 0.45]))
 
     def test_projector_product(self):
-        p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-        plus = np.full((2, 2), 0.5, dtype=complex)
-        out = linalg.kron(p0, plus)
-        assert out.shape == (4, 4)
-        assert abs(np.trace(out) - 1) < 1e-12
-        assert np.linalg.matrix_rank(out) == 1
+        p0 = states.from_dense(np.array([[1, 0], [0, 0]]), (2,))
+        plus = states.from_dense(np.full((2, 2), 0.5), (2,))
+        out = states.tensor(p0, plus)
+        assert out.matrix.shape == (4, 4)
+        assert out.dims == (2, 2)
+        assert abs(np.trace(out.matrix) - 1) < 1e-12
+        assert np.linalg.matrix_rank(out.matrix) == 1
 
     def test_trace_multiplicative(self, rng):
-        a = random_hermitian(3, rng)
-        b = random_hermitian(2, rng)
-        assert abs(np.trace(linalg.kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-10
+        a = random_state_matrix(3, rng)
+        b = random_state_matrix(2, rng)
+        out = states.tensor(states.from_dense(a, (3,)), states.from_dense(b, (2,)))
+        assert np.abs(linalg.partial_trace(out.matrix, [3, 2], {0}) - a).max() < 1e-10
+        assert np.abs(linalg.partial_trace(out.matrix, [3, 2], {1}) - b).max() < 1e-10
+        assert np.allclose(out.spectrum, np.sort(np.outer(
+            np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)).ravel()))
 
 
 class TestEigh:
+    """A state is diagonalized once, in from_dense; `spectrum` is the result."""
+
     def test_diagonal(self):
-        w, _ = linalg.eigh(np.diag([0.3, 0.7]))
+        w = states.from_dense(np.diag([0.3, 0.7]), (2,)).spectrum
         assert np.allclose(w, [0.3, 0.7])
 
     def test_pauli_x_spectrum(self):
-        w, _ = linalg.eigh(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(w, [-1, 1])
+        # |+><+| = (I + X)/2, so its spectrum is (eig X + 1)/2 with eig X = -1, 1
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        w = states.from_dense((np.eye(2) + x) / 2, (2,)).spectrum
+        assert np.allclose(2 * w - 1, [-1, 1])
 
     def test_paper_marginal_spectrum(self):
         # by hand: eigenvalues of [[1/2, 1/(2 sqrt 2)], [1/(2 sqrt 2), 1/2]]
         # are 1/2 +- 1/(2 sqrt 2) = (2 -+ sqrt 2)/4
         h = np.array([[0.5, 1 / (2 * SQRT2)], [1 / (2 * SQRT2), 0.5]])
-        w, _ = linalg.eigh(h)
+        w = states.from_dense(h, (2,)).spectrum
         assert np.allclose(w, [(2 - SQRT2) / 4, (2 + SQRT2) / 4])
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
-            linalg.eigh(np.array([[0, 1], [0, 0]], dtype=complex))
+            states.from_dense(np.array([[0.5, 1], [0, 0.5]], dtype=complex), (2,))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
-            linalg.eigh(np.zeros((2, 3)))
+            states.from_dense(np.zeros((2, 3)), (2,))
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_reconstruction(self, n, rng):
-        h = random_hermitian(n, rng)
-        w, u = linalg.eigh(h)
-        assert np.abs((u * w) @ u.conj().T - h).max() < 1e-8
-        assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-10
+        rho = states.from_dense(random_state_matrix(n, rng), (n,))
+        w = rho.spectrum
+        assert np.all(np.diff(w) >= 0)
+        _, u = np.linalg.eigh(rho.matrix)
+        assert np.abs((u * w) @ u.conj().T - rho.matrix).max() < 1e-8
         for k in range(n):
-            assert np.abs(h @ u[:, k] - w[k] * u[:, k]).max() < 1e-9
+            assert np.abs(rho.matrix @ u[:, k] - w[k] * u[:, k]).max() < 1e-9
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8))
     @settings(max_examples=25, deadline=None)
     def test_reconstruction_hypothesis(self, seed, n):
-        h = random_hermitian(n, np.random.default_rng(seed))
-        w, u = linalg.eigh(h)
-        assert np.abs((u * w) @ u.conj().T - h).max() < 1e-8
+        rho = states.from_dense(random_state_matrix(n, np.random.default_rng(seed)), (n,))
+        _, u = np.linalg.eigh(rho.matrix)
+        assert np.abs((u * rho.spectrum) @ u.conj().T - rho.matrix).max() < 1e-8
 
 
 class TestPartialTrace:
@@ -84,7 +105,7 @@ class TestPartialTrace:
         b = random_hermitian(3, rng)
         b = b @ b.conj().T
         b /= np.trace(b)
-        out = linalg.partial_trace(linalg.kron(a, b), [2, 3], {0})
+        out = linalg.partial_trace(np.kron(a, b), [2, 3], {0})
         assert np.abs(out - a).max() < 1e-10
 
     def test_bell_marginal(self):

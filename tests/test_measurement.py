@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary
-from qcorr import infotheory, linalg, measurement, states
+from qcorr import infotheory, measurement, states
 from qcorr.errors import AngleOutOfRange, DimensionMismatch, NotUnitary
 
 SQRT2 = math.sqrt(2)
@@ -76,6 +76,10 @@ class TestMeasurementFromUnitary:
         with pytest.raises(NotUnitary):
             measurement.measurement_from_unitary(u)
 
+    def test_rejects_ragged_basis(self):
+        with pytest.raises(DimensionMismatch):
+            measurement.ProjectiveMeasurement([[1, 0], [0]])
+
     def test_one_tolerance_for_unitarity(self):
         # a scaled Hadamard has unitarity defect (1 + eps)^2 - 1 ~ 2 eps
         h = np.array([[1, 1], [1, -1]]) / SQRT2
@@ -98,7 +102,7 @@ class TestApplyNonselective:
         a = states.random_density([2], rng)
         b = states.random_density([2], rng)
         rho = states.tensor(a, b)
-        _, u = linalg.eigh(a.matrix)
+        _, u = np.linalg.eigh(a.matrix)
         m = measurement.measurement_from_unitary(u)
         out = measurement.apply_nonselective(rho, 0, m)
         assert np.abs(out.matrix - rho.matrix).max() < 1e-9

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_unitary
 from qcorr import (OptimizerConfig, correlations, infotheory, linalg,
                    measurement, optimizer, states)
-from qcorr.errors import DimensionMismatch, LengthMismatch, NotAQubit
+from qcorr.errors import DimensionMismatch, NotAQubit
 
 PAPER_DA = 0.6008760366928562
 
@@ -33,6 +33,18 @@ def reference_J(rho, k, m):
     return rest_entropy - cond
 
 
+def refine(rho, k, start, step0, config):
+    """The (params, J, evaluations) of one compass search from `start`."""
+    ev = optimizer._JEvaluator(measurement.CQEnsemble.of(rho), k)
+    (result,) = optimizer._refine(ev, np.array([start], dtype=float), step0, config)
+    return result
+
+
+def unitary(params, d):
+    """exp(i H) for the generator H of one parameter vector."""
+    return optimizer._unitaries(np.asarray(params, dtype=float)[None], d)[0]
+
+
 def planted_cq_state(rng, dims, theta, phi):
     """Classical-quantum state in the qubit-0 basis at (theta, phi).
 
@@ -47,20 +59,20 @@ def planted_cq_state(rng, dims, theta, phi):
 
 class TestGridSearchQubit:
     def test_paper_example(self, paper_state):
-        theta, phi, j = optimizer.grid_search_qubit(paper_state, 0, 128, 128)
+        theta, phi, j = optimizer.grid_search_qubit(paper_state, 0, 128)
         assert theta == 0.0
         assert abs(j - PAPER_DA) < 1e-6
 
     def test_product_state_tie_break(self, rng):
         rho = states.tensor(states.random_density([2], rng),
                             states.random_density([2], rng))
-        theta, phi, j = optimizer.grid_search_qubit(rho, 0, 16, 16)
+        theta, phi, j = optimizer.grid_search_qubit(rho, 0, 16)
         assert (theta, phi) == (0.0, 0.0)
         assert abs(j) < 1e-8
 
     def test_bell_flat_landscape(self):
         rho = states.named("bell")
-        theta, phi, j = optimizer.grid_search_qubit(rho, 0, 16, 16)
+        theta, phi, j = optimizer.grid_search_qubit(rho, 0, 16)
         assert abs(j - 1) < 1e-9
         assert (theta, phi) == (0.0, 0.0)
 
@@ -68,21 +80,21 @@ class TestGridSearchQubit:
         with pytest.raises(NotAQubit):
             optimizer.grid_search_qubit(states.random_density((3, 2), rng), 0)
 
-    @pytest.mark.parametrize("n_theta, n_phi", [(8, 8), (7, 8), (8, 7), (7, 7)])
+    @pytest.mark.parametrize("n", [8, 7])
     @pytest.mark.parametrize("dims, k", [((2, 2), 0), ((2, 3), 0), ((2, 2, 2), 1)])
-    def test_matches_brute_force_full_grid(self, rng, dims, k, n_theta, n_phi):
+    def test_matches_brute_force_full_grid(self, rng, dims, k, n):
         # the reference J at every point of the full grid, same tie-break rule
-        thetas = np.linspace(0.0, math.pi, n_theta)
-        phis = np.arange(n_phi) * (2 * math.pi / n_phi)
+        thetas = np.linspace(0.0, math.pi, n)
+        phis = np.arange(n) * (2 * math.pi / n)
         points = [(theta, phi) for theta in thetas for phi in phis]
-        # the planted optimum sits on row n_theta // 2: the equator for odd
-        # n_theta, the first row of the lower half otherwise
-        planted = planted_cq_state(rng, dims, thetas[n_theta // 2], phis[1])
+        # the planted optimum sits on row n // 2: the equator for odd n, the
+        # first skipped row for even n, whose antipode is the last row kept
+        planted = planted_cq_state(rng, dims, thetas[n // 2], phis[1])
         for rho, kk in ((states.random_density(dims, rng), k), (planted, 0)):
             js = np.array([reference_J(rho, kk, measurement.qubit_measurement(*p))
                            for p in points])
             best = int(np.flatnonzero(js >= js.max() - 1e-12)[0])
-            theta, phi, j = optimizer.grid_search_qubit(rho, kk, n_theta, n_phi)
+            theta, phi, j = optimizer.grid_search_qubit(rho, kk, n)
             assert (theta, phi) == points[best]
             assert abs(j - js[best]) < 1e-12
 
@@ -91,9 +103,10 @@ class TestRefineLocal:
     def test_converges_to_paper_b_angle(self, paper_state, fast_config):
         after = measurement.apply_nonselective(
             paper_state, 0, measurement.qubit_measurement(0.0, 0.0))
-        t0, p0, _ = optimizer.grid_search_qubit(after, 1, 64, 64)
-        params, j, _ = optimizer.refine_local(after, 1, (t0, p0), fast_config)
-        theta, phi = optimizer.canonical_qubit_angles(*params)
+        t0, p0, _ = optimizer.grid_search_qubit(after, 1, 64)
+        params, j, _ = refine(after, 1, (t0, p0), 2 * math.pi / fast_config.grid,
+                              fast_config)
+        theta, phi = optimizer._canonical_qubit_angles(*params)
         # optimal basis is theta = 3 pi / 4 up to projector relabeling
         # (relabeled representative: theta = pi / 4, phi shifted by pi)
         dist = min(abs(theta - 3 * math.pi / 4), abs(theta - math.pi / 4))
@@ -102,38 +115,34 @@ class TestRefineLocal:
     def test_never_decreases(self, rng, fast_config):
         rho = states.random_density((2, 2), rng)
         start = (1.0, 2.0)
-        ev_start = optimizer._JEvaluator(measurement.CQEnsemble.of(rho), 0).j_qubit(*start)
-        _, j, _ = optimizer.refine_local(rho, 0, start, fast_config)
+        ev_start = measurement.induced_J(rho, 0, measurement.qubit_measurement(*start))
+        _, j, _ = refine(rho, 0, start, 2 * math.pi / fast_config.grid, fast_config)
         assert j >= ev_start - 1e-12
 
     def test_constant_landscape_terminates(self, rng, fast_config):
         rho = states.tensor(states.random_density([2], rng),
                             states.random_density([2], rng))
-        params, j, evals = optimizer.refine_local(rho, 0, (0.3, 0.3), fast_config)
+        params, j, evals = refine(rho, 0, (0.3, 0.3), 2 * math.pi / fast_config.grid,
+                                  fast_config)
         assert abs(j) < 1e-8
 
 
 class TestUnitaryFromGenerator:
     def test_zero_is_identity(self):
-        assert np.abs(optimizer.unitary_from_generator(np.zeros(9), 3)
-                      - np.eye(3)).max() < 1e-12
+        assert np.abs(unitary(np.zeros(9), 3) - np.eye(3)).max() < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_unitarity(self, d, rng):
-        u = optimizer.unitary_from_generator(rng.uniform(-math.pi, math.pi, d * d), d)
+        u = unitary(rng.uniform(-math.pi, math.pi, d * d), d)
         assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-10
 
     def test_off_diagonal_rotation(self):
         params = np.zeros(4)
         params[2] = math.pi / 2  # real off-diagonal entry of the generator
-        u = optimizer.unitary_from_generator(params, 2)
+        u = unitary(params, 2)
         assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-10
         assert abs(abs(np.linalg.det(u)) - 1) < 1e-10
         assert abs(u[1, 0]) > 0.9  # |0> maps to (close to) |1>
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            optimizer.unitary_from_generator([0.0, 0.0], 2)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_generator_layout(self, d, rng):
@@ -148,7 +157,7 @@ class TestUnitaryFromGenerator:
                 idx += 2
         w, v = np.linalg.eigh(h)
         expected = (v * np.exp(1j * w)) @ v.conj().T
-        u = optimizer.unitary_from_generator(params, d)
+        u = unitary(params, d)
         assert np.abs(u - expected).max() < 1e-12
 
 
@@ -180,7 +189,7 @@ class TestOptimizeMeasurement:
 
     def test_determinism(self, rng):
         rho = states.random_density((2, 2), rng)
-        config = OptimizerConfig(grid_theta=32, grid_phi=32, seed=7)
+        config = OptimizerConfig(grid=32, seed=7)
         a = optimizer.optimize_measurement(rho, 0, config)
         b = optimizer.optimize_measurement(rho, 0, config)
         assert a.params == b.params
@@ -214,13 +223,12 @@ class TestOptimizeMeasurement:
         assert res.measurement.subsystem_dim == 3
         assert res.j_value <= infotheory.mutual_information(rho) + 1e-9
 
-    @pytest.mark.parametrize("n_theta, n_phi, grid_evals", [(8, 8, 32), (7, 8, 32),
-                                                            (8, 7, 56)])
-    def test_iterations_count_evaluations(self, rng, n_theta, n_phi, grid_evals):
+    @pytest.mark.parametrize("n, grid_evals", [(8, 32), (7, 49)])
+    def test_iterations_count_evaluations(self, rng, n, grid_evals):
         rho = states.random_density((2, 2), rng)
-        config = OptimizerConfig(grid_theta=n_theta, grid_phi=n_phi)
-        t0, p0, _ = optimizer.grid_search_qubit(rho, 0, n_theta, n_phi)
-        _, _, refine_evals = optimizer.refine_local(rho, 0, (t0, p0), config)
+        config = OptimizerConfig(grid=n)
+        t0, p0, _ = optimizer.grid_search_qubit(rho, 0, n)
+        _, _, refine_evals = refine(rho, 0, (t0, p0), 2 * math.pi / n, config)
         res = optimizer.optimize_measurement(rho, 0, config)
         assert res.iterations == grid_evals + refine_evals
 
@@ -248,7 +256,7 @@ class TestOptimizeMeasurement:
         for _ in range(5):
             rho = states.random_density((2, 2), rng)
             res = optimizer.optimize_measurement(rho, 0)
-            _, _, j_grid = optimizer.grid_search_qubit(rho, 0, 256, 256)
+            _, _, j_grid = optimizer.grid_search_qubit(rho, 0, 256)
             assert abs(res.j_value - j_grid) < 1e-4
 
 
@@ -263,7 +271,7 @@ class TestQuditRestarts:
         best, best_j, evals = None, -math.inf, 0
         for _ in range(config.restarts):
             start = draws.uniform(-math.pi, math.pi, d * d)
-            params, j, n = optimizer.refine_local(rho, 0, start, config)
+            params, j, n = refine(rho, 0, start, optimizer._GENERATOR_STEP, config)
             evals += n
             if j > best_j + 1e-12:
                 best, best_j = params, j
@@ -289,9 +297,7 @@ ENTRY_POINTS = {
     "optimize_measurement": optimizer.optimize_measurement,
     "discord": correlations.discord,
     "classical_hv": correlations.classical_hv,
-    "grid_search_qubit": lambda rho, k: optimizer.grid_search_qubit(rho, k, 8, 8),
-    "refine_local": lambda rho, k: optimizer.refine_local(rho, k, (0.5, 0.5),
-                                                          OptimizerConfig()),
+    "grid_search_qubit": lambda rho, k: optimizer.grid_search_qubit(rho, k, 8),
 }
 
 
@@ -303,9 +309,8 @@ def test_subsystem_out_of_range(paper_state, entry, k):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("seed", -1), ("seed", 1.5), ("grid_theta", 16.5), ("grid_phi", 8.0),
-    ("restarts", 2.5), ("max_refine_steps", 10.0), ("grid_theta", 0),
-    ("restarts", -3), ("refine_tolerance", 0.0), ("refine_tolerance", math.nan),
+    ("seed", -1), ("seed", 1.5), ("grid", 16.5), ("grid", 8.0),
+    ("restarts", 2.5), ("max_refine_steps", 10.0), ("grid", 0), ("restarts", -3),
 ])
 def test_config_rejects_bad_fields(field, value):
     with pytest.raises(ValueError):
@@ -313,5 +318,5 @@ def test_config_rejects_bad_fields(field, value):
 
 
 def test_config_accepts_numpy_integers():
-    config = OptimizerConfig(grid_theta=np.int64(8), seed=np.int32(3))
-    assert config.grid_theta == 8 and config.seed == 3
+    config = OptimizerConfig(grid=np.int64(8), seed=np.int32(3))
+    assert config.grid == 8 and config.seed == 3

@@ -33,6 +33,12 @@ class TestFromDense:
         with pytest.raises(DimensionMismatch):
             states.from_dense(np.eye(4) / 4, (2, 3))
 
+    @pytest.mark.parametrize("matrix", [[[1, 0], [0]], [[1, 0], [0, "x"]]],
+                             ids=["ragged", "not-a-number"])
+    def test_rows_that_are_not_a_matrix(self, matrix):
+        with pytest.raises(DimensionMismatch):
+            states.from_dense(matrix, (2,))
+
 
 class TestFromPure:
     def test_ket00(self):
@@ -41,7 +47,7 @@ class TestFromPure:
 
     def test_paper_example(self):
         rho = states.from_pure([1 / SQRT2, 0, 0.5, 0.5], (2, 2))
-        w = rho.eigenvalues()
+        w = rho.spectrum
         assert abs(w[-1] - 1) < 1e-9
         assert np.all(w[:-1] <= 1e-9)
 
@@ -132,7 +138,7 @@ class TestReducedAndTensor:
 def test_random_density_valid(rng):
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:
         rho = states.random_density(dims, rng)
-        assert rho.eigenvalues()[0] >= -1e-9
+        assert rho.spectrum[0] >= -1e-9
         assert abs(np.trace(rho.matrix) - 1) < 1e-9
 
 
