@@ -23,7 +23,7 @@ import numpy as np
 from . import correlations, infotheory, linalg, measurement, optimizer, states
 from .errors import BadOrder, ParamOutOfRange, ParseError, QcorrError
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 # ---------------------------------------------------------------- state files
@@ -93,10 +93,8 @@ def _measurement_doc(m: measurement.ProjectiveMeasurement,
                      params) -> dict:
     doc = {"subsystem_dim": m.subsystem_dim,
            "projectors": [_pairs(p) for p in m.projectors]}
-    if params is not None and len(params) == 2:
-        doc["theta"], doc["phi"] = float(params[0]), float(params[1])
-    elif params is not None:
-        doc["generator_params"] = [float(x) for x in params]
+    if params is not None:
+        doc["theta"], doc["phi"] = params
     return doc
 
 
@@ -173,7 +171,7 @@ def cmd_discord(args) -> int:
            "optimizer_config": _config_doc(config)}
     lines = [f"D_{args.subsystem} = {res.discord:.12g}",
              f"C_{args.subsystem} = {res.j_value:.12g}"]
-    if res.params is not None and len(res.params) == 2:
+    if res.params is not None:
         lines.append(f"optimal (theta, phi) = ({res.params[0]:.12g}, {res.params[1]:.12g})")
     if res.oracle_gap is not None:
         lines.append(f"oracle gap = {res.oracle_gap:.3e}")
@@ -225,10 +223,10 @@ def cmd_overall(args) -> int:
 def cmd_sweep(args) -> int:
     if args.family != "werner":
         raise QcorrError(f"sweep supports the werner family, not {args.family!r}")
-    if not (0.0 <= args.start <= 1.0 and 0.0 <= args.stop <= 1.0
+    if not (0.0 <= args.start <= args.stop <= 1.0
             and math.isfinite(args.step) and args.step > 0):
-        raise ParamOutOfRange("--start and --stop must lie in [0, 1] and --step be "
-                              "finite and positive")
+        raise ParamOutOfRange("--start and --stop must satisfy 0 <= start <= stop <= 1 "
+                              "and --step be finite and positive")
     config = _make_config(args)
     rows = ["param,I,D0,D1,Q,C"]
     n = int(round((args.stop - args.start) / args.step))

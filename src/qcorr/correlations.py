@@ -8,6 +8,7 @@ ensemble of its leaves, not a dense state.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,9 +99,11 @@ def _sequential_reports(ens: CQEnsemble, orders,
     walked = {}  # measured prefix -> (its last step's search, the ensemble after it)
     reports = []
     for order in orders:
-        order = tuple(int(k) for k in order)
-        if sorted(order) != list(range(n)):
+        order = tuple(order)
+        if (not all(isinstance(k, numbers.Integral) for k in order)
+                or sorted(order) != list(range(n))):
             raise BadOrder(f"{order} is not a permutation of 0..{n - 1}")
+        order = tuple(int(k) for k in order)
         current, steps = ens, []
         for t, k in enumerate(order):
             prefix = order[:t + 1]

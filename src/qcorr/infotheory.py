@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,15 +31,24 @@ class ProbabilityTable:
         return t.sum(axis=axes)
 
 
+def _distribution(probs) -> np.ndarray:
+    """Flat float array of finite entries >= -1e-12 that sum to 1 within 1e-9."""
+    p = linalg.as_array(probs, float, NotADistribution).ravel()
+    if p.size == 0:
+        raise NotADistribution("empty distribution")
+    if p.min() < -CLAMP or abs(p.sum() - 1.0) > 1e-9:
+        raise NotADistribution(f"invalid distribution (sum {p.sum()!r}, min {p.min()!r})")
+    return p
+
+
 def probability_table(probs, dims: Sequence[int]) -> ProbabilityTable:
+    dims = tuple(dims)
+    if not all(isinstance(d, numbers.Integral) and d >= 1 for d in dims):
+        raise NotADistribution(f"outcome dims must be integers >= 1, got {dims}")
     dims = tuple(int(d) for d in dims)
-    p = np.asarray(probs, dtype=float).ravel()
+    p = _distribution(probs)
     if p.size != int(np.prod(dims)):
         raise NotADistribution(f"{p.size} entries for outcome dims {dims}")
-    if p.min() < -CLAMP:
-        raise NotADistribution(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise NotADistribution(f"probabilities sum to {p.sum()!r}")
     return ProbabilityTable(dims, np.maximum(p, 0.0))
 
 
@@ -46,9 +56,7 @@ def shannon_entropy(p) -> float:
     """H = -sum p log2 p with the 0 log 0 = 0 convention."""
     if isinstance(p, ProbabilityTable):
         p = p.probs
-    p = np.asarray(p, dtype=float).ravel()
-    if p.min() < -CLAMP or abs(p.sum() - 1.0) > 1e-9:
-        raise NotADistribution(f"invalid distribution (sum {p.sum()!r}, min {p.min()!r})")
+    p = _distribution(p)
     p = p[p > CLAMP]
     return float(-(p * np.log2(p)).sum())
 

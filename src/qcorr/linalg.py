@@ -13,18 +13,24 @@ from .errors import DimensionMismatch
 HERMITICITY_TOL = 1e-9
 
 
+def as_array(entries, dtype=np.complex128, error=DimensionMismatch) -> np.ndarray:
+    """Coerce to an array of `dtype`; ragged, non-numeric or non-finite entries raise `error`."""
+    try:
+        a = np.asarray(entries, dtype=dtype)
+    except (ValueError, TypeError) as e:
+        raise error(f"not an array of numbers: {e}") from None
+    if not np.all(np.isfinite(a)):
+        raise error("entries must be finite")
+    return a
+
+
 def as_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Coerce to a 2-d complex128 array, rejecting ragged and non-finite entries."""
-    try:
-        m = np.asarray(entries, dtype=np.complex128)
-    except (ValueError, TypeError) as e:
-        raise DimensionMismatch(f"not a matrix of numbers: {e}") from None
+    m = as_array(entries)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {m.shape}")
     if rows is not None and m.shape != (rows, cols):
         raise DimensionMismatch(f"expected shape {(rows, cols)}, got {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise DimensionMismatch("matrix entries must be finite")
     return m
 
 

@@ -5,7 +5,7 @@ everything it induces comes from the outcome blocks <v_a| rho |v_a>. Provides
 the non-selective channel M(rho) = sum_a (I x |v_a><v_a| x I) rho (...),
 conditional post-measurement ensembles, the classical-quantum ensemble that a
 run measuring one subsystem after another carries, and the one kernel for the
-measurement-induced mutual information J on that ensemble.
+measurement-induced mutual information J on that ensemble and its gradient.
 """
 from __future__ import annotations
 
@@ -276,10 +276,30 @@ class _JEvaluator:
         self.rest_entropy = sum(s for j, s in enumerate(ens.marginal_entropies)
                                 if j != k)
 
-    def j_bases(self, bases: np.ndarray) -> np.ndarray:
-        """J for every basis of the stack `bases` (n, d_k, d_k), vectors as rows.
+    def _blocks(self, bases: np.ndarray) -> np.ndarray:
+        """Outcome blocks <v_a| W_i |v_a> of every basis, as (d_k, n, L, d_rest, d_rest).
 
-        Every outcome block of every basis comes from one einsum.
+        `bases` is a stack (n, d_k, d_k) with vectors as rows; one einsum.
         """
-        blocks = np.einsum('nia,labcd,nic->inlbd', bases.conj(), self.view, bases)
-        return self.rest_entropy - _conditional_entropy(blocks)
+        return np.einsum('nia,labcd,nic->inlbd', bases.conj(), self.view, bases)
+
+    def j_bases(self, bases: np.ndarray) -> np.ndarray:
+        """J for every basis of the stack `bases` (n, d_k, d_k), vectors as rows."""
+        return self.rest_entropy - _conditional_entropy(self._blocks(bases))
+
+    def gradient(self, bases: np.ndarray) -> np.ndarray:
+        """dJ/d conj(bases) for every basis of the stack, in its layout.
+
+        Row a is sum_i Tr_rest[log2(B_ai / q_a) W_i] v_a, with B_ai the
+        outcome block of leaf i and q_a = sum_i Tr B_ai; the 1/ln 2 terms of
+        the entropy derivatives cancel. Outcomes with q_a <= 1e-12 contribute
+        0, and eigenvalues of B_ai / q_a are clamped at 1e-12.
+        """
+        blocks = self._blocks(bases)
+        probs = np.einsum('...ii->...', blocks.real).sum(axis=-1)
+        w, u = np.linalg.eigh(blocks)
+        log_w = np.log2(np.maximum(
+            w / np.maximum(probs, ZERO_PROB)[..., None, None], _CLAMP))
+        log_w[probs <= ZERO_PROB] = 0.0
+        logs = (u * log_w[..., None, :]) @ u.conj().swapaxes(-1, -2)
+        return np.einsum('inldb,lxbyd,niy->nix', logs, self.view, bases)

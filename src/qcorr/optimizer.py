@@ -1,16 +1,18 @@
 """Search over complete projective measurements to attain sup J.
 
-A qubit subsystem starts from the argmax of an exhaustive Bloch-angle
-grid; higher dimensions start from seeded random draws of a Hermitian
-generator. Every start is refined by compass search, and the searches run
-in lockstep, so each round of their probes is one batched J evaluation.
+A measurement is an orthonormal basis, and one search serves every
+dimension: Riemannian gradient ascent on the unitary group (Abrudan,
+Eriksson & Koivunen, IEEE TSP 56(3):1134, 2008). A qubit starts from the
+argmax of an exhaustive Bloch-angle grid; a higher dimension starts from
+seeded Haar-random bases. The starts ascend in lockstep, so each round is
+one batched gradient and one batched J evaluation of its line search.
 J is evaluated on a classical-quantum ensemble of leaves (a state that no
 step has measured yet is a single leaf), so later steps of a sequential run
 diagonalize per-leaf blocks, not the dense state.
 """
 from __future__ import annotations
 
-import functools
+import cmath
 import math
 import numbers
 from dataclasses import asdict, dataclass
@@ -19,24 +21,25 @@ import numpy as np
 
 from .errors import NotAQubit, ParamOutOfRange
 from .measurement import (CQEnsemble, ProjectiveMeasurement, _JEvaluator,
-                          _conditional_entropy, basis_vectors,
-                          measurement_from_unitary, qubit_measurement)
+                          _conditional_entropy, basis_vectors)
 from .states import DensityMatrix
 
 # Bound on the entries of one (chunk, L, dr, dr) stack of grid blocks, so the
 # grid's working set stays flat as the leaves L and their dimension dr grow.
 _GRID_CHUNK_ELEMENTS = 1 << 20
-# First compass step on each generator parameter.
-_GENERATOR_STEP = 0.3
-# A compass probe moves the search only if it beats the current J by more.
-_REFINE_TOLERANCE = 1e-9
+# Trial steps of an ascent round, as multiples of the search's last accepted step.
+_LADDER = np.array([4.0, 2.0, 1.0, 0.5, 0.25, 1 / 16])
+# A trial is accepted if it gains at least this share of its first-order gain.
+_ARMIJO = 1e-4
+# A search ends when no accepted trial gains more J (bits) than this.
+_GAIN_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     grid: int = 128              # the qubit grid is grid x grid Bloch angles
     restarts: int = 32           # used for subsystem dim > 2
-    max_refine_steps: int = 500
+    max_refine_steps: int = 500  # gradient-ascent rounds per start
     seed: int = 0
 
     def __post_init__(self):
@@ -52,9 +55,9 @@ class OptimalMeasurementResult:
     measurement: ProjectiveMeasurement
     j_value: float       # bits
     discord: float       # bits, floored at 0
-    iterations: int      # J evaluations performed
-    oracle_gap: float | None = None   # refined J minus grid-oracle J, when a grid exists
-    params: tuple[float, ...] | None = None  # (theta, phi) for qubits, generator otherwise
+    iterations: int      # J evaluations performed (a gradient counts as one)
+    oracle_gap: float | None = None   # ascended J minus grid-oracle J, when a grid exists
+    params: tuple[float, float] | None = None  # (theta, phi) for qubits, else None
 
 
 def _grid_rows(n: int) -> int:
@@ -94,6 +97,8 @@ def grid_search_qubit(rho: DensityMatrix, k: int,
     Only the first `_grid_rows` theta rows are evaluated (half the sphere
     when n is even).
     """
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ParamOutOfRange(f"grid size must be an integer > 0, got {n!r}")
     ev = _JEvaluator(CQEnsemble.of(rho), k)
     if ev.dk != 2:
         raise NotAQubit(f"subsystem {k} has dimension {ev.dk}")
@@ -123,124 +128,77 @@ def _grid_search(ev: _JEvaluator, n: int) -> tuple[float, float, float]:
     return float(tt[best]), float(pp[best]), float(j[best])
 
 
-def _canonical_qubit_angles(theta: float, phi: float) -> tuple[float, float]:
-    """Map arbitrary angles to theta in [0, pi], phi in [0, 2 pi)."""
-    theta = theta % (2 * math.pi)
-    if theta > math.pi:
-        theta = 2 * math.pi - theta
-        phi = phi + math.pi
-    return theta, phi % (2 * math.pi)
+def _bloch_angles(basis: np.ndarray) -> tuple[float, float]:
+    """(theta, phi) in [0, pi] x [0, 2 pi) of a qubit basis's first vector.
 
-
-@functools.lru_cache(maxsize=None)
-def _generator_basis(d: int) -> np.ndarray:
-    """(d*d, d*d) matrix B with (params @ B).reshape(d, d) the generator.
-
-    Row r of B is the flattened Hermitian matrix that parameter r multiplies:
-    d diagonal entries, then (re, im) pairs for each upper-triangle entry in
-    row-major order.
+    The vector is cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> up to a phase.
     """
-    basis = np.zeros((d * d, d, d), dtype=np.complex128)
-    basis[np.arange(d), np.arange(d), np.arange(d)] = 1
-    rows, cols = np.triu_indices(d, 1)
-    re = d + 2 * np.arange(rows.size)
-    basis[re, rows, cols] = basis[re, cols, rows] = 1
-    basis[re + 1, rows, cols], basis[re + 1, cols, rows] = 1j, -1j
-    basis = basis.reshape(d * d, d * d)
-    basis.flags.writeable = False
-    return basis
+    v0, v1 = basis[0]
+    theta = 2 * math.atan2(abs(v1), abs(v0))
+    phi = cmath.phase(v1 * v0.conjugate()) % (2 * math.pi)
+    return theta, phi if phi < 2 * math.pi else 0.0
 
 
-def _unitaries(params: np.ndarray, d: int) -> np.ndarray:
-    """exp(i H) for the generator H of every row of `params` (n x d^2).
+def _haar_bases(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n Haar-random bases of C^d (vectors as rows), from QR of Ginibre draws."""
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
 
-    Layout of a row: d diagonal entries of H, then (re, im) pairs for each
-    upper-triangle entry in row-major order.
+
+def _rotations(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(t[m, r] a[m]) for every skew-Hermitian a[m] and step t[m, r]."""
+    w, q = np.linalg.eigh(1j * a)  # i a = q diag(w) q^dagger
+    phase = np.exp(-1j * t[..., None] * w[:, None, :])
+    return (q[:, None] * phase[..., None, :]) @ q.conj().swapaxes(-1, -2)[:, None]
+
+
+def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
+            config: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient ascent of J from every basis of the stack, all in lockstep.
+
+    A round moves a live basis V (vectors as rows) along V exp(t A), with
+    A = V^dagger G - G^dagger V for G = dJ/d conj(V), so the slope of J at
+    t = 0 is |A|^2. Its trial steps t are the `_LADDER` multiples of the
+    search's last accepted step (1 at first); the round's gradients are one
+    `gradient` call and its trials one `j_bases` call. The trial of highest
+    J among those gaining at least `_ARMIJO` t |A|^2 is accepted. A search
+    ends when no trial passes with a gain above `_GAIN_FLOOR`, or after
+    `max_refine_steps` rounds. `j` holds the starts' J values. Returns the
+    final bases, their J and every search's evaluations (a gradient counts
+    as one, as does each trial).
     """
-    w, v = np.linalg.eigh((params @ _generator_basis(d)).reshape(-1, d, d))
-    return (v * np.exp(1j * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-
-
-def _bases(probes: np.ndarray, d: int) -> np.ndarray:
-    """Bases (vectors as rows) at compass points.
-
-    A qubit's points are Bloch angles (theta, phi); a qudit's are the d^2
-    parameters of a Hermitian generator.
-    """
-    if d == 2:
-        return np.array([basis_vectors(*_canonical_qubit_angles(*p)) for p in probes])
-    return _unitaries(probes, d).transpose(0, 2, 1)
-
-
-def _compass_search(start, step0: float, config: OptimizerConfig):
-    """Derivative-free ascent: axis-aligned probes with shrinking step.
-
-    A coroutine: it yields each probe point and is sent back its J. It
-    returns (params, value, evaluations) and never returns a value below
-    the starting one. `_lockstep` drives it.
-    """
-    x = np.asarray(start, dtype=float).copy()
-    best = yield x
-    evals = 1
-    step = step0
+    bases, j = bases.copy(), np.array(j, dtype=float)
+    steps = np.ones(len(bases))
+    evals = np.zeros(len(bases), dtype=int)
+    live = np.arange(len(bases))
     for _ in range(config.max_refine_steps):
-        if step < 1e-6:
+        if live.size == 0:
             break
-        moved = False
-        for axis in range(x.size):
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[axis] += sign * step
-                val = yield cand
-                evals += 1
-                if val > best + _REFINE_TOLERANCE:
-                    x, best = cand, val
-                    moved = True
-        if not moved:
-            step /= 2
-    return x, best, evals
-
-
-def _lockstep(searches, fun) -> list:
-    """Advance compass searches together; one `fun` call per round of probes.
-
-    `fun` maps the list of pending probe points of the live searches to
-    their J values. Each search sees only its own values, so it takes the
-    same path it takes alone. Returns every search's (params, value,
-    evaluations), in the order of `searches`.
-    """
-    results = [None] * len(searches)
-    live = [(i, search, next(search)) for i, search in enumerate(searches)]
-    while live:
-        values = fun([probe for _, _, probe in live])
-        pending = []
-        for (i, search, _), value in zip(live, values):
-            try:
-                pending.append((i, search, search.send(value)))
-            except StopIteration as done:
-                results[i] = done.value
-        live = pending
-    return results
-
-
-def _refine(ev: _JEvaluator, starts: np.ndarray, step0: float,
-            config: OptimizerConfig) -> list:
-    """Compass search from every row of `starts`, all in lockstep.
-
-    Each round maps the live searches' probes to bases and evaluates them in
-    one `j_bases` call. Returns every search's (params, value, evaluations).
-    """
-    return _lockstep([_compass_search(s, step0, config) for s in starts],
-                     lambda probes: ev.j_bases(_bases(np.asarray(probes), ev.dk)))
+        v = bases[live]
+        a = v.conj().swapaxes(-1, -2) @ ev.gradient(v)
+        a -= a.conj().swapaxes(-1, -2)
+        slope = np.einsum('mab,mab->m', a.conj(), a).real
+        t = steps[live, None] * _LADDER
+        trials = v[:, None] @ _rotations(a, t)
+        values = ev.j_bases(trials.reshape((-1,) + v.shape[1:])).reshape(t.shape)
+        evals[live] += 1 + _LADDER.size
+        gain = values - j[live, None]
+        armijo = gain >= _ARMIJO * t * slope[:, None]
+        pick = np.where(armijo, values, -np.inf).argmax(axis=1)
+        rows = np.arange(live.size)
+        moved = armijo[rows, pick] & (gain[rows, pick] > _GAIN_FLOOR)
+        live, rows, pick = live[moved], rows[moved], pick[moved]
+        bases[live] = trials[rows, pick]
+        j[live] = values[rows, pick]
+        steps[live] = t[rows, pick]
+    return bases, j, evals
 
 
 def optimize_measurement(rho: DensityMatrix, k: int,
                          config: OptimizerConfig = OptimizerConfig()) -> OptimalMeasurementResult:
-    """Measurement attaining sup J on subsystem k; discord = I - J, floored at 0.
-
-    For dimension > 2 the seeded restarts run in lockstep: each round of
-    compass probes, one per live restart, is one batched J evaluation.
-    """
+    """Measurement attaining sup J on subsystem k; discord = I - J, floored at 0."""
     return _optimize(CQEnsemble.of(rho), k, config)
 
 
@@ -248,36 +206,32 @@ def _optimize(ens: CQEnsemble, k: int,
               config: OptimizerConfig) -> OptimalMeasurementResult:
     """optimize_measurement on unmeasured subsystem k of a cq ensemble.
 
-    The starts are the grid argmax on a qubit and seeded generator draws
-    otherwise; the best refined start wins, the first of any tie.
+    The starts are the grid argmax on a qubit (its J taken from the grid, so
+    `oracle_gap` >= 0) and seeded Haar bases otherwise; the best ascended
+    start wins, the first of any tie.
     """
     info = ens.mutual_information()
     ev = _JEvaluator(ens, k)
-    d = ev.dk
-    if d == 2:
+    if ev.dk == 2:
         theta, phi, j_grid = _grid_search(ev, config.grid)
-        starts, step0 = np.array([[theta, phi]]), 2 * math.pi / config.grid
+        starts, j0 = np.array(basis_vectors(theta, phi))[None], [j_grid]
+        iterations = _grid_rows(config.grid) * config.grid
     else:
-        starts = np.random.default_rng(config.seed).uniform(
-            -math.pi, math.pi, (config.restarts, d * d))
-        step0 = _GENERATOR_STEP
-    runs = _refine(ev, starts, step0, config)
-    best, j = None, -math.inf
-    for params, val, _ in runs:
-        if val > j + 1e-12:
-            best, j = params, val
-    j = float(j)
-    params = tuple(float(x) for x in best)
-    iterations = sum(evals for _, _, evals in runs)
-    if d == 2:
-        params = _canonical_qubit_angles(*params)
-        m = qubit_measurement(*params)
-        iterations += _grid_rows(config.grid) * config.grid
-        gap = j - j_grid
+        starts = _haar_bases(np.random.default_rng(config.seed), config.restarts, ev.dk)
+        j0 = ev.j_bases(starts)
+        iterations = config.restarts
+    bases, js, evals = _ascend(ev, starts, j0, config)
+    best = 0
+    for i in range(1, len(js)):
+        if js[i] > js[best] + 1e-12:
+            best = i
+    j = float(js[best])
+    if ev.dk == 2:
+        params, gap = _bloch_angles(bases[best]), j - j_grid
     else:
-        m = measurement_from_unitary(_unitaries(best[None], d)[0])
-        gap = None
+        params = gap = None
     discord = info - j
     if discord < 0.0:
         discord = 0.0
-    return OptimalMeasurementResult(m, j, float(discord), iterations, gap, params)
+    return OptimalMeasurementResult(ProjectiveMeasurement(bases[best]), j, float(discord),
+                                    iterations + int(evals.sum()), gap, params)

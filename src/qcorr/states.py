@@ -42,12 +42,18 @@ class DensityMatrix:
         return len(self.dims)
 
 
+def _dims(dims: Sequence[int]) -> tuple[int, ...]:
+    """`dims` as a tuple of ints, each an integer >= 2."""
+    dims = tuple(dims)
+    if not all(isinstance(d, numbers.Integral) and d >= 2 for d in dims):
+        raise DimensionMismatch(f"subsystem dimensions must be integers >= 2, got {dims}")
+    return tuple(int(d) for d in dims)
+
+
 def from_dense(matrix, dims: Sequence[int]) -> DensityMatrix:
     """Validate and wrap a dense matrix as a density matrix."""
-    dims = tuple(int(d) for d in dims)
-    if any(d < 2 for d in dims):
-        raise DimensionMismatch(f"subsystem dimensions must be >= 2, got {dims}")
-    total = int(np.prod(dims))
+    dims = _dims(dims)
+    total = math.prod(dims)
     m = linalg.as_matrix(matrix, total, total)
     if linalg.hermitian_defect(m) > linalg.HERMITICITY_TOL:
         raise NotHermitian(f"hermiticity defect {linalg.hermitian_defect(m):.3e}")
@@ -64,7 +70,7 @@ def from_dense(matrix, dims: Sequence[int]) -> DensityMatrix:
 
 def from_pure(amplitudes, dims: Sequence[int]) -> DensityMatrix:
     """Rank-1 projector |psi><psi| from a normalized amplitude vector."""
-    psi = np.asarray(amplitudes, dtype=np.complex128).ravel()
+    psi = linalg.as_array(amplitudes).ravel()
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-9:
         raise NotNormalized(f"amplitude norm is {norm!r}")
@@ -179,8 +185,8 @@ def named(family: str, **params) -> DensityMatrix:
 def random_density(dims: Sequence[int], rng: np.random.Generator,
                    rank: int | None = None) -> DensityMatrix:
     """Random full-rank (or rank-limited) state from a Ginibre ensemble."""
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
+    dims = _dims(dims)
+    total = math.prod(dims)
     rank = total if rank is None else rank
     g = rng.standard_normal((total, rank)) + 1j * rng.standard_normal((total, rank))
     m = g @ g.conj().T

@@ -75,7 +75,7 @@ class TestInfo:
         code, out, _ = run(capsys, ["info", paper_file, "--json"])
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema_version"] == "2"
+        assert doc["schema_version"] == "3"
         assert abs(doc["mutual_info"] - PAPER_I) < 1e-9
 
     def test_bell(self, capsys, tmp_path):
@@ -115,17 +115,29 @@ class TestDiscord:
         assert "theta" in doc["measurement"]
         assert doc["optimizer_config"]["grid"] == 128
 
-    def test_json_schema_two(self, capsys, paper_file):
+    def test_json_schema_three(self, capsys, paper_file):
         code, out, _ = run(capsys, ["discord", paper_file, "--json"])
         assert code == 0
         doc = json.loads(out)
         assert list(doc) == ["schema_version", "subsystem", "discord", "classical_hv",
                              "measurement", "oracle_gap", "iterations",
                              "optimizer_config"]
-        assert doc["schema_version"] == "2"
+        assert doc["schema_version"] == "3"
+        assert list(doc["measurement"]) == ["subsystem_dim", "projectors", "theta", "phi"]
         assert doc["optimizer_config"] == dataclasses.asdict(OptimizerConfig())
         assert list(doc["optimizer_config"]) == ["grid", "restarts", "max_refine_steps",
                                                  "seed"]
+
+    def test_qudit_measurement_has_no_angles(self, capsys, tmp_path):
+        rho = states.random_density((3, 2), np.random.default_rng(4))
+        path = write_state(tmp_path, {"kind": "dense", "dims": [3, 2],
+                                      "matrix": [[[x.real, x.imag] for x in row]
+                                                 for row in rho.matrix]})
+        code, out, _ = run(capsys, ["discord", path, "--restarts", "2", "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc["measurement"]) == ["subsystem_dim", "projectors"]
+        assert doc["oracle_gap"] is None
 
     def test_subsystem_b_bounds(self, capsys, paper_file):
         code, out, _ = run(capsys, ["discord", paper_file, "--subsystem", "1",
@@ -326,6 +338,7 @@ class TestInputErrors:
         (["overall", "{paper}", "--order", "0,x"], {}),
         (["sweep", "werner", "--start", "1", "--stop", "1.5", "--step", "0.25"], {}),
         (["sweep", "werner", "--start", "-0.5", "--stop", "1"], {}),
+        (["sweep", "werner", "--start", "1", "--stop", "0"], {}),
     ])
     def test_exit_code_two(self, capsys, paper_file, monkeypatch, argv, env):
         for name, value in env.items():
@@ -333,6 +346,12 @@ class TestInputErrors:
         code, _, err = run(capsys, [a.format(paper=paper_file) for a in argv])
         assert code == 2
         assert err.startswith("error: ")
+
+    def test_sweep_start_above_stop_prints_no_rows(self, capsys):
+        code, out, err = run(capsys, ["sweep", "werner", "--start", "1", "--stop", "0"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ParamOutOfRange: ")
 
 
 MALFORMED_NAMED = [

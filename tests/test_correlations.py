@@ -85,6 +85,12 @@ class TestSequentialMeasure:
         with pytest.raises(BadOrder):
             correlations.sequential_measure(paper_state, (0, 0))
 
+    @pytest.mark.parametrize("order", [[0, 1.5], [0.0, 1], ["0", 1]])
+    def test_order_must_be_integers(self, paper_state, order):
+        # [0, 1.5] used to run the order (0, 1)
+        with pytest.raises(BadOrder):
+            correlations.sequential_measure(paper_state, order)
+
     def test_order_discrepancy_diagnostic(self, rng, fast_config):
         # Q is order-defined; reversing the order stays close but is not
         # assumed identical (reported, not asserted, beyond a loose bound)
@@ -100,11 +106,10 @@ def dense_sequential(rho, order, config):
     One optimize_measurement and one apply_nonselective per step, and the
     outcome table by the Born rule from the product projectors.
     """
-    current, discords, params, chosen = rho, [], [], {}
+    current, discords, chosen = rho, [], {}
     for k in order:
         res = optimizer.optimize_measurement(current, k, config)
         discords.append(res.discord)
-        params.append(res.params)
         chosen[k] = res.measurement
         current = measurement.apply_nonselective(current, k, res.measurement)
     probs = np.empty(rho.dims)
@@ -113,7 +118,7 @@ def dense_sequential(rho, order, config):
             np.kron, [chosen[k].projectors[i] for k, i in enumerate(outcome)])
         probs[outcome] = np.trace(projector @ rho.matrix).real
     table = infotheory.probability_table(probs, rho.dims)
-    return discords, params, infotheory.classical_mutual_information(table), table
+    return discords, chosen, infotheory.classical_mutual_information(table), table
 
 
 def _oracle_fixtures():
@@ -146,9 +151,11 @@ class TestSequentialOracle:
                              ids=[f[0] for f in ORACLE_FIXTURES])
     def test_matches_dense_recipe(self, name, rho, order):
         config = OptimizerConfig(grid=32, restarts=4, max_refine_steps=60)
-        discords, params, c, table = dense_sequential(rho, order, config)
+        discords, chosen, c, table = dense_sequential(rho, order, config)
         seq = correlations.sequential_measure(rho, order, config)
-        assert seq.step_params == tuple(params)
+        # the two recipes sum J in different orders, so the ascents agree to rounding
+        for k, m in zip(order, seq.step_measurements):
+            assert np.abs(np.array(m.projectors) - chosen[k].projectors).max() <= 1e-12
         assert np.abs(np.array(seq.step_discords) - discords).max() <= 1e-9
         assert abs(seq.q_total - sum(discords)) <= 1e-9
         assert abs(seq.c_total - c) <= 1e-9

@@ -26,6 +26,29 @@ class TestShannon:
         with pytest.raises(NotADistribution):
             infotheory.shannon_entropy([0.5, 0.6])
 
+    @pytest.mark.parametrize("p", [[math.nan, 1], [math.inf, 1], [[0.5], [0.5, 0]],
+                                   ["a", 1], []],
+                             ids=["nan", "inf", "ragged", "not-a-number", "empty"])
+    def test_rejects_entries_that_are_not_probabilities(self, p):
+        # [nan, 1] used to give -0.0
+        with pytest.raises(NotADistribution):
+            infotheory.shannon_entropy(p)
+
+
+class TestProbabilityTable:
+    def test_holds_the_flat_table(self):
+        table = infotheory.probability_table([[0.25, 0.25], [0.5, 0]], (2, 2))
+        assert table.probs.tolist() == [0.25, 0.25, 0.5, 0.0]
+
+    @pytest.mark.parametrize("p, dims", [([[0.5], [0.5, 0]], (2, 2)), ([math.nan, 1], (2,)),
+                                         (["a", 1], (2,)), ([0.5, 0.5], (3,)),
+                                         ([0.5, 0.5], (2.5,))],
+                             ids=["ragged", "nan", "not-a-number", "wrong-size",
+                                  "non-integer-dims"])
+    def test_rejects_what_is_not_a_table(self, p, dims):
+        with pytest.raises(NotADistribution):
+            infotheory.probability_table(p, dims)
+
 
 class TestVonNeumann:
     def test_pure_state(self):

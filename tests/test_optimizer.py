@@ -6,7 +6,7 @@ import pytest
 from conftest import random_unitary
 from qcorr import (OptimizerConfig, correlations, infotheory, linalg,
                    measurement, optimizer, states)
-from qcorr.errors import DimensionMismatch, NotAQubit
+from qcorr.errors import DimensionMismatch, NotAQubit, ParamOutOfRange
 
 PAPER_DA = 0.6008760366928562
 
@@ -33,16 +33,33 @@ def reference_J(rho, k, m):
     return rest_entropy - cond
 
 
-def refine(rho, k, start, step0, config):
-    """The (params, J, evaluations) of one compass search from `start`."""
+def ascend(rho, k, starts, config):
+    """The (bases, J, evaluations) of the gradient ascent from a stack of bases."""
     ev = optimizer._JEvaluator(measurement.CQEnsemble.of(rho), k)
-    (result,) = optimizer._refine(ev, np.array([start], dtype=float), step0, config)
-    return result
+    starts = np.asarray(starts, dtype=complex)
+    return optimizer._ascend(ev, starts, ev.j_bases(starts), config)
 
 
-def unitary(params, d):
-    """exp(i H) for the generator H of one parameter vector."""
-    return optimizer._unitaries(np.asarray(params, dtype=float)[None], d)[0]
+def qubit_basis(theta, phi):
+    return np.array(measurement.basis_vectors(theta, phi))
+
+
+def skew_hermitian(d, rng):
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return h - h.conj().T
+
+
+def expm_series(a):
+    """exp(a) by a Taylor series after scaling and squaring; no eigendecomposition."""
+    squarings = max(0, int(np.ceil(np.log2(max(np.abs(a).sum(axis=1).max(), 1e-300)))) + 1)
+    a = a / 2 ** squarings
+    term, total = np.eye(len(a), dtype=complex), np.eye(len(a), dtype=complex)
+    for i in range(1, 20):
+        term = term @ a / i
+        total = total + term
+    for _ in range(squarings):
+        total = total @ total
+    return total
 
 
 def planted_cq_state(rng, dims, theta, phi):
@@ -100,13 +117,14 @@ class TestGridSearchQubit:
 
 
 class TestRefineLocal:
+    """The gradient ascent from one start (qubit bases built from Bloch angles)."""
+
     def test_converges_to_paper_b_angle(self, paper_state, fast_config):
         after = measurement.apply_nonselective(
             paper_state, 0, measurement.qubit_measurement(0.0, 0.0))
         t0, p0, _ = optimizer.grid_search_qubit(after, 1, 64)
-        params, j, _ = refine(after, 1, (t0, p0), 2 * math.pi / fast_config.grid,
-                              fast_config)
-        theta, phi = optimizer._canonical_qubit_angles(*params)
+        bases, _, _ = ascend(after, 1, [qubit_basis(t0, p0)], fast_config)
+        theta, phi = optimizer._bloch_angles(bases[0])
         # optimal basis is theta = 3 pi / 4 up to projector relabeling
         # (relabeled representative: theta = pi / 4, phi shifted by pi)
         dist = min(abs(theta - 3 * math.pi / 4), abs(theta - math.pi / 4))
@@ -116,49 +134,48 @@ class TestRefineLocal:
         rho = states.random_density((2, 2), rng)
         start = (1.0, 2.0)
         ev_start = measurement.induced_J(rho, 0, measurement.qubit_measurement(*start))
-        _, j, _ = refine(rho, 0, start, 2 * math.pi / fast_config.grid, fast_config)
-        assert j >= ev_start - 1e-12
+        _, j, _ = ascend(rho, 0, [qubit_basis(*start)], fast_config)
+        assert j[0] >= ev_start - 1e-12
 
     def test_constant_landscape_terminates(self, rng, fast_config):
         rho = states.tensor(states.random_density([2], rng),
                             states.random_density([2], rng))
-        params, j, evals = refine(rho, 0, (0.3, 0.3), 2 * math.pi / fast_config.grid,
-                                  fast_config)
-        assert abs(j) < 1e-8
+        _, j, evals = ascend(rho, 0, [qubit_basis(0.3, 0.3)], fast_config)
+        assert abs(j[0]) < 1e-8
+        # one round, then no trial gains: the search ends long before the cap
+        assert evals[0] == 1 + optimizer._LADDER.size
 
 
 class TestUnitaryFromGenerator:
+    """exp(t A) for the skew-Hermitian generators A of the ascent."""
+
     def test_zero_is_identity(self):
-        assert np.abs(unitary(np.zeros(9), 3) - np.eye(3)).max() < 1e-12
+        u = optimizer._rotations(np.zeros((1, 3, 3), dtype=complex), np.ones((1, 1)))
+        assert np.abs(u[0, 0] - np.eye(3)).max() < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_unitarity(self, d, rng):
-        u = unitary(rng.uniform(-math.pi, math.pi, d * d), d)
+        u = optimizer._rotations(skew_hermitian(d, rng)[None], np.array([[0.7]]))[0, 0]
         assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-10
 
     def test_off_diagonal_rotation(self):
-        params = np.zeros(4)
-        params[2] = math.pi / 2  # real off-diagonal entry of the generator
-        u = unitary(params, 2)
+        # real antisymmetric generator: a rotation by pi / 2 in the 0-1 plane
+        a = np.array([[0, -math.pi / 2], [math.pi / 2, 0]], dtype=complex)
+        u = optimizer._rotations(a[None], np.ones((1, 1)))[0, 0]
         assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-10
         assert abs(abs(np.linalg.det(u)) - 1) < 1e-10
         assert abs(u[1, 0]) > 0.9  # |0> maps to (close to) |1>
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_generator_layout(self, d, rng):
-        # d diagonal entries, then (re, im) per upper-triangle entry, row-major
-        params = rng.uniform(-math.pi, math.pi, d * d)
-        h = np.diag(params[:d]).astype(complex)
-        idx = d
-        for i in range(d):
-            for j in range(i + 1, d):
-                h[i, j] = params[idx] + 1j * params[idx + 1]
-                h[j, i] = np.conj(h[i, j])
-                idx += 2
-        w, v = np.linalg.eigh(h)
-        expected = (v * np.exp(1j * w)) @ v.conj().T
-        u = unitary(params, d)
-        assert np.abs(u - expected).max() < 1e-12
+        # entry (m, r) is exp(t[m, r] a[m]): one generator per row of steps
+        a = np.array([skew_hermitian(d, rng) for _ in range(3)])
+        t = rng.uniform(-2, 2, (3, 5))
+        u = optimizer._rotations(a, t)
+        assert u.shape == (3, 5, d, d)
+        for m in range(3):
+            for r in range(5):
+                assert np.abs(u[m, r] - expm_series(t[m, r] * a[m])).max() < 1e-10
 
 
 class TestOptimizeMeasurement:
@@ -228,9 +245,21 @@ class TestOptimizeMeasurement:
         rho = states.random_density((2, 2), rng)
         config = OptimizerConfig(grid=n)
         t0, p0, _ = optimizer.grid_search_qubit(rho, 0, n)
-        _, _, refine_evals = refine(rho, 0, (t0, p0), 2 * math.pi / n, config)
+        _, _, ascent_evals = ascend(rho, 0, [qubit_basis(t0, p0)], config)
         res = optimizer.optimize_measurement(rho, 0, config)
-        assert res.iterations == grid_evals + refine_evals
+        assert ascent_evals[0] > 0
+        assert res.iterations == grid_evals + ascent_evals[0]
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
+    def test_qubit_params_are_canonical_angles_of_the_basis(self, rng, dims):
+        for _ in range(5):
+            rho = states.random_density(dims, rng)
+            res = optimizer.optimize_measurement(rho, 0, OptimizerConfig(grid=16))
+            theta, phi = res.params
+            assert 0 <= theta <= math.pi and 0 <= phi < 2 * math.pi
+            expected = measurement.qubit_measurement(theta, phi).projectors
+            assert np.abs(np.array(res.measurement.projectors) - expected).max() < 1e-12
+            assert res.oracle_gap >= 0
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
     def test_pure_state_discord_is_marginal_entropy(self, rng, dims):
@@ -264,19 +293,20 @@ class TestQuditRestarts:
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("dims", [(3, 2), (3, 3), (4, 2)])
     def test_lockstep_matches_restarts_one_by_one(self, rng, dims, seed):
+        # the restarts ascend in lockstep, one batched call per round; each
+        # must take the path it takes alone
         rho = states.random_density(dims, rng)
-        d = dims[0]
         config = OptimizerConfig(restarts=4, seed=seed, max_refine_steps=40)
-        draws = np.random.default_rng(seed)
-        best, best_j, evals = None, -math.inf, 0
-        for _ in range(config.restarts):
-            start = draws.uniform(-math.pi, math.pi, d * d)
-            params, j, n = refine(rho, 0, start, optimizer._GENERATOR_STEP, config)
+        starts = optimizer._haar_bases(np.random.default_rng(seed), config.restarts, dims[0])
+        best, best_j, evals = None, -math.inf, config.restarts
+        for start in starts:
+            (basis,), (j,), (n,) = ascend(rho, 0, start[None], config)
             evals += n
             if j > best_j + 1e-12:
-                best, best_j = params, j
+                best, best_j = basis, j
         res = optimizer.optimize_measurement(rho, 0, config)
-        assert np.abs(np.array(res.params) - best).max() < 1e-12
+        assert res.params is None
+        assert np.abs(res.measurement.basis - best).max() < 1e-12
         assert abs(res.j_value - best_j) < 1e-12
         assert res.iterations == evals
         # the reference recipe is independent: projectors, one eigvalsh per outcome
@@ -292,6 +322,55 @@ class TestQuditRestarts:
         rho = states.from_dense(m, (3, 2))
         assert optimizer.optimize_measurement(rho, 0).discord <= 1e-6
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
+    def test_qubit_ascent_without_grid_reaches_grid_path(self, rng, dims):
+        # the qudit path on a qubit: seeded Haar starts, no grid
+        config = OptimizerConfig()
+        for _ in range(3):
+            rho = states.random_density(dims, rng)
+            starts = optimizer._haar_bases(np.random.default_rng(5), 8, 2)
+            _, j, _ = ascend(rho, 0, starts, config)
+            res = optimizer.optimize_measurement(rho, 0, config)
+            assert abs(j.max() - res.j_value) < 1e-9
+
+
+def gradient_cases():
+    rng = np.random.default_rng(99)
+    random = lambda dims: measurement.CQEnsemble.of(states.random_density(dims, rng))
+    leaves = random((2, 2, 3)).split(0, random_unitary(2, rng).T)
+    # the qutrit is supported on |0>, |1> only, so outcome |2> has probability 0
+    correlated = np.zeros((6, 6), dtype=complex)
+    correlated[:4, :4] = states.random_density((2, 2), rng).matrix
+    zero_outcome = np.eye(3, dtype=complex)
+    zero_outcome[:2, :2] = random_unitary(2, rng)
+    return [
+        ("2x2", random((2, 2)), 0, random_unitary(2, rng)),
+        ("3x2", random((3, 2)), 0, random_unitary(3, rng)),
+        ("3x2_rest", random((3, 2)), 1, random_unitary(2, rng)),
+        ("leaves", leaves, 2, random_unitary(3, rng)),
+        ("zero_probability_outcome",
+         measurement.CQEnsemble.of(states.from_dense(correlated, (3, 2))), 0, zero_outcome),
+    ]
+
+
+GRADIENT_CASES = gradient_cases()
+
+
+@pytest.mark.parametrize("name, ens, k, basis", GRADIENT_CASES,
+                         ids=[c[0] for c in GRADIENT_CASES])
+def test_gradient_matches_finite_differences(name, ens, k, basis):
+    ev = optimizer._JEvaluator(ens, k)
+    grad = ev.gradient(basis[None])[0]
+    rng = np.random.default_rng(3)
+    eps = 1e-5
+    for _ in range(4):
+        x = skew_hermitian(len(basis), rng)
+        along = lambda s: ev.j_bases((basis @ expm_series(s * x))[None])[0]
+        numeric = (along(eps) - along(-eps)) / (2 * eps)
+        # dJ = 2 Re Tr(G^dagger dV) with dV = V X
+        analytic = 2 * np.real(np.vdot(grad, basis @ x))
+        assert abs(analytic - numeric) < 1e-7
+
 
 ENTRY_POINTS = {
     "optimize_measurement": optimizer.optimize_measurement,
@@ -306,6 +385,12 @@ ENTRY_POINTS = {
 def test_subsystem_out_of_range(paper_state, entry, k):
     with pytest.raises(DimensionMismatch):
         ENTRY_POINTS[entry](paper_state, k)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+def test_grid_size_must_be_a_positive_integer(paper_state, n):
+    with pytest.raises(ParamOutOfRange):
+        optimizer.grid_search_qubit(paper_state, 0, n)
 
 
 @pytest.mark.parametrize("field, value", [

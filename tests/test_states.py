@@ -39,6 +39,15 @@ class TestFromDense:
         with pytest.raises(DimensionMismatch):
             states.from_dense(matrix, (2,))
 
+    @pytest.mark.parametrize("dims", [(2, 2.5), (2.0, 2), ("2", 2)])
+    def test_rejects_non_integer_dims(self, dims):
+        # (2, 2.5) used to be truncated to (2, 2)
+        with pytest.raises(DimensionMismatch):
+            states.from_dense(np.eye(4) / 4, dims)
+
+    def test_accepts_numpy_integer_dims(self):
+        assert states.from_dense(np.eye(4) / 4, np.array([2, 2])).dims == (2, 2)
+
 
 class TestFromPure:
     def test_ket00(self):
@@ -58,6 +67,12 @@ class TestFromPure:
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
             states.from_pure([1, 1], [2])
+
+    @pytest.mark.parametrize("amplitudes", [[[1, 0], [0]], ["a", 0], [math.nan, 1]],
+                             ids=["ragged", "not-a-number", "nan"])
+    def test_rejects_amplitudes_that_are_not_numbers(self, amplitudes):
+        with pytest.raises(DimensionMismatch):
+            states.from_pure(amplitudes, (2,))
 
 
 class TestNamed:
