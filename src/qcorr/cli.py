@@ -6,7 +6,8 @@ named) and a payload: `matrix` as nested [re, im] pairs (row-major),
 numbers are always [re, im] pairs.
 
 Werner convention: werner(p) = p |psi-><psi-| + (1-p) I/4.
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure or a closed standard output
+(e.g. `qcorr overall ... | head -3`), 2 input error.
 """
 from __future__ import annotations
 
@@ -29,8 +30,9 @@ SCHEMA_VERSION = "3"
 # ---------------------------------------------------------------- state files
 
 def _complex_from_pair(x, where: str) -> complex:
+    # JSON true and false load as bools, which are ints to isinstance
     if (not isinstance(x, (list, tuple)) or len(x) != 2
-            or not all(isinstance(v, (int, float)) for v in x)
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
             or not all(math.isfinite(v) for v in x)):
         raise ParseError(f"{where}: expected a finite [re, im] pair, got {x!r}")
     return complex(x[0], x[1])
@@ -394,10 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except QcorrError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

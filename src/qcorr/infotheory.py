@@ -56,16 +56,17 @@ def shannon_entropy(p) -> float:
     """H = -sum p log2 p with the 0 log 0 = 0 convention."""
     if isinstance(p, ProbabilityTable):
         p = p.probs
-    p = _distribution(p)
-    p = p[p > CLAMP]
-    return float(-(p * np.log2(p)).sum())
+    return entropy_of_spectrum(_distribution(p))
 
 
 def entropy_of_spectrum(w: np.ndarray) -> float:
-    """Shannon entropy of an eigenvalue spectrum, clamping negative dust."""
+    """Shannon entropy of an eigenvalue spectrum, clamping negative dust.
+
+    A pure spectrum gives +0.0: the sum is subtracted from 0.0, not negated.
+    """
     w = np.asarray(w, dtype=float)
     w = w[w > CLAMP]
-    return float(-(w * np.log2(w)).sum())
+    return 0.0 - float((w * np.log2(w)).sum())
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -1,6 +1,9 @@
-"""Dense complex matrix primitives for small Hilbert spaces (total dim <= ~64).
+"""Dense complex matrix primitives.
 
-Matrices are plain numpy arrays of complex128. All functions are pure.
+Matrices are plain numpy arrays of complex128. All functions are pure. A
+state is held as one dense D x D matrix, so D is bounded by memory (GHZ-10,
+D = 1024, is 16 MB), not by the J kernel: that works on the state's factor
+and takes each spectrum on the factor's smaller side.
 """
 from __future__ import annotations
 

@@ -6,6 +6,12 @@ the non-selective channel M(rho) = sum_a (I x |v_a><v_a| x I) rho (...),
 conditional post-measurement ensembles, the classical-quantum ensemble that a
 run measuring one subsystem after another carries, and the one kernel for the
 measurement-induced mutual information J on that ensemble and its gradient.
+
+The ensemble holds factors, not blocks: a leaf's block is W = F F^dagger
+with F of r columns (r the rank of the state), and an outcome block is
+Phi Phi^dagger with Phi = <v_a| F. Since Phi Phi^dagger and Phi^dagger Phi
+have the same nonzero spectrum, the kernel diagonalizes whichever is
+smaller: r x r when r < d_rest, the dense d_rest x d_rest blocks otherwise.
 """
 from __future__ import annotations
 
@@ -93,25 +99,16 @@ def _check_dims(rho: DensityMatrix, k: int, m: ProjectiveMeasurement):
             f"measurement dim {m.subsystem_dim} vs subsystem dim {rho.dims[k]}")
 
 
-def _measured_view(blocks: np.ndarray, dims, k: int) -> np.ndarray:
-    """Blocks (..., D, D) over `dims` as (..., d_k, d_rest, d_k, d_rest), k first."""
-    n = len(dims)
-    lead = blocks.shape[:-2]
-    b = len(lead)
-    perm = [k] + [i for i in range(n) if i != k]
-    t = blocks.reshape(lead + tuple(dims) * 2).transpose(
-        list(range(b)) + [b + p for p in perm] + [b + n + p for p in perm])
-    dk = dims[k]
-    dr = math.prod(dims) // dk
-    return t.reshape(lead + (dk, dr, dk, dr))
-
-
 def apply_nonselective(rho: DensityMatrix, k: int, m: ProjectiveMeasurement) -> DensityMatrix:
-    """Non-selective channel: sum_a P_a rho P_a with P_a = |v_a><v_a| on subsystem k."""
+    """Non-selective channel: sum_a P_a rho P_a with P_a = |v_a><v_a| on subsystem k.
+
+    That is sum_a |v_a><v_a| x W_a, with W_a the leaf blocks of the ensemble
+    split by the measurement.
+    """
     _check_dims(rho, k, m)
-    v = m.basis
-    out = np.einsum('ix,ia,abcd,ic,iy->xbyd', v, v.conj(),
-                    _measured_view(rho.matrix, rho.dims, k), v, v.conj())
+    ens = CQEnsemble.of(rho).split(k, m.basis)
+    v = m.basis[ens.outcomes[:, 0]]
+    out = np.einsum('ax,abd,ay->xbyd', v, ens.blocks, v.conj())
     # back from (d_k, rest..., d_k, rest...) to the tensor order of rho
     n = rho.n_subsystems
     perm = [k] + [i for i in range(n) if i != k]
@@ -147,20 +144,22 @@ class CQEnsemble:
     """The state sum_i |i><i| x W_i of a run that measures subsystems in turn.
 
     Leaf i holds its outcome indices on the subsystems measured so far
-    (`outcomes[i]`, in the order of `measured`) and its weighted block
-    W_i = p_i rho_i on the unmeasured subsystems, which keep increasing
-    subsystem order; `probs[i]` = p_i = Tr W_i. A state before any
-    measurement is the single leaf {1, rho}.
+    (`outcomes[i]`, in the order of `measured`) and a factor F_i of its
+    weighted block W_i = F_i F_i^dagger = p_i rho_i on the unmeasured
+    subsystems, which keep increasing subsystem order; `probs[i]` = p_i =
+    Tr W_i. Every leaf's factor has the r columns of the state's factor,
+    since a split maps F_i to <v_a| F_i. A state before any measurement is
+    the single leaf {1, rho}.
     """
     dims: tuple[int, ...]
     measured: tuple[int, ...]
     outcomes: np.ndarray  # (L, len(measured)) outcome indices
-    blocks: np.ndarray    # (L, d_u, d_u) weighted blocks W_i
+    factors: np.ndarray   # (L, d_u, r) leaf factors F_i
     probs: np.ndarray     # (L,) leaf probabilities p_i
 
     @classmethod
     def of(cls, rho: DensityMatrix) -> CQEnsemble:
-        ens = cls(rho.dims, (), np.zeros((1, 0), dtype=int), rho.matrix[None],
+        ens = cls(rho.dims, (), np.zeros((1, 0), dtype=int), rho.factor[None],
                   np.ones(1))
         # from_dense has diagonalized rho already
         ens.__dict__["joint_entropy"] = von_neumann_entropy(rho)
@@ -170,28 +169,35 @@ class CQEnsemble:
     def unmeasured(self) -> tuple[int, ...]:
         return tuple(j for j in range(len(self.dims)) if j not in self.measured)
 
-    def view(self, k: int) -> np.ndarray:
-        """The weighted blocks as (L, d_k, d_rest, d_k, d_rest), subsystem k first."""
+    @property
+    def blocks(self) -> np.ndarray:
+        """The weighted blocks W_i = F_i F_i^dagger, as (L, d_u, d_u)."""
+        return self.factors @ self.factors.conj().swapaxes(-1, -2)
+
+    def factor_view(self, k: int) -> np.ndarray:
+        """The leaf factors as (L, d_k, d_rest, r), the rows of subsystem k first."""
         u = self.unmeasured
         if k not in u:
             raise DimensionMismatch(f"subsystem {k} is not one of the unmeasured {u}")
-        return _measured_view(self.blocks, [self.dims[j] for j in u], u.index(k))
+        n_leaves, _, r = self.factors.shape
+        f = self.factors.reshape((n_leaves, *(self.dims[j] for j in u), r))
+        return np.moveaxis(f, 1 + u.index(k), 1).reshape(n_leaves, self.dims[k], -1, r)
 
     def split(self, k: int, basis: np.ndarray) -> CQEnsemble:
         """The ensemble after measuring subsystem k in `basis` (vectors as rows).
 
-        Leaf i and outcome a make the leaf <v_a| W_i |v_a>_k; leaves of
+        Leaf i and outcome a make the leaf of factor <v_a| F_i; leaves of
         probability <= 1e-12 are dropped.
         """
-        blocks = np.einsum('ia,labcd,ic->libd', basis.conj(), self.view(k), basis)
-        n_leaves, dk, dr = blocks.shape[:3]
-        blocks = blocks.reshape(n_leaves * dk, dr, dr)
-        probs = np.trace(blocks, axis1=1, axis2=2).real
+        factors = np.einsum('ia,labr->libr', basis.conj(), self.factor_view(k))
+        n_leaves, dk, dr, r = factors.shape
+        factors = factors.reshape(n_leaves * dk, dr, r)
+        probs = (factors.real ** 2 + factors.imag ** 2).sum(axis=(1, 2))
         outcomes = np.column_stack([np.repeat(self.outcomes, dk, axis=0),
                                     np.tile(np.arange(dk), n_leaves)])
         keep = probs > ZERO_PROB
         return CQEnsemble(self.dims, self.measured + (k,), outcomes[keep],
-                          blocks[keep], probs[keep])
+                          factors[keep], probs[keep])
 
     def outcome_table(self) -> np.ndarray:
         """Leaf probabilities by outcome, measured subsystems in increasing order.
@@ -204,24 +210,32 @@ class CQEnsemble:
 
     @functools.cached_property
     def marginal_entropies(self) -> tuple[float, ...]:
-        """S(rho_j) of every subsystem; a measured one's from the leaf table."""
-        u = self.unmeasured
-        u_dims = [self.dims[j] for j in u]
-        total = self.blocks.sum(axis=0)
+        """S(rho_j) of every subsystem; a measured one's from the leaf table.
+
+        An unmeasured subsystem's reduced state is sum_i Tr_rest W_i, taken
+        from the factors with subsystem j's rows first.
+        """
         out = []
         for j, d in enumerate(self.dims):
             if j in self.measured:
                 column = self.outcomes[:, self.measured.index(j)]
                 out.append(entropy_of_spectrum(np.bincount(column, self.probs, d)))
             else:
-                marginal = linalg.partial_trace(total, u_dims, [u.index(j)])
+                f = self.factor_view(j)
+                marginal = np.einsum('labr,lcbr->ac', f, f.conj())
                 out.append(entropy_of_spectrum(np.linalg.eigvalsh(marginal)))
         return tuple(out)
 
     @functools.cached_property
     def joint_entropy(self) -> float:
-        """H(p) + sum_i p_i S(rho_i): the entropy of the spectra of all W_i together."""
-        return entropy_of_spectrum(np.linalg.eigvalsh(self.blocks).ravel())
+        """H(p) + sum_i p_i S(rho_i): the entropy of the spectra of all W_i together.
+
+        The nonzero spectrum of W_i = F_i F_i^dagger is that of F_i^dagger F_i,
+        so it is taken on the smaller side of the factors.
+        """
+        f, f_dag = self.factors, self.factors.conj().swapaxes(-1, -2)
+        gram = f_dag @ f if f.shape[2] < f.shape[1] else f @ f_dag
+        return entropy_of_spectrum(np.linalg.eigvalsh(gram).ravel())
 
     def mutual_information(self) -> float:
         """sum_j S(rho_j) - H(p) - sum_i p_i S(rho_i)."""
@@ -265,21 +279,38 @@ def _conditional_entropy(blocks: np.ndarray) -> np.ndarray:
 class _JEvaluator:
     """J for measurements on one unmeasured subsystem k of a cq ensemble.
 
-    `view` holds the leaves' weighted blocks as (L, d_k, d_rest, d_k, d_rest),
-    where d_rest counts only the unmeasured subsystems other than k. A state
-    nobody has measured is L = 1.
+    `view` is linear in the outcome vector's outer product: the outcome block
+    of leaf i and vector v is sum_{a,c} conj(v_a) view[i, a, :, c, :] v_c.
+    With the leaf factors split by the rows of subsystem k into F_a
+    (d_rest x r), where d_rest counts only the unmeasured subsystems other
+    than k, it is one of two views of the same spectra:
+
+    - dense, (L, d_k, d_rest, d_k, d_rest): view[a, :, c, :] = F_a F_c^dagger,
+      so the block is <v| W_i |v>;
+    - Gram, (L, d_k, r, d_k, r): view[a, :, c, :] = F_c^dagger F_a, so the
+      block is Phi^dagger Phi for Phi = <v| F_i, whose nonzero spectrum is
+      that of the dense block Phi Phi^dagger.
+
+    The Gram view is taken when r < d_rest, the dense one otherwise. J, its
+    gradient and the qubit grid read either alike. A state nobody has
+    measured is L = 1.
     """
 
     def __init__(self, ens: CQEnsemble, k: int):
-        self.view = ens.view(k)
+        f = ens.factor_view(k)
+        if f.shape[3] < f.shape[2]:
+            self.view = np.einsum('lcbx,laby->laxcy', f.conj(), f)
+        else:
+            self.view = np.einsum('laxr,lcyr->laxcy', f, f.conj())
         self.dk = ens.dims[k]
         self.rest_entropy = sum(s for j, s in enumerate(ens.marginal_entropies)
                                 if j != k)
 
     def _blocks(self, bases: np.ndarray) -> np.ndarray:
-        """Outcome blocks <v_a| W_i |v_a> of every basis, as (d_k, n, L, d_rest, d_rest).
+        """Outcome blocks of every basis and leaf, as (d_k, n, L, b, b).
 
         `bases` is a stack (n, d_k, d_k) with vectors as rows; one einsum.
+        b is d_rest in the dense view and r in the Gram view.
         """
         return np.einsum('nia,labcd,nic->inlbd', bases.conj(), self.view, bases)
 
@@ -291,7 +322,8 @@ class _JEvaluator:
         """dJ/d conj(bases) for every basis of the stack, in its layout.
 
         Row a is sum_i Tr_rest[log2(B_ai / q_a) W_i] v_a, with B_ai the
-        outcome block of leaf i and q_a = sum_i Tr B_ai; the 1/ln 2 terms of
+        outcome block of leaf i and q_a = sum_i Tr B_ai; in the Gram view
+        the trace and W_i are taken on its r x r blocks. The 1/ln 2 terms of
         the entropy derivatives cancel. Outcomes with q_a <= 1e-12 contribute
         0, and eigenvalues of B_ai / q_a are clamped at 1e-12.
         """

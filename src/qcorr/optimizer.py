@@ -8,7 +8,11 @@ seeded Haar-random bases. The starts ascend in lockstep, so each round is
 one batched gradient and one batched J evaluation of its line search.
 J is evaluated on a classical-quantum ensemble of leaves (a state that no
 step has measured yet is a single leaf), so later steps of a sequential run
-diagonalize per-leaf blocks, not the dense state.
+diagonalize per-leaf blocks, not the dense state. Each leaf carries a factor
+of r columns, and the kernel's view of it is the smaller of the r x r Gram
+blocks and the dense d_rest x d_rest blocks (see measurement._JEvaluator);
+the grid and the ascent read either view alike, so every step of a rank-r
+state diagonalizes blocks of at most r x r, whatever its dimension.
 """
 from __future__ import annotations
 

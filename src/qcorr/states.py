@@ -17,6 +17,7 @@ from .errors import (DimensionMismatch, NotHermitian, NotNormalized, NotPSD,
 
 TRACE_TOL = 1e-9
 EIG_TOL = 1e-9
+FACTOR_CUTOFF = 1e-14  # eigenvalues at or below this are left out of the factor
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,11 +28,14 @@ class DensityMatrix:
     within 1e-9, smallest eigenvalue >= -1e-9. Eigenvalues in [-1e-9, 0)
     are harmless numerical dust and are clamped to 0 by entropy code.
     `spectrum` holds the ascending eigenvalues from_dense computed to check
-    the last invariant, so the state is diagonalized once.
+    the last invariant, and `factor` the D x r matrix F = U sqrt(w) of the
+    r eigenpairs (w, U) with w > 1e-14, so matrix = F F^dagger up to that
+    dust. The state is diagonalized once.
     """
     dims: tuple[int, ...]
     matrix: np.ndarray = field(repr=False)
     spectrum: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -61,11 +65,13 @@ def from_dense(matrix, dims: Sequence[int]) -> DensityMatrix:
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace is {tr!r}")
-    w = np.linalg.eigvalsh(m)
+    w, u = np.linalg.eigh(m)
     if w[0] < -EIG_TOL:
         raise NotPSD(f"smallest eigenvalue {w[0]:.3e}")
-    w.flags.writeable = False
-    return DensityMatrix(dims, m, w)
+    kept = w > FACTOR_CUTOFF
+    factor = u[:, kept] * np.sqrt(w[kept])
+    w.flags.writeable = factor.flags.writeable = False
+    return DensityMatrix(dims, m, w, factor)
 
 
 def from_pure(amplitudes, dims: Sequence[int]) -> DensityMatrix:

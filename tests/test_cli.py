@@ -61,6 +61,11 @@ class TestStateFiles:
         {"kind": "mystery", "dims": [2]},
         {"kind": "named", "family": 3},
         "not an object",
+        # JSON booleans are not numbers, though bool is an int to isinstance
+        {"kind": "pure", "dims": [2, 2],
+         "amplitudes": [[True, 0], [0, 0], [0, False], [0, 0]]},
+        {"kind": "dense", "dims": [2],
+         "matrix": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]},
     ])
     def test_parse_errors(self, tmp_path, doc):
         with pytest.raises(cli.ParseError):
@@ -91,6 +96,35 @@ class TestInfo:
         code, out, _ = run(capsys, ["info", path, "--json"])
         assert code == 0
         assert abs(json.loads(out)["mutual_info"]) < 1e-9
+
+    @pytest.mark.parametrize("bloch", [[[0, 0, 1], [0, 0, -1]], [[0, 0, 1], [1, 0, 0]]],
+                             ids=["01", "0+"])
+    def test_pure_product_entropies_are_not_negative_zero(self, capsys, tmp_path, bloch):
+        # they printed as -0 and were written as -0.0
+        path = write_state(tmp_path, {"kind": "named", "family": "product",
+                                      "params": {"bloch": bloch}})
+        code, out, _ = run(capsys, ["info", path])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[3] == "S(rho)   = 0"
+        assert not any(line.endswith("= -0") for line in lines)
+        if bloch[1] == [0, 0, -1]:  # |01><01| is diagonal, so its marginals are exact
+            assert lines[1:3] == ["S(rho_0) = 0", "S(rho_1) = 0"]
+        code, out, _ = run(capsys, ["info", path, "--json"])
+        assert code == 0
+        assert "-0.0" not in out
+        doc = json.loads(out)
+        assert doc["joint_entropy"] == 0.0
+        for s in doc["marginal_entropies"] + [doc["joint_entropy"]]:
+            assert 0.0 <= s < 1e-15 and math.copysign(1.0, s) == 1.0
+
+    def test_boolean_amplitudes_exit_two(self, capsys, tmp_path):
+        path = write_state(tmp_path, {"kind": "pure", "dims": [2, 2],
+                                      "amplitudes": [[True, 0], [0, 0], [0, False], [0, 0]]})
+        code, out, err = run(capsys, ["info", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ParseError")
 
     def test_invalid_state_exit_code(self, capsys, tmp_path):
         path = write_state(tmp_path, {"kind": "dense", "dims": [2],
@@ -390,17 +424,30 @@ def test_malformed_dense_state_is_an_input_error(capsys, tmp_path, matrix):
 class TestProcessExitCodes:
     """The exit-code contract of `python -m qcorr.cli`, seen from outside."""
 
-    def run_module(self, *argv):
+    def run_module(self, *argv, stdout=subprocess.PIPE):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, "-m", "qcorr.cli", *argv],
-                              capture_output=True, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": path})
+                              stdout=stdout, stderr=subprocess.PIPE, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": path})
 
     def test_info_exits_zero(self, paper_file):
         proc = self.run_module("info", paper_file)
         assert proc.returncode == 0
         assert proc.stdout.startswith("dims: [2, 2]")
+        assert proc.stderr == ""
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # as in `qcorr overall STATE.json | head -3` once head has exited
+        path = write_state(tmp_path, {"kind": "named", "family": "ghz",
+                                      "params": {"n": 3}})
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.run_module("overall", path, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
         assert proc.stderr == ""
 
     def test_malformed_named_state_exits_two(self, tmp_path):

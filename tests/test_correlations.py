@@ -138,6 +138,8 @@ def _oracle_fixtures():
         ("2x3x2_rank2", states.random_density((2, 3, 2), rng, rank=2), (2, 1, 0)),
         ("classical_diag", states.from_dense(np.diag([0.5, 0, 0, 0.5]), (2, 2)), (0, 1)),
         ("pure_product", pure_product, (0, 1, 2)),
+        ("rank2_5", states.random_density((2,) * 5, rng, rank=2), (0, 1, 2, 3, 4)),
+        ("rank3_2x2x3_reversed", states.random_density((2, 2, 3), rng, rank=3), (2, 1, 0)),
     ]
 
 
@@ -180,9 +182,9 @@ def count_diagonalizations(monkeypatch, dim) -> dict:
     return seen
 
 
-@pytest.mark.parametrize("rho", [states.named("ghz", n=5),
+@pytest.mark.parametrize("rho", [states.named("ghz", n=5), states.named("ghz", n=8),
                                  states.random_density((2, 2, 2), np.random.default_rng(8))],
-                         ids=["ghz_5", "random_3"])
+                         ids=["ghz_5", "ghz_8", "random_3"])
 @pytest.mark.parametrize("run", [
     correlations.full_report,
     lambda rho, config: correlations.sequential_measure(rho, range(rho.n_subsystems),
@@ -194,6 +196,120 @@ def test_state_is_diagonalized_once(monkeypatch, rho, run):
     run(rho, OptimizerConfig(grid=16))
     assert seen["full"] <= 1
     assert seen["projectors"] == 0
+
+
+def born_entropy(m) -> float:
+    w = np.linalg.eigvalsh(m)
+    w = w[w > 1e-12]
+    return float(-(w * np.log2(w)).sum())
+
+
+def subsystem_first(m, dims, k):
+    """A D x D matrix as (d_k, d_k, rest, rest), subsystem k's indices first."""
+    n = len(dims)
+    t = np.moveaxis(m.reshape(tuple(dims) * 2), (k, n + k), (0, 1))
+    rest = m.shape[0] // dims[k]
+    return t.reshape(dims[k], dims[k], rest, rest)
+
+
+def born_info(m, dims) -> float:
+    """Mutual information of the dense state m: its marginals by partial trace."""
+    marginals = (np.trace(subsystem_first(m, dims, j), axis1=2, axis2=3)
+                 for j in range(len(dims)))
+    return sum(born_entropy(r) for r in marginals) - born_entropy(m)
+
+
+def born_step(m, dims, k, basis):
+    """J of measuring subsystem k of the dense state m in `basis` (vectors as rows),
+    and the non-selective channel output, in plain numpy.
+
+    J = sum_{j != k} S(rho_j) - sum_a p_a S(rho_rest|a), with the conditional
+    states <v_a| m |v_a> / p_a by the Born rule, each diagonalized by eigvalsh.
+    """
+    n = len(dims)
+    rest_entropy = sum(born_entropy(np.trace(subsystem_first(m, dims, j), axis1=2, axis2=3))
+                       for j in range(n) if j != k)
+    t = subsystem_first(m, dims, k)
+    cond, out = 0.0, np.zeros_like(t)
+    for v in basis:
+        block = np.einsum('x,xyrs,y->rs', v.conj(), t, v)
+        p = np.trace(block).real
+        if p > 1e-12:
+            cond += p * born_entropy(block / p)
+        out += np.einsum('x,y,rs->xyrs', v, v.conj(), block)
+    # back from (d_k, d_k, rest, rest) to the layout of m
+    rest_dims = [d for j, d in enumerate(dims) if j != k]
+    out = out.reshape([dims[k], dims[k]] + rest_dims * 2)
+    out = np.moveaxis(out, (0, 1), (k, n + k)).reshape(m.shape)
+    return rest_entropy - cond, out
+
+
+LOW_RANK_RUNS = [
+    ("ghz_7", states.named("ghz", n=7)),
+    ("ghz_8", states.named("ghz", n=8)),
+    ("rank2_6", states.random_density((2,) * 6, np.random.default_rng(61), rank=2)),
+    ("rank2_2x3x2", states.random_density((2, 3, 2), np.random.default_rng(62), rank=2)),
+]
+
+
+class TestLowRankOracle:
+    """Each step of a low-rank run against J by the Born rule on the dense state."""
+
+    @pytest.mark.parametrize("name, rho", LOW_RANK_RUNS, ids=[r[0] for r in LOW_RANK_RUNS])
+    def test_every_step_matches_the_born_rule(self, name, rho):
+        seq = correlations.sequential_measure(rho, range(rho.n_subsystems))
+        m, dims = rho.matrix, list(rho.dims)
+        assert abs(seq.mutual_info - born_info(m, dims)) < 1e-12
+        for k, step in zip(seq.order, seq.steps):
+            j, after = born_step(m, dims, k, step.measurement.basis)
+            assert abs(step.j_value - j) < 1e-12
+            assert abs(step.discord - max(born_info(m, dims) - j, 0.0)) < 1e-12
+            m = after
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_ghz_closed_forms(self, n):
+        seq = correlations.sequential_measure(states.named("ghz", n=n), range(n))
+        assert abs(seq.step_discords[0] - 1) < 1e-9
+        assert np.abs(seq.step_discords[1:]).max() < 1e-9
+        assert abs(seq.q_total - 1) < 1e-9
+        assert abs(seq.c_total - (n - 1)) < 1e-9
+
+
+def with_dust(rho, rng):
+    """rho with its zero eigenvalues moved into [-1e-9, 1e-14], trace within 1e-9."""
+    w, u = np.linalg.eigh(rho.matrix)
+    null = u[:, w < 1e-14]
+    dust = np.concatenate([[-8e-10, 1e-14],
+                           rng.uniform(-2e-12, 1e-14, null.shape[1] - 2)])
+    return states.from_dense(rho.matrix + (null * dust) @ null.conj().T, rho.dims)
+
+
+DUSTY_STATES = [
+    ("ghz_5", states.named("ghz", n=5)),
+    ("rank2_5", states.random_density((2,) * 5, np.random.default_rng(71), rank=2)),
+    ("rank2_2x3x2", states.random_density((2, 3, 2), np.random.default_rng(72), rank=2)),
+    ("rank3_3x2", states.random_density((3, 2), np.random.default_rng(73), rank=3)),
+]
+
+
+@pytest.mark.parametrize("name, clean", DUSTY_STATES, ids=[d[0] for d in DUSTY_STATES])
+def test_eigenvalue_dust_moves_nothing(name, clean):
+    rng = np.random.default_rng(9)
+    dusty = with_dust(clean, rng)
+    assert dusty.spectrum[0] < -7e-10
+    config = OptimizerConfig(grid=32, restarts=4)
+    order = range(clean.n_subsystems)
+    for k in order:
+        m = measurement.ProjectiveMeasurement(
+            optimizer._haar_bases(rng, 1, clean.dims[k])[0])
+        assert abs(measurement.induced_J(dusty, k, m)
+                   - measurement.induced_J(clean, k, m)) <= 1e-9
+    seq, ref = (correlations.sequential_measure(rho, order, config) for rho in (dusty, clean))
+    assert np.abs(np.array([s.j_value for s in seq.steps])
+                  - [s.j_value for s in ref.steps]).max() <= 1e-9
+    assert np.abs(np.array(seq.step_discords) - ref.step_discords).max() <= 1e-9
+    assert abs(seq.q_total - ref.q_total) <= 1e-9
+    assert abs(seq.c_total - ref.c_total) <= 1e-9
 
 
 class TestOverall:

@@ -18,6 +18,16 @@ class TestShannon:
     def test_deterministic(self):
         assert infotheory.shannon_entropy([1.0, 0.0]) == 0.0
 
+    @pytest.mark.parametrize("entropy, w", [
+        (infotheory.shannon_entropy, [1.0, 0.0]),
+        (infotheory.entropy_of_spectrum, [0.0, 1.0]),
+        (infotheory.entropy_of_spectrum, [-1e-12, 1.0]),
+        (infotheory.entropy_of_spectrum, []),
+    ])
+    def test_pure_is_positive_zero(self, entropy, w):
+        # negating the empty or all-zero sum gave -0.0
+        assert math.copysign(1.0, entropy(w)) == 1.0
+
     def test_paper_spectrum(self):
         p = [(2 + SQRT2) / 4, (2 - SQRT2) / 4]
         assert abs(infotheory.shannon_entropy(p) - PAPER_MARGINAL_ENTROPY) < 1e-12

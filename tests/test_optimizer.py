@@ -334,6 +334,70 @@ class TestQuditRestarts:
             assert abs(j.max() - res.j_value) < 1e-9
 
 
+def dense_evaluator(rho, k):
+    """A _JEvaluator on subsystem k of rho that reads the dense view.
+
+    The view is rho's matrix with subsystem k first, built from the matrix
+    rather than the factor.
+    """
+    ev = optimizer._JEvaluator(measurement.CQEnsemble.of(rho), k)
+    n = rho.n_subsystems
+    perm = [k] + [j for j in range(n) if j != k]
+    t = rho.matrix.reshape(rho.dims * 2).transpose(perm + [n + j for j in perm])
+    dk = rho.dims[k]
+    ev.view = t.reshape(1, dk, rho.dim // dk, dk, rho.dim // dk)
+    return ev
+
+
+def _low_rank_states():
+    rng = np.random.default_rng(2026)
+    return [
+        ("ghz_5", states.named("ghz", n=5), 0),
+        ("rank2_6", states.random_density((2,) * 6, rng, rank=2), 2),
+        ("rank2_2x3x2", states.random_density((2, 3, 2), rng, rank=2), 1),
+        ("pure_3x2", states.random_density((3, 2), rng, rank=1), 0),
+        ("rank3_2x2x2", states.random_density((2, 2, 2), rng, rank=3), 0),
+    ]
+
+
+LOW_RANK_STATES = _low_rank_states()
+
+
+class TestGramView:
+    """Below d_rest columns the kernel reads F_c^dagger F_a, not the dense blocks."""
+
+    @pytest.mark.parametrize("dims, rank, k, shape", [
+        ((2, 2, 2, 2, 2), 1, 0, (1, 2, 1, 2, 1)),
+        ((2, 2, 2), 2, 1, (1, 2, 2, 2, 2)),
+        ((2, 2, 2), 3, 1, (1, 2, 3, 2, 3)),
+        ((2, 2, 2), 4, 1, (1, 2, 4, 2, 4)),
+        ((2, 2, 2), 8, 2, (1, 2, 4, 2, 4)),
+        ((3, 2), 2, 0, (1, 3, 2, 3, 2)),
+        ((3, 2), 1, 0, (1, 3, 1, 3, 1)),
+    ])
+    def test_view_follows_the_smaller_side(self, rng, dims, rank, k, shape):
+        rho = states.random_density(dims, rng, rank=rank)
+        assert optimizer._JEvaluator(measurement.CQEnsemble.of(rho), k).view.shape == shape
+
+    @pytest.mark.parametrize("name, rho, k", LOW_RANK_STATES,
+                             ids=[c[0] for c in LOW_RANK_STATES])
+    def test_gram_and_dense_views_agree(self, name, rho, k):
+        ev = optimizer._JEvaluator(measurement.CQEnsemble.of(rho), k)
+        dense = dense_evaluator(rho, k)
+        assert ev.view.shape[2] < dense.view.shape[2]
+        bases = optimizer._haar_bases(np.random.default_rng(4), 16, rho.dims[k])
+        assert np.abs(ev.j_bases(bases) - dense.j_bases(bases)).max() < 1e-12
+        assert np.abs(ev.gradient(bases) - dense.gradient(bases)).max() < 1e-10
+        for basis in bases[:3]:
+            m = measurement.ProjectiveMeasurement(basis)
+            assert abs(ev.j_bases(basis[None])[0] - reference_J(rho, k, m)) < 1e-12
+        if rho.dims[k] == 2:
+            theta, phi, j = optimizer._grid_search(ev, 32)
+            theta_d, phi_d, j_d = optimizer._grid_search(dense, 32)
+            assert (theta, phi) == (theta_d, phi_d)
+            assert abs(j - j_d) < 1e-12
+
+
 def gradient_cases():
     rng = np.random.default_rng(99)
     random = lambda dims: measurement.CQEnsemble.of(states.random_density(dims, rng))
@@ -343,6 +407,8 @@ def gradient_cases():
     correlated[:4, :4] = states.random_density((2, 2), rng).matrix
     zero_outcome = np.eye(3, dtype=complex)
     zero_outcome[:2, :2] = random_unitary(2, rng)
+    rank1 = lambda dims: measurement.CQEnsemble.of(states.random_density(dims, rng, rank=1))
+    rank2 = lambda dims: measurement.CQEnsemble.of(states.random_density(dims, rng, rank=2))
     return [
         ("2x2", random((2, 2)), 0, random_unitary(2, rng)),
         ("3x2", random((3, 2)), 0, random_unitary(3, rng)),
@@ -350,6 +416,11 @@ def gradient_cases():
         ("leaves", leaves, 2, random_unitary(3, rng)),
         ("zero_probability_outcome",
          measurement.CQEnsemble.of(states.from_dense(correlated, (3, 2))), 0, zero_outcome),
+        # Gram views: fewer factor columns than d_rest
+        ("gram_pure_3x2", rank1((3, 2)), 0, random_unitary(3, rng)),
+        ("gram_rank2_2x2x3", rank2((2, 2, 3)), 2, random_unitary(3, rng)),
+        ("gram_leaves", rank1((2, 2, 3)).split(0, random_unitary(2, rng).T), 2,
+         random_unitary(3, rng)),
     ]
 
 
