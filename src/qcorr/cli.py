@@ -22,7 +22,8 @@ import sys
 import numpy as np
 
 from . import correlations, infotheory, linalg, measurement, optimizer, states
-from .errors import BadOrder, ParamOutOfRange, ParseError, QcorrError
+from .errors import (BadOrder, ParamOutOfRange, ParseError, QcorrError,
+                     SinglePartyState)
 
 SCHEMA_VERSION = "3"
 
@@ -149,9 +150,15 @@ def _make_config(args) -> optimizer.OptimizerConfig:
 
 def cmd_info(args) -> int:
     rho = load_state(args.statefile)
-    ens = measurement.CQEnsemble.of(rho)
-    marginals, joint = list(ens.marginal_entropies), ens.joint_entropy
-    info = ens.mutual_information()
+    if rho.n_subsystems < 2:
+        raise SinglePartyState("mutual information needs at least 2 subsystems")
+    # from rho's matrix and its partial traces, so that a pure product
+    # state's entropies read exactly 0
+    marginals = [infotheory.entropy_of_spectrum(np.linalg.eigvalsh(
+                     linalg.partial_trace(rho.matrix, rho.dims, [k])))
+                 for k in range(rho.n_subsystems)]
+    joint = infotheory.von_neumann_entropy(rho)
+    info = sum(marginals) - joint
     doc = {"dims": list(rho.dims), "marginal_entropies": marginals,
            "joint_entropy": joint, "mutual_info": info}
     lines = [f"dims: {list(rho.dims)}",

@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .errors import (AngleOutOfRange, DimensionMismatch, NotUnitary,
                      SinglePartyState)
-from .infotheory import entropy_of_spectrum, von_neumann_entropy
+from .infotheory import entropy_of_spectrum
 from .states import DensityMatrix, from_dense
 
 UNITARY_TOL = 1e-8
@@ -149,7 +149,10 @@ class CQEnsemble:
     subsystems, which keep increasing subsystem order; `probs[i]` = p_i =
     Tr W_i. Every leaf's factor has the r columns of the state's factor,
     since a split maps F_i to <v_a| F_i. A state before any measurement is
-    the single leaf {1, rho}.
+    the single leaf {1, rho}, with rho's factor: its eigenvalue dust is
+    dropped and the rest rescaled to unit trace, so every entropy of the
+    ensemble and the leaf probabilities (which add up to 1) are those of
+    that dust-free state.
     """
     dims: tuple[int, ...]
     measured: tuple[int, ...]
@@ -161,8 +164,10 @@ class CQEnsemble:
     def of(cls, rho: DensityMatrix) -> CQEnsemble:
         ens = cls(rho.dims, (), np.zeros((1, 0), dtype=int), rho.factor[None],
                   np.ones(1))
-        # from_dense has diagonalized rho already
-        ens.__dict__["joint_entropy"] = von_neumann_entropy(rho)
+        # from_dense has diagonalized rho already: the factor's spectrum is
+        # the eigenvalues it keeps, rescaled to unit trace
+        w = rho.spectrum[-rho.factor.shape[1]:]
+        ens.__dict__["joint_entropy"] = entropy_of_spectrum(w / w.sum())
         return ens
 
     @property

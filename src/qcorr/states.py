@@ -28,9 +28,10 @@ class DensityMatrix:
     within 1e-9, smallest eigenvalue >= -1e-9. Eigenvalues in [-1e-9, 0)
     are harmless numerical dust and are clamped to 0 by entropy code.
     `spectrum` holds the ascending eigenvalues from_dense computed to check
-    the last invariant, and `factor` the D x r matrix F = U sqrt(w) of the
-    r eigenpairs (w, U) with w > 1e-14, so matrix = F F^dagger up to that
-    dust. The state is diagonalized once.
+    the last invariant, and `factor` the D x r matrix F = U sqrt(w / sum(w))
+    of the r eigenpairs (w, U) with w > 1e-14, so Tr F F^dagger = 1 and
+    matrix = F F^dagger up to that dust and the trace tolerance. The state
+    is diagonalized once.
     """
     dims: tuple[int, ...]
     matrix: np.ndarray = field(repr=False)
@@ -69,7 +70,9 @@ def from_dense(matrix, dims: Sequence[int]) -> DensityMatrix:
     if w[0] < -EIG_TOL:
         raise NotPSD(f"smallest eigenvalue {w[0]:.3e}")
     kept = w > FACTOR_CUTOFF
-    factor = u[:, kept] * np.sqrt(w[kept])
+    # rescaled to Tr F F^dagger = 1, so leaf probabilities add up to 1
+    # whatever dust is dropped
+    factor = u[:, kept] * np.sqrt(w[kept] / w[kept].sum())
     w.flags.writeable = factor.flags.writeable = False
     return DensityMatrix(dims, m, w, factor)
 

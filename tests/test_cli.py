@@ -106,17 +106,13 @@ class TestInfo:
         code, out, _ = run(capsys, ["info", path])
         assert code == 0
         lines = out.splitlines()
-        assert lines[3] == "S(rho)   = 0"
-        assert not any(line.endswith("= -0") for line in lines)
-        if bloch[1] == [0, 0, -1]:  # |01><01| is diagonal, so its marginals are exact
-            assert lines[1:3] == ["S(rho_0) = 0", "S(rho_1) = 0"]
+        assert lines[1:4] == ["S(rho_0) = 0", "S(rho_1) = 0", "S(rho)   = 0"]
         code, out, _ = run(capsys, ["info", path, "--json"])
         assert code == 0
         assert "-0.0" not in out
         doc = json.loads(out)
-        assert doc["joint_entropy"] == 0.0
         for s in doc["marginal_entropies"] + [doc["joint_entropy"]]:
-            assert 0.0 <= s < 1e-15 and math.copysign(1.0, s) == 1.0
+            assert s == 0.0 and math.copysign(1.0, s) == 1.0
 
     def test_boolean_amplitudes_exit_two(self, capsys, tmp_path):
         path = write_state(tmp_path, {"kind": "pure", "dims": [2, 2],

@@ -275,13 +275,22 @@ class TestLowRankOracle:
         assert abs(seq.c_total - (n - 1)) < 1e-9
 
 
-def with_dust(rho, rng):
-    """rho with its zero eigenvalues moved into [-1e-9, 1e-14], trace within 1e-9."""
+def with_dust(rho, rng, renormalized):
+    """rho with its zero eigenvalues moved into [-1e-9, 1e-14].
+
+    Otherwise the trace drops by less than 1e-9. Renormalized, every zero
+    eigenvalue goes to -9e-10 and rho is scaled to keep the trace at 1, so
+    the eigenvalues the factor keeps add up to more than 1 + 1e-9.
+    """
     w, u = np.linalg.eigh(rho.matrix)
     null = u[:, w < 1e-14]
-    dust = np.concatenate([[-8e-10, 1e-14],
-                           rng.uniform(-2e-12, 1e-14, null.shape[1] - 2)])
-    return states.from_dense(rho.matrix + (null * dust) @ null.conj().T, rho.dims)
+    n_null = null.shape[1]
+    if renormalized:
+        dust, scale = np.full(n_null, -9e-10), 1 + 9e-10 * n_null
+    else:
+        dust = np.concatenate([[-8e-10, 1e-14], rng.uniform(-2e-12, 1e-14, n_null - 2)])
+        scale = 1
+    return states.from_dense(scale * rho.matrix + (null * dust) @ null.conj().T, rho.dims)
 
 
 DUSTY_STATES = [
@@ -289,22 +298,32 @@ DUSTY_STATES = [
     ("rank2_5", states.random_density((2,) * 5, np.random.default_rng(71), rank=2)),
     ("rank2_2x3x2", states.random_density((2, 3, 2), np.random.default_rng(72), rank=2)),
     ("rank3_3x2", states.random_density((3, 2), np.random.default_rng(73), rank=3)),
+    ("rank2_2x2", states.random_density((2, 2), np.random.default_rng(74), rank=2)),
 ]
 
 
+@pytest.mark.parametrize("renormalized", [False, True], ids=["lowered", "renormalized"])
 @pytest.mark.parametrize("name, clean", DUSTY_STATES, ids=[d[0] for d in DUSTY_STATES])
-def test_eigenvalue_dust_moves_nothing(name, clean):
+def test_eigenvalue_dust_moves_nothing(name, clean, renormalized):
+    # renormalized dust made the leaf probabilities add up to more than
+    # 1 + 1e-9: probability_table and from_dense on apply_nonselective's
+    # output rejected them
     rng = np.random.default_rng(9)
-    dusty = with_dust(clean, rng)
+    dusty = with_dust(clean, rng, renormalized)
     assert dusty.spectrum[0] < -7e-10
     config = OptimizerConfig(grid=32, restarts=4)
     order = range(clean.n_subsystems)
     for k in order:
         m = measurement.ProjectiveMeasurement(
             optimizer._haar_bases(rng, 1, clean.dims[k])[0])
+        out = measurement.apply_nonselective(dusty, k, m)
+        assert abs(np.trace(out.matrix).real - 1) < 1e-12
+        assert np.abs(out.matrix - measurement.apply_nonselective(clean, k, m).matrix
+                      ).max() < 1e-12
         assert abs(measurement.induced_J(dusty, k, m)
                    - measurement.induced_J(clean, k, m)) <= 1e-9
     seq, ref = (correlations.sequential_measure(rho, order, config) for rho in (dusty, clean))
+    assert abs(seq.classical_table.probs.sum() - 1) < 1e-12
     assert np.abs(np.array([s.j_value for s in seq.steps])
                   - [s.j_value for s in ref.steps]).max() <= 1e-9
     assert np.abs(np.array(seq.step_discords) - ref.step_discords).max() <= 1e-9
