@@ -21,11 +21,10 @@ import sys
 
 import numpy as np
 
-from . import correlations, infotheory, linalg, measurement, optimizer, states
-from .errors import (BadOrder, ParamOutOfRange, ParseError, QcorrError,
-                     SinglePartyState)
+from . import correlations, infotheory, measurement, optimizer, states
+from .errors import BadOrder, ParamOutOfRange, ParseError, QcorrError
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 
 # ---------------------------------------------------------------- state files
@@ -101,10 +100,6 @@ def _measurement_doc(m: measurement.ProjectiveMeasurement,
     return doc
 
 
-def _config_doc(config: optimizer.OptimizerConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def _sequential_doc(seq: correlations.SequentialReport) -> dict:
     return {
         "order": list(seq.order),
@@ -141,8 +136,6 @@ def _make_config(args) -> optimizer.OptimizerConfig:
         except ValueError:
             raise ParseError(f"QCORR_SEED must be an integer, got {env!r}") from None
     kwargs = {"seed": seed}
-    if args.grid is not None:
-        kwargs["grid"] = args.grid
     if args.restarts is not None:
         kwargs["restarts"] = args.restarts
     return optimizer.OptimizerConfig(**kwargs)
@@ -150,15 +143,9 @@ def _make_config(args) -> optimizer.OptimizerConfig:
 
 def cmd_info(args) -> int:
     rho = load_state(args.statefile)
-    if rho.n_subsystems < 2:
-        raise SinglePartyState("mutual information needs at least 2 subsystems")
-    # from rho's matrix and its partial traces, so that a pure product
-    # state's entropies read exactly 0
-    marginals = [infotheory.entropy_of_spectrum(np.linalg.eigvalsh(
-                     linalg.partial_trace(rho.matrix, rho.dims, [k])))
-                 for k in range(rho.n_subsystems)]
-    joint = infotheory.von_neumann_entropy(rho)
-    info = sum(marginals) - joint
+    ens = measurement.CQEnsemble.of(rho)
+    info = ens.mutual_information()
+    marginals, joint = list(ens.marginal_entropies), ens.joint_entropy
     doc = {"dims": list(rho.dims), "marginal_entropies": marginals,
            "joint_entropy": joint, "mutual_info": info}
     lines = [f"dims: {list(rho.dims)}",
@@ -177,7 +164,7 @@ def cmd_discord(args) -> int:
            "classical_hv": res.j_value,
            "measurement": _measurement_doc(res.measurement, res.params),
            "oracle_gap": res.oracle_gap, "iterations": res.iterations,
-           "optimizer_config": _config_doc(config)}
+           "optimizer_config": dataclasses.asdict(config)}
     lines = [f"D_{args.subsystem} = {res.discord:.12g}",
              f"C_{args.subsystem} = {res.j_value:.12g}"]
     if res.params is not None:
@@ -356,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=None,
                        help="optimizer seed (default: QCORR_SEED env or 0)")
-        p.add_argument("--grid", type=int, default=None,
-                       help="qubit grid of N x N Bloch angles (default 128)")
         p.add_argument("--restarts", type=int, default=None,
                        help="random restarts for subsystem dim > 2")
         p.add_argument("--json", action="store_true", help="machine-readable output")

@@ -152,18 +152,28 @@ class CQEnsemble:
     the single leaf {1, rho}, with rho's factor: its eigenvalue dust is
     dropped and the rest rescaled to unit trace, so every entropy of the
     ensemble and the leaf probabilities (which add up to 1) are those of
-    that dust-free state.
+    that dust-free state. `marginal_entropies` holds S(rho_j) of every
+    subsystem, taken once from rho's factor; a split replaces only the
+    measured subsystem's, by the entropy of its outcome distribution.
     """
     dims: tuple[int, ...]
     measured: tuple[int, ...]
     outcomes: np.ndarray  # (L, len(measured)) outcome indices
     factors: np.ndarray   # (L, d_u, r) leaf factors F_i
     probs: np.ndarray     # (L,) leaf probabilities p_i
+    marginal_entropies: tuple[float, ...]
 
     @classmethod
     def of(cls, rho: DensityMatrix) -> CQEnsemble:
+        f, marginals = rho.factor.reshape(rho.dims + (-1,)), []
+        for j, d in enumerate(rho.dims):
+            f_j = np.moveaxis(f, j, 0).reshape(d, -1)
+            m = f_j @ f_j.conj().T
+            # over its trace, which is 1 up to the rounding of the factor's
+            # norm, so that a pure product state's entropies read exactly 0
+            marginals.append(entropy_of_spectrum(np.linalg.eigvalsh(m / np.trace(m).real)))
         ens = cls(rho.dims, (), np.zeros((1, 0), dtype=int), rho.factor[None],
-                  np.ones(1))
+                  np.ones(1), tuple(marginals))
         # from_dense has diagonalized rho already: the factor's spectrum is
         # the eigenvalues it keeps, rescaled to unit trace
         w = rho.spectrum[-rho.factor.shape[1]:]
@@ -201,8 +211,11 @@ class CQEnsemble:
         outcomes = np.column_stack([np.repeat(self.outcomes, dk, axis=0),
                                     np.tile(np.arange(dk), n_leaves)])
         keep = probs > ZERO_PROB
+        # measuring k leaves every other subsystem's reduced state as it was
+        marginals = list(self.marginal_entropies)
+        marginals[k] = entropy_of_spectrum(np.bincount(outcomes[keep, -1], probs[keep], dk))
         return CQEnsemble(self.dims, self.measured + (k,), outcomes[keep],
-                          factors[keep], probs[keep])
+                          factors[keep], probs[keep], tuple(marginals))
 
     def outcome_table(self) -> np.ndarray:
         """Leaf probabilities by outcome, measured subsystems in increasing order.
@@ -212,24 +225,6 @@ class CQEnsemble:
         table = np.zeros([self.dims[j] for j in sorted(self.measured)])
         table[tuple(self.outcomes[:, np.argsort(self.measured)].T)] = self.probs
         return table
-
-    @functools.cached_property
-    def marginal_entropies(self) -> tuple[float, ...]:
-        """S(rho_j) of every subsystem; a measured one's from the leaf table.
-
-        An unmeasured subsystem's reduced state is sum_i Tr_rest W_i, taken
-        from the factors with subsystem j's rows first.
-        """
-        out = []
-        for j, d in enumerate(self.dims):
-            if j in self.measured:
-                column = self.outcomes[:, self.measured.index(j)]
-                out.append(entropy_of_spectrum(np.bincount(column, self.probs, d)))
-            else:
-                f = self.factor_view(j)
-                marginal = np.einsum('labr,lcbr->ac', f, f.conj())
-                out.append(entropy_of_spectrum(np.linalg.eigvalsh(marginal)))
-        return tuple(out)
 
     @functools.cached_property
     def joint_entropy(self) -> float:

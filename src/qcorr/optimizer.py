@@ -3,9 +3,10 @@
 A measurement is an orthonormal basis, and one search serves every
 dimension: Riemannian gradient ascent on the unitary group (Abrudan,
 Eriksson & Koivunen, IEEE TSP 56(3):1134, 2008). A qubit starts from the
-argmax of an exhaustive Bloch-angle grid; a higher dimension starts from
-seeded Haar-random bases. The starts ascend in lockstep, so each round is
-one batched gradient and one batched J evaluation of its line search.
+argmax of a coarse Bloch-angle grid; a higher dimension starts from seeded
+Haar-random bases. The starts ascend in lockstep, so each round is one
+batched gradient and one batched J evaluation of its line search. The fine
+grid of the public `grid_search_qubit` is only an oracle for the ascent.
 J is evaluated on a classical-quantum ensemble of leaves (a state that no
 step has measured yet is a single leaf), so later steps of a sequential run
 diagonalize per-leaf blocks, not the dense state. Each leaf carries a factor
@@ -28,9 +29,13 @@ from .measurement import (CQEnsemble, ProjectiveMeasurement, _JEvaluator,
                           _conditional_entropy, basis_vectors)
 from .states import DensityMatrix
 
+# A qubit search ascends from the best of this n x n grid's 128 directions.
+_START_GRID = 16
 # Bound on the entries of one (chunk, L, dr, dr) stack of grid blocks, so the
 # grid's working set stays flat as the leaves L and their dimension dr grow.
 _GRID_CHUNK_ELEMENTS = 1 << 20
+# Gradient-ascent rounds per start.
+_MAX_ROUNDS = 500
 # Trial steps of an ascent round, as multiples of the search's last accepted step.
 _LADDER = np.array([4.0, 2.0, 1.0, 0.5, 0.25, 1 / 16])
 # A trial is accepted if it gains at least this share of its first-order gain.
@@ -41,15 +46,13 @@ _GAIN_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    grid: int = 128              # the qubit grid is grid x grid Bloch angles
-    restarts: int = 32           # used for subsystem dim > 2
-    max_refine_steps: int = 500  # gradient-ascent rounds per start
+    restarts: int = 32  # Haar starts for subsystem dim > 2
     seed: int = 0
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if not (isinstance(value, numbers.Integral)
-                    and (value >= 0 if name == "seed" else value > 0)):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or not (value >= 0 if name == "seed" else value > 0)):
                 raise ParamOutOfRange(f"{name} must be an integer "
                                       f"{'>= 0' if name == 'seed' else '> 0'}, got {value!r}")
 
@@ -60,7 +63,7 @@ class OptimalMeasurementResult:
     j_value: float       # bits
     discord: float       # bits, floored at 0
     iterations: int      # J evaluations performed (a gradient counts as one)
-    oracle_gap: float | None = None   # ascended J minus grid-oracle J, when a grid exists
+    oracle_gap: float | None = None   # qubit: ascended J minus the start grid's best J
     params: tuple[float, float] | None = None  # (theta, phi) for qubits, else None
 
 
@@ -101,7 +104,7 @@ def grid_search_qubit(rho: DensityMatrix, k: int,
     Only the first `_grid_rows` theta rows are evaluated (half the sphere
     when n is even).
     """
-    if not isinstance(n, numbers.Integral) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ParamOutOfRange(f"grid size must be an integer > 0, got {n!r}")
     ev = _JEvaluator(CQEnsemble.of(rho), k)
     if ev.dk != 2:
@@ -158,8 +161,8 @@ def _rotations(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (q[:, None] * phase[..., None, :]) @ q.conj().swapaxes(-1, -2)[:, None]
 
 
-def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
-            config: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ascend(ev: _JEvaluator, bases: np.ndarray,
+            j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient ascent of J from every basis of the stack, all in lockstep.
 
     A round moves a live basis V (vectors as rows) along V exp(t A), with
@@ -169,7 +172,7 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
     `gradient` call and its trials one `j_bases` call. The trial of highest
     J among those gaining at least `_ARMIJO` t |A|^2 is accepted. A search
     ends when no trial passes with a gain above `_GAIN_FLOOR`, or after
-    `max_refine_steps` rounds. `j` holds the starts' J values. Returns the
+    `_MAX_ROUNDS` rounds. `j` holds the starts' J values. Returns the
     final bases, their J and every search's evaluations (a gradient counts
     as one, as does each trial).
     """
@@ -177,7 +180,7 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
     steps = np.ones(len(bases))
     evals = np.zeros(len(bases), dtype=int)
     live = np.arange(len(bases))
-    for _ in range(config.max_refine_steps):
+    for _ in range(_MAX_ROUNDS):
         if live.size == 0:
             break
         v = bases[live]
@@ -210,21 +213,21 @@ def _optimize(ens: CQEnsemble, k: int,
               config: OptimizerConfig) -> OptimalMeasurementResult:
     """optimize_measurement on unmeasured subsystem k of a cq ensemble.
 
-    The starts are the grid argmax on a qubit (its J taken from the grid, so
-    `oracle_gap` >= 0) and seeded Haar bases otherwise; the best ascended
-    start wins, the first of any tie.
+    The starts are the `_START_GRID` argmax on a qubit (its J taken from the
+    grid, so `oracle_gap` >= 0) and seeded Haar bases otherwise; the best
+    ascended start wins, the first of any tie.
     """
     info = ens.mutual_information()
     ev = _JEvaluator(ens, k)
     if ev.dk == 2:
-        theta, phi, j_grid = _grid_search(ev, config.grid)
+        theta, phi, j_grid = _grid_search(ev, _START_GRID)
         starts, j0 = np.array(basis_vectors(theta, phi))[None], [j_grid]
-        iterations = _grid_rows(config.grid) * config.grid
+        iterations = _grid_rows(_START_GRID) * _START_GRID
     else:
         starts = _haar_bases(np.random.default_rng(config.seed), config.restarts, ev.dk)
         j0 = ev.j_bases(starts)
         iterations = config.restarts
-    bases, js, evals = _ascend(ev, starts, j0, config)
+    bases, js, evals = _ascend(ev, starts, j0)
     best = 0
     for i in range(1, len(js)):
         if js[i] > js[best] + 1e-12:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcorr import OptimizerConfig, correlations, named, optimizer
+from qcorr import correlations, named, optimizer
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -40,9 +40,3 @@ def rng():
 @pytest.fixture
 def paper_state():
     return named("paper_example")
-
-
-@pytest.fixture
-def fast_config():
-    # coarser grid keeps the unit tests quick; acceptance uses defaults
-    return OptimizerConfig(grid=64)

@@ -80,7 +80,7 @@ class TestInfo:
         code, out, _ = run(capsys, ["info", paper_file, "--json"])
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema_version"] == "3"
+        assert doc["schema_version"] == "4"
         assert abs(doc["mutual_info"] - PAPER_I) < 1e-9
 
     def test_bell(self, capsys, tmp_path):
@@ -130,6 +130,14 @@ class TestInfo:
         assert code == 2
         assert "TraceNotOne" in err
 
+    def test_single_party_state_exit_code(self, capsys, tmp_path):
+        path = write_state(tmp_path, {"kind": "pure", "dims": [2],
+                                      "amplitudes": [[1.0, 0], [0, 0]]})
+        code, out, err = run(capsys, ["info", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: SinglePartyState")
+
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run(capsys, ["info", "/nonexistent.json"])
         assert code == 2
@@ -143,20 +151,19 @@ class TestDiscord:
         doc = json.loads(out)
         assert abs(doc["discord"] - PAPER_DA) < 5e-4
         assert "theta" in doc["measurement"]
-        assert doc["optimizer_config"]["grid"] == 128
+        assert doc["optimizer_config"] == {"restarts": 32, "seed": 0}
 
-    def test_json_schema_three(self, capsys, paper_file):
+    def test_json_schema_four(self, capsys, paper_file):
         code, out, _ = run(capsys, ["discord", paper_file, "--json"])
         assert code == 0
         doc = json.loads(out)
         assert list(doc) == ["schema_version", "subsystem", "discord", "classical_hv",
                              "measurement", "oracle_gap", "iterations",
                              "optimizer_config"]
-        assert doc["schema_version"] == "3"
+        assert doc["schema_version"] == "4"
         assert list(doc["measurement"]) == ["subsystem_dim", "projectors", "theta", "phi"]
         assert doc["optimizer_config"] == dataclasses.asdict(OptimizerConfig())
-        assert list(doc["optimizer_config"]) == ["grid", "restarts", "max_refine_steps",
-                                                 "seed"]
+        assert list(doc["optimizer_config"]) == ["restarts", "seed"]
 
     def test_qudit_measurement_has_no_angles(self, capsys, tmp_path):
         rho = states.random_density((3, 2), np.random.default_rng(4))
@@ -170,15 +177,14 @@ class TestDiscord:
         assert doc["oracle_gap"] is None
 
     def test_subsystem_b_bounds(self, capsys, paper_file):
-        code, out, _ = run(capsys, ["discord", paper_file, "--subsystem", "1",
-                                    "--grid", "64", "--json"])
+        code, out, _ = run(capsys, ["discord", paper_file, "--subsystem", "1", "--json"])
         doc = json.loads(out)
         assert 0 <= doc["discord"] <= PAPER_I
 
     def test_werner_zero(self, capsys, tmp_path):
         path = write_state(tmp_path, {"kind": "named", "family": "werner",
                                       "params": {"p": 0.0}})
-        code, out, _ = run(capsys, ["discord", path, "--grid", "32", "--json"])
+        code, out, _ = run(capsys, ["discord", path, "--json"])
         assert json.loads(out)["discord"] < 1e-9
 
 
@@ -194,28 +200,26 @@ class TestOverall:
     def test_ghz3(self, capsys, tmp_path):
         path = write_state(tmp_path, {"kind": "named", "family": "ghz",
                                       "params": {"n": 3}})
-        code, out, _ = run(capsys, ["overall", path, "--grid", "64", "--json"])
+        code, out, _ = run(capsys, ["overall", path, "--json"])
         doc = json.loads(out)
         assert abs(doc["q_total"] - 1) < 1e-4
         assert abs(doc["c_total"] - 2) < 1e-4
 
     def test_all_orders(self, capsys, paper_file):
-        code, out, _ = run(capsys, ["overall", paper_file, "--all-orders",
-                                    "--grid", "32", "--json"])
+        code, out, _ = run(capsys, ["overall", paper_file, "--all-orders", "--json"])
         doc = json.loads(out)
         assert len(doc["orders"]) == 2
         assert "q_discrepancy" in doc
 
     def all_orders_case(self, tmp_path, dims, rng):
-        """A random state's file and the --all-orders --grid 16 --json output
-        by the recipe of one sequential_measure per order."""
+        """A random state's file and the --all-orders --json output by the
+        recipe of one sequential_measure per order."""
         rho = states.random_density(dims, rng)
         path = write_state(tmp_path, {"kind": "dense", "dims": list(dims),
                                       "matrix": [[[x.real, x.imag] for x in row]
                                                  for row in rho.matrix]})
         rho = cli.load_state(path)
-        config = OptimizerConfig(grid=16)
-        reports = [correlations.sequential_measure(rho, order, config)
+        reports = [correlations.sequential_measure(rho, order)
                    for order in itertools.permutations(range(len(dims)))]
         qs = [r.q_total for r in reports]
         expected = json.dumps({"schema_version": cli.SCHEMA_VERSION,
@@ -227,8 +231,7 @@ class TestOverall:
                                                            monkeypatch, rng):
         path, expected = self.all_orders_case(tmp_path, (2, 2, 2), rng)
         calls = count_searches(monkeypatch)
-        code, out, _ = run(capsys, ["overall", path, "--all-orders", "--grid", "16",
-                                    "--json"])
+        code, out, _ = run(capsys, ["overall", path, "--all-orders", "--json"])
         assert code == 0
         assert out == expected
         # the orders in turn, each searching only the prefixes not yet measured:
@@ -241,8 +244,7 @@ class TestOverall:
                                                               monkeypatch, rng):
         path, expected = self.all_orders_case(tmp_path, (2, 2, 2, 2), rng)
         calls = count_searches(monkeypatch)
-        code, out, _ = run(capsys, ["overall", path, "--all-orders", "--grid", "16",
-                                    "--json"])
+        code, out, _ = run(capsys, ["overall", path, "--all-orders", "--json"])
         assert code == 0
         assert out == expected
         prefixes = {order[:t] for order in itertools.permutations(range(4))
@@ -250,8 +252,7 @@ class TestOverall:
         assert len(calls) == len(prefixes) == 4 + 12 + 24 + 24
 
     def test_explicit_order(self, capsys, paper_file):
-        code, out, _ = run(capsys, ["overall", paper_file, "--order", "1,0",
-                                    "--grid", "32", "--json"])
+        code, out, _ = run(capsys, ["overall", paper_file, "--order", "1,0", "--json"])
         assert json.loads(out)["order"] == [1, 0]
 
     def test_order_and_all_orders_are_exclusive(self, capsys, paper_file):
@@ -266,7 +267,7 @@ class TestOverall:
         assert "BadOrder" in err
 
     def test_json_round_trip(self, capsys, paper_file):
-        _, out, _ = run(capsys, ["overall", paper_file, "--grid", "32", "--json"])
+        _, out, _ = run(capsys, ["overall", paper_file, "--json"])
         doc = json.loads(out)
         assert json.dumps(doc, indent=2) == out.strip()
 
@@ -275,8 +276,7 @@ class TestSweep:
     def test_werner_sweep(self, capsys, tmp_path):
         csv_path = tmp_path / "sweep.csv"
         code, _, _ = run(capsys, ["sweep", "werner", "--start", "0", "--stop", "1",
-                                  "--step", "0.25", "--grid", "32",
-                                  "--csv", str(csv_path)])
+                                  "--step", "0.25", "--csv", str(csv_path)])
         assert code == 0
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "param,I,D0,D1,Q,C"
@@ -291,19 +291,18 @@ class TestSweep:
         assert all(b >= a - 1e-9 for a, b in zip(i_col, i_col[1:]))
 
     def test_each_row_optimizes_each_subsystem_once(self, capsys, monkeypatch):
-        config = OptimizerConfig(grid=16)
         expected = ["param,I,D0,D1,Q,C"]
         for p in (0.0, 0.5, 1.0):
             rho = states.named("werner", p=p)
-            seq = correlations.sequential_measure(rho, (0, 1), config)
+            seq = correlations.sequential_measure(rho, (0, 1))
             expected.append(
                 f"{p:.12g},{infotheory.mutual_information(rho):.12g},"
-                f"{correlations.discord(rho, 0, config):.12g},"
-                f"{correlations.discord(rho, 1, config):.12g},"
+                f"{correlations.discord(rho, 0):.12g},"
+                f"{correlations.discord(rho, 1):.12g},"
                 f"{seq.q_total:.12g},{seq.c_total:.12g}")
         calls = count_searches(monkeypatch)
         code, out, _ = run(capsys, ["sweep", "werner", "--start", "0", "--stop", "1",
-                                    "--step", "0.5", "--grid", "16"])
+                                    "--step", "0.5"])
         assert code == 0
         assert out == "\n".join(expected) + "\n"
         assert calls == [0, 1, 1] * 3  # D0 (= step 0), D1, step 1
@@ -320,8 +319,7 @@ class TestVerify:
         assert out.count("PASS") == 3
 
     def test_identities_suite(self, capsys):
-        code, out, _ = run(capsys, ["verify", "--suite", "identities",
-                                    "--grid", "64"])
+        code, out, _ = run(capsys, ["verify", "--suite", "identities"])
         assert code == 0
 
     def test_oracle_suite_covers_the_qudit_search(self, capsys):
@@ -332,7 +330,7 @@ class TestVerify:
 
     def test_bounds_suite_searches_step_zero_once_per_state(self, capsys, monkeypatch):
         # the suite's output by the recipe that searched subsystem 0 twice
-        config = OptimizerConfig(grid=32)
+        config = OptimizerConfig()
         rng = np.random.default_rng(config.seed + 1)
         worst_chain, worst_c = 0.0, 0.0
         for _ in range(20):
@@ -347,10 +345,16 @@ class TestVerify:
                     f"PASS bounds C <= C_A: residual {worst_c:.3e} (tol 1e-06)\n"
                     "all checks passed\n")
         calls = count_searches(monkeypatch)
-        code, out, _ = run(capsys, ["verify", "--suite", "bounds", "--grid", "32"])
+        code, out, _ = run(capsys, ["verify", "--suite", "bounds"])
         assert code == 0
         assert out == expected
         assert calls == [0, 1] * 20  # one step-0 search per state, then step 1
+
+    def test_every_suite_passes_at_the_default_config(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--suite", "all"])
+        assert code == 0
+        assert out.count("PASS") == 9 and "FAIL" not in out
+        assert out.endswith("all checks passed\n")
 
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, ["verify", "--suite", "nope"])
@@ -359,7 +363,7 @@ class TestVerify:
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv, env", [
-        (["discord", "{paper}", "--grid", "0"], {}),
+        (["discord", "{paper}", "--restarts", "0"], {}),
         (["discord", "{paper}", "--subsystem", "5"], {}),
         (["discord", "{paper}", "--subsystem", "-1"], {}),
         (["sweep", "werner", "--step", "0"], {}),
@@ -376,6 +380,12 @@ class TestInputErrors:
         code, _, err = run(capsys, [a.format(paper=paper_file) for a in argv])
         assert code == 2
         assert err.startswith("error: ")
+
+    def test_grid_option_is_gone(self, capsys, paper_file):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["discord", paper_file, "--grid", "16"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --grid 16" in capsys.readouterr().err
 
     def test_sweep_start_above_stop_prints_no_rows(self, capsys):
         code, out, err = run(capsys, ["sweep", "werner", "--start", "1", "--stop", "0"])
@@ -458,13 +468,11 @@ class TestProcessExitCodes:
 
 class TestDeterminism:
     def test_same_seed_same_output(self, capsys, paper_file):
-        _, out1, _ = run(capsys, ["discord", paper_file, "--seed", "5",
-                                  "--grid", "32", "--json"])
-        _, out2, _ = run(capsys, ["discord", paper_file, "--seed", "5",
-                                  "--grid", "32", "--json"])
+        _, out1, _ = run(capsys, ["discord", paper_file, "--seed", "5", "--json"])
+        _, out2, _ = run(capsys, ["discord", paper_file, "--seed", "5", "--json"])
         assert out1 == out2
 
     def test_env_seed(self, capsys, paper_file, monkeypatch):
         monkeypatch.setenv("QCORR_SEED", "9")
-        _, out, _ = run(capsys, ["discord", paper_file, "--grid", "32", "--json"])
+        _, out, _ = run(capsys, ["discord", paper_file, "--json"])
         assert json.loads(out)["optimizer_config"]["seed"] == 9

@@ -25,18 +25,18 @@ class TestDiscordAndClassical:
         assert abs(correlations.classical_hv(paper_state, 0)
                    - (PAPER_I - PAPER_DA)) < 5e-4
 
-    def test_bell(self, fast_config):
+    def test_bell(self):
         rho = states.named("bell")
-        assert abs(correlations.discord(rho, 0, fast_config) - 1) < 1e-6
-        assert abs(correlations.discord(rho, 1, fast_config) - 1) < 1e-6
-        assert abs(correlations.classical_hv(rho, 0, fast_config) - 1) < 1e-6
+        assert abs(correlations.discord(rho, 0) - 1) < 1e-6
+        assert abs(correlations.discord(rho, 1) - 1) < 1e-6
+        assert abs(correlations.classical_hv(rho, 0) - 1) < 1e-6
 
-    def test_product(self, rng, fast_config):
+    def test_product(self, rng):
         rho = states.tensor(states.random_density([2], rng),
                             states.random_density([2], rng))
         for k in (0, 1):
-            assert correlations.discord(rho, k, fast_config) < 1e-8
-            assert correlations.classical_hv(rho, k, fast_config) < 1e-8
+            assert correlations.discord(rho, k) < 1e-8
+            assert correlations.classical_hv(rho, k) < 1e-8
 
 
 class TestSequentialMeasure:
@@ -57,28 +57,28 @@ class TestSequentialMeasure:
         assert abs(seq.q_total - 1) < 1e-4
         assert abs(seq.c_total - 2) < 1e-4
 
-    def test_q_total_is_sum_of_steps(self, rng, fast_config):
+    def test_q_total_is_sum_of_steps(self, rng):
         rho = states.random_density((2, 2), rng)
-        seq = correlations.sequential_measure(rho, (0, 1), fast_config)
+        seq = correlations.sequential_measure(rho, (0, 1))
         assert seq.q_total == pytest.approx(sum(seq.step_discords), abs=1e-12)
         assert all(d >= -1e-9 for d in seq.step_discords)
 
-    def test_final_state_is_classical(self, rng, fast_config):
+    def test_final_state_is_classical(self, rng):
         rho = states.random_density((2, 2), rng)
-        seq = correlations.sequential_measure(rho, (0, 1), fast_config)
+        seq = correlations.sequential_measure(rho, (0, 1))
         current = rho
         for k, m in zip(seq.order, seq.step_measurements):
             current = measurement.apply_nonselective(current, k, m)
         for k in (0, 1):
-            assert correlations.discord(current, k, fast_config) <= 1e-3
+            assert correlations.discord(current, k) <= 1e-3
 
-    def test_classical_preservation(self, rng, fast_config):
+    def test_classical_preservation(self, rng):
         # each optimal step leaves the Henderson-Vedral correlation intact
         rho = states.random_density((2, 2), rng)
-        res_before = correlations.classical_hv(rho, 0, fast_config)
-        seq = correlations.sequential_measure(rho, (0, 1), fast_config)
+        res_before = correlations.classical_hv(rho, 0)
+        seq = correlations.sequential_measure(rho, (0, 1))
         after = measurement.apply_nonselective(rho, 0, seq.step_measurements[0])
-        res_after = correlations.classical_hv(after, 0, fast_config)
+        res_after = correlations.classical_hv(after, 0)
         assert abs(res_before - res_after) < 2e-3
 
     def test_bad_order(self, paper_state):
@@ -91,12 +91,12 @@ class TestSequentialMeasure:
         with pytest.raises(BadOrder):
             correlations.sequential_measure(paper_state, order)
 
-    def test_order_discrepancy_diagnostic(self, rng, fast_config):
+    def test_order_discrepancy_diagnostic(self, rng):
         # Q is order-defined; reversing the order stays close but is not
         # assumed identical (reported, not asserted, beyond a loose bound)
         rho = states.random_density((2, 2), rng)
-        q01 = correlations.sequential_measure(rho, (0, 1), fast_config).q_total
-        q10 = correlations.sequential_measure(rho, (1, 0), fast_config).q_total
+        q01 = correlations.sequential_measure(rho, (0, 1)).q_total
+        q10 = correlations.sequential_measure(rho, (1, 0)).q_total
         assert math.isfinite(q01 - q10)
 
 
@@ -152,7 +152,7 @@ class TestSequentialOracle:
     @pytest.mark.parametrize("name, rho, order", ORACLE_FIXTURES,
                              ids=[f[0] for f in ORACLE_FIXTURES])
     def test_matches_dense_recipe(self, name, rho, order):
-        config = OptimizerConfig(grid=32, restarts=4, max_refine_steps=60)
+        config = OptimizerConfig(restarts=4)
         discords, chosen, c, table = dense_sequential(rho, order, config)
         seq = correlations.sequential_measure(rho, order, config)
         # the two recipes sum J in different orders, so the ascents agree to rounding
@@ -193,7 +193,7 @@ def count_diagonalizations(monkeypatch, dim) -> dict:
 def test_state_is_diagonalized_once(monkeypatch, rho, run):
     # from_dense diagonalized rho; no grid or leaf block is D x D here
     seen = count_diagonalizations(monkeypatch, rho.dim)
-    run(rho, OptimizerConfig(grid=16))
+    run(rho, OptimizerConfig())
     assert seen["full"] <= 1
     assert seen["projectors"] == 0
 
@@ -311,7 +311,7 @@ def test_eigenvalue_dust_moves_nothing(name, clean, renormalized):
     rng = np.random.default_rng(9)
     dusty = with_dust(clean, rng, renormalized)
     assert dusty.spectrum[0] < -7e-10
-    config = OptimizerConfig(grid=32, restarts=4)
+    config = OptimizerConfig(restarts=4)
     order = range(clean.n_subsystems)
     for k in order:
         m = measurement.ProjectiveMeasurement(
@@ -337,34 +337,34 @@ class TestOverall:
         assert abs(correlations.overall_c(paper_state)
                    - (PAPER_I - PAPER_Q)) < 1e-3
 
-    def test_classical_classical_state(self, fast_config):
+    def test_classical_classical_state(self):
         rho = states.from_dense(np.diag([0.5, 0, 0, 0.5]), (2, 2))
-        assert correlations.overall_q(rho, fast_config) <= 1e-6
-        assert abs(correlations.overall_c(rho, fast_config) - 1) < 1e-6
+        assert correlations.overall_q(rho) <= 1e-6
+        assert abs(correlations.overall_c(rho) - 1) < 1e-6
 
-    def test_bell(self, fast_config):
+    def test_bell(self):
         rho = states.named("bell")
-        assert abs(correlations.overall_q(rho, fast_config) - 1) < 1e-4
-        assert abs(correlations.overall_c(rho, fast_config) - 1) < 1e-4
+        assert abs(correlations.overall_q(rho) - 1) < 1e-4
+        assert abs(correlations.overall_c(rho) - 1) < 1e-4
 
 
 class TestBounds:
-    def test_chain_on_random_states(self, rng, fast_config):
+    def test_chain_on_random_states(self, rng):
         for _ in range(20):
             rho = states.random_density((2, 2), rng)
             info = infotheory.mutual_information(rho)
-            d_a = correlations.discord(rho, 0, fast_config)
-            seq = correlations.sequential_measure(rho, (0, 1), fast_config)
+            d_a = correlations.discord(rho, 0)
+            seq = correlations.sequential_measure(rho, (0, 1))
             assert d_a >= -1e-9
             assert d_a <= seq.q_total + 1e-6
             assert seq.q_total <= info + 1e-6
-            assert seq.c_total <= correlations.classical_hv(rho, 0, fast_config) + 1e-6
+            assert seq.c_total <= correlations.classical_hv(rho, 0) + 1e-6
 
-    def test_bell_diagonal_corollary(self, rng, fast_config):
+    def test_bell_diagonal_corollary(self, rng):
         for _ in range(10):
             rho = states.random_bell_diagonal(rng)
-            d_a = correlations.discord(rho, 0, fast_config)
-            q = correlations.overall_q(rho, fast_config)
+            d_a = correlations.discord(rho, 0)
+            q = correlations.overall_q(rho)
             assert abs(q - d_a) <= 1e-3
 
 
@@ -374,19 +374,19 @@ class TestClassify:
                             states.random_density([2], rng))
         assert correlations.classify(rho) == "product"
 
-    def test_classical_quantum(self, fast_config):
+    def test_classical_quantum(self):
         plus = np.full((2, 2), 0.5)
         m = 0.5 * (np.kron(np.diag([1.0, 0]), np.diag([1.0, 0]))
                    + np.kron(np.diag([0, 1.0]), plus))
         rho = states.from_dense(m, (2, 2))
-        assert correlations.classify(rho, fast_config) == "classical_quantum(0)"
+        assert correlations.classify(rho) == "classical_quantum(0)"
 
-    def test_classical_classical(self, fast_config):
+    def test_classical_classical(self):
         rho = states.from_dense(np.diag([0.4, 0.1, 0.2, 0.3]), (2, 2))
-        assert correlations.classify(rho, fast_config) == "classical_classical"
+        assert correlations.classify(rho) == "classical_classical"
 
-    def test_discordant(self, paper_state, fast_config):
-        assert correlations.classify(paper_state, fast_config) == "discordant"
+    def test_discordant(self, paper_state):
+        assert correlations.classify(paper_state) == "discordant"
 
     def test_rejects_multipartite(self, rng):
         with pytest.raises(BadOrder):
@@ -395,7 +395,7 @@ class TestClassify:
 
 def test_full_report_takes_subsystem_zero_from_step_zero(monkeypatch, rng):
     rho = states.random_density((2, 2, 2), rng)
-    config = OptimizerConfig(grid=16)
+    config = OptimizerConfig()
     calls = count_searches(monkeypatch)
     report = correlations.full_report(rho, config)
     step0 = report.sequential.steps[0]
@@ -406,7 +406,7 @@ def test_full_report_takes_subsystem_zero_from_step_zero(monkeypatch, rng):
 
 def test_sequential_report_steps_carry_each_search(rng):
     rho = states.random_density((2, 3), rng)
-    config = OptimizerConfig(grid=16, restarts=4, max_refine_steps=60)
+    config = OptimizerConfig(restarts=4)
     seq = correlations.sequential_measure(rho, (1, 0), config)
     assert seq.step_discords == tuple(step.discord for step in seq.steps)
     assert seq.step_params == tuple(step.params for step in seq.steps)
@@ -418,7 +418,7 @@ def test_sequential_report_steps_carry_each_search(rng):
 
 def _bell_instances():
     bell = states.named("bell")
-    config = OptimizerConfig(grid=8)
+    config = OptimizerConfig()
     m = measurement.qubit_measurement(0.0, 0.0)
     return {
         "DensityMatrix": lambda: states.named("bell"),
@@ -450,8 +450,13 @@ def test_config_compares_by_value():
     assert len({OptimizerConfig(), OptimizerConfig()}) == 1
 
 
-def test_full_report_consistency(paper_state, fast_config):
-    report = correlations.full_report(paper_state, fast_config)
+def test_pure_product_marginal_entropies_are_exactly_zero():
+    rho = states.named("product", bloch=[[0, 0, 1], [1, 0, 0]])
+    assert correlations.full_report(rho).marginal_entropies == (0.0, 0.0)
+
+
+def test_full_report_consistency(paper_state):
+    report = correlations.full_report(paper_state)
     assert report.dims == (2, 2)
     assert abs(report.mutual_info - PAPER_I) < 1e-9
     for d_k, c_k in report.per_subsystem:

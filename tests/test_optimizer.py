@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -33,11 +34,11 @@ def reference_J(rho, k, m):
     return rest_entropy - cond
 
 
-def ascend(rho, k, starts, config):
+def ascend(rho, k, starts):
     """The (bases, J, evaluations) of the gradient ascent from a stack of bases."""
     ev = optimizer._JEvaluator(measurement.CQEnsemble.of(rho), k)
     starts = np.asarray(starts, dtype=complex)
-    return optimizer._ascend(ev, starts, ev.j_bases(starts), config)
+    return optimizer._ascend(ev, starts, ev.j_bases(starts))
 
 
 def qubit_basis(theta, phi):
@@ -72,6 +73,16 @@ def planted_cq_state(rng, dims, theta, phi):
     m = (0.3 * np.kron(np.outer(v0, v0.conj()), tau0)
          + 0.7 * np.kron(np.outer(v1, v1.conj()), tau1))
     return states.from_dense(m, dims)
+
+
+def random_x_state(rng):
+    """A random two-qubit X-state: nonzero only on the diagonal and anti-diagonal.
+
+    Its X pattern is the direct sum of a state's principal 2 x 2 blocks on
+    |00>, |11> and on |01>, |10>, so it is a state too.
+    """
+    x = np.eye(4) + np.eye(4)[::-1]
+    return states.from_dense(states.random_density((2, 2), rng).matrix * x, (2, 2))
 
 
 class TestGridSearchQubit:
@@ -119,28 +130,28 @@ class TestGridSearchQubit:
 class TestRefineLocal:
     """The gradient ascent from one start (qubit bases built from Bloch angles)."""
 
-    def test_converges_to_paper_b_angle(self, paper_state, fast_config):
+    def test_converges_to_paper_b_angle(self, paper_state):
         after = measurement.apply_nonselective(
             paper_state, 0, measurement.qubit_measurement(0.0, 0.0))
         t0, p0, _ = optimizer.grid_search_qubit(after, 1, 64)
-        bases, _, _ = ascend(after, 1, [qubit_basis(t0, p0)], fast_config)
+        bases, _, _ = ascend(after, 1, [qubit_basis(t0, p0)])
         theta, phi = optimizer._bloch_angles(bases[0])
         # optimal basis is theta = 3 pi / 4 up to projector relabeling
         # (relabeled representative: theta = pi / 4, phi shifted by pi)
         dist = min(abs(theta - 3 * math.pi / 4), abs(theta - math.pi / 4))
         assert dist < 1e-3
 
-    def test_never_decreases(self, rng, fast_config):
+    def test_never_decreases(self, rng):
         rho = states.random_density((2, 2), rng)
         start = (1.0, 2.0)
         ev_start = measurement.induced_J(rho, 0, measurement.qubit_measurement(*start))
-        _, j, _ = ascend(rho, 0, [qubit_basis(*start)], fast_config)
+        _, j, _ = ascend(rho, 0, [qubit_basis(*start)])
         assert j[0] >= ev_start - 1e-12
 
-    def test_constant_landscape_terminates(self, rng, fast_config):
+    def test_constant_landscape_terminates(self, rng):
         rho = states.tensor(states.random_density([2], rng),
                             states.random_density([2], rng))
-        _, j, evals = ascend(rho, 0, [qubit_basis(0.3, 0.3)], fast_config)
+        _, j, evals = ascend(rho, 0, [qubit_basis(0.3, 0.3)])
         assert abs(j[0]) < 1e-8
         # one round, then no trial gains: the search ends long before the cap
         assert evals[0] == 1 + optimizer._LADDER.size
@@ -190,63 +201,67 @@ class TestOptimizeMeasurement:
         res_b = optimizer.optimize_measurement(after, 1)
         assert abs(res_b.discord - 0.2017520733857121) < 5e-4
 
-    def test_classical_classical_state(self, fast_config):
+    def test_classical_classical_state(self):
         m = np.diag([0.1, 0.3, 0.4, 0.2])
         rho = states.from_dense(m, (2, 2))
         for k in (0, 1):
-            assert optimizer.optimize_measurement(rho, k, fast_config).discord <= 1e-6
+            assert optimizer.optimize_measurement(rho, k).discord <= 1e-6
 
-    def test_discord_nonnegative_and_consistent(self, rng, fast_config):
+    def test_discord_nonnegative_and_consistent(self, rng):
         for _ in range(10):
             rho = states.random_density((2, 2), rng)
-            res = optimizer.optimize_measurement(rho, 0, fast_config)
+            res = optimizer.optimize_measurement(rho, 0)
             info = infotheory.mutual_information(rho)
             assert res.discord >= 0
             assert abs(res.discord - max(info - res.j_value, 0.0)) < 1e-12
 
     def test_determinism(self, rng):
         rho = states.random_density((2, 2), rng)
-        config = OptimizerConfig(grid=32, seed=7)
+        config = OptimizerConfig(seed=7)
         a = optimizer.optimize_measurement(rho, 0, config)
         b = optimizer.optimize_measurement(rho, 0, config)
         assert a.params == b.params
         assert a.j_value == b.j_value
         assert a.discord == b.discord
 
-    def test_residual_discord_zero_at_optimum(self, rng, fast_config):
+    def test_residual_discord_zero_at_optimum(self, rng):
         for _ in range(5):
             rho = states.random_density((2, 2), rng)
-            res = optimizer.optimize_measurement(rho, 0, fast_config)
+            res = optimizer.optimize_measurement(rho, 0)
             after = measurement.apply_nonselective(rho, 0, res.measurement)
-            again = optimizer.optimize_measurement(after, 0, fast_config)
+            again = optimizer.optimize_measurement(after, 0)
             assert again.discord <= 1e-3
 
-    def test_local_unitary_invariance(self, rng, fast_config):
+    def test_local_unitary_invariance(self, rng):
         for _ in range(5):
             rho = states.random_density((2, 2), rng)
             u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
             rotated = states.from_dense(u @ rho.matrix @ u.conj().T, (2, 2))
-            d0 = optimizer.optimize_measurement(rho, 0, fast_config).discord
-            d1 = optimizer.optimize_measurement(rotated, 0, fast_config).discord
+            d0 = optimizer.optimize_measurement(rho, 0).discord
+            d1 = optimizer.optimize_measurement(rotated, 0).discord
             assert abs(d0 - d1) < 2e-4
 
     def test_qutrit_side_runs_restarts(self, rng):
         # qubit x qutrit state measured on the qutrit side
         rho = states.random_density((3, 2), rng, rank=2)
-        config = OptimizerConfig(restarts=4, seed=3, max_refine_steps=100)
+        config = OptimizerConfig(restarts=4, seed=3)
         res = optimizer.optimize_measurement(rho, 0, config)
         assert res.discord >= 0
         assert res.oracle_gap is None
         assert res.measurement.subsystem_dim == 3
         assert res.j_value <= infotheory.mutual_information(rho) + 1e-9
 
-    @pytest.mark.parametrize("n, grid_evals", [(8, 32), (7, 49)])
-    def test_iterations_count_evaluations(self, rng, n, grid_evals):
+    @pytest.mark.parametrize("n, grid_evals", [(8, 32), (7, 49), (None, 128)])
+    def test_iterations_count_evaluations(self, rng, monkeypatch, n, grid_evals):
+        # the start grid's directions (every row of an odd grid), then the ascent
+        if n is None:
+            n = optimizer._START_GRID
+        else:
+            monkeypatch.setattr(optimizer, "_START_GRID", n)
         rho = states.random_density((2, 2), rng)
-        config = OptimizerConfig(grid=n)
         t0, p0, _ = optimizer.grid_search_qubit(rho, 0, n)
-        _, _, ascent_evals = ascend(rho, 0, [qubit_basis(t0, p0)], config)
-        res = optimizer.optimize_measurement(rho, 0, config)
+        _, _, ascent_evals = ascend(rho, 0, [qubit_basis(t0, p0)])
+        res = optimizer.optimize_measurement(rho, 0)
         assert ascent_evals[0] > 0
         assert res.iterations == grid_evals + ascent_evals[0]
 
@@ -254,7 +269,7 @@ class TestOptimizeMeasurement:
     def test_qubit_params_are_canonical_angles_of_the_basis(self, rng, dims):
         for _ in range(5):
             rho = states.random_density(dims, rng)
-            res = optimizer.optimize_measurement(rho, 0, OptimizerConfig(grid=16))
+            res = optimizer.optimize_measurement(rho, 0)
             theta, phi = res.params
             assert 0 <= theta <= math.pi and 0 <= phi < 2 * math.pi
             expected = measurement.qubit_measurement(theta, phi).projectors
@@ -288,6 +303,16 @@ class TestOptimizeMeasurement:
             _, _, j_grid = optimizer.grid_search_qubit(rho, 0, 256)
             assert abs(res.j_value - j_grid) < 1e-4
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_x_states_reach_the_fine_grid(self, k):
+        # J of an X-state can have competing local maxima; the ascent from the
+        # coarse start grid must still reach the best of the fine grid
+        rng = np.random.default_rng(2008)
+        for _ in range(40):
+            rho = random_x_state(rng)
+            j_grid = optimizer.grid_search_qubit(rho, k, 256)[2]
+            assert optimizer.optimize_measurement(rho, k).j_value >= j_grid - 1e-12
+
 
 class TestQuditRestarts:
     @pytest.mark.parametrize("seed", [0, 7])
@@ -296,11 +321,11 @@ class TestQuditRestarts:
         # the restarts ascend in lockstep, one batched call per round; each
         # must take the path it takes alone
         rho = states.random_density(dims, rng)
-        config = OptimizerConfig(restarts=4, seed=seed, max_refine_steps=40)
+        config = OptimizerConfig(restarts=4, seed=seed)
         starts = optimizer._haar_bases(np.random.default_rng(seed), config.restarts, dims[0])
         best, best_j, evals = None, -math.inf, config.restarts
         for start in starts:
-            (basis,), (j,), (n,) = ascend(rho, 0, start[None], config)
+            (basis,), (j,), (n,) = ascend(rho, 0, start[None])
             evals += n
             if j > best_j + 1e-12:
                 best, best_j = basis, j
@@ -325,12 +350,11 @@ class TestQuditRestarts:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
     def test_qubit_ascent_without_grid_reaches_grid_path(self, rng, dims):
         # the qudit path on a qubit: seeded Haar starts, no grid
-        config = OptimizerConfig()
         for _ in range(3):
             rho = states.random_density(dims, rng)
             starts = optimizer._haar_bases(np.random.default_rng(5), 8, 2)
-            _, j, _ = ascend(rho, 0, starts, config)
-            res = optimizer.optimize_measurement(rho, 0, config)
+            _, j, _ = ascend(rho, 0, starts)
+            res = optimizer.optimize_measurement(rho, 0)
             assert abs(j.max() - res.j_value) < 1e-9
 
 
@@ -458,21 +482,24 @@ def test_subsystem_out_of_range(paper_state, entry, k):
         ENTRY_POINTS[entry](paper_state, k)
 
 
-@pytest.mark.parametrize("n", [0, -1, 2.5])
+@pytest.mark.parametrize("n", [0, -1, 2.5, True])
 def test_grid_size_must_be_a_positive_integer(paper_state, n):
     with pytest.raises(ParamOutOfRange):
         optimizer.grid_search_qubit(paper_state, 0, n)
 
 
 @pytest.mark.parametrize("field, value", [
-    ("seed", -1), ("seed", 1.5), ("grid", 16.5), ("grid", 8.0),
-    ("restarts", 2.5), ("max_refine_steps", 10.0), ("grid", 0), ("restarts", -3),
+    ("seed", -1), ("seed", 1.5), ("seed", False), ("restarts", 2.5), ("restarts", -3),
+    ("restarts", True),
+    # the start grid and the round cap are constants, no longer fields
+    ("grid", 16.5), ("grid", 8.0), ("grid", 0), ("max_refine_steps", 10.0),
 ])
 def test_config_rejects_bad_fields(field, value):
-    with pytest.raises(ValueError):
+    known = {f.name for f in dataclasses.fields(OptimizerConfig)}
+    with pytest.raises(ValueError if field in known else TypeError):
         OptimizerConfig(**{field: value})
 
 
 def test_config_accepts_numpy_integers():
-    config = OptimizerConfig(grid=np.int64(8), seed=np.int32(3))
-    assert config.grid == 8 and config.seed == 3
+    config = OptimizerConfig(restarts=np.int64(8), seed=np.int32(3))
+    assert config.restarts == 8 and config.seed == 3
