@@ -1,12 +1,14 @@
 """Search over complete projective measurements to attain sup J.
 
 A measurement is an orthonormal basis, and one search serves every
-dimension: Riemannian gradient ascent on the unitary group (Abrudan,
-Eriksson & Koivunen, IEEE TSP 56(3):1134, 2008). A qubit starts from the
-argmax of a coarse Bloch-angle grid; a higher dimension starts from seeded
-Haar-random bases. The starts ascend in lockstep, so each round is one
-batched gradient and one batched J evaluation of its line search. The fine
-grid of the public `grid_search_qubit` is only an oracle for the ascent.
+dimension: Riemannian ascent on the unitary group (Abrudan, Eriksson &
+Koivunen, IEEE TSP 56(3):1134, 2008). A qubit starts from the argmax of a
+coarse Bloch-angle grid and takes Newton steps, its Hessian taken from
+central differences of the analytic gradient; a higher dimension starts
+from seeded Haar-random bases and takes gradient steps. The starts ascend
+in lockstep, so each round is one batched gradient and one batched J
+evaluation of its line search. The fine grid of the public
+`grid_search_qubit` is only an oracle for the ascent.
 J is evaluated on a classical-quantum ensemble of leaves (a state that no
 step has measured yet is a single leaf), so later steps of a sequential run
 diagonalize per-leaf blocks, not the dense state. Each leaf carries a factor
@@ -42,6 +44,10 @@ _LADDER = np.array([4.0, 2.0, 1.0, 0.5, 0.25, 1 / 16])
 _ARMIJO = 1e-4
 # A search ends when no accepted trial gains more J (bits) than this.
 _GAIN_FLOOR = 1e-12
+# Central-difference step of a qubit search's Hessian, and the generators
+# E_p of the basis turns that move its Bloch vector (diagonal ones rephase it).
+_FD_STEP = 1e-4
+_BLOCH_GENERATORS = np.array([[[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
 
 
 @dataclass(frozen=True)
@@ -80,22 +86,6 @@ def _grid_rows(n: int) -> int:
     return n // 2 if n % 2 == 0 else n
 
 
-def _bloch_conditional_entropy(half_rest: np.ndarray, half_tensor: np.ndarray,
-                               dirs: np.ndarray) -> np.ndarray:
-    """sum_i p_i S(rho_rest|i) for measurements along Bloch directions `dirs`.
-
-    The two outcome blocks of the measurement along unit vector n are
-    (rest +- n . T) / 2 for every leaf, with `rest` the leaf's block traced
-    over subsystem k and T_j = Tr_k[(sigma_j x I) W]. The arguments hold
-    rest / 2 (L x dr x dr) and T / 2 (3 x L*dr*dr).
-    """
-    m = (dirs @ half_tensor).reshape((-1,) + half_rest.shape)
-    blocks = np.empty((2,) + m.shape, dtype=np.complex128)
-    np.add(half_rest, m, out=blocks[0])
-    np.subtract(half_rest, m, out=blocks[1])
-    return _conditional_entropy(blocks)
-
-
 def grid_search_qubit(rho: DensityMatrix, k: int,
                       n: int = 128) -> tuple[float, float, float]:
     """Best J over an n x n grid: inclusive theta, periodic phi.
@@ -113,7 +103,12 @@ def grid_search_qubit(rho: DensityMatrix, k: int,
 
 
 def _grid_search(ev: _JEvaluator, n: int) -> tuple[float, float, float]:
-    """grid_search_qubit on the ensemble and qubit subsystem of `ev`."""
+    """grid_search_qubit on the ensemble and qubit subsystem of `ev`.
+
+    The two outcome blocks of the measurement along unit vector u are
+    (rest +- u . T) / 2 for every leaf, with `rest` the leaf's block traced
+    over subsystem k and T_j = Tr_k[(sigma_j x I) W].
+    """
     view = ev.view
     up, down = view[:, 0, :, 0, :], view[:, 1, :, 1, :]
     upper, lower = view[:, 0, :, 1, :], view[:, 1, :, 0, :]
@@ -128,9 +123,11 @@ def _grid_search(ev: _JEvaluator, n: int) -> tuple[float, float, float]:
     j = np.empty(tt.size)
     chunk = max(1, _GRID_CHUNK_ELEMENTS // half_rest.size)
     for lo in range(0, tt.size, chunk):
-        hi = min(lo + chunk, tt.size)
-        j[lo:hi] = ev.rest_entropy - _bloch_conditional_entropy(
-            half_rest, half_tensor, dirs[lo:hi])
+        m = (dirs[lo:lo + chunk] @ half_tensor).reshape((-1,) + half_rest.shape)
+        blocks = np.empty((2,) + m.shape, dtype=np.complex128)
+        np.add(half_rest, m, out=blocks[0])
+        np.subtract(half_rest, m, out=blocks[1])
+        j[lo:lo + chunk] = ev.rest_entropy - _conditional_entropy(blocks)
     best = int(np.flatnonzero(j >= j.max() - 1e-12)[0])
     return float(tt[best]), float(pp[best]), float(j[best])
 
@@ -161,20 +158,47 @@ def _rotations(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (q[:, None] * phase[..., None, :]) @ q.conj().swapaxes(-1, -2)[:, None]
 
 
+def _directions(ev: _JEvaluator, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients A of the bases v, their ascent directions D, and where D is Newton's.
+
+    J's slope along V exp(t D) is <A, D>, with A = V^dagger G - G^dagger V for
+    G = dJ/d conj(V). A qudit takes D = A. On a qubit, B_p = V^dagger E_p V
+    turn the Bloch vector. In the coordinates x of sum_p x_p B_p the gradient
+    is g_p = <B_p, A> / 2, and the Hessian H comes from central differences
+    of g along V exp(+-h B_q): four more gradients in the same call. Where H
+    is negative definite D has x = -H^{-1} g, the model's top at t = 1.
+    """
+    m, dk = len(v), v.shape[-1]
+    if dk == 2:
+        gens = v.conj().swapaxes(-1, -2)[:, None] @ _BLOCH_GENERATORS @ v[:, None]
+        turns = _rotations(gens.reshape(2 * m, 2, 2), np.tile([_FD_STEP, -_FD_STEP], (2 * m, 1)))
+        v = np.concatenate([v, (v[:, None] @ turns.reshape(m, 4, 2, 2)).reshape(-1, 2, 2)])
+    a = v.conj().swapaxes(-1, -2) @ ev.gradient(v)
+    a -= a.conj().swapaxes(-1, -2)
+    if dk != 2:
+        return a, a, np.zeros(m, dtype=bool)
+    coords = lambda x: np.einsum('mpab,m...ab->m...p', gens.conj(), x).real / 2
+    c = coords(a[m:].reshape(m, 2, 2, 2, 2))  # (start, q, +-h, p)
+    h = (c[:, :, 0] - c[:, :, 1]) / (4 * _FD_STEP)
+    h = h + h.swapaxes(1, 2)  # symmetrized
+    newton = (h[:, 0, 0] < 0) & (np.linalg.det(h) > 0)
+    x = np.linalg.solve(np.where(newton[:, None, None], h, np.eye(2)), -coords(a[:m])[..., None])
+    d = np.einsum('mp,mpab->mab', x[..., 0], gens)
+    return a[:m], np.where(newton[:, None, None], d, a[:m]), newton
+
+
 def _ascend(ev: _JEvaluator, bases: np.ndarray,
             j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient ascent of J from every basis of the stack, all in lockstep.
+    """Riemannian ascent of J from every basis of the stack, all in lockstep.
 
-    A round moves a live basis V (vectors as rows) along V exp(t A), with
-    A = V^dagger G - G^dagger V for G = dJ/d conj(V), so the slope of J at
-    t = 0 is |A|^2. Its trial steps t are the `_LADDER` multiples of the
-    search's last accepted step (1 at first); the round's gradients are one
-    `gradient` call and its trials one `j_bases` call. The trial of highest
-    J among those gaining at least `_ARMIJO` t |A|^2 is accepted. A search
-    ends when no trial passes with a gain above `_GAIN_FLOOR`, or after
-    `_MAX_ROUNDS` rounds. `j` holds the starts' J values. Returns the
-    final bases, their J and every search's evaluations (a gradient counts
-    as one, as does each trial).
+    A round moves a live basis V (vectors as rows) along V exp(t D), with
+    A and D from one `_directions` call. Its trials, one `j_bases` call,
+    take t at the `_LADDER` multiples of 1 for a Newton D, and of the
+    search's last accepted step (1 at first) for D = A. The best trial
+    gaining at least `_ARMIJO` t <A, D> is accepted. A search ends when no
+    trial passes with a gain above `_GAIN_FLOOR`, or after `_MAX_ROUNDS`
+    rounds. `j` holds the starts' J. Returns the final bases, their J and
+    each search's evaluations (each gradient and each trial count one).
     """
     bases, j = bases.copy(), np.array(j, dtype=float)
     steps = np.ones(len(bases))
@@ -184,13 +208,12 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray,
         if live.size == 0:
             break
         v = bases[live]
-        a = v.conj().swapaxes(-1, -2) @ ev.gradient(v)
-        a -= a.conj().swapaxes(-1, -2)
-        slope = np.einsum('mab,mab->m', a.conj(), a).real
-        t = steps[live, None] * _LADDER
-        trials = v[:, None] @ _rotations(a, t)
+        a, d, newton = _directions(ev, v)
+        slope = np.einsum('mab,mab->m', a.conj(), d).real
+        t = np.where(newton, 1.0, steps[live])[:, None] * _LADDER
+        trials = v[:, None] @ _rotations(d, t)
         values = ev.j_bases(trials.reshape((-1,) + v.shape[1:])).reshape(t.shape)
-        evals[live] += 1 + _LADDER.size
+        evals[live] += (5 if ev.dk == 2 else 1) + _LADDER.size
         gain = values - j[live, None]
         armijo = gain >= _ARMIJO * t * slope[:, None]
         pick = np.where(armijo, values, -np.inf).argmax(axis=1)
@@ -233,12 +256,6 @@ def _optimize(ens: CQEnsemble, k: int,
         if js[i] > js[best] + 1e-12:
             best = i
     j = float(js[best])
-    if ev.dk == 2:
-        params, gap = _bloch_angles(bases[best]), j - j_grid
-    else:
-        params = gap = None
-    discord = info - j
-    if discord < 0.0:
-        discord = 0.0
-    return OptimalMeasurementResult(ProjectiveMeasurement(bases[best]), j, float(discord),
+    params, gap = (_bloch_angles(bases[best]), j - j_grid) if ev.dk == 2 else (None, None)
+    return OptimalMeasurementResult(ProjectiveMeasurement(bases[best]), j, max(info - j, 0.0),
                                     iterations + int(evals.sum()), gap, params)

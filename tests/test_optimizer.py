@@ -153,8 +153,23 @@ class TestRefineLocal:
                             states.random_density([2], rng))
         _, j, evals = ascend(rho, 0, [qubit_basis(0.3, 0.3)])
         assert abs(j[0]) < 1e-8
-        # one round, then no trial gains: the search ends long before the cap
-        assert evals[0] == 1 + optimizer._LADDER.size
+        # one round (a gradient, the four of its Hessian, the trials), then no
+        # trial gains: the search ends long before the cap
+        assert evals[0] == 1 + 4 + optimizer._LADDER.size
+
+    def test_qubit_searches_end_within_five_rounds(self):
+        # Newton steps from the start grid; gradient steps alone ran to the
+        # 500-round cap on the rank-2 2x2x2 state of seed 170
+        per_round = 1 + 4 + optimizer._LADDER.size
+        grid = optimizer._grid_rows(optimizer._START_GRID) * optimizer._START_GRID
+        for seed in range(160, 180):
+            rng = np.random.default_rng(seed)
+            for dims, rank in (((2, 2), None), ((2, 2), 2), ((2, 2), 1), ((2, 3), None),
+                               ((2, 2, 2), 2)):
+                rho = states.random_density(dims, rng, rank=rank)
+                res = optimizer.optimize_measurement(rho, 0)
+                assert res.iterations - grid <= 5 * per_round
+                assert res.j_value >= optimizer.grid_search_qubit(rho, 0, 64)[2] - 1e-12
 
 
 class TestUnitaryFromGenerator:
