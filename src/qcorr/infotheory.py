@@ -75,7 +75,14 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def mutual_information(rho: DensityMatrix) -> float:
-    """Total correlations: sum of marginal entropies minus joint entropy."""
+    """Total correlations of the matrix as given: sum of marginal entropies minus joint entropy.
+
+    The marginals come from `reduced` and the joint entropy from rho's own
+    spectrum, eigenvalue dust included. Q, C, discord and `qcorr info` use
+    `CQEnsemble.mutual_information` instead, taken on rho's dust-free factor
+    rescaled to unit trace; on a state with dust the two differ (by up to
+    4e-8 bits where the dust is near -1e-9).
+    """
     if rho.n_subsystems < 2:
         raise SinglePartyState("mutual information needs at least 2 subsystems")
     marginals = sum(von_neumann_entropy(reduced(rho, {k}))

@@ -136,7 +136,7 @@ def induced_J(rho: DensityMatrix, k: int, m: ProjectiveMeasurement) -> float:
     information of the non-selective channel output.
     """
     _check_dims(rho, k, m)
-    return float(_JEvaluator(CQEnsemble.of(rho), k).j_bases(m.basis[None])[0])
+    return float(_JEvaluator.of(CQEnsemble.of(rho), k).j_bases(m.basis[None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,28 +291,55 @@ class _JEvaluator:
       block is Phi^dagger Phi for Phi = <v| F_i, whose nonzero spectrum is
       that of the dense block Phi Phi^dagger.
 
-    The Gram view is taken when r < d_rest, the dense one otherwise. J, its
+    `of` takes the Gram view when r < d_rest, the dense one otherwise. J, its
     gradient and the qubit grid read either alike. A state nobody has
-    measured is L = 1.
+    measured is L = 1. The evaluator keeps the view in the layout of its
+    one GEMM, (c, (a, L, b, b)), and `view` reads it back without a copy.
     """
 
-    def __init__(self, ens: CQEnsemble, k: int):
+    def __init__(self, view: np.ndarray, rest_entropy: float):
+        n_leaves, self.dk, b = view.shape[:3]
+        self._leaf_shape = (n_leaves, b, b)
+        self._by_c = np.ascontiguousarray(view.transpose(3, 1, 0, 2, 4)).reshape(self.dk, -1)
+        self.rest_entropy = rest_entropy
+
+    @classmethod
+    def of(cls, ens: CQEnsemble, k: int) -> _JEvaluator:
+        """The evaluator on subsystem k of `ens`, reading the smaller view."""
         f = ens.factor_view(k)
         if f.shape[3] < f.shape[2]:
-            self.view = np.einsum('lcbx,laby->laxcy', f.conj(), f)
+            view = np.einsum('lcbx,laby->laxcy', f.conj(), f)
         else:
-            self.view = np.einsum('laxr,lcyr->laxcy', f, f.conj())
-        self.dk = ens.dims[k]
-        self.rest_entropy = sum(s for j, s in enumerate(ens.marginal_entropies)
-                                if j != k)
+            view = np.einsum('laxr,lcyr->laxcy', f, f.conj())
+        return cls(view, sum(s for j, s in enumerate(ens.marginal_entropies) if j != k))
 
-    def _blocks(self, bases: np.ndarray) -> np.ndarray:
+    @property
+    def view(self) -> np.ndarray:
+        """The view as (L, d_k, b, d_k, b), b = d_rest (dense) or r (Gram)."""
+        return self._by_c.reshape((self.dk, self.dk) + self._leaf_shape).transpose(2, 1, 3, 0, 4)
+
+    def _half_blocks(self, bases: np.ndarray) -> np.ndarray:
+        """T[a, n, x] = sum_c v_{n,a,c} view[:, x, :, c, :], as (d_k, n, d_k, L b b).
+
+        One GEMM of the stacked outcome vectors (n, d_k, d_k), vectors as
+        rows, against the view's layout.
+        """
+        n, dk = bases.shape[:2]
+        rows = bases.swapaxes(0, 1).reshape(dk * n, dk)
+        return (rows @ self._by_c).reshape(dk, n, dk, -1)
+
+    def _blocks(self, bases: np.ndarray, half: np.ndarray | None = None) -> np.ndarray:
         """Outcome blocks of every basis and leaf, as (d_k, n, L, b, b).
 
-        `bases` is a stack (n, d_k, d_k) with vectors as rows; one einsum.
-        b is d_rest in the dense view and r in the Gram view.
+        `bases` is a stack (n, d_k, d_k) with vectors as rows. Block (a, n)
+        is sum_x conj(v_{n,a,x}) T[a, n, x], from `_half_blocks` unless
+        given. b is d_rest in the dense view and r in the Gram view.
         """
-        return np.einsum('nia,labcd,nic->inlbd', bases.conj(), self.view, bases)
+        if half is None:
+            half = self._half_blocks(bases)
+        dk, n = half.shape[:2]
+        blocks = bases.conj().swapaxes(0, 1)[:, :, None] @ half
+        return blocks.reshape((dk, n) + self._leaf_shape)
 
     def j_bases(self, bases: np.ndarray) -> np.ndarray:
         """J for every basis of the stack `bases` (n, d_k, d_k), vectors as rows."""
@@ -325,13 +352,17 @@ class _JEvaluator:
         outcome block of leaf i and q_a = sum_i Tr B_ai; in the Gram view
         the trace and W_i are taken on its r x r blocks. The 1/ln 2 terms of
         the entropy derivatives cancel. Outcomes with q_a <= 1e-12 contribute
-        0, and eigenvalues of B_ai / q_a are clamped at 1e-12.
+        0, and eigenvalues of B_ai / q_a are clamped at 1e-12. The trace
+        reuses the blocks' `_half_blocks`: row a is T[a] contracted with the
+        transpose of log2(B_a / q_a), one matrix-vector product per (a, n).
         """
-        blocks = self._blocks(bases)
+        half = self._half_blocks(bases)
+        blocks = self._blocks(bases, half)
         probs = np.einsum('...ii->...', blocks.real).sum(axis=-1)
         w, u = np.linalg.eigh(blocks)
         log_w = np.log2(np.maximum(
             w / np.maximum(probs, ZERO_PROB)[..., None, None], _CLAMP))
         log_w[probs <= ZERO_PROB] = 0.0
-        logs = (u * log_w[..., None, :]) @ u.conj().swapaxes(-1, -2)
-        return np.einsum('inldb,lxbyd,niy->nix', logs, self.view, bases)
+        logs_t = (u.conj() * log_w[..., None, :]) @ u.swapaxes(-1, -2)
+        dk, n = half.shape[:2]
+        return (half @ logs_t.reshape(dk, n, -1, 1))[..., 0].swapaxes(0, 1)

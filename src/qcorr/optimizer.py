@@ -2,11 +2,14 @@
 
 A measurement is an orthonormal basis, and one search serves every
 dimension: Riemannian ascent on the unitary group (Abrudan, Eriksson &
-Koivunen, IEEE TSP 56(3):1134, 2008). A qubit starts from the argmax of a
-coarse Bloch-angle grid and takes Newton steps, its Hessian taken from
-central differences of the analytic gradient; a higher dimension starts
-from seeded Haar-random bases and takes gradient steps. The starts ascend
-in lockstep, so each round is one batched gradient and one batched J
+Koivunen, IEEE TSP 56(3):1134, 2008), its directions taken in the fixed
+left frame. A qubit starts from the argmax of a coarse Bloch-angle grid
+that samples the equator, and takes Newton steps where its Hessian, from
+central differences of the analytic gradient, allows them. A higher
+dimension starts from seeded Haar-random bases. Wherever no Newton step
+applies, a round takes a conjugate-gradient step (Abrudan, Eriksson &
+Koivunen, Signal Processing 89(9):1704, 2009). The starts ascend in
+lockstep, so each round is one batched gradient and one batched J
 evaluation of its line search. The fine grid of the public
 `grid_search_qubit` is only an oracle for the ascent.
 J is evaluated on a classical-quantum ensemble of leaves (a state that no
@@ -31,12 +34,14 @@ from .measurement import (CQEnsemble, ProjectiveMeasurement, _JEvaluator,
                           _conditional_entropy, basis_vectors)
 from .states import DensityMatrix
 
-# A qubit search ascends from the best of this n x n grid's 128 directions.
-_START_GRID = 16
+# A qubit search ascends from the best of this grid's 144 Bloch directions:
+# 9 theta rows spanning [0, pi/2], the equator included, by 16 phi columns
+# spanning [0, 2 pi). The other hemisphere holds only antipodes, of equal J.
+_START_GRID = (9, 16)
 # Bound on the entries of one (chunk, L, dr, dr) stack of grid blocks, so the
 # grid's working set stays flat as the leaves L and their dimension dr grow.
 _GRID_CHUNK_ELEMENTS = 1 << 20
-# Gradient-ascent rounds per start.
+# Ascent rounds per start.
 _MAX_ROUNDS = 500
 # Trial steps of an ascent round, as multiples of the search's last accepted step.
 _LADDER = np.array([4.0, 2.0, 1.0, 0.5, 0.25, 1 / 16])
@@ -44,10 +49,13 @@ _LADDER = np.array([4.0, 2.0, 1.0, 0.5, 0.25, 1 / 16])
 _ARMIJO = 1e-4
 # A search ends when no accepted trial gains more J (bits) than this.
 _GAIN_FLOOR = 1e-12
-# Central-difference step of a qubit search's Hessian, and the generators
-# E_p of the basis turns that move its Bloch vector (diagonal ones rephase it).
+# Central-difference step of a qubit search's Hessian, the generators E_p of
+# the basis turns exp(t E_p) V that move its Bloch vector (diagonal ones
+# rephase it), and the turns exp(+-h E_q) = cos(h) I +- sin(h) E_q, as E_q^2 = -I.
 _FD_STEP = 1e-4
 _BLOCH_GENERATORS = np.array([[[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
+_BLOCH_TURNS = (math.cos(_FD_STEP) * np.eye(2) + math.sin(_FD_STEP)
+                * np.array([1, -1])[:, None, None] * _BLOCH_GENERATORS[:, None])
 
 
 @dataclass(frozen=True)
@@ -96,16 +104,19 @@ def grid_search_qubit(rho: DensityMatrix, k: int,
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ParamOutOfRange(f"grid size must be an integer > 0, got {n!r}")
-    ev = _JEvaluator(CQEnsemble.of(rho), k)
+    ev = _JEvaluator.of(CQEnsemble.of(rho), k)
     if ev.dk != 2:
         raise NotAQubit(f"subsystem {k} has dimension {ev.dk}")
-    return _grid_search(ev, n)
+    return _grid_search(ev, np.linspace(0.0, math.pi, n)[:_grid_rows(n)],
+                        np.arange(n) * (2 * math.pi / n))
 
 
-def _grid_search(ev: _JEvaluator, n: int) -> tuple[float, float, float]:
-    """grid_search_qubit on the ensemble and qubit subsystem of `ev`.
+def _grid_search(ev: _JEvaluator, thetas: np.ndarray,
+                 phis: np.ndarray) -> tuple[float, float, float]:
+    """Best J over the Bloch directions thetas x phis on the qubit subsystem of `ev`.
 
-    The two outcome blocks of the measurement along unit vector u are
+    Ties within 1e-12 break to the first (theta, phi) in that order. The two
+    outcome blocks of the measurement along unit vector u are
     (rest +- u . T) / 2 for every leaf, with `rest` the leaf's block traced
     over subsystem k and T_j = Tr_k[(sigma_j x I) W].
     """
@@ -115,8 +126,6 @@ def _grid_search(ev: _JEvaluator, n: int) -> tuple[float, float, float]:
     half_rest = (up + down) / 2
     half_tensor = np.stack([upper + lower, 1j * (upper - lower),
                             up - down]).reshape(3, half_rest.size) / 2
-    thetas = np.linspace(0.0, math.pi, n)[:_grid_rows(n)]
-    phis = np.arange(n) * (2 * math.pi / n)
     tt, pp = [a.ravel() for a in np.meshgrid(thetas, phis, indexing='ij')]
     dirs = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp),
                      np.cos(tt)], axis=1)
@@ -159,59 +168,85 @@ def _rotations(a: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _directions(ev: _JEvaluator, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients A of the bases v, their ascent directions D, and where D is Newton's.
+    """Gradients X of the bases v, their ascent directions D, and where D is Newton's.
 
-    J's slope along V exp(t D) is <A, D>, with A = V^dagger G - G^dagger V for
-    G = dJ/d conj(V). A qudit takes D = A. On a qubit, B_p = V^dagger E_p V
-    turn the Bloch vector. In the coordinates x of sum_p x_p B_p the gradient
-    is g_p = <B_p, A> / 2, and the Hessian H comes from central differences
-    of g along V exp(+-h B_q): four more gradients in the same call. Where H
-    is negative definite D has x = -H^{-1} g, the model's top at t = 1.
+    Both are in the fixed left frame, where a basis V moves to exp(t D) V:
+    J's slope along D is <X, D>, with X = G V^dagger - V G^dagger for
+    G = dJ/d conj(V). A qudit takes D = X. On a qubit, in the coordinates s
+    of sum_p s_p E_p, the gradient is g_p = <E_p, X> / 2, and the Hessian H
+    comes from central differences of g along exp(+-h E_q) V: four more
+    gradients in the same call. Where H is negative definite D has
+    s = -H^{-1} g, the model's top at t = 1; elsewhere D = X.
     """
     m, dk = len(v), v.shape[-1]
     if dk == 2:
-        gens = v.conj().swapaxes(-1, -2)[:, None] @ _BLOCH_GENERATORS @ v[:, None]
-        turns = _rotations(gens.reshape(2 * m, 2, 2), np.tile([_FD_STEP, -_FD_STEP], (2 * m, 1)))
-        v = np.concatenate([v, (v[:, None] @ turns.reshape(m, 4, 2, 2)).reshape(-1, 2, 2)])
-    a = v.conj().swapaxes(-1, -2) @ ev.gradient(v)
-    a -= a.conj().swapaxes(-1, -2)
+        v = np.concatenate([v, (_BLOCH_TURNS @ v[:, None, None]).reshape(-1, 2, 2)])
+    x = ev.gradient(v) @ v.conj().swapaxes(-1, -2)
+    x -= x.conj().swapaxes(-1, -2)
     if dk != 2:
-        return a, a, np.zeros(m, dtype=bool)
-    coords = lambda x: np.einsum('mpab,m...ab->m...p', gens.conj(), x).real / 2
-    c = coords(a[m:].reshape(m, 2, 2, 2, 2))  # (start, q, +-h, p)
+        return x, x, np.zeros(m, dtype=bool)
+    coords = lambda y: np.einsum('pab,...ab->...p', _BLOCH_GENERATORS.conj(), y).real / 2
+    c = coords(x[m:].reshape(m, 2, 2, 2, 2))  # (start, q, +-h, p)
     h = (c[:, :, 0] - c[:, :, 1]) / (4 * _FD_STEP)
     h = h + h.swapaxes(1, 2)  # symmetrized
     newton = (h[:, 0, 0] < 0) & (np.linalg.det(h) > 0)
-    x = np.linalg.solve(np.where(newton[:, None, None], h, np.eye(2)), -coords(a[:m])[..., None])
-    d = np.einsum('mp,mpab->mab', x[..., 0], gens)
-    return a[:m], np.where(newton[:, None, None], d, a[:m]), newton
+    step = np.linalg.solve(np.where(newton[:, None, None], h, np.eye(2)), -coords(x[:m])[..., None])
+    d = np.einsum('mp,pab->mab', step[..., 0], _BLOCH_GENERATORS)
+    return x[:m], np.where(newton[:, None, None], d, x[:m]), newton
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re Tr(x[m]^dagger y[m]) for every m of two stacks of matrices."""
+    return np.einsum('mab,mab->m', x.conj(), y).real
 
 
 def _ascend(ev: _JEvaluator, bases: np.ndarray,
             j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Riemannian ascent of J from every basis of the stack, all in lockstep.
 
-    A round moves a live basis V (vectors as rows) along V exp(t D), with
-    A and D from one `_directions` call. Its trials, one `j_bases` call,
-    take t at the `_LADDER` multiples of 1 for a Newton D, and of the
-    search's last accepted step (1 at first) for D = A. The best trial
-    gaining at least `_ARMIJO` t <A, D> is accepted. A search ends when no
-    trial passes with a gain above `_GAIN_FLOOR`, or after `_MAX_ROUNDS`
-    rounds. `j` holds the starts' J. Returns the final bases, their J and
-    each search's evaluations (each gradient and each trial count one).
+    A round moves a live basis V (vectors as rows) to exp(t D) V, with the
+    gradient X and the Newton direction from one `_directions` call. Both
+    are in the fixed left frame (V exp(t A) = exp(t V A V^dagger) V), so
+    directions of different rounds add without transport. Where no Newton
+    step applies, D is the conjugate gradient (Abrudan, Eriksson &
+    Koivunen, Signal Processing 89(9):1704, 2009) X + beta D', with D' the
+    search's last direction and beta = max(0, <X, X - X'> / |X'|^2)
+    (Polak-Ribiere); D = X on a search's first round, after a Newton step
+    or a conjugate round that failed, and where <X, D> <= 0. The trials,
+    one `j_bases` call, take t at the `_LADDER` multiples of 1 for a Newton
+    D, and of the search's last accepted step (1 at first) otherwise. The
+    best trial gaining at least `_ARMIJO` t <X, D> is accepted. A conjugate
+    round with no trial gaining more than `_GAIN_FLOOR` leaves the search
+    live, to step along X from the same point; any other such round ends
+    it, as do `_MAX_ROUNDS` rounds. Each search keeps its own X' and D', so
+    the lockstep run equals the starts ascended one by one. `j` holds the
+    starts' J. Returns the final bases, their J and each search's
+    evaluations (each gradient and each trial count one).
     """
     bases, j = bases.copy(), np.array(j, dtype=float)
     steps = np.ones(len(bases))
     evals = np.zeros(len(bases), dtype=int)
+    last_x, last_d = np.zeros_like(bases), np.zeros_like(bases)
+    conjugate = np.zeros(len(bases), dtype=bool)  # the next round may add last_d
     live = np.arange(len(bases))
     for _ in range(_MAX_ROUNDS):
         if live.size == 0:
             break
         v = bases[live]
-        a, d, newton = _directions(ev, v)
-        slope = np.einsum('mab,mab->m', a.conj(), d).real
+        x, d, newton = _directions(ev, v)
+        is_cg = np.zeros(live.size, dtype=bool)
+        if conjugate[live].any():
+            prev_x, prev_d = last_x[live], last_d[live]
+            norm = _inner(prev_x, prev_x)
+            beta = np.where(conjugate[live] & ~newton,
+                            np.maximum(_inner(x, x - prev_x), 0.0) / np.where(norm > 0, norm, 1.0),
+                            0.0)
+            cg = d + beta[:, None, None] * prev_d
+            is_cg = (beta > 0) & (_inner(x, cg) > 0)
+            d = np.where(is_cg[:, None, None], cg, d)
+        slope = _inner(x, d)
         t = np.where(newton, 1.0, steps[live])[:, None] * _LADDER
-        trials = v[:, None] @ _rotations(d, t)
+        trials = _rotations(d, t) @ v[:, None]
         values = ev.j_bases(trials.reshape((-1,) + v.shape[1:])).reshape(t.shape)
         evals[live] += (5 if ev.dk == 2 else 1) + _LADDER.size
         gain = values - j[live, None]
@@ -219,10 +254,12 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray,
         pick = np.where(armijo, values, -np.inf).argmax(axis=1)
         rows = np.arange(live.size)
         moved = armijo[rows, pick] & (gain[rows, pick] > _GAIN_FLOOR)
-        live, rows, pick = live[moved], rows[moved], pick[moved]
-        bases[live] = trials[rows, pick]
-        j[live] = values[rows, pick]
-        steps[live] = t[rows, pick]
+        last_x[live], last_d[live], conjugate[live] = x, d, moved & ~newton
+        rows, pick = rows[moved], pick[moved]
+        bases[live[rows]] = trials[rows, pick]
+        j[live[rows]] = values[rows, pick]
+        steps[live[rows]] = t[rows, pick]
+        live = live[moved | is_cg]
     return bases, j, evals
 
 
@@ -241,11 +278,13 @@ def _optimize(ens: CQEnsemble, k: int,
     ascended start wins, the first of any tie.
     """
     info = ens.mutual_information()
-    ev = _JEvaluator(ens, k)
+    ev = _JEvaluator.of(ens, k)
     if ev.dk == 2:
-        theta, phi, j_grid = _grid_search(ev, _START_GRID)
+        rows, cols = _START_GRID
+        theta, phi, j_grid = _grid_search(ev, np.linspace(0.0, math.pi / 2, rows),
+                                          np.arange(cols) * (2 * math.pi / cols))
         starts, j0 = np.array(basis_vectors(theta, phi))[None], [j_grid]
-        iterations = _grid_rows(_START_GRID) * _START_GRID
+        iterations = rows * cols
     else:
         starts = _haar_bases(np.random.default_rng(config.seed), config.restarts, ev.dk)
         j0 = ev.j_bases(starts)

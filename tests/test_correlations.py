@@ -329,6 +329,10 @@ def test_eigenvalue_dust_moves_nothing(name, clean, renormalized):
     assert np.abs(np.array(seq.step_discords) - ref.step_discords).max() <= 1e-9
     assert abs(seq.q_total - ref.q_total) <= 1e-9
     assert abs(seq.c_total - ref.c_total) <= 1e-9
+    # Q and C split the ensemble's own I, which infotheory.mutual_information
+    # (the dusty matrix's) misses by up to 4e-8 here
+    assert seq.q_total <= seq.mutual_info
+    assert abs(seq.q_total + seq.c_total - seq.mutual_info) <= 1e-12
 
 
 class TestOverall:
