@@ -266,13 +266,15 @@ class TestOptimizeMeasurement:
         assert res.measurement.subsystem_dim == 3
         assert res.j_value <= infotheory.mutual_information(rho) + 1e-9
 
-    @pytest.mark.parametrize("grid, grid_evals", [((5, 8), 40), ((4, 7), 28), (None, 144)])
-    def test_iterations_count_evaluations(self, rng, monkeypatch, grid, grid_evals):
+    @pytest.mark.parametrize("n, grid_evals", [(8, 32), (7, 49), (None, 144)])
+    def test_iterations_count_evaluations(self, rng, monkeypatch, n, grid_evals):
         # the start grid's directions (theta rows over [0, pi/2] by phi
-        # columns), then the ascent
-        if grid is None:
+        # columns), then the ascent; a start grid of n phi columns is given
+        # the theta rows of the n-point oracle grid
+        if n is None:
             grid = optimizer._START_GRID
         else:
+            grid = (optimizer._grid_rows(n), n)
             monkeypatch.setattr(optimizer, "_START_GRID", grid)
         rho = states.random_density((2, 2), rng)
         ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
