@@ -294,6 +294,14 @@ def _verify_oracle(config, failures):
     res = optimizer.optimize_measurement(rho, 0, config)
     s0 = infotheory.von_neumann_entropy(states.reduced(rho, {0}))
     _check("oracle pure 3x2 D_0 = S(rho_0)", abs(res.discord - s0), 1e-6, failures)
+    # qudit waves stop once two restarts agree; ascending every start is the oracle
+    rho = states.random_density((4, 2), rng)
+    res = optimizer.optimize_measurement(rho, 0, config)
+    ev = measurement._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
+    starts = optimizer._haar_bases(np.random.default_rng(config.seed), config.restarts, 4)
+    _, js, _ = optimizer._ascend(ev, starts, ev.j_bases(starts))
+    _check("oracle mixed 4x2 waves against every restart", abs(res.j_value - js.max()),
+           1e-9, failures)
 
 
 def _verify_identities(config, failures):
@@ -344,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="optimizer seed (default: QCORR_SEED env or 0)")
         p.add_argument("--restarts", type=int, default=None,
-                       help="random restarts for subsystem dim > 2")
+                       help="subsystem dim > 2: at most this many Haar starts, "
+                            "ascended in waves of 8")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("info", help="entropies and mutual information")

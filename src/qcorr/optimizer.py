@@ -10,7 +10,8 @@ dimension starts from seeded Haar-random bases. Wherever no Newton step
 applies, a round takes a conjugate-gradient step (Abrudan, Eriksson &
 Koivunen, Signal Processing 89(9):1704, 2009). The starts ascend in
 lockstep, so each round is one batched gradient and one batched J
-evaluation of its line search. The fine grid of the public
+evaluation of its line search; a qudit's starts do so in waves of
+`_WAVE`, until two of them agree on the best J. The fine grid of the public
 `grid_search_qubit` is only an oracle for the ascent.
 J is evaluated on a classical-quantum ensemble of leaves (a state that no
 step has measured yet is a single leaf), so later steps of a sequential run
@@ -43,6 +44,10 @@ _START_GRID = (9, 16)
 _GRID_CHUNK_ELEMENTS = 1 << 20
 # Ascent rounds per start.
 _MAX_ROUNDS = 500
+# Qudit starts ascended together; waves continue until two ascended starts
+# are within _AGREE (bits) of the best J so far, or the restarts run out.
+_WAVE = 8
+_AGREE = 1e-9
 # Trial steps of an ascent round, as multiples of the search's last accepted step.
 _LADDER = np.array([4.0, 2.0, 1.0, 0.5, 0.25, 1 / 16])
 # A trial is accepted if it gains at least this share of its first-order gain.
@@ -60,7 +65,8 @@ _BLOCH_TURNS = (math.cos(_FD_STEP) * np.eye(2) + math.sin(_FD_STEP)
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    restarts: int = 32  # Haar starts for subsystem dim > 2
+    # subsystem dim > 2: at most this many Haar starts, ascended in waves of 8
+    restarts: int = 32
     seed: int = 0
 
     def __post_init__(self):
@@ -217,7 +223,8 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray,
     D, and of the search's last accepted step (1 at first) otherwise. The
     best trial gaining at least `_ARMIJO` t <X, D> is accepted. A conjugate
     round with no trial gaining more than `_GAIN_FLOOR` leaves the search
-    live, to step along X from the same point; any other such round ends
+    live, to step along X from the same point, which it keeps from the
+    failed round rather than computing it again; any other such round ends
     it, as do `_MAX_ROUNDS` rounds. Each search keeps its own X' and D', so
     the lockstep run equals the starts ascended one by one. `j` holds the
     starts' J. Returns the final bases, their J and each search's
@@ -228,12 +235,18 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray,
     evals = np.zeros(len(bases), dtype=int)
     last_x, last_d = np.zeros_like(bases), np.zeros_like(bases)
     conjugate = np.zeros(len(bases), dtype=bool)  # the next round may add last_d
+    retry = np.zeros(len(bases), dtype=bool)  # the last round was a failed conjugate one
     live = np.arange(len(bases))
     for _ in range(_MAX_ROUNDS):
         if live.size == 0:
             break
         v = bases[live]
-        x, d, newton = _directions(ev, v)
+        # a retry steps along its last X (never a Newton direction: the
+        # failed round was conjugate only because none applied there)
+        x, d, newton = last_x[live], last_x[live], np.zeros(live.size, dtype=bool)
+        fresh = ~retry[live]
+        if fresh.any():
+            x[fresh], d[fresh], newton[fresh] = _directions(ev, v[fresh])
         is_cg = np.zeros(live.size, dtype=bool)
         if conjugate[live].any():
             prev_x, prev_d = last_x[live], last_d[live]
@@ -248,13 +261,14 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray,
         t = np.where(newton, 1.0, steps[live])[:, None] * _LADDER
         trials = _rotations(d, t) @ v[:, None]
         values = ev.j_bases(trials.reshape((-1,) + v.shape[1:])).reshape(t.shape)
-        evals[live] += (5 if ev.dk == 2 else 1) + _LADDER.size
+        evals[live] += np.where(fresh, 5 if ev.dk == 2 else 1, 0) + _LADDER.size
         gain = values - j[live, None]
         armijo = gain >= _ARMIJO * t * slope[:, None]
         pick = np.where(armijo, values, -np.inf).argmax(axis=1)
         rows = np.arange(live.size)
         moved = armijo[rows, pick] & (gain[rows, pick] > _GAIN_FLOOR)
         last_x[live], last_d[live], conjugate[live] = x, d, moved & ~newton
+        retry[live] = is_cg & ~moved
         rows, pick = rows[moved], pick[moved]
         bases[live[rows]] = trials[rows, pick]
         j[live[rows]] = values[rows, pick]
@@ -274,8 +288,10 @@ def _optimize(ens: CQEnsemble, k: int,
     """optimize_measurement on unmeasured subsystem k of a cq ensemble.
 
     The starts are the `_START_GRID` argmax on a qubit (its J taken from the
-    grid, so `oracle_gap` >= 0) and seeded Haar bases otherwise; the best
-    ascended start wins, the first of any tie.
+    grid, so `oracle_gap` >= 0) and seeded Haar bases otherwise. Those
+    ascend in waves of `_WAVE` consecutive starts of the one draw, and the
+    waves stop once two ascended starts are within `_AGREE` of the best J
+    so far. The best ascended start wins, the first of any tie.
     """
     info = ens.mutual_information()
     ev = _JEvaluator.of(ens, k)
@@ -283,13 +299,19 @@ def _optimize(ens: CQEnsemble, k: int,
         rows, cols = _START_GRID
         theta, phi, j_grid = _grid_search(ev, np.linspace(0.0, math.pi / 2, rows),
                                           np.arange(cols) * (2 * math.pi / cols))
-        starts, j0 = np.array(basis_vectors(theta, phi))[None], [j_grid]
+        bases, js, evals = _ascend(ev, np.array(basis_vectors(theta, phi))[None], [j_grid])
         iterations = rows * cols
     else:
         starts = _haar_bases(np.random.default_rng(config.seed), config.restarts, ev.dk)
-        j0 = ev.j_bases(starts)
-        iterations = config.restarts
-    bases, js, evals = _ascend(ev, starts, j0)
+        waves = []
+        for lo in range(0, len(starts), _WAVE):
+            wave = starts[lo:lo + _WAVE]
+            waves.append(_ascend(ev, wave, ev.j_bases(wave)))
+            js = np.concatenate([w[1] for w in waves])
+            if np.count_nonzero(js >= js.max() - _AGREE) >= 2:
+                break
+        bases, js, evals = (np.concatenate(parts) for parts in zip(*waves))
+        iterations = len(js)
     best = 0
     for i in range(1, len(js)):
         if js[i] > js[best] + 1e-12:

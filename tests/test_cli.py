@@ -325,8 +325,9 @@ class TestVerify:
     def test_oracle_suite_covers_the_qudit_search(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "oracle"])
         assert code == 0
-        assert out.count("PASS") == 2
+        assert out.count("PASS") == 3
         assert "PASS oracle pure 3x2" in out
+        assert "PASS oracle mixed 4x2 waves" in out
 
     def test_bounds_suite_searches_step_zero_once_per_state(self, capsys, monkeypatch):
         # the suite's output by the recipe that searched subsystem 0 twice
@@ -353,7 +354,7 @@ class TestVerify:
     def test_every_suite_passes_at_the_default_config(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "all"])
         assert code == 0
-        assert out.count("PASS") == 9 and "FAIL" not in out
+        assert out.count("PASS") == 10 and "FAIL" not in out
         assert out.endswith("all checks passed\n")
 
     def test_unknown_suite(self, capsys):

@@ -354,6 +354,11 @@ GRADIENT_ASCENT_J = {
 }
 
 
+# (dims, measured subsystem) of the wave-stop oracle suite
+WAVE_SHAPES = [((3, 2), 0), ((2, 3), 1), ((3, 3), 0), ((3, 3), 1), ((4, 2), 0),
+               ((4, 4), 0), ((5, 2), 0), ((3, 3, 3), 0), ((3, 3, 3), 1)]
+
+
 class TestQuditRestarts:
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("dims", [(3, 2), (3, 3), (4, 2)])
@@ -404,10 +409,11 @@ class TestQuditRestarts:
         res = optimizer.optimize_measurement(rho, k)
         assert res.j_value >= GRADIENT_ASCENT_J[dims, k, rank] - 1e-12
 
-    @pytest.mark.parametrize("state, max_evals", [("classical_quantum", 6000), ("mixed", 5200)])
+    @pytest.mark.parametrize("state, max_evals", [("classical_quantum", 1700), ("mixed", 1400)])
     def test_benchmark_qutrit_searches_take_few_evaluations(self, state, max_evals):
         # the qutrit sides of the benchmark's qutrit_qubit states; plain
-        # gradient steps took 12597 and 6402 evaluations
+        # gradient steps took 12597 and 6402 evaluations, and conjugate
+        # steps from all 32 restarts 5828 and 4988
         catalog = np.random.default_rng(2011)
         ginibre = lambda d, rank: states.random_density([d], catalog, rank=rank).matrix
         p = catalog.dirichlet(np.ones(3))
@@ -415,6 +421,41 @@ class TestQuditRestarts:
         rho = {"classical_quantum": cq, "mixed": ginibre(6, 6)}[state]
         res = optimizer.optimize_measurement(states.from_dense(rho, (3, 2)), 0)
         assert res.iterations <= max_evals
+
+    def test_a_failed_conjugate_round_reuses_its_gradient(self, rng, monkeypatch):
+        # its retry steps along the gradient that round computed, so some
+        # rounds take no gradient; each gradient and each trial counts once
+        rho = states.random_density((3, 2), rng)
+        ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
+        starts = optimizer._haar_bases(np.random.default_rng(0), 8, 3)
+        j0 = ev.j_bases(starts)
+        gradients, trials = [], []
+        directions, j_bases = optimizer._directions, ev.j_bases
+        monkeypatch.setattr(optimizer, "_directions",
+                            lambda ev, v: gradients.append(len(v)) or directions(ev, v))
+        monkeypatch.setattr(ev, "j_bases", lambda b: trials.append(len(b)) or j_bases(b))
+        _, _, evals = optimizer._ascend(ev, starts, j0)
+        assert sum(gradients) < sum(trials) // optimizer._LADDER.size
+        assert evals.sum() == sum(gradients) + sum(trials)
+
+    @pytest.mark.parametrize("rank", [None, 2])
+    @pytest.mark.parametrize("dims, k", WAVE_SHAPES)
+    def test_waves_reach_every_restart(self, dims, k, rank):
+        # the waves stop once two restarts agree; ascending all 32 default
+        # starts is the oracle
+        rng = np.random.default_rng([2013, *dims, k, rank or 0])
+        for _ in range(2):
+            rho = states.random_density(dims, rng, rank=rank)
+            _, j, _ = ascend(rho, k, optimizer._haar_bases(np.random.default_rng(0), 32, dims[k]))
+            assert optimizer.optimize_measurement(rho, k).j_value >= j.max() - 1e-11
+
+    def test_waves_continue_until_two_restarts_agree(self, rng, monkeypatch):
+        # every basis attains sup J on a pure state, so with waves of one
+        # start the search stops after the second, the first that can agree
+        monkeypatch.setattr(optimizer, "_WAVE", 1)
+        rho = states.random_density((3, 2), rng, rank=1)
+        _, _, evals = ascend(rho, 0, optimizer._haar_bases(np.random.default_rng(0), 32, 3)[:2])
+        assert optimizer.optimize_measurement(rho, 0).iterations == 2 + evals.sum()
 
 
 def dense_evaluator(rho, k):
