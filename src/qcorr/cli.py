@@ -301,7 +301,7 @@ def _verify_oracle(config, failures):
     starts = optimizer._haar_bases(np.random.default_rng(config.seed), config.restarts, 4)
     _, js, _ = optimizer._ascend(ev, starts, ev.j_bases(starts))
     _check("oracle mixed 4x2 waves against every restart", abs(res.j_value - js.max()),
-           1e-9, failures)
+           1e-11, failures)
 
 
 def _verify_identities(config, failures):

@@ -244,6 +244,25 @@ class CQEnsemble:
         return sum(self.marginal_entropies) - self.joint_entropy
 
 
+def _small_spectrum(blocks: np.ndarray, traces: np.ndarray, safe: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the 1 x 1 or 2 x 2 Hermitian blocks / q_a, in closed form.
+
+    `traces` holds the blocks' traces and `safe` the q_a clamped at 1e-12,
+    broadcast over the leaf axis: (..., L) and (..., 1).
+    """
+    if blocks.shape[-1] == 1:
+        return (traces / safe)[..., None]
+    # (t -+ sqrt(t^2 - 4 det)) / 2
+    det4 = 4.0 * (blocks[..., 0, 0] * blocks[..., 1, 1]
+                  - blocks[..., 0, 1] * blocks[..., 1, 0]).real
+    disc = np.sqrt(np.maximum(traces * traces - det4, 0.0))
+    lam = np.empty(traces.shape + (2,))
+    np.subtract(traces, disc, out=lam[..., 0])
+    np.add(traces, disc, out=lam[..., 1])
+    lam *= (0.5 / safe)[..., None]
+    return lam
+
+
 def _conditional_entropy(blocks: np.ndarray) -> np.ndarray:
     """sum_a q_a S(rest | a) over the leading outcome axis of `blocks`.
 
@@ -253,27 +272,43 @@ def _conditional_entropy(blocks: np.ndarray) -> np.ndarray:
     blocks' spectra divided by q_a = sum_i Tr B_{a,i}. Outcomes with
     q_a <= 1e-12 contribute 0.
     """
-    dr = blocks.shape[-1]
     traces = np.einsum('...ii->...', blocks.real)
     probs = traces.sum(axis=-1)
     safe = np.maximum(probs, ZERO_PROB)[..., None]
-    if dr == 1:
-        lam = (traces / safe)[..., None]
-    elif dr == 2:
-        # closed-form 2x2 Hermitian spectrum (t -+ sqrt(t^2 - 4 det)) / 2
-        det4 = 4.0 * (blocks[..., 0, 0] * blocks[..., 1, 1]
-                      - blocks[..., 0, 1] * blocks[..., 1, 0]).real
-        disc = np.sqrt(np.maximum(traces * traces - det4, 0.0))
-        lam = np.empty(traces.shape + (2,))
-        np.subtract(traces, disc, out=lam[..., 0])
-        np.add(traces, disc, out=lam[..., 1])
-        lam *= (0.5 / safe)[..., None]
+    if blocks.shape[-1] <= 2:
+        lam = _small_spectrum(blocks, traces, safe)
     else:
         # spectrum of blocks / q_a without a normalized copy of the blocks
         lam = np.linalg.eigvalsh(blocks) / safe[..., None]
     plogp = np.where(lam > _CLAMP, lam * np.log2(np.maximum(lam, _CLAMP)), 0.0)
     cond_entropy = -plogp.sum(axis=(-2, -1))
     return np.where(probs > ZERO_PROB, probs * cond_entropy, 0.0).sum(axis=0)
+
+
+def _small_log(blocks: np.ndarray, traces: np.ndarray, safe: np.ndarray) -> np.ndarray:
+    """log2(B / q_a) of 1 x 1 or 2 x 2 blocks B, eigenvalues clamped at 1e-12, in closed form.
+
+    Arguments as for `_small_spectrum`. For 2 x 2, f(B / q) = m I + s N,
+    with N = (B - t/2 I) / q the traceless part, m the mean of f at the two
+    eigenvalues and s their divided difference, which log1p keeps exact
+    however close the eigenvalues are (its limit f' where they meet).
+    """
+    lam = _small_spectrum(blocks, traces, safe)
+    c = np.maximum(lam, _CLAMP)
+    f = np.log2(c)
+    if blocks.shape[-1] == 1:
+        return f[..., None]
+    gap = lam[..., 1] - lam[..., 0]
+    slope = np.where(gap > 0, np.log1p((c[..., 1] - c[..., 0]) / c[..., 0])
+                     / (math.log(2) * np.where(gap > 0, gap, 1.0)),
+                     np.where(lam[..., 0] > _CLAMP, 1 / (math.log(2) * c[..., 0]), 0.0))
+    out = blocks / safe[..., None, None]
+    half_diff = (out[..., 0, 0] - out[..., 1, 1]) / 2
+    mean = (f[..., 0] + f[..., 1]) / 2
+    out *= slope[..., None, None]
+    out[..., 0, 0] = mean + slope * half_diff
+    out[..., 1, 1] = mean - slope * half_diff
+    return out
 
 
 class _JEvaluator:
@@ -352,17 +387,24 @@ class _JEvaluator:
         outcome block of leaf i and q_a = sum_i Tr B_ai; in the Gram view
         the trace and W_i are taken on its r x r blocks. The 1/ln 2 terms of
         the entropy derivatives cancel. Outcomes with q_a <= 1e-12 contribute
-        0, and eigenvalues of B_ai / q_a are clamped at 1e-12. The trace
-        reuses the blocks' `_half_blocks`: row a is T[a] contracted with the
-        transpose of log2(B_a / q_a), one matrix-vector product per (a, n).
+        0, and eigenvalues of B_ai / q_a are clamped at 1e-12. Blocks of
+        b <= 2 take their log in closed form (`_small_log`), larger ones
+        from `eigh`. The trace reuses the blocks' `_half_blocks`: row a is
+        T[a] contracted with the transpose of log2(B_a / q_a), one
+        matrix-vector product per (a, n).
         """
         half = self._half_blocks(bases)
         blocks = self._blocks(bases, half)
-        probs = np.einsum('...ii->...', blocks.real).sum(axis=-1)
-        w, u = np.linalg.eigh(blocks)
-        log_w = np.log2(np.maximum(
-            w / np.maximum(probs, ZERO_PROB)[..., None, None], _CLAMP))
-        log_w[probs <= ZERO_PROB] = 0.0
-        logs_t = (u.conj() * log_w[..., None, :]) @ u.swapaxes(-1, -2)
+        traces = np.einsum('...ii->...', blocks.real)
+        probs = traces.sum(axis=-1)
+        safe = np.maximum(probs, ZERO_PROB)[..., None]
+        # log2(B_a / q_a), transposed (B^T has the spectrum of B)
+        if blocks.shape[-1] <= 2:
+            logs_t = _small_log(blocks.swapaxes(-1, -2), traces, safe)
+        else:
+            w, u = np.linalg.eigh(blocks)
+            log_w = np.log2(np.maximum(w / safe[..., None], _CLAMP))
+            logs_t = (u.conj() * log_w[..., None, :]) @ u.swapaxes(-1, -2)
+        logs_t[probs <= ZERO_PROB] = 0.0
         dk, n = half.shape[:2]
         return (half @ logs_t.reshape(dk, n, -1, 1))[..., 0].swapaxes(0, 1)

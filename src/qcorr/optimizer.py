@@ -4,15 +4,20 @@ A measurement is an orthonormal basis, and one search serves every
 dimension: Riemannian ascent on the unitary group (Abrudan, Eriksson &
 Koivunen, IEEE TSP 56(3):1134, 2008), its directions taken in the fixed
 left frame. A qubit starts from the argmax of a coarse Bloch-angle grid
-that samples the equator, and takes Newton steps where its Hessian, from
-central differences of the analytic gradient, allows them. A higher
-dimension starts from seeded Haar-random bases. Wherever no Newton step
+that samples the equator, a higher dimension from seeded Haar-random
+bases. Every search takes Newton steps where its Hessian over the d(d-1)
+generators that mix outcomes allows them (Absil, Mahony & Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008, ch. 6); the Hessian
+comes from forward differences of the analytic gradient, so a round
+evaluates 1 + d(d-1) gradients in one batched call. Wherever no Newton step
 applies, a round takes a conjugate-gradient step (Abrudan, Eriksson &
 Koivunen, Signal Processing 89(9):1704, 2009). The starts ascend in
-lockstep, so each round is one batched gradient and one batched J
+lockstep, so each round is one batched gradient call and one batched J
 evaluation of its line search; a qudit's starts do so in waves of
-`_WAVE`, until two of them agree on the best J. The fine grid of the public
-`grid_search_qubit` is only an oracle for the ascent.
+`_WAVE`, until two of them agree on the best J. Outcome blocks of at most
+2 x 2 take their spectrum and log in closed form, larger ones through
+LAPACK. The fine grid of the public `grid_search_qubit` is only an oracle
+for the ascent.
 J is evaluated on a classical-quantum ensemble of leaves (a state that no
 step has measured yet is a single leaf), so later steps of a sequential run
 diagonalize per-leaf blocks, not the dense state. Each leaf carries a factor
@@ -24,6 +29,7 @@ state diagonalizes blocks of at most r x r, whatever its dimension.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass
@@ -35,9 +41,10 @@ from .measurement import (CQEnsemble, ProjectiveMeasurement, _JEvaluator,
                           _conditional_entropy, basis_vectors)
 from .states import DensityMatrix
 
-# A qubit search ascends from the best of this grid's 144 Bloch directions:
+# A qubit search ascends from the best of this grid's 129 Bloch directions:
 # 9 theta rows spanning [0, pi/2], the equator included, by 16 phi columns
-# spanning [0, 2 pi). The other hemisphere holds only antipodes, of equal J.
+# spanning [0, 2 pi), the pole row counted once. The other hemisphere holds
+# only antipodes, of equal J.
 _START_GRID = (9, 16)
 # Bound on the entries of one (chunk, L, dr, dr) stack of grid blocks, so the
 # grid's working set stays flat as the leaves L and their dimension dr grow.
@@ -54,13 +61,12 @@ _LADDER = np.array([4.0, 2.0, 1.0, 0.5, 0.25, 1 / 16])
 _ARMIJO = 1e-4
 # A search ends when no accepted trial gains more J (bits) than this.
 _GAIN_FLOOR = 1e-12
-# Central-difference step of a qubit search's Hessian, the generators E_p of
-# the basis turns exp(t E_p) V that move its Bloch vector (diagonal ones
-# rephase it), and the turns exp(+-h E_q) = cos(h) I +- sin(h) E_q, as E_q^2 = -I.
+# Forward-difference step of a search's Hessian H. An eigenvalue of H below
+# _FLAT |lambda_min| counts as flat, and its Newton step takes it as
+# -_FLAT_CURVATURE |lambda_min|.
 _FD_STEP = 1e-4
-_BLOCH_GENERATORS = np.array([[[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
-_BLOCH_TURNS = (math.cos(_FD_STEP) * np.eye(2) + math.sin(_FD_STEP)
-                * np.array([1, -1])[:, None, None] * _BLOCH_GENERATORS[:, None])
+_FLAT = 1e-2
+_FLAT_CURVATURE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -113,18 +119,40 @@ def grid_search_qubit(rho: DensityMatrix, k: int,
     ev = _JEvaluator.of(CQEnsemble.of(rho), k)
     if ev.dk != 2:
         raise NotAQubit(f"subsystem {k} has dimension {ev.dk}")
-    return _grid_search(ev, np.linspace(0.0, math.pi, n)[:_grid_rows(n)],
-                        np.arange(n) * (2 * math.pi / n))
+    return _grid_search(ev, *_grid_points(np.linspace(0.0, math.pi, n)[:_grid_rows(n)],
+                                          np.arange(n) * (2 * math.pi / n)))
 
 
-def _grid_search(ev: _JEvaluator, thetas: np.ndarray,
-                 phis: np.ndarray) -> tuple[float, float, float]:
-    """Best J over the Bloch directions thetas x phis on the qubit subsystem of `ev`.
+def _grid_points(thetas: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points thetas x phis, theta major, as (theta, phi) pairs and unit Bloch vectors.
 
-    Ties within 1e-12 break to the first (theta, phi) in that order. The two
-    outcome blocks of the measurement along unit vector u are
-    (rest +- u . T) / 2 for every leaf, with `rest` the leaf's block traced
-    over subsystem k and T_j = Tr_k[(sigma_j x I) W].
+    A theta = 0 row keeps only its first point: the others are the same pole.
+    """
+    tt, pp = [a.ravel() for a in np.meshgrid(thetas, phis, indexing='ij')]
+    keep = (tt != 0) | (pp == phis[0])
+    tt, pp = tt[keep], pp[keep]
+    dirs = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=1)
+    return np.stack([tt, pp], axis=1), dirs
+
+
+@functools.cache
+def _start_points(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_grid_points` of the rows x cols start grid over [0, pi/2] x [0, 2 pi), built once."""
+    points = _grid_points(np.linspace(0.0, math.pi / 2, rows),
+                          np.arange(cols) * (2 * math.pi / cols))
+    for a in points:
+        a.flags.writeable = False
+    return points
+
+
+def _grid_search(ev: _JEvaluator, angles: np.ndarray,
+                 dirs: np.ndarray) -> tuple[float, float, float]:
+    """Best J over the Bloch directions `dirs` on the qubit subsystem of `ev`.
+
+    `angles` holds their (theta, phi). Ties within 1e-12 break to the first
+    direction. The two outcome blocks of the measurement along unit vector
+    u are (rest +- u . T) / 2 for every leaf, with `rest` the leaf's block
+    traced over subsystem k and T_j = Tr_k[(sigma_j x I) W].
     """
     view = ev.view
     up, down = view[:, 0, :, 0, :], view[:, 1, :, 1, :]
@@ -132,19 +160,17 @@ def _grid_search(ev: _JEvaluator, thetas: np.ndarray,
     half_rest = (up + down) / 2
     half_tensor = np.stack([upper + lower, 1j * (upper - lower),
                             up - down]).reshape(3, half_rest.size) / 2
-    tt, pp = [a.ravel() for a in np.meshgrid(thetas, phis, indexing='ij')]
-    dirs = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp),
-                     np.cos(tt)], axis=1)
-    j = np.empty(tt.size)
+    j = np.empty(len(dirs))
     chunk = max(1, _GRID_CHUNK_ELEMENTS // half_rest.size)
-    for lo in range(0, tt.size, chunk):
+    for lo in range(0, len(dirs), chunk):
         m = (dirs[lo:lo + chunk] @ half_tensor).reshape((-1,) + half_rest.shape)
         blocks = np.empty((2,) + m.shape, dtype=np.complex128)
         np.add(half_rest, m, out=blocks[0])
         np.subtract(half_rest, m, out=blocks[1])
         j[lo:lo + chunk] = ev.rest_entropy - _conditional_entropy(blocks)
     best = int(np.flatnonzero(j >= j.max() - 1e-12)[0])
-    return float(tt[best]), float(pp[best]), float(j[best])
+    theta, phi = angles[best]
+    return float(theta), float(phi), float(j[best])
 
 
 def _bloch_angles(basis: np.ndarray) -> tuple[float, float]:
@@ -173,31 +199,57 @@ def _rotations(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (q[:, None] * phase[..., None, :]) @ q.conj().swapaxes(-1, -2)[:, None]
 
 
+@functools.cache
+def _generators(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The generators E_p of the basis turns exp(t E_p) V that mix outcomes, and exp(h E_p).
+
+    For each pair a < b they are e_ab - e_ba and i (e_ab + e_ba), d(d-1) in
+    all; the diagonal ones only rephase the vectors, which leaves J as it
+    is. As E_p^3 = -E_p, exp(h E_p) = I + sin(h) E_p + (1 - cos h) E_p^2.
+    """
+    gens = []
+    for a in range(d):
+        for b in range(a + 1, d):
+            e = np.zeros((d, d), dtype=complex)
+            e[a, b] = 1
+            gens += [e - e.T, 1j * (e + e.T)]
+    gens = np.array(gens)
+    turns = np.eye(d) + math.sin(_FD_STEP) * gens + (1 - math.cos(_FD_STEP)) * (gens @ gens)
+    for a in (gens, turns):
+        a.flags.writeable = False
+    return gens, turns
+
+
 def _directions(ev: _JEvaluator, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients X of the bases v, their ascent directions D, and where D is Newton's.
 
     Both are in the fixed left frame, where a basis V moves to exp(t D) V:
     J's slope along D is <X, D>, with X = G V^dagger - V G^dagger for
-    G = dJ/d conj(V). A qudit takes D = X. On a qubit, in the coordinates s
-    of sum_p s_p E_p, the gradient is g_p = <E_p, X> / 2, and the Hessian H
-    comes from central differences of g along exp(+-h E_q) V: four more
-    gradients in the same call. Where H is negative definite D has
-    s = -H^{-1} g, the model's top at t = 1; elsewhere D = X.
+    G = dJ/d conj(V). In the coordinates s of sum_p s_p E_p over the
+    `_generators`, the gradient is g_p = <E_p, X> / 2, and the Hessian H
+    comes from forward differences of g along exp(h E_q) V: d(d-1) more
+    gradients in the same call. Where H is negative definite up to its flat
+    directions, D has s = -H^{-1} g, the model's top at t = 1; elsewhere
+    D = X. An eigenvalue of H below `_FLAT` |lambda_min| counts as flat, and
+    H^{-1} takes the eigenvalues above -`_FLAT_CURVATURE` |lambda_min| at
+    that value (Nocedal & Wright, Numerical Optimization, 2006, sec. 3.4).
+    A rank-deficient marginal of the measured subsystem makes some
+    directions exactly flat, so a strict test would take no Newton step.
     """
     m, dk = len(v), v.shape[-1]
-    if dk == 2:
-        v = np.concatenate([v, (_BLOCH_TURNS @ v[:, None, None]).reshape(-1, 2, 2)])
+    gens, turns = _generators(dk)
+    v = np.concatenate([v, (turns @ v[:, None]).reshape(-1, dk, dk)])
     x = ev.gradient(v) @ v.conj().swapaxes(-1, -2)
     x -= x.conj().swapaxes(-1, -2)
-    if dk != 2:
-        return x, x, np.zeros(m, dtype=bool)
-    coords = lambda y: np.einsum('pab,...ab->...p', _BLOCH_GENERATORS.conj(), y).real / 2
-    c = coords(x[m:].reshape(m, 2, 2, 2, 2))  # (start, q, +-h, p)
-    h = (c[:, :, 0] - c[:, :, 1]) / (4 * _FD_STEP)
-    h = h + h.swapaxes(1, 2)  # symmetrized
-    newton = (h[:, 0, 0] < 0) & (np.linalg.det(h) > 0)
-    step = np.linalg.solve(np.where(newton[:, None, None], h, np.eye(2)), -coords(x[:m])[..., None])
-    d = np.einsum('mp,pab->mab', step[..., 0], _BLOCH_GENERATORS)
+    g = np.einsum('pab,nab->np', gens.conj(), x).real / 2
+    h = (g[m:].reshape(m, len(gens), -1) - g[:m, None]) / _FD_STEP
+    lam, q = np.linalg.eigh((h + h.swapaxes(1, 2)) / 2)
+    scale = np.abs(lam[:, :1])
+    newton = lam[:, -1] < _FLAT * scale[:, 0]
+    # s = -q diag(1 / lambda) q^T g
+    curvature = np.where(newton[:, None], np.minimum(lam, -_FLAT_CURVATURE * scale), -1.0)
+    s = -np.einsum('mpi,mi->mp', q, np.einsum('mpi,mp->mi', q, g[:m]) / curvature)
+    d = np.einsum('mp,pab->mab', s, gens)
     return x[:m], np.where(newton[:, None, None], d, x[:m]), newton
 
 
@@ -228,7 +280,8 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray,
     it, as do `_MAX_ROUNDS` rounds. Each search keeps its own X' and D', so
     the lockstep run equals the starts ascended one by one. `j` holds the
     starts' J. Returns the final bases, their J and each search's
-    evaluations (each gradient and each trial count one).
+    evaluations (each gradient and each trial count one, so a round with
+    its Newton test counts 1 + d(d-1) + `_LADDER`.size).
     """
     bases, j = bases.copy(), np.array(j, dtype=float)
     steps = np.ones(len(bases))
@@ -261,7 +314,7 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray,
         t = np.where(newton, 1.0, steps[live])[:, None] * _LADDER
         trials = _rotations(d, t) @ v[:, None]
         values = ev.j_bases(trials.reshape((-1,) + v.shape[1:])).reshape(t.shape)
-        evals[live] += np.where(fresh, 5 if ev.dk == 2 else 1, 0) + _LADDER.size
+        evals[live] += np.where(fresh, 1 + len(_generators(ev.dk)[0]), 0) + _LADDER.size
         gain = values - j[live, None]
         armijo = gain >= _ARMIJO * t * slope[:, None]
         pick = np.where(armijo, values, -np.inf).argmax(axis=1)
@@ -296,11 +349,10 @@ def _optimize(ens: CQEnsemble, k: int,
     info = ens.mutual_information()
     ev = _JEvaluator.of(ens, k)
     if ev.dk == 2:
-        rows, cols = _START_GRID
-        theta, phi, j_grid = _grid_search(ev, np.linspace(0.0, math.pi / 2, rows),
-                                          np.arange(cols) * (2 * math.pi / cols))
+        angles, dirs = _start_points(*_START_GRID)
+        theta, phi, j_grid = _grid_search(ev, angles, dirs)
         bases, js, evals = _ascend(ev, np.array(basis_vectors(theta, phi))[None], [j_grid])
-        iterations = rows * cols
+        iterations = len(dirs)
     else:
         starts = _haar_bases(np.random.default_rng(config.seed), config.restarts, ev.dk)
         waves = []

@@ -260,3 +260,69 @@ class TestCQEnsemble:
         assert ens.outcomes.tolist() == [[0, 0, 0], [1, 1, 1]]
         assert np.allclose(ens.probs, [0.5, 0.5])
         assert ens.blocks.shape == (2, 1, 1)
+
+
+def eigh_gradient(view, bases):
+    """dJ/d conj(bases) with log2(B / q) from one eigh per outcome block, by einsum over the view."""
+    blocks = np.einsum('nia,labcd,nic->inlbd', bases.conj(), view, bases)
+    probs = np.einsum('...ii->...', blocks.real).sum(axis=-1)
+    w, u = np.linalg.eigh(blocks)
+    log_w = np.log2(np.maximum(w / np.maximum(probs, 1e-12)[..., None, None], 1e-12))
+    log_w[probs <= 1e-12] = 0.0
+    logs = (u * log_w[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return np.einsum('inldb,lxbyd,niy->nix', logs, view, bases)
+
+
+def small_block_cases():
+    """(name, view, bases): views (L, 3, b, 3, b) of b <= 2, and stacks of qutrit bases."""
+    rng = np.random.default_rng(2014)
+    density = lambda d, rank=None: states.random_density([d], rng, rank=rank).matrix
+
+    def turned(m):
+        u = random_unitary(len(m), rng)
+        return u @ m @ u.conj().T
+
+    def leaves(*ws):
+        w = np.array(ws) / sum(np.trace(w).real for w in ws)
+        return w.reshape(len(ws), 3, len(w[0]) // 3, 3, len(w[0]) // 3)
+
+    rho_a = density(3)
+    bases = np.array([random_unitary(3, rng).T for _ in range(8)])
+    # bases that hold |2>, whose outcome has q < 1e-12 under `faint`
+    zero_outcome = bases.copy()
+    zero_outcome[:, :2, :2] = [random_unitary(2, rng) for _ in range(8)]
+    zero_outcome[:, 2], zero_outcome[:, :2, 2] = np.eye(3)[2], 0
+    faint = np.kron(np.diag([1, 1, 1e-6]), np.eye(2))
+    coupled = np.kron(np.diag([0.5, 0.3, 0.2]), np.eye(2) / 2 + np.diag([1e-10, -1e-10]))
+    coupled[:2, 2:4] = coupled[2:4, :2] = [[0.05, 0.02], [0.02, -0.05]]
+    phased = np.array([np.diag(np.exp(2j * math.pi * rng.random(3))) for _ in range(8)])
+    return [
+        ("random_1x1", leaves(density(3), density(3)), bases),
+        ("random_2x2", leaves(density(6), density(6, 3)), bases),
+        # the conditional state given any outcome is I/2, or within 1e-10 of it
+        ("degenerate", leaves(np.kron(rho_a, np.eye(2) / 2)), bases),
+        ("nearly_degenerate",
+         leaves(np.kron(rho_a, turned(np.diag([0.5 + 1e-10, 0.5 - 1e-10])))), bases),
+        # in rephased computational bases the conditional states are within
+        # 1e-10 of I/2, while the blocks between outcomes are not multiples of I
+        ("nearly_degenerate_coupled", leaves(coupled), phased),
+        # pure conditional states: the other eigenvalue is rounding dust
+        ("rank1", leaves(density(6, 1)), bases),
+        # a conditional eigenvalue near 1e-13, and a leaf whose blocks have
+        # both below _CLAMP
+        ("below_clamp", leaves(density(6, 1) + 1e-13 * density(6)), bases),
+        ("faint_leaf", leaves(density(6), 1e-12 * density(6)), bases),
+        ("zero_probability", leaves(faint @ density(6) @ faint), zero_outcome),
+    ]
+
+
+SMALL_BLOCK_CASES = small_block_cases()
+
+
+@pytest.mark.parametrize("name, view, bases", SMALL_BLOCK_CASES,
+                         ids=[c[0] for c in SMALL_BLOCK_CASES])
+def test_closed_form_gradient_matches_eigh(name, view, bases):
+    # blocks of b <= 2 take log2(B / q) in closed form, with eigh's clamp and zero rule
+    assert view.shape[2] <= 2
+    ev = measurement._JEvaluator(view, 0.0)
+    assert np.abs(ev.gradient(bases) - eigh_gradient(view, bases)).max() < 1e-12

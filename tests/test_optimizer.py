@@ -41,6 +41,12 @@ def ascend(rho, k, starts):
     return optimizer._ascend(ev, starts, ev.j_bases(starts))
 
 
+def per_round(d):
+    """Evaluations of an ascent round in dimension d: a gradient, the d(d-1)
+    of its Hessian's forward differences, and the trials."""
+    return 1 + d * (d - 1) + optimizer._LADDER.size
+
+
 def qubit_basis(theta, phi):
     return np.array(measurement.basis_vectors(theta, phi))
 
@@ -153,22 +159,21 @@ class TestRefineLocal:
                             states.random_density([2], rng))
         _, j, evals = ascend(rho, 0, [qubit_basis(0.3, 0.3)])
         assert abs(j[0]) < 1e-8
-        # one round (a gradient, the four of its Hessian, the trials), then no
-        # trial gains: the search ends long before the cap
-        assert evals[0] == 1 + 4 + optimizer._LADDER.size
+        # one round (a gradient, the d(d-1) = 2 of its Hessian, the trials),
+        # then no trial gains: the search ends long before the cap
+        assert evals[0] == per_round(2)
 
     def test_qubit_searches_end_within_five_rounds(self):
         # Newton steps from the start grid; gradient steps alone ran to the
         # 500-round cap on the rank-2 2x2x2 state of seed 170
-        per_round = 1 + 4 + optimizer._LADDER.size
-        grid = math.prod(optimizer._START_GRID)
+        grid = len(optimizer._start_points(*optimizer._START_GRID)[1])
         for seed in range(160, 180):
             rng = np.random.default_rng(seed)
             for dims, rank in (((2, 2), None), ((2, 2), 2), ((2, 2), 1), ((2, 3), None),
                                ((2, 2, 2), 2)):
                 rho = states.random_density(dims, rng, rank=rank)
                 res = optimizer.optimize_measurement(rho, 0)
-                assert res.iterations - grid <= 5 * per_round
+                assert res.iterations - grid <= 5 * per_round(2)
                 assert res.j_value >= optimizer.grid_search_qubit(rho, 0, 64)[2] - 1e-12
 
 
@@ -266,11 +271,11 @@ class TestOptimizeMeasurement:
         assert res.measurement.subsystem_dim == 3
         assert res.j_value <= infotheory.mutual_information(rho) + 1e-9
 
-    @pytest.mark.parametrize("n, grid_evals", [(8, 32), (7, 49), (None, 144)])
+    @pytest.mark.parametrize("n, grid_evals", [(8, 25), (7, 43), (None, 129)])
     def test_iterations_count_evaluations(self, rng, monkeypatch, n, grid_evals):
         # the start grid's directions (theta rows over [0, pi/2] by phi
-        # columns), then the ascent; a start grid of n phi columns is given
-        # the theta rows of the n-point oracle grid
+        # columns, the pole row counted once), then the ascent; a start grid
+        # of n phi columns is given the theta rows of the n-point oracle grid
         if n is None:
             grid = optimizer._START_GRID
         else:
@@ -279,8 +284,8 @@ class TestOptimizeMeasurement:
         rho = states.random_density((2, 2), rng)
         ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
         rows, cols = grid
-        t0, p0, _ = optimizer._grid_search(ev, np.linspace(0, math.pi / 2, rows),
-                                           np.arange(cols) * (2 * math.pi / cols))
+        t0, p0, _ = optimizer._grid_search(ev, *optimizer._grid_points(
+            np.linspace(0, math.pi / 2, rows), np.arange(cols) * (2 * math.pi / cols)))
         _, _, ascent_evals = ascend(rho, 0, [qubit_basis(t0, p0)])
         res = optimizer.optimize_measurement(rho, 0)
         assert ascent_evals[0] > 0
@@ -354,6 +359,12 @@ GRADIENT_ASCENT_J = {
 }
 
 
+def wave_shortfall(rho, k):
+    """How far the default search's J falls short of the best of all 32 default starts ascended."""
+    _, j, _ = ascend(rho, k, optimizer._haar_bases(np.random.default_rng(0), 32, rho.dims[k]))
+    return j.max() - optimizer.optimize_measurement(rho, k).j_value
+
+
 # (dims, measured subsystem) of the wave-stop oracle suite
 WAVE_SHAPES = [((3, 2), 0), ((2, 3), 1), ((3, 3), 0), ((3, 3), 1), ((4, 2), 0),
                ((4, 4), 0), ((5, 2), 0), ((3, 3, 3), 0), ((3, 3, 3), 1)]
@@ -409,11 +420,12 @@ class TestQuditRestarts:
         res = optimizer.optimize_measurement(rho, k)
         assert res.j_value >= GRADIENT_ASCENT_J[dims, k, rank] - 1e-12
 
-    @pytest.mark.parametrize("state, max_evals", [("classical_quantum", 1700), ("mixed", 1400)])
+    @pytest.mark.parametrize("state, max_evals", [("classical_quantum", 1200), ("mixed", 960)])
     def test_benchmark_qutrit_searches_take_few_evaluations(self, state, max_evals):
         # the qutrit sides of the benchmark's qutrit_qubit states; plain
-        # gradient steps took 12597 and 6402 evaluations, and conjugate
-        # steps from all 32 restarts 5828 and 4988
+        # gradient steps took 12597 and 6402 evaluations, conjugate steps
+        # from all 32 restarts 5828 and 4988, and from waves of 8 1583 and
+        # 1311; Newton steps take 1132 and 905
         catalog = np.random.default_rng(2011)
         ginibre = lambda d, rank: states.random_density([d], catalog, rank=rank).matrix
         p = catalog.dirichlet(np.ones(3))
@@ -424,8 +436,10 @@ class TestQuditRestarts:
 
     def test_a_failed_conjugate_round_reuses_its_gradient(self, rng, monkeypatch):
         # its retry steps along the gradient that round computed, so some
-        # rounds take no gradient; each gradient and each trial counts once
-        rho = states.random_density((3, 2), rng)
+        # rounds take no gradient; each gradient counts with the d(d-1) of
+        # its Hessian, each trial once. Newton steps leave few conjugate
+        # rounds; on this rank-2 state four of them still fail
+        rho = states.random_density((3, 2), rng, rank=2)
         ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
         starts = optimizer._haar_bases(np.random.default_rng(0), 8, 3)
         j0 = ev.j_bases(starts)
@@ -436,7 +450,7 @@ class TestQuditRestarts:
         monkeypatch.setattr(ev, "j_bases", lambda b: trials.append(len(b)) or j_bases(b))
         _, _, evals = optimizer._ascend(ev, starts, j0)
         assert sum(gradients) < sum(trials) // optimizer._LADDER.size
-        assert evals.sum() == sum(gradients) + sum(trials)
+        assert evals.sum() == (1 + 3 * 2) * sum(gradients) + sum(trials)
 
     @pytest.mark.parametrize("rank", [None, 2])
     @pytest.mark.parametrize("dims, k", WAVE_SHAPES)
@@ -445,9 +459,16 @@ class TestQuditRestarts:
         # starts is the oracle
         rng = np.random.default_rng([2013, *dims, k, rank or 0])
         for _ in range(2):
-            rho = states.random_density(dims, rng, rank=rank)
-            _, j, _ = ascend(rho, k, optimizer._haar_bases(np.random.default_rng(0), 32, dims[k]))
-            assert optimizer.optimize_measurement(rho, k).j_value >= j.max() - 1e-11
+            assert wave_shortfall(states.random_density(dims, rng, rank=rank), k) <= 1e-11
+
+    def test_restarts_that_reach_one_maximum_end_together(self):
+        # the eighth rank-2 5x2 state of that suite's streams: its 32 restarts
+        # reach one maximum, but conjugate steps alone ended them up to
+        # 7.5e-11 apart and the waves 1.9e-11 short of the best
+        rng = np.random.default_rng([2013, 5, 2, 0, 2])
+        for _ in range(8):
+            rho = states.random_density((5, 2), rng, rank=2)
+        assert wave_shortfall(rho, 0) <= 1e-11
 
     def test_waves_continue_until_two_restarts_agree(self, rng, monkeypatch):
         # every basis attains sup J on a pure state, so with waves of one
@@ -518,8 +539,9 @@ class TestGramView:
             assert abs(ev.j_bases(basis[None])[0] - reference_J(rho, k, m)) < 1e-12
         if rho.dims[k] == 2:
             grid = np.linspace(0, math.pi, 32)[:16], np.arange(32) * (math.pi / 16)
-            theta, phi, j = optimizer._grid_search(ev, *grid)
-            theta_d, phi_d, j_d = optimizer._grid_search(dense, *grid)
+            points = optimizer._grid_points(*grid)
+            theta, phi, j = optimizer._grid_search(ev, *points)
+            theta_d, phi_d, j_d = optimizer._grid_search(dense, *points)
             assert (theta, phi) == (theta_d, phi_d)
             assert abs(j - j_d) < 1e-12
 
