@@ -195,7 +195,7 @@ def cmd_overall(args) -> int:
     if args.all_orders:
         if m > 4:
             raise BadOrder("--all-orders supports at most 4 subsystems")
-        reports = correlations._sequential_reports(
+        reports, _ = correlations._sequential_reports(
             measurement.CQEnsemble.of(rho), itertools.permutations(range(m)), config)
         qs = [r.q_total for r in reports]
         doc = {"orders": [_sequential_doc(r) for r in reports],
@@ -302,6 +302,14 @@ def _verify_oracle(config, failures):
     _, js, _ = optimizer._ascend(ev, starts, ev.j_bases(starts))
     _check("oracle mixed 4x2 waves against every restart", abs(res.j_value - js.max()),
            1e-11, failures)
+    # full_report ascends its searches on the unmeasured state in one batch,
+    # and each must equal that search alone
+    rho = states.random_density((2, 2, 2), rng)
+    per = correlations.full_report(rho, config).per_subsystem
+    solo = [optimizer.optimize_measurement(rho, k, config) for k in range(3)]
+    _check("oracle batched searches against solo searches",
+           max(max(abs(d - res.discord), abs(c - res.j_value)) for (d, c), res in zip(per, solo)),
+           0.0, failures)
 
 
 def _verify_identities(config, failures):

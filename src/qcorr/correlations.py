@@ -82,43 +82,51 @@ def sequential_measure(rho: DensityMatrix, order,
     final leaf probabilities are the joint outcome distribution, which gives
     the overall classical correlations.
     """
-    return _sequential_reports(CQEnsemble.of(rho), [order], config)[0]
+    return _sequential_reports(CQEnsemble.of(rho), [order], config)[0][0]
 
 
-def _sequential_reports(ens: CQEnsemble, orders,
-                        config: OptimizerConfig) -> list[SequentialReport]:
+def _sequential_reports(ens: CQEnsemble, orders, config: OptimizerConfig,
+                        first=()) -> tuple[list[SequentialReport], dict]:
     """sequential_measure on `ens` = CQEnsemble.of(rho) for every order in `orders`.
 
     A step's search and the ensemble it leaves depend only on the measured
     prefix of the order, so each prefix is searched and split once and the
     orders that share it share its steps: every order of 4 subsystems takes
-    64 searches, not 4 x 4! = 96. Sharing `ens` shares its entropies.
+    64 searches, not 4 x 4! = 96. The walk is breadth-first: the prefixes
+    of one length are one `_optimize` batch, whose searches ascend
+    together, and only the ensembles of the current length are kept. Each
+    subsystem of `first` is searched on `ens` in the first batch too.
+    Sharing `ens` shares its entropies. Returns the reports, in the order
+    of `orders`, and the search of every prefix searched.
     """
     n = len(ens.dims)
     info = ens.mutual_information()
-    walked = {}  # measured prefix -> (its last step's search, the ensemble after it)
-    reports = []
+    checked = []
     for order in orders:
         order = tuple(order)
-        if (not all(isinstance(k, numbers.Integral) for k in order)
+        if (not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in order)
                 or sorted(order) != list(range(n))):
             raise BadOrder(f"{order} is not a permutation of 0..{n - 1}")
-        order = tuple(int(k) for k in order)
-        current, steps = ens, []
-        for t, k in enumerate(order):
-            prefix = order[:t + 1]
-            if prefix not in walked:
-                result = _optimize(current, k, config)
-                walked[prefix] = result, current.split(k, result.measurement.basis)
-            result, current = walked[prefix]
-            steps.append(result)
-        table = probability_table(current.outcome_table(), current.dims)
+        checked.append(tuple(int(k) for k in order))
+    searches = {}  # measured prefix -> its last step's search
+    level = {(): ens}  # measured prefix of the current length -> the ensemble after it
+    for t in range(1, n + 1):
+        walked = list(dict.fromkeys(order[:t] for order in checked))
+        batch = walked + ([(k,) for k in first if (k,) not in walked] if t == 1 else [])
+        for prefix, result in zip(batch, _optimize([(level[prefix[:-1]], prefix[-1])
+                                                    for prefix in batch], config)):
+            searches[prefix] = result
+        level = {prefix: level[prefix[:-1]].split(prefix[-1], searches[prefix].measurement.basis)
+                 for prefix in walked}
+    reports = []
+    for order in checked:
+        steps = tuple(searches[order[:t]] for t in range(1, n + 1))
+        table = probability_table(level[order].outcome_table(), ens.dims)
         q = float(sum(step.discord for step in steps))
         c = classical_mutual_information(table)
         residuals = (abs(q + c - info), abs(q - (info - c)))
-        reports.append(SequentialReport(order, tuple(steps), q, c, info, table,
-                                        residuals))
-    return reports
+        reports.append(SequentialReport(order, steps, q, c, info, table, residuals))
+    return reports, searches
 
 
 def overall_q(rho: DensityMatrix, config: OptimizerConfig = OptimizerConfig()) -> float:
@@ -134,11 +142,11 @@ def overall_c(rho: DensityMatrix, config: OptimizerConfig = OptimizerConfig()) -
 def full_report(rho: DensityMatrix,
                 config: OptimizerConfig = OptimizerConfig()) -> CorrelationReport:
     ens = CQEnsemble.of(rho)
-    (seq,) = _sequential_reports(ens, [range(rho.n_subsystems)], config)
-    # step 0 is the search on subsystem 0 of the unmeasured state
-    results = [seq.steps[0]] + [_optimize(ens, k, config)
-                                for k in range(1, rho.n_subsystems)]
-    per = tuple((res.discord, res.j_value) for res in results)
+    n = rho.n_subsystems
+    # step 0 is the search on subsystem 0 of the unmeasured state; the
+    # others join its batch
+    (seq,), searches = _sequential_reports(ens, [range(n)], config, first=range(1, n))
+    per = tuple((searches[k,].discord, searches[k,].j_value) for k in range(n))
     return CorrelationReport(rho.dims, ens.marginal_entropies, ens.joint_entropy,
                              seq.mutual_info, per, seq)
 
@@ -155,7 +163,7 @@ def classify(rho: DensityMatrix, config: OptimizerConfig = OptimizerConfig(),
     ens = CQEnsemble.of(rho)
     if ens.mutual_information() <= tol:
         return "product"
-    results = [_optimize(ens, k, config) for k in (0, 1)]
+    results = _optimize([(ens, 0), (ens, 1)], config)
     zero = [r.discord <= tol for r in results]
     if all(zero):
         cond = msr.conditionals(rho, 0, results[0].measurement)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +92,15 @@ def measurement_from_unitary(u: np.ndarray) -> ProjectiveMeasurement:
     return ProjectiveMeasurement(linalg.as_matrix(u).T)
 
 
+def _subsystem(k, among: tuple[int, ...]) -> int:
+    """k as an int, if it is an integer (not a bool) in `among`; else DimensionMismatch."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k not in among:
+        raise DimensionMismatch(f"subsystem {k!r} is not one of {among}")
+    return int(k)
+
+
 def _check_dims(rho: DensityMatrix, k: int, m: ProjectiveMeasurement):
-    if not 0 <= k < rho.n_subsystems:
-        raise DimensionMismatch(f"subsystem index {k} out of range")
+    k = _subsystem(k, tuple(range(rho.n_subsystems)))
     if m.subsystem_dim != rho.dims[k]:
         raise DimensionMismatch(
             f"measurement dim {m.subsystem_dim} vs subsystem dim {rho.dims[k]}")
@@ -192,8 +199,7 @@ class CQEnsemble:
     def factor_view(self, k: int) -> np.ndarray:
         """The leaf factors as (L, d_k, d_rest, r), the rows of subsystem k first."""
         u = self.unmeasured
-        if k not in u:
-            raise DimensionMismatch(f"subsystem {k} is not one of the unmeasured {u}")
+        k = _subsystem(k, u)
         n_leaves, _, r = self.factors.shape
         f = self.factors.reshape((n_leaves, *(self.dims[j] for j in u), r))
         return np.moveaxis(f, 1 + u.index(k), 1).reshape(n_leaves, self.dims[k], -1, r)
@@ -312,7 +318,7 @@ def _small_log(blocks: np.ndarray, traces: np.ndarray, safe: np.ndarray) -> np.n
 
 
 class _JEvaluator:
-    """J for measurements on one unmeasured subsystem k of a cq ensemble.
+    """J for measurements on an unmeasured subsystem k of a cq ensemble, for P such problems.
 
     `view` is linear in the outcome vector's outer product: the outcome block
     of leaf i and vector v is sum_{a,c} conj(v_a) view[i, a, :, c, :] v_c.
@@ -330,13 +336,20 @@ class _JEvaluator:
     gradient and the qubit grid read either alike. A state nobody has
     measured is L = 1. The evaluator keeps the view in the layout of its
     one GEMM, (c, (a, L, b, b)), and `view` reads it back without a copy.
+
+    `stack` joins the evaluators of P problems of one `shape` (d_k, L, b, b),
+    each keeping its layout and its `rest_entropy`. A stack of bases given to
+    `j_bases` or `gradient` is then ordered problem by problem, `problem`
+    naming each basis's problem (non-decreasing); without it every basis is
+    problem 0's. Each problem's bases take one GEMM against its own layout,
+    the GEMM of that problem's bases alone.
     """
 
     def __init__(self, view: np.ndarray, rest_entropy: float):
         n_leaves, self.dk, b = view.shape[:3]
         self._leaf_shape = (n_leaves, b, b)
-        self._by_c = np.ascontiguousarray(view.transpose(3, 1, 0, 2, 4)).reshape(self.dk, -1)
-        self.rest_entropy = rest_entropy
+        self._by_c = np.ascontiguousarray(view.transpose(3, 1, 0, 2, 4)).reshape(1, self.dk, -1)
+        self.rest_entropy = np.array([rest_entropy], dtype=float)
 
     @classmethod
     def of(cls, ens: CQEnsemble, k: int) -> _JEvaluator:
@@ -348,20 +361,44 @@ class _JEvaluator:
             view = np.einsum('laxr,lcyr->laxcy', f, f.conj())
         return cls(view, sum(s for j, s in enumerate(ens.marginal_entropies) if j != k))
 
+    @classmethod
+    def stack(cls, evaluators: list[_JEvaluator]) -> _JEvaluator:
+        """One evaluator of the problems of `evaluators`, in order; they share `shape`."""
+        if len(evaluators) == 1:
+            return evaluators[0]
+        ev = object.__new__(cls)
+        ev.dk, ev._leaf_shape = evaluators[0].dk, evaluators[0]._leaf_shape
+        ev._by_c = np.concatenate([e._by_c for e in evaluators])
+        ev.rest_entropy = np.concatenate([e.rest_entropy for e in evaluators])
+        return ev
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """(d_k, L, b, b): problems of one shape can share a stack."""
+        return (self.dk,) + self._leaf_shape
+
     @property
     def view(self) -> np.ndarray:
-        """The view as (L, d_k, b, d_k, b), b = d_rest (dense) or r (Gram)."""
+        """The view of a one-problem evaluator, as (L, d_k, b, d_k, b), b = d_rest or r."""
         return self._by_c.reshape((self.dk, self.dk) + self._leaf_shape).transpose(2, 1, 3, 0, 4)
 
-    def _half_blocks(self, bases: np.ndarray) -> np.ndarray:
+    def _half_blocks(self, bases: np.ndarray, problem: np.ndarray | None) -> np.ndarray:
         """T[a, n, x] = sum_c v_{n,a,c} view[:, x, :, c, :], as (d_k, n, d_k, L b b).
 
-        One GEMM of the stacked outcome vectors (n, d_k, d_k), vectors as
-        rows, against the view's layout.
+        One GEMM per problem of the stacked outcome vectors (n, d_k, d_k),
+        vectors as rows, against that problem's layout.
         """
         n, dk = bases.shape[:2]
-        rows = bases.swapaxes(0, 1).reshape(dk * n, dk)
-        return (rows @ self._by_c).reshape(dk, n, dk, -1)
+        rows = bases.swapaxes(0, 1)
+        if problem is None:
+            return (rows.reshape(dk * n, dk) @ self._by_c[0]).reshape(dk, n, dk, -1)
+        parts, lo = [], 0
+        for by_c, count in zip(self._by_c, np.bincount(problem, minlength=len(self._by_c))):
+            if count:
+                part = rows[:, lo:lo + count].reshape(dk * count, dk) @ by_c
+                parts.append(part.reshape(dk, count, dk, -1))
+                lo += count
+        return np.concatenate(parts, axis=1)
 
     def _blocks(self, bases: np.ndarray, half: np.ndarray | None = None) -> np.ndarray:
         """Outcome blocks of every basis and leaf, as (d_k, n, L, b, b).
@@ -371,16 +408,17 @@ class _JEvaluator:
         given. b is d_rest in the dense view and r in the Gram view.
         """
         if half is None:
-            half = self._half_blocks(bases)
+            half = self._half_blocks(bases, None)
         dk, n = half.shape[:2]
         blocks = bases.conj().swapaxes(0, 1)[:, :, None] @ half
         return blocks.reshape((dk, n) + self._leaf_shape)
 
-    def j_bases(self, bases: np.ndarray) -> np.ndarray:
+    def j_bases(self, bases: np.ndarray, problem: np.ndarray | None = None) -> np.ndarray:
         """J for every basis of the stack `bases` (n, d_k, d_k), vectors as rows."""
-        return self.rest_entropy - _conditional_entropy(self._blocks(bases))
+        rest = self.rest_entropy[0 if problem is None else problem]
+        return rest - _conditional_entropy(self._blocks(bases, self._half_blocks(bases, problem)))
 
-    def gradient(self, bases: np.ndarray) -> np.ndarray:
+    def gradient(self, bases: np.ndarray, problem: np.ndarray | None = None) -> np.ndarray:
         """dJ/d conj(bases) for every basis of the stack, in its layout.
 
         Row a is sum_i Tr_rest[log2(B_ai / q_a) W_i] v_a, with B_ai the
@@ -393,7 +431,7 @@ class _JEvaluator:
         T[a] contracted with the transpose of log2(B_a / q_a), one
         matrix-vector product per (a, n).
         """
-        half = self._half_blocks(bases)
+        half = self._half_blocks(bases, problem)
         blocks = self._blocks(bases, half)
         traces = np.einsum('...ii->...', blocks.real)
         probs = traces.sum(axis=-1)

@@ -14,7 +14,11 @@ applies, a round takes a conjugate-gradient step (Abrudan, Eriksson &
 Koivunen, Signal Processing 89(9):1704, 2009). The starts ascend in
 lockstep, so each round is one batched gradient call and one batched J
 evaluation of its line search; a qudit's starts do so in waves of
-`_WAVE`, until two of them agree on the best J. Outcome blocks of at most
+`_WAVE`, until two of them agree on the best J. One call may search
+several problems, a subsystem of an ensemble each: those of one subsystem
+dimension and leaf shape ascend in the same lockstep, each start keeping
+its own problem, so a batch takes as many rounds as its longest search
+and every search ends where it ends alone. Outcome blocks of at most
 2 x 2 take their spectrum and log in closed form, larger ones through
 LAPACK. The fine grid of the public `grid_search_qubit` is only an oracle
 for the ascent.
@@ -167,7 +171,7 @@ def _grid_search(ev: _JEvaluator, angles: np.ndarray,
         blocks = np.empty((2,) + m.shape, dtype=np.complex128)
         np.add(half_rest, m, out=blocks[0])
         np.subtract(half_rest, m, out=blocks[1])
-        j[lo:lo + chunk] = ev.rest_entropy - _conditional_entropy(blocks)
+        j[lo:lo + chunk] = ev.rest_entropy[0] - _conditional_entropy(blocks)
     best = int(np.flatnonzero(j >= j.max() - 1e-12)[0])
     theta, phi = angles[best]
     return float(theta), float(phi), float(j[best])
@@ -220,7 +224,8 @@ def _generators(d: int) -> tuple[np.ndarray, np.ndarray]:
     return gens, turns
 
 
-def _directions(ev: _JEvaluator, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _directions(ev: _JEvaluator, v: np.ndarray,
+                problem: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients X of the bases v, their ascent directions D, and where D is Newton's.
 
     Both are in the fixed left frame, where a basis V moves to exp(t D) V:
@@ -228,8 +233,11 @@ def _directions(ev: _JEvaluator, v: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     G = dJ/d conj(V). In the coordinates s of sum_p s_p E_p over the
     `_generators`, the gradient is g_p = <E_p, X> / 2, and the Hessian H
     comes from forward differences of g along exp(h E_q) V: d(d-1) more
-    gradients in the same call. Where H is negative definite up to its flat
-    directions, D has s = -H^{-1} g, the model's top at t = 1; elsewhere
+    gradients in the same call, which takes each problem's bases and then
+    their turns (`problem` names each basis's problem in `ev`, None for a
+    single problem), as that problem's search alone does. Where H is
+    negative definite up to its flat directions, D has s = -H^{-1} g, the
+    model's top at t = 1; elsewhere
     D = X. An eigenvalue of H below `_FLAT` |lambda_min| counts as flat, and
     H^{-1} takes the eigenvalues above -`_FLAT_CURVATURE` |lambda_min| at
     that value (Nocedal & Wright, Numerical Optimization, 2006, sec. 3.4).
@@ -239,7 +247,14 @@ def _directions(ev: _JEvaluator, v: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     m, dk = len(v), v.shape[-1]
     gens, turns = _generators(dk)
     v = np.concatenate([v, (turns @ v[:, None]).reshape(-1, dk, dk)])
-    x = ev.gradient(v) @ v.conj().swapaxes(-1, -2)
+    if problem is None:
+        grad = ev.gradient(v)
+    else:
+        labels = np.concatenate([problem, np.repeat(problem, len(gens))])
+        order = np.argsort(labels, kind='stable')
+        grad = np.empty_like(v)
+        grad[order] = ev.gradient(v[order], labels[order])
+    x = grad @ v.conj().swapaxes(-1, -2)
     x -= x.conj().swapaxes(-1, -2)
     g = np.einsum('pab,nab->np', gens.conj(), x).real / 2
     h = (g[m:].reshape(m, len(gens), -1) - g[:m, None]) / _FD_STEP
@@ -258,8 +273,8 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum('mab,mab->m', x.conj(), y).real
 
 
-def _ascend(ev: _JEvaluator, bases: np.ndarray,
-            j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
+            problem: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Riemannian ascent of J from every basis of the stack, all in lockstep.
 
     A round moves a live basis V (vectors as rows) to exp(t D) V, with the
@@ -279,9 +294,10 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray,
     failed round rather than computing it again; any other such round ends
     it, as do `_MAX_ROUNDS` rounds. Each search keeps its own X' and D', so
     the lockstep run equals the starts ascended one by one. `j` holds the
-    starts' J. Returns the final bases, their J and each search's
-    evaluations (each gradient and each trial count one, so a round with
-    its Newton test counts 1 + d(d-1) + `_LADDER`.size).
+    starts' J, and `problem` each start's problem in `ev`, non-decreasing,
+    or None if all are one problem's. Returns the final bases, their J and
+    each search's evaluations (each gradient and each trial count one, so a
+    round with its Newton test counts 1 + d(d-1) + `_LADDER`.size).
     """
     bases, j = bases.copy(), np.array(j, dtype=float)
     steps = np.ones(len(bases))
@@ -298,8 +314,10 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray,
         # failed round was conjugate only because none applied there)
         x, d, newton = last_x[live], last_x[live], np.zeros(live.size, dtype=bool)
         fresh = ~retry[live]
+        on = None if problem is None else problem[live]
         if fresh.any():
-            x[fresh], d[fresh], newton[fresh] = _directions(ev, v[fresh])
+            x[fresh], d[fresh], newton[fresh] = _directions(ev, v[fresh],
+                                                            None if on is None else on[fresh])
         is_cg = np.zeros(live.size, dtype=bool)
         if conjugate[live].any():
             prev_x, prev_d = last_x[live], last_d[live]
@@ -313,7 +331,8 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray,
         slope = _inner(x, d)
         t = np.where(newton, 1.0, steps[live])[:, None] * _LADDER
         trials = _rotations(d, t) @ v[:, None]
-        values = ev.j_bases(trials.reshape((-1,) + v.shape[1:])).reshape(t.shape)
+        values = ev.j_bases(trials.reshape((-1,) + v.shape[1:]),
+                            None if on is None else np.repeat(on, _LADDER.size)).reshape(t.shape)
         evals[live] += np.where(fresh, 1 + len(_generators(ev.dk)[0]), 0) + _LADDER.size
         gain = values - j[live, None]
         armijo = gain >= _ARMIJO * t * slope[:, None]
@@ -333,42 +352,84 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray,
 def optimize_measurement(rho: DensityMatrix, k: int,
                          config: OptimizerConfig = OptimizerConfig()) -> OptimalMeasurementResult:
     """Measurement attaining sup J on subsystem k; discord = I - J, floored at 0."""
-    return _optimize(CQEnsemble.of(rho), k, config)
+    return _optimize([(CQEnsemble.of(rho), k)], config)[0]
 
 
-def _optimize(ens: CQEnsemble, k: int,
-              config: OptimizerConfig) -> OptimalMeasurementResult:
-    """optimize_measurement on unmeasured subsystem k of a cq ensemble.
+def _optimize(problems: list[tuple[CQEnsemble, int]],
+              config: OptimizerConfig) -> list[OptimalMeasurementResult]:
+    """optimize_measurement on unmeasured subsystem k of a cq ensemble, for each (ensemble, k).
 
-    The starts are the `_START_GRID` argmax on a qubit (its J taken from the
-    grid, so `oracle_gap` >= 0) and seeded Haar bases otherwise. Those
-    ascend in waves of `_WAVE` consecutive starts of the one draw, and the
-    waves stop once two ascended starts are within `_AGREE` of the best J
-    so far. The best ascended start wins, the first of any tie.
+    The problems whose evaluators share a `shape` ascend in one lockstep,
+    each start keeping its own problem, so every result is that of its
+    problem searched alone. A qubit problem starts from its own
+    `_START_GRID` argmax (its J taken from the grid, so `oracle_gap` >= 0),
+    a qudit problem from the seeded Haar bases. Those ascend in waves of
+    `_WAVE` consecutive starts of the one draw, and a problem's waves stop
+    once two of its ascended starts are within `_AGREE` of its best J so
+    far. The best ascended start wins, the first of any tie.
     """
-    info = ens.mutual_information()
-    ev = _JEvaluator.of(ens, k)
-    if ev.dk == 2:
-        angles, dirs = _start_points(*_START_GRID)
-        theta, phi, j_grid = _grid_search(ev, angles, dirs)
-        bases, js, evals = _ascend(ev, np.array(basis_vectors(theta, phi))[None], [j_grid])
-        iterations = len(dirs)
-    else:
-        starts = _haar_bases(np.random.default_rng(config.seed), config.restarts, ev.dk)
-        waves = []
-        for lo in range(0, len(starts), _WAVE):
-            wave = starts[lo:lo + _WAVE]
-            waves.append(_ascend(ev, wave, ev.j_bases(wave)))
-            js = np.concatenate([w[1] for w in waves])
-            if np.count_nonzero(js >= js.max() - _AGREE) >= 2:
-                break
-        bases, js, evals = (np.concatenate(parts) for parts in zip(*waves))
-        iterations = len(js)
-    best = 0
-    for i in range(1, len(js)):
-        if js[i] > js[best] + 1e-12:
-            best = i
-    j = float(js[best])
-    params, gap = (_bloch_angles(bases[best]), j - j_grid) if ev.dk == 2 else (None, None)
-    return OptimalMeasurementResult(ProjectiveMeasurement(bases[best]), j, max(info - j, 0.0),
-                                    iterations + int(evals.sum()), gap, params)
+    infos = [ens.mutual_information() for ens, _ in problems]
+    evs = [_JEvaluator.of(ens, k) for ens, k in problems]
+    groups = {}
+    for p, ev in enumerate(evs):
+        groups.setdefault(ev.shape, []).append(p)
+    results = [None] * len(problems)
+    for members in groups.values():
+        group = [evs[p] for p in members]
+        found = _qubit_searches(group) if group[0].dk == 2 else _qudit_searches(group, config)
+        for p, (bases, js, iterations, j_grid) in zip(members, found):
+            best = 0
+            for i in range(1, len(js)):
+                if js[i] > js[best] + 1e-12:
+                    best = i
+            j = float(js[best])
+            params, gap = (None, None) if j_grid is None else (_bloch_angles(bases[best]),
+                                                               j - j_grid)
+            results[p] = OptimalMeasurementResult(ProjectiveMeasurement(bases[best]), j,
+                                                  max(infos[p] - j, 0.0), iterations, gap, params)
+    return results
+
+
+def _qubit_searches(evs: list[_JEvaluator]) -> list[tuple]:
+    """(bases, J, iterations, the start grid's J) of each qubit problem, ascended from its grid."""
+    angles, dirs = _start_points(*_START_GRID)
+    grids = [_grid_search(ev, angles, dirs) for ev in evs]
+    starts = np.array([basis_vectors(theta, phi) for theta, phi, _ in grids])
+    j_grid = [j for _, _, j in grids]
+    bases, js, evals = _ascend(_JEvaluator.stack(evs), starts, j_grid,
+                               np.arange(len(evs)) if len(evs) > 1 else None)
+    return [(bases[p:p + 1], js[p:p + 1], len(dirs) + int(evals[p]), j_grid[p])
+            for p in range(len(evs))]
+
+
+def _qudit_searches(evs: list[_JEvaluator], config: OptimizerConfig) -> list[tuple]:
+    """(bases, J, iterations, None) of each qudit problem's ascended waves.
+
+    Every problem draws the same seeded starts, so they are drawn once; the
+    live problems' waves ascend together.
+    """
+    ev = _JEvaluator.stack(evs)
+    starts = _haar_bases(np.random.default_rng(config.seed), config.restarts, ev.dk)
+    waves = [[] for _ in evs]  # each problem's ascended waves: (bases, J, evaluations)
+    live = list(range(len(evs)))
+    for lo in range(0, len(starts), _WAVE):
+        wave = starts[lo:lo + _WAVE]
+        rows = np.concatenate([wave] * len(live))
+        problem = np.repeat(live, len(wave)) if len(evs) > 1 else None
+        bases, js, evals = _ascend(ev, rows, ev.j_bases(rows, problem), problem)
+        for i, p in enumerate(live):
+            part = slice(i * len(wave), (i + 1) * len(wave))
+            waves[p].append((bases[part], js[part], evals[part]))
+        still = []
+        for p in live:
+            seen = np.concatenate([w[1] for w in waves[p]])
+            if np.count_nonzero(seen >= seen.max() - _AGREE) < 2:
+                still.append(p)
+        live = still
+        if not live:
+            break
+    found = []
+    for parts in waves:
+        bases, js, evals = (np.concatenate(a) for a in zip(*parts))
+        found.append((bases, js, len(js) + int(evals.sum()), None))
+    return found

@@ -14,21 +14,27 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 def count_searches(monkeypatch) -> list:
     """Record the subsystem of every measurement search that is started.
 
-    A public search goes through `optimize_measurement`; `full_report` and
-    the steps of a sequential run search a shared classical-quantum ensemble
-    through `_optimize`.
+    A public search goes through `optimize_measurement`; `full_report`,
+    `classify` and the steps of a sequential run search classical-quantum
+    ensembles through `_optimize`, whose batch of (ensemble, k) problems
+    counts one search per problem, in batch order.
     """
     calls = []
-    for module, name in ((optimizer, "optimize_measurement"),
-                         (correlations, "optimize_measurement"),
-                         (correlations, "_optimize")):
-        search = getattr(module, name)
+    for module in (optimizer, correlations):
+        search = module.optimize_measurement
 
         def counting(state, k, *args, search=search, **kwargs):
             calls.append(k)
             return search(state, k, *args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(module, "optimize_measurement", counting)
+    batched = correlations._optimize
+
+    def counting_batch(problems, *args, **kwargs):
+        calls.extend(k for _, k in problems)
+        return batched(problems, *args, **kwargs)
+
+    monkeypatch.setattr(correlations, "_optimize", counting_batch)
     return calls
 
 

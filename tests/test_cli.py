@@ -234,11 +234,11 @@ class TestOverall:
         code, out, _ = run(capsys, ["overall", path, "--all-orders", "--json"])
         assert code == 0
         assert out == expected
-        # the orders in turn, each searching only the prefixes not yet measured:
-        # 3 + 3 * 2 + 3 * 2 = 15 searches, not 3 * 3! = 18
-        assert calls == [0, 1, 2, 2, 1,   # (0, 1, 2), (0, 2, 1)
-                         1, 0, 2, 2, 0,   # (1, 0, 2), (1, 2, 0)
-                         2, 0, 1, 1, 0]   # (2, 0, 1), (2, 1, 0)
+        # breadth-first, each prefix searched once, those of one length in one
+        # batch: 3 + 3 * 2 + 3 * 2 = 15 searches, not 3 * 3! = 18
+        assert calls == [0, 1, 2,            # (0,), (1,), (2,)
+                         1, 2, 0, 2, 0, 1,   # (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)
+                         2, 1, 2, 0, 1, 0]   # each order's last step
 
     def test_all_orders_search_each_prefix_once_on_four_qubits(self, capsys, tmp_path,
                                                               monkeypatch, rng):
@@ -325,8 +325,9 @@ class TestVerify:
     def test_oracle_suite_covers_the_qudit_search(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "oracle"])
         assert code == 0
-        assert out.count("PASS") == 3
+        assert out.count("PASS") == 4
         assert "PASS oracle pure 3x2" in out
+        assert "PASS oracle batched searches against solo searches: residual 0.000e+00" in out
         waves = next(line for line in out.splitlines() if "4x2 waves" in line)
         assert waves.startswith("PASS oracle mixed 4x2 waves") and waves.endswith("(tol 1e-11)")
 
@@ -355,7 +356,7 @@ class TestVerify:
     def test_every_suite_passes_at_the_default_config(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "all"])
         assert code == 0
-        assert out.count("PASS") == 10 and "FAIL" not in out
+        assert out.count("PASS") == 11 and "FAIL" not in out
         assert out.endswith("all checks passed\n")
 
     def test_unknown_suite(self, capsys):

@@ -85,9 +85,9 @@ class TestSequentialMeasure:
         with pytest.raises(BadOrder):
             correlations.sequential_measure(paper_state, (0, 0))
 
-    @pytest.mark.parametrize("order", [[0, 1.5], [0.0, 1], ["0", 1]])
+    @pytest.mark.parametrize("order", [[0, 1.5], [0.0, 1], ["0", 1], [True, False]])
     def test_order_must_be_integers(self, paper_state, order):
-        # [0, 1.5] used to run the order (0, 1)
+        # [0, 1.5] used to run the order (0, 1), and [True, False] the order (1, 0)
         with pytest.raises(BadOrder):
             correlations.sequential_measure(paper_state, order)
 
@@ -406,6 +406,118 @@ def test_full_report_takes_subsystem_zero_from_step_zero(monkeypatch, rng):
     assert report.per_subsystem[0] == (step0.discord, step0.j_value)
     # the sequential steps 0, 1, 2, then D_1 and D_2: 2n - 1 searches
     assert calls == [0, 1, 2, 1, 2]
+
+
+def record_batches(monkeypatch) -> list:
+    """Record every `_optimize` batch of `correlations` as its (problems, results)."""
+    batches, batched = [], correlations._optimize
+
+    def recording(problems, config):
+        results = batched(problems, config)
+        batches.append((problems, results))
+        return results
+
+    monkeypatch.setattr(correlations, "_optimize", recording)
+    return batches
+
+
+def assert_same_search(a, b):
+    assert (a.measurement.basis == b.measurement.basis).all()
+    assert (a.j_value, a.discord, a.iterations, a.params, a.oracle_gap) == \
+        (b.j_value, b.discord, b.iterations, b.params, b.oracle_gap)
+
+
+def assert_batches_equal_solo_searches(batches, config):
+    for problems, results in batches:
+        for problem, result in zip(problems, results):
+            (solo,) = optimizer._optimize([problem], config)
+            assert_same_search(result, solo)
+
+
+def _batch_states():
+    rng = np.random.default_rng(2027)
+    return {
+        "2x2": states.random_density((2, 2), rng),
+        "rank2_2x2x2": states.random_density((2, 2, 2), rng, rank=2),
+        # both qutrit searches ascend their waves in one batch
+        "3x3": states.random_density((3, 3), rng),
+        # a qubit and a qutrit search: no shared batch
+        "2x3": states.random_density((2, 3), rng),
+    }
+
+
+BATCH_STATES = _batch_states()
+
+
+@pytest.mark.parametrize("name", BATCH_STATES)
+def test_full_report_batches_equal_solo_searches(monkeypatch, name):
+    rho, config = BATCH_STATES[name], OptimizerConfig(restarts=16)
+    batches = record_batches(monkeypatch)
+    report = correlations.full_report(rho, config)
+    assert len(batches[0][0]) == rho.n_subsystems
+    assert_batches_equal_solo_searches(batches, config)
+    for k, (d_k, c_k) in enumerate(report.per_subsystem):
+        solo = optimizer.optimize_measurement(rho, k, config)
+        assert (d_k, c_k) == (solo.discord, solo.j_value)
+    alone = correlations.sequential_measure(rho, range(rho.n_subsystems), config)
+    for step, solo in zip(report.sequential.steps, alone.steps):
+        assert_same_search(step, solo)
+
+
+def test_classify_batch_equals_solo_searches(monkeypatch, rng):
+    config = OptimizerConfig()
+    batches = record_batches(monkeypatch)
+    assert correlations.classify(states.random_density((2, 2), rng), config) == "discordant"
+    assert [k for _, k in batches[0][0]] == [0, 1]
+    assert_batches_equal_solo_searches(batches, config)
+
+
+@pytest.mark.parametrize("rho", [states.named("ghz", n=4),
+                                 states.random_density((2,) * 4, np.random.default_rng(4))],
+                         ids=["ghz_4", "random_4"])
+def test_all_orders_equal_separate_sequential_runs(rho):
+    config = OptimizerConfig()
+    orders = list(itertools.permutations(range(4)))
+    reports, _ = correlations._sequential_reports(measurement.CQEnsemble.of(rho), orders, config)
+    for order, report in zip(orders, reports):
+        alone = correlations.sequential_measure(rho, order, config)
+        assert report.order == alone.order == order
+        assert (report.q_total, report.c_total, report.identity_residuals) == \
+            (alone.q_total, alone.c_total, alone.identity_residuals)
+        assert (report.classical_table.probs == alone.classical_table.probs).all()
+        for step, solo in zip(report.steps, alone.steps):
+            assert_same_search(step, solo)
+
+
+def test_a_batch_takes_the_rounds_of_its_longest_search(monkeypatch, rng):
+    # full_report's depth-1 batch searches subsystems 0, 1 and 2 of the
+    # unmeasured state in lockstep, so it makes one _directions call per
+    # round of its longest search, not one per round of each
+    rho = states.random_density((2, 2, 2), rng)
+    config = OptimizerConfig()
+    rounds, directions = [0], optimizer._directions
+
+    def counting(*args):
+        rounds[0] += 1
+        return directions(*args)
+
+    monkeypatch.setattr(optimizer, "_directions", counting)
+    alone = []
+    for k in range(3):
+        rounds[0] = 0
+        optimizer.optimize_measurement(rho, k, config)
+        alone.append(rounds[0])
+    per_batch, batched = [], correlations._optimize
+
+    def counting_batches(problems, config):
+        before = rounds[0]
+        results = batched(problems, config)
+        per_batch.append(rounds[0] - before)
+        return results
+
+    monkeypatch.setattr(correlations, "_optimize", counting_batches)
+    correlations.full_report(rho, config)
+    assert per_batch[0] == max(alone) < sum(alone)
 
 
 def test_sequential_report_steps_carry_each_search(rng):

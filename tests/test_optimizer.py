@@ -446,8 +446,10 @@ class TestQuditRestarts:
         gradients, trials = [], []
         directions, j_bases = optimizer._directions, ev.j_bases
         monkeypatch.setattr(optimizer, "_directions",
-                            lambda ev, v: gradients.append(len(v)) or directions(ev, v))
-        monkeypatch.setattr(ev, "j_bases", lambda b: trials.append(len(b)) or j_bases(b))
+                            lambda ev, v, problem: gradients.append(len(v))
+                            or directions(ev, v, problem))
+        monkeypatch.setattr(ev, "j_bases",
+                            lambda b, problem: trials.append(len(b)) or j_bases(b, problem))
         _, _, evals = optimizer._ascend(ev, starts, j0)
         assert sum(gradients) < sum(trials) // optimizer._LADDER.size
         assert evals.sum() == (1 + 3 * 2) * sum(gradients) + sum(trials)
@@ -624,10 +626,13 @@ ENTRY_POINTS = {
     "discord": correlations.discord,
     "classical_hv": correlations.classical_hv,
     "grid_search_qubit": lambda rho, k: optimizer.grid_search_qubit(rho, k, 8),
+    "induced_J": lambda rho, k: measurement.induced_J(rho, k,
+                                                      measurement.qubit_measurement(0.0, 0.0)),
 }
 
 
-@pytest.mark.parametrize("k", [-1, 2])
+# 1.0 used to raise a TypeError, and True to be taken as subsystem 1
+@pytest.mark.parametrize("k", [-1, 2, 1.0, True])
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_subsystem_out_of_range(paper_state, entry, k):
     with pytest.raises(DimensionMismatch):
