@@ -8,7 +8,6 @@ ensemble of its leaves, not a dense state.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ from . import measurement as msr
 from .errors import BadOrder
 from .infotheory import (ProbabilityTable, classical_mutual_information,
                          probability_table)
-from .measurement import CQEnsemble, ProjectiveMeasurement
+from .measurement import CQEnsemble, ProjectiveMeasurement, _is_index
 from .optimizer import (OptimalMeasurementResult, OptimizerConfig, _optimize,
                         optimize_measurement)
 from .states import DensityMatrix
@@ -104,7 +103,7 @@ def _sequential_reports(ens: CQEnsemble, orders, config: OptimizerConfig,
     checked = []
     for order in orders:
         order = tuple(order)
-        if (not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in order)
+        if (not all(_is_index(k) for k in order)
                 or sorted(order) != list(range(n))):
             raise BadOrder(f"{order} is not a permutation of 0..{n - 1}")
         checked.append(tuple(int(k) for k in order))

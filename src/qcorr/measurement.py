@@ -92,9 +92,14 @@ def measurement_from_unitary(u: np.ndarray) -> ProjectiveMeasurement:
     return ProjectiveMeasurement(linalg.as_matrix(u).T)
 
 
+def _is_index(k) -> bool:
+    """Whether k is an integer and not a bool, as a subsystem index must be."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool)
+
+
 def _subsystem(k, among: tuple[int, ...]) -> int:
-    """k as an int, if it is an integer (not a bool) in `among`; else DimensionMismatch."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k not in among:
+    """k as an int, if it is an index (`_is_index`) in `among`; else DimensionMismatch."""
+    if not _is_index(k) or k not in among:
         raise DimensionMismatch(f"subsystem {k!r} is not one of {among}")
     return int(k)
 
@@ -143,7 +148,7 @@ def induced_J(rho: DensityMatrix, k: int, m: ProjectiveMeasurement) -> float:
     information of the non-selective channel output.
     """
     _check_dims(rho, k, m)
-    return float(_JEvaluator.of(CQEnsemble.of(rho), k).j_bases(m.basis[None])[0])
+    return float(_JEvaluator.of(CQEnsemble.of(rho), k).j_bases(m.basis[None], [1])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,17 +343,17 @@ class _JEvaluator:
     one GEMM, (c, (a, L, b, b)), and `view` reads it back without a copy.
 
     `stack` joins the evaluators of P problems of one `shape` (d_k, L, b, b),
-    each keeping its layout and its `rest_entropy`. A stack of bases given to
-    `j_bases` or `gradient` is then ordered problem by problem, `problem`
-    naming each basis's problem (non-decreasing); without it every basis is
-    problem 0's. Each problem's bases take one GEMM against its own layout,
-    the GEMM of that problem's bases alone.
+    each keeping its layout and its `rest_entropy`; one evaluator of `of` is
+    P = 1. A stack of bases given to `j_bases` or `gradient` is ordered
+    problem by problem: its first counts[0] bases are problem 0's, the next
+    counts[1] problem 1's, and so on ([n] when P = 1). Each problem's bases
+    take one GEMM against its own layout, the GEMM of its bases alone.
     """
 
     def __init__(self, view: np.ndarray, rest_entropy: float):
         n_leaves, self.dk, b = view.shape[:3]
         self._leaf_shape = (n_leaves, b, b)
-        self._by_c = np.ascontiguousarray(view.transpose(3, 1, 0, 2, 4)).reshape(1, self.dk, -1)
+        self._by_c = (np.ascontiguousarray(view.transpose(3, 1, 0, 2, 4)).reshape(self.dk, -1),)
         self.rest_entropy = np.array([rest_entropy], dtype=float)
 
     @classmethod
@@ -368,7 +373,7 @@ class _JEvaluator:
             return evaluators[0]
         ev = object.__new__(cls)
         ev.dk, ev._leaf_shape = evaluators[0].dk, evaluators[0]._leaf_shape
-        ev._by_c = np.concatenate([e._by_c for e in evaluators])
+        ev._by_c = sum((e._by_c for e in evaluators), ())
         ev.rest_entropy = np.concatenate([e.rest_entropy for e in evaluators])
         return ev
 
@@ -380,45 +385,41 @@ class _JEvaluator:
     @property
     def view(self) -> np.ndarray:
         """The view of a one-problem evaluator, as (L, d_k, b, d_k, b), b = d_rest or r."""
-        return self._by_c.reshape((self.dk, self.dk) + self._leaf_shape).transpose(2, 1, 3, 0, 4)
+        view = self._by_c[0].reshape((self.dk, self.dk) + self._leaf_shape)
+        return view.transpose(2, 1, 3, 0, 4)
 
-    def _half_blocks(self, bases: np.ndarray, problem: np.ndarray | None) -> np.ndarray:
+    def _half_blocks(self, bases: np.ndarray, counts: list[int]) -> np.ndarray:
         """T[a, n, x] = sum_c v_{n,a,c} view[:, x, :, c, :], as (d_k, n, d_k, L b b).
 
-        One GEMM per problem of the stacked outcome vectors (n, d_k, d_k),
-        vectors as rows, against that problem's layout.
+        One GEMM per problem of its slice of the stacked outcome vectors
+        (n, d_k, d_k), vectors as rows, against that problem's layout.
         """
-        n, dk = bases.shape[:2]
-        rows = bases.swapaxes(0, 1)
-        if problem is None:
-            return (rows.reshape(dk * n, dk) @ self._by_c[0]).reshape(dk, n, dk, -1)
+        dk = bases.shape[1]
         parts, lo = [], 0
-        for by_c, count in zip(self._by_c, np.bincount(problem, minlength=len(self._by_c))):
+        for by_c, count in zip(self._by_c, counts):
             if count:
-                part = rows[:, lo:lo + count].reshape(dk * count, dk) @ by_c
-                parts.append(part.reshape(dk, count, dk, -1))
+                rows = bases[lo:lo + count].swapaxes(0, 1).reshape(dk * count, dk)
+                parts.append((rows @ by_c).reshape(dk, count, dk, -1))
                 lo += count
-        return np.concatenate(parts, axis=1)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
-    def _blocks(self, bases: np.ndarray, half: np.ndarray | None = None) -> np.ndarray:
+    def _blocks(self, bases: np.ndarray, half: np.ndarray) -> np.ndarray:
         """Outcome blocks of every basis and leaf, as (d_k, n, L, b, b).
 
-        `bases` is a stack (n, d_k, d_k) with vectors as rows. Block (a, n)
-        is sum_x conj(v_{n,a,x}) T[a, n, x], from `_half_blocks` unless
-        given. b is d_rest in the dense view and r in the Gram view.
+        `bases` is a stack (n, d_k, d_k) with vectors as rows and `half`
+        its `_half_blocks`. Block (a, n) is sum_x conj(v_{n,a,x}) T[a, n, x].
+        b is d_rest in the dense view and r in the Gram view.
         """
-        if half is None:
-            half = self._half_blocks(bases, None)
         dk, n = half.shape[:2]
         blocks = bases.conj().swapaxes(0, 1)[:, :, None] @ half
         return blocks.reshape((dk, n) + self._leaf_shape)
 
-    def j_bases(self, bases: np.ndarray, problem: np.ndarray | None = None) -> np.ndarray:
+    def j_bases(self, bases: np.ndarray, counts: list[int]) -> np.ndarray:
         """J for every basis of the stack `bases` (n, d_k, d_k), vectors as rows."""
-        rest = self.rest_entropy[0 if problem is None else problem]
-        return rest - _conditional_entropy(self._blocks(bases, self._half_blocks(bases, problem)))
+        blocks = self._blocks(bases, self._half_blocks(bases, counts))
+        return self.rest_entropy.repeat(counts) - _conditional_entropy(blocks)
 
-    def gradient(self, bases: np.ndarray, problem: np.ndarray | None = None) -> np.ndarray:
+    def gradient(self, bases: np.ndarray, counts: list[int]) -> np.ndarray:
         """dJ/d conj(bases) for every basis of the stack, in its layout.
 
         Row a is sum_i Tr_rest[log2(B_ai / q_a) W_i] v_a, with B_ai the
@@ -431,7 +432,7 @@ class _JEvaluator:
         T[a] contracted with the transpose of log2(B_a / q_a), one
         matrix-vector product per (a, n).
         """
-        half = self._half_blocks(bases, problem)
+        half = self._half_blocks(bases, counts)
         blocks = self._blocks(bases, half)
         traces = np.einsum('...ii->...', blocks.real)
         probs = traces.sum(axis=-1)

@@ -225,7 +225,7 @@ def _generators(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _directions(ev: _JEvaluator, v: np.ndarray,
-                problem: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                counts: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients X of the bases v, their ascent directions D, and where D is Newton's.
 
     Both are in the fixed left frame, where a basis V moves to exp(t D) V:
@@ -233,11 +233,10 @@ def _directions(ev: _JEvaluator, v: np.ndarray,
     G = dJ/d conj(V). In the coordinates s of sum_p s_p E_p over the
     `_generators`, the gradient is g_p = <E_p, X> / 2, and the Hessian H
     comes from forward differences of g along exp(h E_q) V: d(d-1) more
-    gradients in the same call, which takes each problem's bases and then
-    their turns (`problem` names each basis's problem in `ev`, None for a
-    single problem), as that problem's search alone does. Where H is
-    negative definite up to its flat directions, D has s = -H^{-1} g, the
-    model's top at t = 1; elsewhere
+    gradients in the same call, each basis followed by its turns, so each
+    problem's rows stay one slice (`counts` holds each problem's number of
+    bases, in `ev`'s order). Where H is negative definite up to its flat
+    directions, D has s = -H^{-1} g, the model's top at t = 1; elsewhere
     D = X. An eigenvalue of H below `_FLAT` |lambda_min| counts as flat, and
     H^{-1} takes the eigenvalues above -`_FLAT_CURVATURE` |lambda_min| at
     that value (Nocedal & Wright, Numerical Optimization, 2006, sec. 3.4).
@@ -246,26 +245,20 @@ def _directions(ev: _JEvaluator, v: np.ndarray,
     """
     m, dk = len(v), v.shape[-1]
     gens, turns = _generators(dk)
-    v = np.concatenate([v, (turns @ v[:, None]).reshape(-1, dk, dk)])
-    if problem is None:
-        grad = ev.gradient(v)
-    else:
-        labels = np.concatenate([problem, np.repeat(problem, len(gens))])
-        order = np.argsort(labels, kind='stable')
-        grad = np.empty_like(v)
-        grad[order] = ev.gradient(v[order], labels[order])
-    x = grad @ v.conj().swapaxes(-1, -2)
+    v = np.concatenate([v[:, None], turns @ v[:, None]], axis=1).reshape(-1, dk, dk)
+    x = ev.gradient(v, [c * (1 + len(gens)) for c in counts]) @ v.conj().swapaxes(-1, -2)
     x -= x.conj().swapaxes(-1, -2)
-    g = np.einsum('pab,nab->np', gens.conj(), x).real / 2
-    h = (g[m:].reshape(m, len(gens), -1) - g[:m, None]) / _FD_STEP
+    g = np.einsum('pab,nab->np', gens.conj(), x).real.reshape(m, 1 + len(gens), -1) / 2
+    h = (g[:, 1:] - g[:, :1]) / _FD_STEP
+    x, g = x[::1 + len(gens)], g[:, 0]
     lam, q = np.linalg.eigh((h + h.swapaxes(1, 2)) / 2)
     scale = np.abs(lam[:, :1])
     newton = lam[:, -1] < _FLAT * scale[:, 0]
     # s = -q diag(1 / lambda) q^T g
     curvature = np.where(newton[:, None], np.minimum(lam, -_FLAT_CURVATURE * scale), -1.0)
-    s = -np.einsum('mpi,mi->mp', q, np.einsum('mpi,mp->mi', q, g[:m]) / curvature)
+    s = -np.einsum('mpi,mi->mp', q, np.einsum('mpi,mp->mi', q, g) / curvature)
     d = np.einsum('mp,pab->mab', s, gens)
-    return x[:m], np.where(newton[:, None, None], d, x[:m]), newton
+    return x, np.where(newton[:, None, None], d, x), newton
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -274,7 +267,7 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
-            problem: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            counts: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Riemannian ascent of J from every basis of the stack, all in lockstep.
 
     A round moves a live basis V (vectors as rows) to exp(t D) V, with the
@@ -294,12 +287,13 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
     failed round rather than computing it again; any other such round ends
     it, as do `_MAX_ROUNDS` rounds. Each search keeps its own X' and D', so
     the lockstep run equals the starts ascended one by one. `j` holds the
-    starts' J, and `problem` each start's problem in `ev`, non-decreasing,
-    or None if all are one problem's. Returns the final bases, their J and
+    starts' J, and `counts` the number of starts of each problem in `ev`,
+    the stack holding problem 0's first. Returns the final bases, their J and
     each search's evaluations (each gradient and each trial count one, so a
     round with its Newton test counts 1 + d(d-1) + `_LADDER`.size).
     """
     bases, j = bases.copy(), np.array(j, dtype=float)
+    problem = np.repeat(np.arange(len(counts)), counts)
     steps = np.ones(len(bases))
     evals = np.zeros(len(bases), dtype=int)
     last_x, last_d = np.zeros_like(bases), np.zeros_like(bases)
@@ -314,10 +308,10 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
         # failed round was conjugate only because none applied there)
         x, d, newton = last_x[live], last_x[live], np.zeros(live.size, dtype=bool)
         fresh = ~retry[live]
-        on = None if problem is None else problem[live]
+        on = problem[live]
         if fresh.any():
-            x[fresh], d[fresh], newton[fresh] = _directions(ev, v[fresh],
-                                                            None if on is None else on[fresh])
+            fresh_counts = np.bincount(on[fresh], minlength=len(counts)).tolist()
+            x[fresh], d[fresh], newton[fresh] = _directions(ev, v[fresh], fresh_counts)
         is_cg = np.zeros(live.size, dtype=bool)
         if conjugate[live].any():
             prev_x, prev_d = last_x[live], last_d[live]
@@ -331,8 +325,8 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
         slope = _inner(x, d)
         t = np.where(newton, 1.0, steps[live])[:, None] * _LADDER
         trials = _rotations(d, t) @ v[:, None]
-        values = ev.j_bases(trials.reshape((-1,) + v.shape[1:]),
-                            None if on is None else np.repeat(on, _LADDER.size)).reshape(t.shape)
+        trial_counts = [c * _LADDER.size for c in np.bincount(on, minlength=len(counts)).tolist()]
+        values = ev.j_bases(trials.reshape((-1,) + v.shape[1:]), trial_counts).reshape(t.shape)
         evals[live] += np.where(fresh, 1 + len(_generators(ev.dk)[0]), 0) + _LADDER.size
         gain = values - j[live, None]
         armijo = gain >= _ARMIJO * t * slope[:, None]
@@ -396,8 +390,7 @@ def _qubit_searches(evs: list[_JEvaluator]) -> list[tuple]:
     grids = [_grid_search(ev, angles, dirs) for ev in evs]
     starts = np.array([basis_vectors(theta, phi) for theta, phi, _ in grids])
     j_grid = [j for _, _, j in grids]
-    bases, js, evals = _ascend(_JEvaluator.stack(evs), starts, j_grid,
-                               np.arange(len(evs)) if len(evs) > 1 else None)
+    bases, js, evals = _ascend(_JEvaluator.stack(evs), starts, j_grid, [1] * len(evs))
     return [(bases[p:p + 1], js[p:p + 1], len(dirs) + int(evals[p]), j_grid[p])
             for p in range(len(evs))]
 
@@ -415,8 +408,8 @@ def _qudit_searches(evs: list[_JEvaluator], config: OptimizerConfig) -> list[tup
     for lo in range(0, len(starts), _WAVE):
         wave = starts[lo:lo + _WAVE]
         rows = np.concatenate([wave] * len(live))
-        problem = np.repeat(live, len(wave)) if len(evs) > 1 else None
-        bases, js, evals = _ascend(ev, rows, ev.j_bases(rows, problem), problem)
+        counts = [len(wave) if p in live else 0 for p in range(len(evs))]
+        bases, js, evals = _ascend(ev, rows, ev.j_bases(rows, counts), counts)
         for i, p in enumerate(live):
             part = slice(i * len(wave), (i + 1) * len(wave))
             waves[p].append((bases[part], js[part], evals[part]))

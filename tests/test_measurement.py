@@ -325,4 +325,4 @@ def test_closed_form_gradient_matches_eigh(name, view, bases):
     # blocks of b <= 2 take log2(B / q) in closed form, with eigh's clamp and zero rule
     assert view.shape[2] <= 2
     ev = measurement._JEvaluator(view, 0.0)
-    assert np.abs(ev.gradient(bases) - eigh_gradient(view, bases)).max() < 1e-12
+    assert np.abs(ev.gradient(bases, [len(bases)]) - eigh_gradient(view, bases)).max() < 1e-12

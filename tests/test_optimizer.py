@@ -34,11 +34,16 @@ def reference_J(rho, k, m):
     return rest_entropy - cond
 
 
+def alone(bases):
+    """The problem counts of a stack of bases that are all one problem's."""
+    return [len(bases)]
+
+
 def ascend(rho, k, starts):
     """The (bases, J, evaluations) of the ascent from a stack of bases."""
     ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), k)
     starts = np.asarray(starts, dtype=complex)
-    return optimizer._ascend(ev, starts, ev.j_bases(starts))
+    return optimizer._ascend(ev, starts, ev.j_bases(starts, alone(starts)), alone(starts))
 
 
 def per_round(d):
@@ -442,15 +447,15 @@ class TestQuditRestarts:
         rho = states.random_density((3, 2), rng, rank=2)
         ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
         starts = optimizer._haar_bases(np.random.default_rng(0), 8, 3)
-        j0 = ev.j_bases(starts)
+        j0 = ev.j_bases(starts, alone(starts))
         gradients, trials = [], []
         directions, j_bases = optimizer._directions, ev.j_bases
         monkeypatch.setattr(optimizer, "_directions",
-                            lambda ev, v, problem: gradients.append(len(v))
-                            or directions(ev, v, problem))
+                            lambda ev, v, counts: gradients.append(len(v))
+                            or directions(ev, v, counts))
         monkeypatch.setattr(ev, "j_bases",
-                            lambda b, problem: trials.append(len(b)) or j_bases(b, problem))
-        _, _, evals = optimizer._ascend(ev, starts, j0)
+                            lambda b, counts: trials.append(len(b)) or j_bases(b, counts))
+        _, _, evals = optimizer._ascend(ev, starts, j0, alone(starts))
         assert sum(gradients) < sum(trials) // optimizer._LADDER.size
         assert evals.sum() == (1 + 3 * 2) * sum(gradients) + sum(trials)
 
@@ -534,11 +539,13 @@ class TestGramView:
         dense = dense_evaluator(rho, k)
         assert ev.view.shape[2] < dense.view.shape[2]
         bases = optimizer._haar_bases(np.random.default_rng(4), 16, rho.dims[k])
-        assert np.abs(ev.j_bases(bases) - dense.j_bases(bases)).max() < 1e-12
-        assert np.abs(ev.gradient(bases) - dense.gradient(bases)).max() < 1e-10
+        assert np.abs(ev.j_bases(bases, alone(bases))
+                      - dense.j_bases(bases, alone(bases))).max() < 1e-12
+        assert np.abs(ev.gradient(bases, alone(bases))
+                      - dense.gradient(bases, alone(bases))).max() < 1e-10
         for basis in bases[:3]:
             m = measurement.ProjectiveMeasurement(basis)
-            assert abs(ev.j_bases(basis[None])[0] - reference_J(rho, k, m)) < 1e-12
+            assert abs(ev.j_bases(basis[None], alone([basis]))[0] - reference_J(rho, k, m)) < 1e-12
         if rho.dims[k] == 2:
             grid = np.linspace(0, math.pi, 32)[:16], np.arange(32) * (math.pi / 16)
             points = optimizer._grid_points(*grid)
@@ -584,12 +591,12 @@ GRADIENT_CASES = gradient_cases()
                          ids=[c[0] for c in GRADIENT_CASES])
 def test_gradient_matches_finite_differences(name, ens, k, basis):
     ev = optimizer._JEvaluator.of(ens, k)
-    grad = ev.gradient(basis[None])[0]
+    grad = ev.gradient(basis[None], alone([basis]))[0]
     rng = np.random.default_rng(3)
     eps = 1e-5
     for _ in range(4):
         x = skew_hermitian(len(basis), rng)
-        along = lambda s: ev.j_bases((basis @ expm_series(s * x))[None])[0]
+        along = lambda s: ev.j_bases((basis @ expm_series(s * x))[None], alone([basis]))[0]
         numeric = (along(eps) - along(-eps)) / (2 * eps)
         # dJ = 2 Re Tr(G^dagger dV) with dV = V X
         analytic = 2 * np.real(np.vdot(grad, basis @ x))
@@ -618,8 +625,9 @@ def test_gemm_kernel_matches_the_einsums(name, ens, k, basis):
     ev = optimizer._JEvaluator.of(ens, k)
     bases = np.concatenate([basis[None],
                             optimizer._haar_bases(np.random.default_rng(6), 7, len(basis))])
-    assert np.abs(ev._blocks(bases) - einsum_blocks(ev.view, bases)).max() < 1e-14
-    assert np.abs(ev.gradient(bases) - einsum_gradient(ev.view, bases)).max() < 1e-14
+    blocks = ev._blocks(bases, ev._half_blocks(bases, alone(bases)))
+    assert np.abs(blocks - einsum_blocks(ev.view, bases)).max() < 1e-14
+    assert np.abs(ev.gradient(bases, alone(bases)) - einsum_gradient(ev.view, bases)).max() < 1e-14
 
 ENTRY_POINTS = {
     "optimize_measurement": optimizer.optimize_measurement,
