@@ -5,16 +5,18 @@ dimension: Riemannian ascent on the unitary group (Abrudan, Eriksson &
 Koivunen, IEEE TSP 56(3):1134, 2008), its directions taken in the fixed
 left frame. A qubit starts from the argmax of a coarse Bloch-angle grid
 that samples the equator, a higher dimension from seeded Haar-random
-bases. Every search takes Newton steps where its Hessian over the d(d-1)
-generators that mix outcomes allows them (Absil, Mahony & Sepulchre,
-Optimization Algorithms on Matrix Manifolds, 2008, ch. 6); the Hessian
+bases. Every round of every search takes a saddle-free Newton step
+(Dauphin et al., NeurIPS 2014) in the d(d-1) generators that mix outcomes
+(Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
+2008, ch. 6): the Hessian's eigenvalues enter by their magnitude, so the
+step ascends at saddles too, and it turns by at most pi/4. The Hessian
 comes from forward differences of the analytic gradient, so a round
-evaluates 1 + d(d-1) gradients in one batched call. Wherever no Newton step
-applies, a round takes a conjugate-gradient step (Abrudan, Eriksson &
-Koivunen, Signal Processing 89(9):1704, 2009). The starts ascend in
-lockstep, so each round is one batched gradient call and one batched J
-evaluation of its line search; a qudit's starts do so in waves of
-`_WAVE`, until two of them agree on the best J. One call may search
+evaluates 1 + d(d-1) gradients in one batched call. A search ends where
+its model predicts no further gain, after a failed retry along the
+gradient, or at the round cap. The starts ascend in lockstep, so each
+round is one batched gradient call and one batched J evaluation of its
+line search; a qudit's starts do so in waves of `_WAVE`, until two of them
+agree on the best J. One call may search
 several problems, a subsystem of an ensemble each: those of one subsystem
 dimension and leaf shape ascend in the same lockstep, each start keeping
 its own problem, so a batch takes as many rounds as its longest search
@@ -57,25 +59,31 @@ _GRID_CHUNK_ELEMENTS = 1 << 20
 _MAX_ROUNDS = 500
 # Qudit starts ascended together; waves continue until two ascended starts
 # are within _AGREE (bits) of the best J so far, or the restarts run out.
-_WAVE = 8
+_WAVE = 4
 _AGREE = 1e-9
-# Trial steps of an ascent round, as multiples of the search's last accepted step.
+# Trial steps of an ascent round, as multiples of its direction.
 _LADDER = np.array([4.0, 2.0, 1.0, 0.5, 0.25, 1 / 16])
+_UNIT_TRIAL = 2  # the index of t = 1 in _LADDER
 # A trial is accepted if it gains at least this share of its first-order gain.
 _ARMIJO = 1e-4
-# A search ends when no accepted trial gains more J (bits) than this.
+# A round fails when no accepted trial gains more J (bits) than this.
 _GAIN_FLOOR = 1e-12
-# Forward-difference step of a search's Hessian H. An eigenvalue of H below
-# _FLAT |lambda_min| counts as flat, and its Newton step takes it as
-# -_FLAT_CURVATURE |lambda_min|.
-_FD_STEP = 1e-4
-_FLAT = 1e-2
+# A search ends when its model predicts no larger gain (bits) than this.
+_MODEL_FLOOR = 2e-12
+# Forward-difference step of a search's Hessian H. The error of H is O(h)
+# down to about h = 1e-7, where the gradient's rounding takes over, and it
+# sets how closely a search's last step lands on the top. A saddle-free
+# Newton step takes each eigenvalue of H as
+# -max(|lambda|, _FLAT_CURVATURE max |lambda|), and turns by at most
+# _MAX_TURN in the generators' coordinates.
+_FD_STEP = 1e-6
 _FLAT_CURVATURE = 1e-3
+_MAX_TURN = math.pi / 4
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    # subsystem dim > 2: at most this many Haar starts, ascended in waves of 8
+    # subsystem dim > 2: at most this many Haar starts, ascended in waves of 4
     restarts: int = 32
     seed: int = 0
 
@@ -225,8 +233,8 @@ def _generators(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _directions(ev: _JEvaluator, v: np.ndarray,
-                counts: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients X of the bases v, their ascent directions D, and where D is Newton's.
+                counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients X of the bases v and their saddle-free Newton directions D.
 
     Both are in the fixed left frame, where a basis V moves to exp(t D) V:
     J's slope along D is <X, D>, with X = G V^dagger - V G^dagger for
@@ -235,13 +243,14 @@ def _directions(ev: _JEvaluator, v: np.ndarray,
     comes from forward differences of g along exp(h E_q) V: d(d-1) more
     gradients in the same call, each basis followed by its turns, so each
     problem's rows stay one slice (`counts` holds each problem's number of
-    bases, in `ev`'s order). Where H is negative definite up to its flat
-    directions, D has s = -H^{-1} g, the model's top at t = 1; elsewhere
-    D = X. An eigenvalue of H below `_FLAT` |lambda_min| counts as flat, and
-    H^{-1} takes the eigenvalues above -`_FLAT_CURVATURE` |lambda_min| at
-    that value (Nocedal & Wright, Numerical Optimization, 2006, sec. 3.4).
-    A rank-deficient marginal of the measured subsystem makes some
-    directions exactly flat, so a strict test would take no Newton step.
+    bases, in `ev`'s order). D has s = -H'^{-1} g, where H' is H with each
+    eigenvalue lambda_i taken as -max(|lambda_i|, `_FLAT_CURVATURE`
+    max |lambda|): the Newton step where H is negative definite, and an
+    ascent direction everywhere (Dauphin et al., NeurIPS 2014). A
+    rank-deficient marginal of the measured subsystem makes some directions
+    exactly flat, which the floor keeps finite. s is scaled down to at most
+    `_MAX_TURN`, half the pi/2 turn along one generator that swaps two
+    outcomes.
     """
     m, dk = len(v), v.shape[-1]
     gens, turns = _generators(dk)
@@ -252,13 +261,14 @@ def _directions(ev: _JEvaluator, v: np.ndarray,
     h = (g[:, 1:] - g[:, :1]) / _FD_STEP
     x, g = x[::1 + len(gens)], g[:, 0]
     lam, q = np.linalg.eigh((h + h.swapaxes(1, 2)) / 2)
-    scale = np.abs(lam[:, :1])
-    newton = lam[:, -1] < _FLAT * scale[:, 0]
-    # s = -q diag(1 / lambda) q^T g
-    curvature = np.where(newton[:, None], np.minimum(lam, -_FLAT_CURVATURE * scale), -1.0)
-    s = -np.einsum('mpi,mi->mp', q, np.einsum('mpi,mp->mi', q, g) / curvature)
-    d = np.einsum('mp,pab->mab', s, gens)
-    return x, np.where(newton[:, None, None], d, x), newton
+    lam = np.abs(lam)
+    curvature = np.maximum(lam, _FLAT_CURVATURE * lam.max(axis=1, keepdims=True))
+    # s = q diag(1 / curvature) q^T g; where H is exactly 0, s = g before the cap
+    s = np.einsum('mpi,mi->mp', q, np.einsum('mpi,mp->mi', q, g)
+                  / np.where(curvature > 0, curvature, 1.0))
+    norm = np.sqrt(np.einsum('mp,mp->m', s, s))
+    s *= (_MAX_TURN / np.maximum(norm, _MAX_TURN))[:, None]
+    return x, np.einsum('mp,pab->mab', s, gens)
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -271,75 +281,66 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
     """Riemannian ascent of J from every basis of the stack, all in lockstep.
 
     A round moves a live basis V (vectors as rows) to exp(t D) V, with the
-    gradient X and the Newton direction from one `_directions` call. Both
-    are in the fixed left frame (V exp(t A) = exp(t V A V^dagger) V), so
-    directions of different rounds add without transport. Where no Newton
-    step applies, D is the conjugate gradient (Abrudan, Eriksson &
-    Koivunen, Signal Processing 89(9):1704, 2009) X + beta D', with D' the
-    search's last direction and beta = max(0, <X, X - X'> / |X'|^2)
-    (Polak-Ribiere); D = X on a search's first round, after a Newton step
-    or a conjugate round that failed, and where <X, D> <= 0. The trials,
-    one `j_bases` call, take t at the `_LADDER` multiples of 1 for a Newton
-    D, and of the search's last accepted step (1 at first) otherwise. The
-    best trial gaining at least `_ARMIJO` t <X, D> is accepted. A conjugate
-    round with no trial gaining more than `_GAIN_FLOOR` leaves the search
-    live, to step along X from the same point, which it keeps from the
-    failed round rather than computing it again; any other such round ends
-    it, as do `_MAX_ROUNDS` rounds. Each search keeps its own X' and D', so
-    the lockstep run equals the starts ascended one by one. `j` holds the
-    starts' J, and `counts` the number of starts of each problem in `ev`,
-    the stack holding problem 0's first. Returns the final bases, their J and
-    each search's evaluations (each gradient and each trial count one, so a
-    round with its Newton test counts 1 + d(d-1) + `_LADDER`.size).
+    gradient X and the saddle-free Newton direction D from one `_directions`
+    call, at the `_LADDER` multiples t of D; the trials are one `j_bases`
+    call. The best trial gaining at least `_ARMIJO` t <X, D> is accepted.
+    Where the model's predicted gain <X, D> / 2 is at most `_MODEL_FLOOR`,
+    the search ends on its t = 1 trial, whatever that trial gains. A round
+    with no trial gaining more than `_GAIN_FLOOR` is retried once from the
+    same point along the X it computed, its trials turning by the `_LADDER`
+    multiples of that round's shortest trial, so a ridge narrower than the
+    model's step is still climbed; a failed retry ends the search, as do
+    `_MAX_ROUNDS` rounds. Each search keeps its own X, so the lockstep run
+    equals the starts ascended one by one. `j` holds the starts' J, and
+    `counts` the number of starts of each problem in `ev`, the stack holding
+    problem 0's first. Returns the final bases, their J and each search's
+    evaluations (each gradient and each trial count one, so a fresh round
+    counts 1 + d(d-1) + `_LADDER`.size and a retry `_LADDER`.size).
     """
     bases, j = bases.copy(), np.array(j, dtype=float)
     problem = np.repeat(np.arange(len(counts)), counts)
-    steps = np.ones(len(bases))
     evals = np.zeros(len(bases), dtype=int)
-    last_x, last_d = np.zeros_like(bases), np.zeros_like(bases)
-    conjugate = np.zeros(len(bases), dtype=bool)  # the next round may add last_d
-    retry = np.zeros(len(bases), dtype=bool)  # the last round was a failed conjugate one
+    # each search's X from its last failed round, and the turn of its retry
+    last_x, turn = np.zeros_like(bases), np.zeros(len(bases))
+    retry = np.zeros(len(bases), dtype=bool)
+    fresh_evals = 1 + len(_generators(ev.dk)[0]) + _LADDER.size
     live = np.arange(len(bases))
     for _ in range(_MAX_ROUNDS):
         if live.size == 0:
             break
-        v = bases[live]
-        # a retry steps along its last X (never a Newton direction: the
-        # failed round was conjugate only because none applied there)
-        x, d, newton = last_x[live], last_x[live], np.zeros(live.size, dtype=bool)
-        fresh = ~retry[live]
-        on = problem[live]
-        if fresh.any():
-            fresh_counts = np.bincount(on[fresh], minlength=len(counts)).tolist()
-            x[fresh], d[fresh], newton[fresh] = _directions(ev, v[fresh], fresh_counts)
-        is_cg = np.zeros(live.size, dtype=bool)
-        if conjugate[live].any():
-            prev_x, prev_d = last_x[live], last_d[live]
-            norm = _inner(prev_x, prev_x)
-            beta = np.where(conjugate[live] & ~newton,
-                            np.maximum(_inner(x, x - prev_x), 0.0) / np.where(norm > 0, norm, 1.0),
-                            0.0)
-            cg = d + beta[:, None, None] * prev_d
-            is_cg = (beta > 0) & (_inner(x, cg) > 0)
-            d = np.where(is_cg[:, None, None], cg, d)
+        v, on, again = bases[live], problem[live], retry[live]
+        live_counts = np.bincount(on, minlength=len(counts)).tolist()
+        if again.any():
+            # |X| = sqrt(2) |g|, so these trials turn by the ladder's multiples of `turn`
+            x, d, fresh = last_x[live], np.empty_like(v), ~again
+            back = x[again]
+            d[again] = back * (turn[live[again]] / np.sqrt(_inner(back, back) / 2))[:, None, None]
+            if fresh.any():
+                fresh_counts = np.bincount(on[fresh], minlength=len(counts)).tolist()
+                x[fresh], d[fresh] = _directions(ev, v[fresh], fresh_counts)
+        else:
+            x, d = _directions(ev, v, live_counts)
         slope = _inner(x, d)
-        t = np.where(newton, 1.0, steps[live])[:, None] * _LADDER
-        trials = _rotations(d, t) @ v[:, None]
-        trial_counts = [c * _LADDER.size for c in np.bincount(on, minlength=len(counts)).tolist()]
-        values = ev.j_bases(trials.reshape((-1,) + v.shape[1:]), trial_counts).reshape(t.shape)
-        evals[live] += np.where(fresh, 1 + len(_generators(ev.dk)[0]), 0) + _LADDER.size
+        trials = _rotations(d, _LADDER[None]) @ v[:, None]
+        values = ev.j_bases(trials.reshape((-1,) + v.shape[1:]),
+                            [c * _LADDER.size for c in live_counts]).reshape(trials.shape[:2])
+        evals[live] += np.where(again, _LADDER.size, fresh_evals)
         gain = values - j[live, None]
-        armijo = gain >= _ARMIJO * t * slope[:, None]
+        armijo = gain >= _ARMIJO * _LADDER * slope[:, None]
         pick = np.where(armijo, values, -np.inf).argmax(axis=1)
         rows = np.arange(live.size)
         moved = armijo[rows, pick] & (gain[rows, pick] > _GAIN_FLOOR)
-        last_x[live], last_d[live], conjugate[live] = x, d, moved & ~newton
-        retry[live] = is_cg & ~moved
-        rows, pick = rows[moved], pick[moved]
+        done = ~again & (slope / 2 <= _MODEL_FLOOR)
+        pick[done] = _UNIT_TRIAL
+        retry[live] = fail = ~(again | moved | done)
+        if fail.any():
+            # the failed round's shortest trial turned by |s| / 16, |D| = sqrt(2) |s|
+            last_x[live[fail]] = x[fail]
+            turn[live[fail]] = _LADDER[-1] * np.sqrt(_inner(d[fail], d[fail]) / 2)
+        rows, pick = rows[moved | done], pick[moved | done]
         bases[live[rows]] = trials[rows, pick]
         j[live[rows]] = values[rows, pick]
-        steps[live[rows]] = t[rows, pick]
-        live = live[moved | is_cg]
+        live = live[~done & (moved | ~again)]
     return bases, j, evals
 
 

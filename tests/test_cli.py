@@ -325,8 +325,9 @@ class TestVerify:
     def test_oracle_suite_covers_the_qudit_search(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "oracle"])
         assert code == 0
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
         assert "PASS oracle pure 3x2" in out
+        assert "PASS oracle pure 2x2 step-1 512x512 grid agreement" in out
         assert "PASS oracle batched searches against solo searches: residual 0.000e+00" in out
         waves = next(line for line in out.splitlines() if "4x2 waves" in line)
         assert waves.startswith("PASS oracle mixed 4x2 waves") and waves.endswith("(tol 1e-11)")
@@ -356,7 +357,7 @@ class TestVerify:
     def test_every_suite_passes_at_the_default_config(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "all"])
         assert code == 0
-        assert out.count("PASS") == 11 and "FAIL" not in out
+        assert out.count("PASS") == 12 and "FAIL" not in out
         assert out.endswith("all checks passed\n")
 
     def test_unknown_suite(self, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_searches
+from conftest import count_searches, random_unitary
 from qcorr import (OptimizerConfig, correlations, infotheory, measurement,
                    optimizer, states)
 from qcorr.errors import BadOrder
@@ -333,6 +333,21 @@ def test_eigenvalue_dust_moves_nothing(name, clean, renormalized):
     # (the dusty matrix's) misses by up to 4e-8 here
     assert seq.q_total <= seq.mutual_info
     assert abs(seq.q_total + seq.c_total - seq.mutual_info) <= 1e-12
+
+
+@pytest.mark.parametrize("dims, rank", [((2, 2), None), ((2, 2), 2), ((3, 2), None),
+                                        ((2, 2, 2), None), ((2, 2, 2), 2)])
+def test_q_is_unchanged_under_local_unitaries(dims, rank):
+    # each step's optimum of these mixed states is unique, so Q does not
+    # depend on the frame of any subsystem. A rank-2 3x2 state is left out:
+    # its step-0 optima are a tie, and its Q depends on which one is taken
+    rng = np.random.default_rng([2016, *dims, rank or 0])
+    rho = states.random_density(dims, rng, rank=rank)
+    qs = [correlations.overall_q(rho)]
+    for _ in range(4):
+        u = functools.reduce(np.kron, [random_unitary(d, rng) for d in dims])
+        qs.append(correlations.overall_q(states.from_dense(u @ rho.matrix @ u.conj().T, dims)))
+    assert max(qs) - min(qs) <= 1e-9
 
 
 class TestOverall:
