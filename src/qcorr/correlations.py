@@ -26,6 +26,14 @@ CLASSIFY_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class SequentialReport:
+    """The result of measuring every subsystem in turn, in `order`.
+
+    `q_total` is the overall quantum correlation Q, the sum of the step
+    discords, and `c_total` the overall classical correlation C, the
+    classical mutual information of the joint outcome table
+    `classical_table`. `mutual_info` is the state's I, and
+    `identity_residuals` how far Q + C = I and Q = I - I_cl miss (bits).
+    """
     order: tuple[int, ...]
     steps: tuple[OptimalMeasurementResult, ...]  # the search of each step, in order
     q_total: float
@@ -49,6 +57,10 @@ class SequentialReport:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationReport:
+    """Every correlation of one state: its entropies and mutual information,
+    (D_k, C_k) for each subsystem k, and the sequential run in the identity
+    order. Entropies and correlations are in bits.
+    """
     dims: tuple[int, ...]
     marginal_entropies: tuple[float, ...]
     joint_entropy: float
@@ -140,6 +152,12 @@ def overall_c(rho: DensityMatrix, config: OptimizerConfig = OptimizerConfig()) -
 
 def full_report(rho: DensityMatrix,
                 config: OptimizerConfig = OptimizerConfig()) -> CorrelationReport:
+    """Entropies, mutual information, per-subsystem discord and classical
+    correlation, and the sequential Q and C in the identity order.
+
+    D_0 is step 0 of the sequential run, and the other subsystems are
+    searched in step 0's batch, so each search runs once.
+    """
     ens = CQEnsemble.of(rho)
     n = rho.n_subsystems
     # step 0 is the search on subsystem 0 of the unmeasured state; the

@@ -42,6 +42,11 @@ def _distribution(probs) -> np.ndarray:
 
 
 def probability_table(probs, dims: Sequence[int]) -> ProbabilityTable:
+    """A validated joint distribution of `probs` over outcome counts `dims`.
+
+    `probs` must have prod(dims) finite entries, none below -1e-12, that sum
+    to 1 within 1e-9; negative dust is clamped to 0. Raises NotADistribution.
+    """
     dims = tuple(dims)
     if not all(isinstance(d, numbers.Integral) and d >= 1 for d in dims):
         raise NotADistribution(f"outcome dims must be integers >= 1, got {dims}")

@@ -69,12 +69,17 @@ class ConditionalEnsemble:
     states: tuple[DensityMatrix | None, ...]
 
 
-def basis_vectors(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal qubit basis at Bloch angles (theta, phi)."""
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    e = complex(math.cos(phi), math.sin(phi))
-    v0 = np.array([c, e * s], dtype=np.complex128)
-    v1 = np.array([-s, e * c], dtype=np.complex128)
+def basis_vectors(theta: float | np.ndarray,
+                  phi: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal qubit basis at Bloch angles (theta, phi).
+
+    Arrays of angles give a stack: v0 and v1 then have the angles'
+    broadcast shape followed by 2, each entry that of the scalar call.
+    """
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    e = np.cos(phi) + 1j * np.sin(phi)
+    v0 = np.stack(np.broadcast_arrays(c, e * s), axis=-1)
+    v1 = np.stack(np.broadcast_arrays(-s, e * c), axis=-1)
     return v0, v1
 
 
@@ -337,10 +342,10 @@ class _JEvaluator:
       block is Phi^dagger Phi for Phi = <v| F_i, whose nonzero spectrum is
       that of the dense block Phi Phi^dagger.
 
-    `of` takes the Gram view when r < d_rest, the dense one otherwise. J, its
-    gradient and the qubit grid read either alike. A state nobody has
-    measured is L = 1. The evaluator keeps the view in the layout of its
-    one GEMM, (c, (a, L, b, b)), and `view` reads it back without a copy.
+    `of` takes the Gram view when r < d_rest, the dense one otherwise. J and
+    its gradient read either alike. A state nobody has measured is L = 1.
+    The evaluator keeps the view only in the layout of its one GEMM,
+    (c, (a, L, b, b)).
 
     `stack` joins the evaluators of P problems of one `shape` (d_k, L, b, b),
     each keeping its layout and its `rest_entropy`; one evaluator of `of` is
@@ -381,12 +386,6 @@ class _JEvaluator:
     def shape(self) -> tuple[int, ...]:
         """(d_k, L, b, b): problems of one shape can share a stack."""
         return (self.dk,) + self._leaf_shape
-
-    @property
-    def view(self) -> np.ndarray:
-        """The view of a one-problem evaluator, as (L, d_k, b, d_k, b), b = d_rest or r."""
-        view = self._by_c[0].reshape((self.dk, self.dk) + self._leaf_shape)
-        return view.transpose(2, 1, 3, 0, 4)
 
     def _half_blocks(self, bases: np.ndarray, counts: list[int]) -> np.ndarray:
         """T[a, n, x] = sum_c v_{n,a,c} view[:, x, :, c, :], as (d_k, n, d_k, L b b).

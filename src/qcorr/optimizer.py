@@ -28,9 +28,10 @@ J is evaluated on a classical-quantum ensemble of leaves (a state that no
 step has measured yet is a single leaf), so later steps of a sequential run
 diagonalize per-leaf blocks, not the dense state. Each leaf carries a factor
 of r columns, and the kernel's view of it is the smaller of the r x r Gram
-blocks and the dense d_rest x d_rest blocks (see measurement._JEvaluator);
-the grid and the ascent read either view alike, so every step of a rank-r
-state diagonalizes blocks of at most r x r, whatever its dimension.
+blocks and the dense d_rest x d_rest blocks (see measurement._JEvaluator).
+The grids and the ascent evaluate J through that one kernel, so every step
+of a rank-r state diagonalizes blocks of at most r x r, whatever its
+dimension.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import NotAQubit, ParamOutOfRange
 from .measurement import (CQEnsemble, ProjectiveMeasurement, _JEvaluator,
-                          _conditional_entropy, basis_vectors)
+                          basis_vectors)
 from .states import DensityMatrix
 
 # A qubit search ascends from the best of this grid's 129 Bloch directions:
@@ -52,8 +53,8 @@ from .states import DensityMatrix
 # spanning [0, 2 pi), the pole row counted once. The other hemisphere holds
 # only antipodes, of equal J.
 _START_GRID = (9, 16)
-# Bound on the entries of one (chunk, L, dr, dr) stack of grid blocks, so the
-# grid's working set stays flat as the leaves L and their dimension dr grow.
+# Bound on the entries of one outcome's (chunk, L, b, b) stack of grid blocks,
+# so a grid's working set stays flat as the leaves L and their size b grow.
 _GRID_CHUNK_ELEMENTS = 1 << 20
 # Ascent rounds per start.
 _MAX_ROUNDS = 500
@@ -83,7 +84,12 @@ _MAX_TURN = math.pi / 4
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    # subsystem dim > 2: at most this many Haar starts, ascended in waves of 4
+    """Settings of a measurement search: both are integers, and bools are rejected.
+
+    `restarts` (> 0) caps the seeded Haar starts of a subsystem of dimension
+    above 2, ascended in waves of 4; `seed` (>= 0) seeds their draw. A qubit
+    search uses neither.
+    """
     restarts: int = 32
     seed: int = 0
 
@@ -97,6 +103,7 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class OptimalMeasurementResult:
+    """The measurement a search found on one subsystem, and how it found it."""
     measurement: ProjectiveMeasurement
     j_value: float       # bits
     discord: float       # bits, floored at 0
@@ -131,20 +138,23 @@ def grid_search_qubit(rho: DensityMatrix, k: int,
     ev = _JEvaluator.of(CQEnsemble.of(rho), k)
     if ev.dk != 2:
         raise NotAQubit(f"subsystem {k} has dimension {ev.dk}")
-    return _grid_search(ev, *_grid_points(np.linspace(0.0, math.pi, n)[:_grid_rows(n)],
-                                          np.arange(n) * (2 * math.pi / n)))
+    angles, bases = _grid_points(np.linspace(0.0, math.pi, n)[:_grid_rows(n)],
+                                 np.arange(n) * (2 * math.pi / n))
+    (j,) = _grid_j(ev, bases)
+    best = _first_best(j)
+    theta, phi = angles[best]
+    return float(theta), float(phi), float(j[best])
 
 
 def _grid_points(thetas: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The points thetas x phis, theta major, as (theta, phi) pairs and unit Bloch vectors.
+    """The points thetas x phis, theta major, as (theta, phi) pairs and their `basis_vectors`.
 
     A theta = 0 row keeps only its first point: the others are the same pole.
     """
     tt, pp = [a.ravel() for a in np.meshgrid(thetas, phis, indexing='ij')]
     keep = (tt != 0) | (pp == phis[0])
     tt, pp = tt[keep], pp[keep]
-    dirs = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=1)
-    return np.stack([tt, pp], axis=1), dirs
+    return np.stack([tt, pp], axis=1), np.stack(basis_vectors(tt, pp), axis=1)
 
 
 @functools.cache
@@ -157,32 +167,28 @@ def _start_points(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     return points
 
 
-def _grid_search(ev: _JEvaluator, angles: np.ndarray,
-                 dirs: np.ndarray) -> tuple[float, float, float]:
-    """Best J over the Bloch directions `dirs` on the qubit subsystem of `ev`.
+def _grid_j(ev: _JEvaluator, bases: np.ndarray) -> np.ndarray:
+    """J of each of the G qubit `bases` for each of the P problems of `ev`, as (P, G).
 
-    `angles` holds their (theta, phi). Ties within 1e-12 break to the first
-    direction. The two outcome blocks of the measurement along unit vector
-    u are (rest +- u . T) / 2 for every leaf, with `rest` the leaf's block
-    traced over subsystem k and T_j = Tr_k[(sigma_j x I) W].
+    The P G (problem, basis) pairs go through `j_bases` in order, in chunks
+    of at most `_GRID_CHUNK_ELEMENTS` entries per outcome's blocks; a chunk
+    may span problems.
     """
-    view = ev.view
-    up, down = view[:, 0, :, 0, :], view[:, 1, :, 1, :]
-    upper, lower = view[:, 0, :, 1, :], view[:, 1, :, 0, :]
-    half_rest = (up + down) / 2
-    half_tensor = np.stack([upper + lower, 1j * (upper - lower),
-                            up - down]).reshape(3, half_rest.size) / 2
-    j = np.empty(len(dirs))
-    chunk = max(1, _GRID_CHUNK_ELEMENTS // half_rest.size)
-    for lo in range(0, len(dirs), chunk):
-        m = (dirs[lo:lo + chunk] @ half_tensor).reshape((-1,) + half_rest.shape)
-        blocks = np.empty((2,) + m.shape, dtype=np.complex128)
-        np.add(half_rest, m, out=blocks[0])
-        np.subtract(half_rest, m, out=blocks[1])
-        j[lo:lo + chunk] = ev.rest_entropy[0] - _conditional_entropy(blocks)
-    best = int(np.flatnonzero(j >= j.max() - 1e-12)[0])
-    theta, phi = angles[best]
-    return float(theta), float(phi), float(j[best])
+    n_problems, g = len(ev.rest_entropy), len(bases)
+    _, n_leaves, b, _ = ev.shape
+    chunk = max(1, _GRID_CHUNK_ELEMENTS // (n_leaves * b * b))
+    j = np.empty(n_problems * g)
+    for lo in range(0, j.size, chunk):
+        hi = min(lo + chunk, j.size)
+        pairs = np.arange(lo, hi)
+        j[lo:hi] = ev.j_bases(bases[pairs % g],
+                              np.bincount(pairs // g, minlength=n_problems).tolist())
+    return j.reshape(n_problems, g)
+
+
+def _first_best(j: np.ndarray) -> np.ndarray:
+    """Index of the first J within 1e-12 of the best, along the last axis: the one tie rule."""
+    return (j >= j.max(axis=-1, keepdims=True) - 1e-12).argmax(axis=-1)
 
 
 def _bloch_angles(basis: np.ndarray) -> tuple[float, float]:
@@ -361,7 +367,7 @@ def _optimize(problems: list[tuple[CQEnsemble, int]],
     a qudit problem from the seeded Haar bases. Those ascend in waves of
     `_WAVE` consecutive starts of the one draw, and a problem's waves stop
     once two of its ascended starts are within `_AGREE` of its best J so
-    far. The best ascended start wins, the first of any tie.
+    far. The best ascended start wins by the grids' tie rule (`_first_best`).
     """
     infos = [ens.mutual_information() for ens, _ in problems]
     evs = [_JEvaluator.of(ens, k) for ens, k in problems]
@@ -373,10 +379,7 @@ def _optimize(problems: list[tuple[CQEnsemble, int]],
         group = [evs[p] for p in members]
         found = _qubit_searches(group) if group[0].dk == 2 else _qudit_searches(group, config)
         for p, (bases, js, iterations, j_grid) in zip(members, found):
-            best = 0
-            for i in range(1, len(js)):
-                if js[i] > js[best] + 1e-12:
-                    best = i
+            best = _first_best(js)
             j = float(js[best])
             params, gap = (None, None) if j_grid is None else (_bloch_angles(bases[best]),
                                                                j - j_grid)
@@ -387,12 +390,13 @@ def _optimize(problems: list[tuple[CQEnsemble, int]],
 
 def _qubit_searches(evs: list[_JEvaluator]) -> list[tuple]:
     """(bases, J, iterations, the start grid's J) of each qubit problem, ascended from its grid."""
-    angles, dirs = _start_points(*_START_GRID)
-    grids = [_grid_search(ev, angles, dirs) for ev in evs]
-    starts = np.array([basis_vectors(theta, phi) for theta, phi, _ in grids])
-    j_grid = [j for _, _, j in grids]
-    bases, js, evals = _ascend(_JEvaluator.stack(evs), starts, j_grid, [1] * len(evs))
-    return [(bases[p:p + 1], js[p:p + 1], len(dirs) + int(evals[p]), j_grid[p])
+    ev = _JEvaluator.stack(evs)
+    grid = _start_points(*_START_GRID)[1]
+    j = _grid_j(ev, grid)
+    best = _first_best(j)
+    j_grid = j[np.arange(len(evs)), best]
+    bases, js, evals = _ascend(ev, grid[best], j_grid, [1] * len(evs))
+    return [(bases[p:p + 1], js[p:p + 1], len(grid) + int(evals[p]), float(j_grid[p]))
             for p in range(len(evs))]
 
 

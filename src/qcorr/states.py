@@ -4,6 +4,7 @@ Subsystem index 0 is the leftmost tensor factor (the paper-style A or A1).
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -18,6 +19,9 @@ from .errors import (DimensionMismatch, NotHermitian, NotNormalized, NotPSD,
 TRACE_TOL = 1e-9
 EIG_TOL = 1e-9
 FACTOR_CUTOFF = 1e-14  # eigenvalues at or below this are left out of the factor
+# Largest total dimension `named` builds: at 2^12 the dense matrix alone is
+# 256 MB, and from_dense diagonalizes it.
+MAX_NAMED_DIM = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +144,16 @@ def _qubit_from_bloch(vec) -> np.ndarray:
     return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
 
 
+def _named_dim(family: str, dims) -> int:
+    """The product of `dims`; ParamOutOfRange as soon as it exceeds MAX_NAMED_DIM."""
+    total = 1
+    for d in dims:
+        total *= d
+        if total > MAX_NAMED_DIM:
+            raise ParamOutOfRange(f"{family} state of dimension above {MAX_NAMED_DIM}")
+    return total
+
+
 _FAMILY_PARAMS = {"paper_example": (), "bell": ("which",), "ghz": ("n",),
                   "werner": ("p",), "product": ("bloch",), "maximally_mixed": ("dims",)}
 
@@ -149,7 +163,8 @@ def named(family: str, **params) -> DensityMatrix:
 
     Families: paper_example, bell(which), ghz(n), werner(p),
     product(bloch=[...]), maximally_mixed(dims). A parameter of the wrong
-    type or shape, or one the family does not take, raises ParamOutOfRange.
+    type or shape, or one the family does not take, raises ParamOutOfRange,
+    as does a state of total dimension above MAX_NAMED_DIM.
 
     Convention: werner(p) = p |psi-><psi-| + (1-p) I/4 with
     |psi-> = (|01> - |10>)/sqrt(2).
@@ -169,7 +184,7 @@ def named(family: str, **params) -> DensityMatrix:
         n = int(_number("ghz n", params.get("n", 3), numbers.Integral))
         if n < 2:
             raise ParamOutOfRange("ghz needs n >= 2")
-        psi = np.zeros(2 ** n, dtype=np.complex128)
+        psi = np.zeros(_named_dim("ghz", itertools.repeat(2, n)), dtype=np.complex128)
         psi[0] = psi[-1] = 1 / math.sqrt(2)
         return from_pure(psi, (2,) * n)
     if family == "werner":
@@ -180,14 +195,15 @@ def named(family: str, **params) -> DensityMatrix:
         return from_dense(p * singlet + (1 - p) * np.eye(4) / 4, (2, 2))
     if family == "product":
         blochs = _sequence("product bloch", params.get("bloch"))
+        _named_dim("product", [2] * len(blochs))
         m = np.array([[1.0]])
         for vec in blochs:
             m = np.kron(m, _qubit_from_bloch(vec))
         return from_dense(m, (2,) * len(blochs))
     # maximally_mixed
-    dims = tuple(int(_number("maximally_mixed dims entry", d, numbers.Integral))
+    dims = _dims(int(_number("maximally_mixed dims entry", d, numbers.Integral))
                  for d in _sequence("maximally_mixed dims", params.get("dims", (2, 2))))
-    total = int(np.prod(dims))
+    total = _named_dim("maximally_mixed", dims)
     return from_dense(np.eye(total) / total, dims)
 
 
@@ -201,13 +217,3 @@ def random_density(dims: Sequence[int], rng: np.random.Generator,
     m = g @ g.conj().T
     return from_dense(m / np.trace(m).real, dims)
 
-
-def random_bell_diagonal(rng: np.random.Generator) -> DensityMatrix:
-    """Random mixture of the four Bell projectors (maximally mixed marginals)."""
-    weights = rng.random(4)
-    weights /= weights.sum()
-    m = np.zeros((4, 4), dtype=np.complex128)
-    for w, which in zip(weights, ("phi+", "phi-", "psi+", "psi-")):
-        v = _bell_vector(which)
-        m += w * np.outer(v, v.conj())
-    return from_dense(m, (2, 2))

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from qcorr import correlations, named, optimizer
+from qcorr import correlations, from_dense, named, optimizer
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -9,6 +11,18 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_bell_diagonal(rng: np.random.Generator):
+    """Random mixture of the four Bell projectors (maximally mixed marginals)."""
+    weights = rng.random(4)
+    weights /= weights.sum()
+    s = 1 / math.sqrt(2)
+    m = np.zeros((4, 4), dtype=np.complex128)
+    for w, v in zip(weights, ([s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0])):
+        v = np.array(v, dtype=np.complex128)
+        m += w * np.outer(v, v.conj())
+    return from_dense(m, (2, 2))
 
 
 def count_searches(monkeypatch) -> list:

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import random_bell_diagonal
 from qcorr import (OptimizerConfig, correlations, infotheory, linalg,
                    measurement, optimizer, states)
 
@@ -116,7 +117,7 @@ def test_criterion_6_bell_diagonal_corollary():
     rng = np.random.default_rng(606)
     worst_gap = worst_comm = 0.0
     for _ in range(50):
-        rho = states.random_bell_diagonal(rng)
+        rho = random_bell_diagonal(rng)
         res = optimizer.optimize_measurement(rho, 0, DEFAULT)
         seq = correlations.sequential_measure(rho, (0, 1), DEFAULT)
         worst_gap = max(worst_gap, abs(seq.q_total - res.discord))

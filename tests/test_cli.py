@@ -138,6 +138,14 @@ class TestInfo:
         assert out == ""
         assert err.startswith("error: SinglePartyState")
 
+    def test_oversized_named_state_exits_two(self, capsys, tmp_path):
+        # 2^40 amplitudes: refused before any allocation
+        path = write_state(tmp_path, {"kind": "named", "family": "ghz", "params": {"n": 40}})
+        code, out, err = run(capsys, ["info", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ParamOutOfRange")
+
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run(capsys, ["info", "/nonexistent.json"])
         assert code == 2

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_searches, random_unitary
+from conftest import count_searches, random_bell_diagonal, random_unitary
 from qcorr import (OptimizerConfig, correlations, infotheory, measurement,
                    optimizer, states)
 from qcorr.errors import BadOrder
@@ -381,7 +381,7 @@ class TestBounds:
 
     def test_bell_diagonal_corollary(self, rng):
         for _ in range(10):
-            rho = states.random_bell_diagonal(rng)
+            rho = random_bell_diagonal(rng)
             d_a = correlations.discord(rho, 0)
             q = correlations.overall_q(rho)
             assert abs(q - d_a) <= 1e-3
@@ -464,8 +464,16 @@ def _batch_states():
 BATCH_STATES = _batch_states()
 
 
-@pytest.mark.parametrize("name", BATCH_STATES)
-def test_full_report_batches_equal_solo_searches(monkeypatch, name):
+# A grid chunk bound of 100 block entries gives the rank2_2x2x2 state's
+# start grids, 129 bases per problem, chunks of 25 bases at step 0 (2 x 2
+# Gram blocks of one leaf) and 12 at step 1 (2 x 2 blocks of two leaves):
+# chunks that split a problem's grid and chunks that span two problems.
+@pytest.mark.parametrize("name, chunk", [(name, None) for name in BATCH_STATES]
+                         + [("rank2_2x2x2", 100)],
+                         ids=list(BATCH_STATES) + ["rank2_2x2x2-chunk_100"])
+def test_full_report_batches_equal_solo_searches(monkeypatch, name, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(optimizer, "_GRID_CHUNK_ELEMENTS", chunk)
     rho, config = BATCH_STATES[name], OptimizerConfig(restarts=16)
     batches = record_batches(monkeypatch)
     report = correlations.full_report(rho, config)

@@ -39,6 +39,32 @@ class TestQubitMeasurement:
         with pytest.raises(AngleOutOfRange):
             measurement.qubit_measurement(0.1, 7.0)
 
+    def test_basis_is_the_bloch_formula(self):
+        # cos(t/2)|0> + e^{i phi} sin(t/2)|1> and -sin(t/2)|0> + e^{i phi} cos(t/2)|1>,
+        # by the math module's scalar functions
+        rng = np.random.default_rng(11)
+        for theta, phi in [(0.0, 0.0), (math.pi / 2, math.pi), (math.pi, 1.5 * math.pi),
+                           *zip(rng.uniform(0, math.pi, 20), rng.uniform(0, 2 * math.pi, 20))]:
+            c, s = math.cos(theta / 2), math.sin(theta / 2)
+            e = complex(math.cos(phi), math.sin(phi))
+            expected = np.array([[c, e * s], [-s, e * c]])
+            assert (measurement.qubit_measurement(theta, phi).basis == expected).all()
+
+
+def test_basis_vectors_of_arrays_stack_the_scalar_calls():
+    rng = np.random.default_rng(12)
+    thetas = np.concatenate([[0.0, math.pi / 2, math.pi], rng.uniform(0, math.pi, 60)])
+    phis = np.concatenate([[0.0, math.pi, 1.5 * math.pi], rng.uniform(0, 2 * math.pi, 60)])
+    v0, v1 = measurement.basis_vectors(thetas, phis)
+    assert v0.shape == v1.shape == (len(thetas), 2)
+    for i, (theta, phi) in enumerate(zip(thetas.tolist(), phis.tolist())):
+        s0, s1 = measurement.basis_vectors(theta, phi)
+        assert (v0[i].tobytes(), v1[i].tobytes()) == (s0.tobytes(), s1.tobytes())
+    # one angle broadcasts against the other
+    b0, _ = measurement.basis_vectors(thetas[5], phis[:4])
+    assert b0.tobytes() == np.stack([measurement.basis_vectors(thetas[5], p)[0]
+                                     for p in phis[:4]]).tobytes()
+
 
 class TestMeasurementFromUnitary:
     def test_identity(self):

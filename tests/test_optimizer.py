@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_unitary
+from conftest import random_bell_diagonal, random_unitary
 from qcorr import (OptimizerConfig, correlations, infotheory, linalg,
                    measurement, optimizer, states)
 from qcorr.errors import DimensionMismatch, NotAQubit, ParamOutOfRange
@@ -54,6 +54,14 @@ def per_round(d):
 
 def qubit_basis(theta, phi):
     return np.array(measurement.basis_vectors(theta, phi))
+
+
+def grid_best(ev, thetas, phis):
+    """The first basis of the grid thetas x phis within 1e-12 of its best J, and that J."""
+    _, bases = optimizer._grid_points(thetas, phis)
+    (j,) = optimizer._grid_j(ev, bases)
+    best = optimizer._first_best(j)
+    return bases[best], j[best]
 
 
 def skew_hermitian(d, rng):
@@ -118,6 +126,11 @@ class TestGridSearchQubit:
     def test_rejects_non_qubit(self, rng):
         with pytest.raises(NotAQubit):
             optimizer.grid_search_qubit(states.random_density((3, 2), rng), 0)
+
+    def test_start_grid_bases_are_the_basis_vectors_of_its_angles(self):
+        angles, bases = optimizer._start_points(*optimizer._START_GRID)
+        for (theta, phi), basis in zip(angles.tolist(), bases):
+            assert np.array(measurement.basis_vectors(theta, phi)).tobytes() == basis.tobytes()
 
     @pytest.mark.parametrize("n", [8, 7])
     @pytest.mark.parametrize("dims, k", [((2, 2), 0), ((2, 3), 0), ((2, 2, 2), 1)])
@@ -289,9 +302,9 @@ class TestOptimizeMeasurement:
         rho = states.random_density((2, 2), rng)
         ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
         rows, cols = grid
-        t0, p0, _ = optimizer._grid_search(ev, *optimizer._grid_points(
-            np.linspace(0, math.pi / 2, rows), np.arange(cols) * (2 * math.pi / cols)))
-        _, _, ascent_evals = ascend(rho, 0, [qubit_basis(t0, p0)])
+        start, _ = grid_best(ev, np.linspace(0, math.pi / 2, rows),
+                             np.arange(cols) * (2 * math.pi / cols))
+        _, _, ascent_evals = ascend(rho, 0, [start])
         res = optimizer.optimize_measurement(rho, 0)
         assert ascent_evals[0] > 0
         assert res.iterations == grid_evals + ascent_evals[0]
@@ -321,7 +334,7 @@ class TestOptimizeMeasurement:
         paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
                   np.diag([1, -1])]
         for _ in range(5):
-            rho = states.random_bell_diagonal(rng)
+            rho = random_bell_diagonal(rng)
             c = max(abs(np.trace(rho.matrix @ np.kron(s, s)).real) for s in paulis)
             luo = ((1 + c) / 2 * math.log2(1 + c)
                    + (1 - c) / 2 * math.log2(1 - c))
@@ -391,9 +404,8 @@ def test_benchmark_qubit_steps_reach_the_fine_grid(seed, label, step):
     ens = measurement.CQEnsemble.of(rho)
     if step:
         ens = ens.split(0, seq.steps[0].measurement.basis)
-    grid = optimizer._grid_points(np.linspace(0, math.pi, 256)[:128],
-                                  np.arange(256) * (math.pi / 128))
-    j_grid = optimizer._grid_search(optimizer._JEvaluator.of(ens, step), *grid)[2]
+    _, j_grid = grid_best(optimizer._JEvaluator.of(ens, step),
+                          np.linspace(0, math.pi, 256)[:128], np.arange(256) * (math.pi / 128))
     assert seq.steps[step].j_value >= j_grid - 1e-9
 
 
@@ -583,25 +595,26 @@ LOW_RANK_STATES = _low_rank_states()
 class TestGramView:
     """Below d_rest columns the kernel reads F_c^dagger F_a, not the dense blocks."""
 
+    # shape: (d_k, L, b, b), b = r in the Gram view and d_rest in the dense one
     @pytest.mark.parametrize("dims, rank, k, shape", [
-        ((2, 2, 2, 2, 2), 1, 0, (1, 2, 1, 2, 1)),
-        ((2, 2, 2), 2, 1, (1, 2, 2, 2, 2)),
-        ((2, 2, 2), 3, 1, (1, 2, 3, 2, 3)),
-        ((2, 2, 2), 4, 1, (1, 2, 4, 2, 4)),
-        ((2, 2, 2), 8, 2, (1, 2, 4, 2, 4)),
-        ((3, 2), 2, 0, (1, 3, 2, 3, 2)),
-        ((3, 2), 1, 0, (1, 3, 1, 3, 1)),
+        ((2, 2, 2, 2, 2), 1, 0, (2, 1, 1, 1)),
+        ((2, 2, 2), 2, 1, (2, 1, 2, 2)),
+        ((2, 2, 2), 3, 1, (2, 1, 3, 3)),
+        ((2, 2, 2), 4, 1, (2, 1, 4, 4)),
+        ((2, 2, 2), 8, 2, (2, 1, 4, 4)),
+        ((3, 2), 2, 0, (3, 1, 2, 2)),
+        ((3, 2), 1, 0, (3, 1, 1, 1)),
     ])
     def test_view_follows_the_smaller_side(self, rng, dims, rank, k, shape):
         rho = states.random_density(dims, rng, rank=rank)
-        assert optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), k).view.shape == shape
+        assert optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), k).shape == shape
 
     @pytest.mark.parametrize("name, rho, k", LOW_RANK_STATES,
                              ids=[c[0] for c in LOW_RANK_STATES])
     def test_gram_and_dense_views_agree(self, name, rho, k):
         ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), k)
         dense = dense_evaluator(rho, k)
-        assert ev.view.shape[2] < dense.view.shape[2]
+        assert ev.shape[2] < dense.shape[2]
         bases = optimizer._haar_bases(np.random.default_rng(4), 16, rho.dims[k])
         assert np.abs(ev.j_bases(bases, alone(bases))
                       - dense.j_bases(bases, alone(bases))).max() < 1e-12
@@ -611,12 +624,11 @@ class TestGramView:
             m = measurement.ProjectiveMeasurement(basis)
             assert abs(ev.j_bases(basis[None], alone([basis]))[0] - reference_J(rho, k, m)) < 1e-12
         if rho.dims[k] == 2:
-            grid = np.linspace(0, math.pi, 32)[:16], np.arange(32) * (math.pi / 16)
-            points = optimizer._grid_points(*grid)
-            theta, phi, j = optimizer._grid_search(ev, *points)
-            theta_d, phi_d, j_d = optimizer._grid_search(dense, *points)
-            assert (theta, phi) == (theta_d, phi_d)
-            assert abs(j - j_d) < 1e-12
+            _, grid = optimizer._grid_points(np.linspace(0, math.pi, 32)[:16],
+                                             np.arange(32) * (math.pi / 16))
+            j, j_d = optimizer._grid_j(ev, grid), optimizer._grid_j(dense, grid)
+            assert optimizer._first_best(j) == optimizer._first_best(j_d)
+            assert np.abs(j - j_d).max() < 1e-12
 
 
 def gradient_cases():
@@ -667,6 +679,19 @@ def test_gradient_matches_finite_differences(name, ens, k, basis):
         assert abs(analytic - numeric) < 1e-7
 
 
+def reference_view(ens, k):
+    """The view (L, d_k, b, d_k, b) of subsystem k of `ens` by matrix products of its factors.
+
+    With F_a the rows of subsystem k of a leaf factor, entry [a, :, c, :] is
+    F_c^dagger F_a (b = r) when r < d_rest, else F_a F_c^dagger (b = d_rest).
+    """
+    f = ens.factor_view(k)  # (L, d_k, d_rest, r)
+    f_dag = f.conj().swapaxes(-1, -2)
+    if f.shape[3] < f.shape[2]:
+        return (f_dag[:, :, None] @ f[:, None]).transpose(0, 2, 3, 1, 4)
+    return (f[:, :, None] @ f_dag[:, None]).transpose(0, 1, 3, 2, 4)
+
+
 def einsum_blocks(view, bases):
     """The outcome blocks by one three-operand einsum over the view, as (d_k, n, L, b, b)."""
     return np.einsum('nia,labcd,nic->inlbd', bases.conj(), view, bases)
@@ -689,9 +714,10 @@ def test_gemm_kernel_matches_the_einsums(name, ens, k, basis):
     ev = optimizer._JEvaluator.of(ens, k)
     bases = np.concatenate([basis[None],
                             optimizer._haar_bases(np.random.default_rng(6), 7, len(basis))])
+    view = reference_view(ens, k)
     blocks = ev._blocks(bases, ev._half_blocks(bases, alone(bases)))
-    assert np.abs(blocks - einsum_blocks(ev.view, bases)).max() < 1e-14
-    assert np.abs(ev.gradient(bases, alone(bases)) - einsum_gradient(ev.view, bases)).max() < 1e-14
+    assert np.abs(blocks - einsum_blocks(view, bases)).max() < 1e-14
+    assert np.abs(ev.gradient(bases, alone(bases)) - einsum_gradient(view, bases)).max() < 1e-14
 
 ENTRY_POINTS = {
     "optimize_measurement": optimizer.optimize_measurement,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import qcorr
 
 PUBLIC_NAMES = [
@@ -19,3 +21,14 @@ def test_all_is_the_public_surface_and_every_name_resolves():
     assert sorted(qcorr.__all__) == sorted(PUBLIC_NAMES)
     for name in qcorr.__all__:
         assert getattr(qcorr, name).__module__.startswith("qcorr.")
+
+
+def test_every_public_name_has_its_own_docstring():
+    # a dataclass without one gets its generated signature, "Name(field: type, ...)"
+    missing = []
+    for name in qcorr.__all__:
+        obj = getattr(qcorr, name)
+        doc = (obj.__doc__ or "").strip()
+        if not doc or (dataclasses.is_dataclass(obj) and doc.startswith(f"{name}(")):
+            missing.append(name)
+    assert missing == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_bell_diagonal
 from qcorr import states
 from qcorr.errors import (DimensionMismatch, NotHermitian, NotNormalized,
                           NotPSD, ParamOutOfRange, TraceNotOne, UnknownFamily)
@@ -119,6 +120,9 @@ class TestNamed:
         ("paper_example", {"p": 0.5}), ("ghz", {"n": True}), ("ghz", {"n": 3.0}),
         ("werner", {"p": math.nan}), ("product", {"bloch": []}),
         ("product", {"bloch": [[0, 0, "1"]]}), ("maximally_mixed", {"dims": 2}),
+        # total dimension above MAX_NAMED_DIM, refused before any allocation
+        ("ghz", {"n": 13}), ("ghz", {"n": 10 ** 12}), ("product", {"bloch": [[0, 0, 1]] * 13}),
+        ("maximally_mixed", {"dims": (64, 65)}), ("maximally_mixed", {"dims": (2,) * 60}),
     ])
     def test_rejects_malformed_params(self, family, params):
         with pytest.raises(ParamOutOfRange):
@@ -158,6 +162,6 @@ def test_random_density_valid(rng):
 
 
 def test_random_bell_diagonal_marginals(rng):
-    rho = states.random_bell_diagonal(rng)
+    rho = random_bell_diagonal(rng)
     for k in (0, 1):
         assert np.abs(states.reduced(rho, {k}).matrix - np.eye(2) / 2).max() < 1e-10
