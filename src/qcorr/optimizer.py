@@ -3,13 +3,14 @@
 A measurement is an orthonormal basis, and one search serves every
 dimension: Riemannian ascent on the unitary group (Abrudan, Eriksson &
 Koivunen, IEEE TSP 56(3):1134, 2008), its directions taken in the fixed
-left frame. A qubit starts from the argmax of a coarse Bloch-angle grid
-that samples the equator, a higher dimension from seeded Haar-random
-bases. Every round of every search takes a saddle-free Newton step
-(Dauphin et al., NeurIPS 2014) in the d(d-1) generators that mix outcomes
-(Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
-2008, ch. 6): the Hessian's eigenvalues enter by their magnitude, so the
-step ascends at saddles too, and it turns by at most pi/4. The Hessian
+left frame. A qubit starts from the argmax of a coarse Bloch-angle grid,
+57 directions of the upper hemisphere with the equator, a higher
+dimension from seeded Haar-random bases. Every round of every search
+takes a saddle-free Newton step (Dauphin et al., NeurIPS 2014) in the
+d(d-1) generators that mix outcomes (Absil, Mahony & Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008, ch. 6): the Hessian's
+eigenvalues enter by their magnitude, so the step ascends at saddles too,
+and it turns by at most pi/4. The Hessian
 comes from forward differences of the analytic gradient, so a round
 evaluates 1 + d(d-1) gradients in one batched call. A search ends where
 its model predicts no further gain, after a failed retry along the
@@ -48,13 +49,16 @@ from .measurement import (CQEnsemble, ProjectiveMeasurement, _JEvaluator,
                           basis_vectors)
 from .states import DensityMatrix
 
-# A qubit search ascends from the best of this grid's 129 Bloch directions:
-# 9 theta rows spanning [0, pi/2], the equator included, by 16 phi columns
-# spanning [0, 2 pi), the pole row counted once. The other hemisphere holds
-# only antipodes, of equal J.
-_START_GRID = (9, 16)
-# Bound on the entries of one outcome's (chunk, L, b, b) stack of grid blocks,
-# so a grid's working set stays flat as the leaves L and their size b grow.
+# A qubit search ascends from the best of this grid's 57 Bloch directions:
+# 5 theta rows spanning [0, pi/2], the equator included, by 16 phi columns
+# spanning [0, 2 pi), the pole counted once and the equator's antipodal half
+# dropped. The other hemisphere holds only antipodes, of equal J. Five rows
+# space theta by pi/8, as the 16 columns space the equator's phi; coarser
+# grids such as 3 x 16 or 5 x 12 let some searches need a sixth round.
+_START_GRID = (5, 16)
+# Bound on the entries of a grid chunk's `_half_blocks`, (d_k, chunk, d_k,
+# L b b): d_k times its outcome blocks, the largest array of the chunk. It
+# keeps a grid's working set flat as the leaves L and their size b grow.
 _GRID_CHUNK_ELEMENTS = 1 << 20
 # Ascent rounds per start.
 _MAX_ROUNDS = 500
@@ -150,9 +154,15 @@ def _grid_points(thetas: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.n
     """The points thetas x phis, theta major, as (theta, phi) pairs and their `basis_vectors`.
 
     A theta = 0 row keeps only its first point: the others are the same pole.
+    A theta = pi/2 row of an even number of phis keeps its first half: phi
+    column j + n/2 of the equator is the antipode of column j, of equal J,
+    and the tie rule picks the earlier one. An odd count keeps the row whole.
     """
     tt, pp = [a.ravel() for a in np.meshgrid(thetas, phis, indexing='ij')]
-    keep = (tt != 0) | (pp == phis[0])
+    column = np.tile(np.arange(len(phis)), len(thetas))
+    keep = (tt != 0) | (column == 0)
+    if len(phis) % 2 == 0:
+        keep &= (tt != math.pi / 2) | (column < len(phis) // 2)
     tt, pp = tt[keep], pp[keep]
     return np.stack([tt, pp], axis=1), np.stack(basis_vectors(tt, pp), axis=1)
 
@@ -171,12 +181,11 @@ def _grid_j(ev: _JEvaluator, bases: np.ndarray) -> np.ndarray:
     """J of each of the G qubit `bases` for each of the P problems of `ev`, as (P, G).
 
     The P G (problem, basis) pairs go through `j_bases` in order, in chunks
-    of at most `_GRID_CHUNK_ELEMENTS` entries per outcome's blocks; a chunk
-    may span problems.
+    whose `_half_blocks` hold at most `_GRID_CHUNK_ELEMENTS` entries; a
+    chunk may span problems.
     """
     n_problems, g = len(ev.rest_entropy), len(bases)
-    _, n_leaves, b, _ = ev.shape
-    chunk = max(1, _GRID_CHUNK_ELEMENTS // (n_leaves * b * b))
+    chunk = max(1, _GRID_CHUNK_ELEMENTS // (ev.dk * math.prod(ev.shape)))
     j = np.empty(n_problems * g)
     for lo in range(0, j.size, chunk):
         hi = min(lo + chunk, j.size)

@@ -464,10 +464,11 @@ def _batch_states():
 BATCH_STATES = _batch_states()
 
 
-# A grid chunk bound of 100 block entries gives the rank2_2x2x2 state's
-# start grids, 129 bases per problem, chunks of 25 bases at step 0 (2 x 2
-# Gram blocks of one leaf) and 12 at step 1 (2 x 2 blocks of two leaves):
-# chunks that split a problem's grid and chunks that span two problems.
+# A grid chunk bound of 100 half-block entries gives the rank2_2x2x2
+# state's start grids, 57 bases per problem, chunks of 6 bases at step 0
+# (2 x 2 Gram blocks of one leaf) and 3 at step 1 (2 x 2 blocks of two
+# leaves): chunks that split a problem's grid and, at step 0, chunks that
+# span two problems.
 @pytest.mark.parametrize("name, chunk", [(name, None) for name in BATCH_STATES]
                          + [("rank2_2x2x2", 100)],
                          ids=list(BATCH_STATES) + ["rank2_2x2x2-chunk_100"])

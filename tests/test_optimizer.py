@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_bell_diagonal, random_unitary
+from conftest import (multiqubit_random_states, qubit_pairs_states, random_bell_diagonal,
+                      random_unitary, sequential_shortfalls)
 from qcorr import (OptimizerConfig, correlations, infotheory, linalg,
                    measurement, optimizer, states)
 from qcorr.errors import DimensionMismatch, NotAQubit, ParamOutOfRange
@@ -131,6 +132,50 @@ class TestGridSearchQubit:
         angles, bases = optimizer._start_points(*optimizer._START_GRID)
         for (theta, phi), basis in zip(angles.tolist(), bases):
             assert np.array(measurement.basis_vectors(theta, phi)).tobytes() == basis.tobytes()
+
+    def test_start_grid_directions_are_distinct_and_not_antipodal(self):
+        _, bases = optimizer._start_points(*optimizer._START_GRID)
+        assert len(bases) == 57
+        v0, v1 = bases[:, 0, 0], bases[:, 0, 1]
+        bloch = np.stack([2 * (v0.conj() * v1).real, 2 * (v0.conj() * v1).imag,
+                          abs(v0) ** 2 - abs(v1) ** 2], axis=1)
+        overlaps = np.abs(bloch @ bloch.T)
+        np.fill_diagonal(overlaps, 0.0)
+        assert overlaps.max() < 1 - 1e-9
+
+    @pytest.mark.parametrize("cols, kept", [(16, 8), (15, 15)])
+    def test_the_equator_drops_its_antipodal_half_when_even(self, cols, kept):
+        phis = np.arange(cols) * (2 * math.pi / cols)
+        angles, _ = optimizer._grid_points(np.array([math.pi / 4, math.pi / 2]), phis)
+        assert angles[cols:].tolist() == [[math.pi / 2, phi] for phi in phis[:kept]]
+
+    def test_dropped_equator_points_match_their_antipodes(self):
+        # column j + cols/2 of the equator is the antipode of column j
+        rng = np.random.default_rng(18)
+        cols = optimizer._START_GRID[1]
+        phis = np.arange(cols) * (2 * math.pi / cols)
+        equator = np.stack(measurement.basis_vectors(np.full(cols, math.pi / 2), phis), axis=1)
+        for _ in range(5):
+            ev = optimizer._JEvaluator.of(
+                measurement.CQEnsemble.of(states.random_density((2, 2), rng)), 0)
+            (j,) = optimizer._grid_j(ev, equator)
+            assert np.abs(j[cols // 2:] - j[:cols // 2]).max() < 1e-14
+
+    def test_grid_chunks_bound_their_half_blocks(self, monkeypatch):
+        rho = states.random_density((2, 2, 2), np.random.default_rng(5))
+        whole = optimizer.grid_search_qubit(rho, 0, 64)
+        sizes = []
+        half_blocks = optimizer._JEvaluator._half_blocks
+
+        def spy(self, bases, counts):
+            out = half_blocks(self, bases, counts)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(optimizer._JEvaluator, "_half_blocks", spy)
+        monkeypatch.setattr(optimizer, "_GRID_CHUNK_ELEMENTS", 4096)
+        assert optimizer.grid_search_qubit(rho, 0, 64) == whole
+        assert len(sizes) > 1 and max(sizes) <= 4096
 
     @pytest.mark.parametrize("n", [8, 7])
     @pytest.mark.parametrize("dims, k", [((2, 2), 0), ((2, 3), 0), ((2, 2, 2), 1)])
@@ -289,11 +334,12 @@ class TestOptimizeMeasurement:
         assert res.measurement.subsystem_dim == 3
         assert res.j_value <= infotheory.mutual_information(rho) + 1e-9
 
-    @pytest.mark.parametrize("n, grid_evals", [(8, 25), (7, 43), (None, 129)])
+    @pytest.mark.parametrize("n, grid_evals", [(8, 21), (7, 43), (None, 57)])
     def test_iterations_count_evaluations(self, rng, monkeypatch, n, grid_evals):
         # the start grid's directions (theta rows over [0, pi/2] by phi
-        # columns, the pole row counted once), then the ascent; a start grid
-        # of n phi columns is given the theta rows of the n-point oracle grid
+        # columns, the pole counted once, an even equator's first half),
+        # then the ascent; a start grid of n phi columns is given the theta
+        # rows of the n-point oracle grid
         if n is None:
             grid = optimizer._START_GRID
         else:
@@ -358,30 +404,6 @@ class TestOptimizeMeasurement:
             assert optimizer.optimize_measurement(rho, k).j_value >= j_grid - 1e-12
 
 
-def qubit_pairs_state(seed, label):
-    """The two-qubit state `label` of the qubit_pairs benchmark round of `seed`, by its recipe.
-
-    The round draws, from default_rng([seed, 1]) and for i = 0, 1, a
-    Ginibre state of rank 4 and of rank 2, a pure state and a Bell-diagonal
-    state, named ginibre_i, rank2_i, pure_i and bell_diagonal_i.
-    """
-    rng = np.random.default_rng([seed, 1])
-    bells = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2)
-    for i in range(2):
-        for family in ("ginibre", "rank2", "pure", "bell_diagonal"):
-            if family == "bell_diagonal":
-                w = rng.random(4)
-                m = np.einsum('i,ia,ib->ab', w / w.sum(), bells, bells).astype(complex)
-            else:
-                cols = {"ginibre": 4, "rank2": 2, "pure": 1}[family]
-                g = rng.standard_normal((4, cols)) + 1j * rng.standard_normal((4, cols))
-                m = g @ g.conj().T
-                m /= np.trace(m).real
-            if f"{family}_{i}" == label:
-                return states.from_dense(m, (2, 2))
-    raise KeyError(label)
-
-
 # qubit_pairs searches that a failed round once ended short of the 256^2
 # grid: (seed, state, step), and how far short they fell (bits)
 QUBIT_SHORTFALLS = [
@@ -399,14 +421,28 @@ QUBIT_SHORTFALLS = [
 
 @pytest.mark.parametrize("seed, label, step", QUBIT_SHORTFALLS)
 def test_benchmark_qubit_steps_reach_the_fine_grid(seed, label, step):
-    rho = qubit_pairs_state(seed, label)
-    seq = correlations.sequential_measure(rho, (0, 1))
-    ens = measurement.CQEnsemble.of(rho)
-    if step:
-        ens = ens.split(0, seq.steps[0].measurement.basis)
-    _, j_grid = grid_best(optimizer._JEvaluator.of(ens, step),
-                          np.linspace(0, math.pi, 256)[:128], np.arange(256) * (math.pi / 128))
-    assert seq.steps[step].j_value >= j_grid - 1e-9
+    assert sequential_shortfalls(qubit_pairs_states(seed)[label], 256)[step] <= 1e-9
+
+
+# The qubit grid's blocks of 8 x 8 and 16 x 16: every step of the
+# multiqubit_seq benchmark's random full-rank 4- and 5-qubit states.
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("label", ["random_4", "random_5"])
+def test_multiqubit_steps_reach_the_fine_grid(seed, label):
+    rho = multiqubit_random_states(seed)[label]
+    assert max(sequential_shortfalls(rho, 128)) <= 1e-9
+
+
+# The hemisphere of these states holds two separated maxima of J, and the
+# start grid's best direction lies in the basin of the lower one, so the
+# ascent ends there: 7.9e-5 and 2.6e-4 bits short of the 256^2 grid.
+@pytest.mark.xfail(strict=True, reason="the start grid's best direction is in the basin "
+                                       "of the lower of two maxima")
+@pytest.mark.parametrize("seed", [1217, 1653])
+def test_two_maxima_qubit_searches_reach_the_fine_grid(seed):
+    rho = states.random_density((2, 3), np.random.default_rng(seed))
+    j_grid = optimizer.grid_search_qubit(rho, 0, 256)[2]
+    assert optimizer.optimize_measurement(rho, 0).j_value >= j_grid - 1e-9
 
 
 # sup J at the default config as plain gradient steps found it, on seeded
