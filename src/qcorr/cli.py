@@ -298,7 +298,7 @@ def _verify_oracle(config, failures):
     rho = states.random_density((4, 2), rng)
     res = optimizer.optimize_measurement(rho, 0, config)
     ev = measurement._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
-    starts = optimizer._haar_bases(np.random.default_rng(config.seed), config.restarts, 4)
+    starts = optimizer._starts(4, config)
     _, js, _ = optimizer._ascend(ev, starts, ev.j_bases(starts, [len(starts)]), [len(starts)])
     _check("oracle mixed 4x2 waves against every restart", abs(res.j_value - js.max()),
            1e-11, failures)

@@ -13,8 +13,10 @@ eigenvalues enter by their magnitude, so the step ascends at saddles too,
 and it turns by at most pi/4. The Hessian
 comes from forward differences of the analytic gradient, so a round
 evaluates 1 + d(d-1) gradients in one batched call. A search ends where
-its model predicts no further gain, after a failed retry along the
-gradient, or at the round cap. The starts ascend in lockstep, so each
+its model predicts no further gain, on its t = 1 trial, the only trial of
+that round it evaluates; after a failed retry along the gradient; or at
+the round cap. A pure state's first step, where every basis gives the same
+J, is not searched. The starts ascend in lockstep, so each
 round is one batched gradient call and one batched J evaluation of its
 line search; a qudit's starts do so in waves of `_WAVE`, until two of them
 agree on the best J. One call may search
@@ -111,7 +113,7 @@ class OptimalMeasurementResult:
     measurement: ProjectiveMeasurement
     j_value: float       # bits
     discord: float       # bits, floored at 0
-    iterations: int      # J evaluations performed (a gradient counts as one)
+    iterations: int      # bases whose J or gradient was evaluated; 0 where J is constant
     oracle_gap: float | None = None   # qubit: ascended J minus the start grid's best J
     params: tuple[float, float] | None = None  # (theta, phi) for qubits, else None
 
@@ -300,8 +302,12 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
     call, at the `_LADDER` multiples t of D; the trials are one `j_bases`
     call. The best trial gaining at least `_ARMIJO` t <X, D> is accepted.
     Where the model's predicted gain <X, D> / 2 is at most `_MODEL_FLOOR`,
-    the search ends on its t = 1 trial, whatever that trial gains. A round
-    with no trial gaining more than `_GAIN_FLOOR` is retried once from the
+    the search ends on its t = 1 trial, whatever that trial gains, so that
+    trial is the only one of the round it evaluates. A round in which every
+    live search ends rotates and evaluates only those trials and stops; one
+    in which some end masks their other trials out of the one `j_bases`
+    stack, and one in which none ends evaluates every ladder. A round with
+    no trial gaining more than `_GAIN_FLOOR` is retried once from the
     same point along the X it computed, its trials turning by the `_LADDER`
     multiples of that round's shortest trial, so a ridge narrower than the
     model's step is still climbed; a failed retry ends the search, as do
@@ -310,7 +316,8 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
     `counts` the number of starts of each problem in `ev`, the stack holding
     problem 0's first. Returns the final bases, their J and each search's
     evaluations (each gradient and each trial count one, so a fresh round
-    counts 1 + d(d-1) + `_LADDER`.size and a retry `_LADDER`.size).
+    counts 1 + d(d-1) + `_LADDER`.size, the round a search ends in
+    1 + d(d-1) + 1 and a retry `_LADDER`.size).
     """
     bases, j = bases.copy(), np.array(j, dtype=float)
     problem = np.repeat(np.arange(len(counts)), counts)
@@ -318,7 +325,7 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
     # each search's X from its last failed round, and the turn of its retry
     last_x, turn = np.zeros_like(bases), np.zeros(len(bases))
     retry = np.zeros(len(bases), dtype=bool)
-    fresh_evals = 1 + len(_generators(ev.dk)[0]) + _LADDER.size
+    gradients = 1 + len(_generators(ev.dk)[0])
     live = np.arange(len(bases))
     for _ in range(_MAX_ROUNDS):
         if live.size == 0:
@@ -336,16 +343,29 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
         else:
             x, d = _directions(ev, v, live_counts)
         slope = _inner(x, d)
+        done = ~again & (slope / 2 <= _MODEL_FLOOR)
+        evals[live] += np.where(again, 0, gradients) + np.where(done, 1, _LADDER.size)
+        if done.all():
+            # the last round: every live search ends on its t = 1 trial alone
+            unit = _rotations(d, _LADDER[None, _UNIT_TRIAL:_UNIT_TRIAL + 1]) @ v[:, None]
+            bases[live] = unit[:, 0]
+            j[live] = ev.j_bases(unit[:, 0], live_counts)
+            break
         trials = _rotations(d, _LADDER[None]) @ v[:, None]
-        values = ev.j_bases(trials.reshape((-1,) + v.shape[1:]),
-                            [c * _LADDER.size for c in live_counts]).reshape(trials.shape[:2])
-        evals[live] += np.where(again, _LADDER.size, fresh_evals)
+        if done.any():
+            # an ending search's other trials are never read
+            keep = ~done[:, None] | (np.arange(_LADDER.size) == _UNIT_TRIAL)
+            trial_counts = np.bincount(on, weights=keep.sum(axis=1), minlength=len(counts))
+            values = np.full(keep.shape, -np.inf)
+            values[keep] = ev.j_bases(trials[keep], trial_counts.astype(int).tolist())
+        else:
+            values = ev.j_bases(trials.reshape((-1,) + v.shape[1:]),
+                                [c * _LADDER.size for c in live_counts]).reshape(trials.shape[:2])
         gain = values - j[live, None]
         armijo = gain >= _ARMIJO * _LADDER * slope[:, None]
         pick = np.where(armijo, values, -np.inf).argmax(axis=1)
         rows = np.arange(live.size)
         moved = armijo[rows, pick] & (gain[rows, pick] > _GAIN_FLOOR)
-        done = ~again & (slope / 2 <= _MODEL_FLOOR)
         pick[done] = _UNIT_TRIAL
         retry[live] = fail = ~(again | moved | done)
         if fail.any():
@@ -377,6 +397,9 @@ def _optimize(problems: list[tuple[CQEnsemble, int]],
     `_WAVE` consecutive starts of the one draw, and a problem's waves stop
     once two of its ascended starts are within `_AGREE` of its best J so
     far. The best ascended start wins by the grids' tie rule (`_first_best`).
+    A problem of shape (d_k, 1, 1, 1), one leaf of 1 x 1 blocks, has J =
+    `rest_entropy` for every basis (a pure state's first step), so it is not
+    searched: it takes the first start, which every search of it returns.
     """
     infos = [ens.mutual_information() for ens, _ in problems]
     evs = [_JEvaluator.of(ens, k) for ens, k in problems]
@@ -384,9 +407,10 @@ def _optimize(problems: list[tuple[CQEnsemble, int]],
     for p, ev in enumerate(evs):
         groups.setdefault(ev.shape, []).append(p)
     results = [None] * len(problems)
-    for members in groups.values():
-        group = [evs[p] for p in members]
-        found = _qubit_searches(group) if group[0].dk == 2 else _qudit_searches(group, config)
+    for shape, members in groups.items():
+        search = (_constant_searches if shape[1:] == (1, 1, 1)
+                  else _qubit_searches if shape[0] == 2 else _qudit_searches)
+        found = search([evs[p] for p in members], config)
         for p, (bases, js, iterations, j_grid) in zip(members, found):
             best = _first_best(js)
             j = float(js[best])
@@ -397,10 +421,36 @@ def _optimize(problems: list[tuple[CQEnsemble, int]],
     return results
 
 
-def _qubit_searches(evs: list[_JEvaluator]) -> list[tuple]:
+def _starts(dk: int, config: OptimizerConfig) -> np.ndarray:
+    """The start bases of a search on a subsystem of dimension dk, in tie-rule order.
+
+    A qubit's are the `_START_GRID` directions, the pole first; a higher
+    dimension's the `restarts` seeded Haar bases.
+    """
+    if dk == 2:
+        return _start_points(*_START_GRID)[1]
+    return _haar_bases(np.random.default_rng(config.seed), config.restarts, dk)
+
+
+def _constant_searches(evs: list[_JEvaluator], config: OptimizerConfig) -> list[tuple]:
+    """(bases, J, iterations, the start grid's J or None) of each problem whose J is constant.
+
+    Every outcome of the one leaf is a 1 x 1 block, of entropy 0, so every
+    basis gives J = S(rho_rest) (Henderson & Vedral, J. Phys. A 34:6899,
+    2001) and the tie rule keeps the first of the `_starts`, which a search
+    of it returns unturned: a qubit's start grid's pole, whose J is the
+    grid's best, or a qudit's first Haar basis. No basis is evaluated.
+    """
+    dk = evs[0].dk
+    start = _starts(dk, config)[:1]
+    return [(start.copy(), ev.rest_entropy, 0, float(ev.rest_entropy[0]) if dk == 2 else None)
+            for ev in evs]
+
+
+def _qubit_searches(evs: list[_JEvaluator], config: OptimizerConfig) -> list[tuple]:
     """(bases, J, iterations, the start grid's J) of each qubit problem, ascended from its grid."""
     ev = _JEvaluator.stack(evs)
-    grid = _start_points(*_START_GRID)[1]
+    grid = _starts(2, config)
     j = _grid_j(ev, grid)
     best = _first_best(j)
     j_grid = j[np.arange(len(evs)), best]
@@ -416,7 +466,7 @@ def _qudit_searches(evs: list[_JEvaluator], config: OptimizerConfig) -> list[tup
     live problems' waves ascend together.
     """
     ev = _JEvaluator.stack(evs)
-    starts = _haar_bases(np.random.default_rng(config.seed), config.restarts, ev.dk)
+    starts = _starts(ev.dk, config)
     waves = [[] for _ in evs]  # each problem's ascended waves: (bases, J, evaluations)
     live = list(range(len(evs)))
     for lo in range(0, len(starts), _WAVE):

@@ -65,6 +65,18 @@ def multiqubit_random_states(seed: int) -> dict:
     return found
 
 
+def per_round(d: int) -> int:
+    """Evaluations of an ascent round in dimension d: a gradient, the d(d-1)
+    of its Hessian's forward differences, and the trials."""
+    return 1 + d * (d - 1) + optimizer._LADDER.size
+
+
+def last_round(d: int) -> int:
+    """Evaluations of the round a search ends in, in dimension d: a gradient,
+    the d(d-1) of its Hessian's forward differences, and the t = 1 trial it keeps."""
+    return 1 + d * (d - 1) + 1
+
+
 def oracle_j(ens, k: int, n: int) -> float:
     """The best J of the n x n `grid_search_qubit` grid on qubit k of a cq ensemble."""
     _, bases = optimizer._grid_points(np.linspace(0, math.pi, n)[:optimizer._grid_rows(n)],
@@ -109,6 +121,24 @@ def count_searches(monkeypatch) -> list:
 
     monkeypatch.setattr(correlations, "_optimize", counting_batch)
     return calls
+
+
+def count_evaluations(monkeypatch) -> list:
+    """Record the number of bases of every `_JEvaluator.j_bases` and `gradient` call.
+
+    Its sum is the number of bases whose J or gradient was evaluated, which
+    a search reports as `iterations`.
+    """
+    counted = []
+    for name in ("j_bases", "gradient"):
+        method = getattr(measurement._JEvaluator, name)
+
+        def counting(self, bases, counts, method=method):
+            counted.append(len(bases))
+            return method(self, bases, counts)
+
+        monkeypatch.setattr(measurement._JEvaluator, name, counting)
+    return counted
 
 
 @pytest.fixture

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_searches, random_bell_diagonal, random_unitary
+from conftest import (count_evaluations, count_searches, last_round, per_round,
+                      random_bell_diagonal, random_unitary)
 from qcorr import (OptimizerConfig, correlations, infotheory, measurement,
                    optimizer, states)
 from qcorr.errors import BadOrder
@@ -486,6 +487,28 @@ def test_full_report_batches_equal_solo_searches(monkeypatch, name, chunk):
     alone = correlations.sequential_measure(rho, range(rho.n_subsystems), config)
     for step, solo in zip(report.sequential.steps, alone.steps):
         assert_same_search(step, solo)
+
+
+# Random 2x2 states of default_rng(seed) whose full_report batch holds two
+# qubit searches that end in different rounds: alone, subsystems 0 and 1
+# take these rounds, so a round of the batch ends one search while the
+# other goes on.
+@pytest.mark.parametrize("seed, rounds", [(1, (4, 5)), (2, (4, 3))])
+def test_batched_searches_ending_in_different_rounds_report_their_solo_iterations(
+        monkeypatch, seed, rounds):
+    rho = states.random_density((2, 2), np.random.default_rng(seed))
+    config = OptimizerConfig()
+    batches = record_batches(monkeypatch)
+    counted = count_evaluations(monkeypatch)
+    correlations.full_report(rho, config)
+    assert sum(res.iterations for _, results in batches for res in results) == sum(counted)
+    problems, results = batches[0]
+    solo = [optimizer._optimize([problem], config)[0] for problem in problems]
+    grid = len(optimizer._start_points(*optimizer._START_GRID)[1])
+    assert [res.iterations for res in solo] == [grid + (n - 1) * per_round(2) + last_round(2)
+                                                for n in rounds]
+    for res, alone in zip(results, solo):
+        assert_same_search(res, alone)
 
 
 def test_classify_batch_equals_solo_searches(monkeypatch, rng):

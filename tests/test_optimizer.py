@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (multiqubit_random_states, qubit_pairs_states, random_bell_diagonal,
-                      random_unitary, sequential_shortfalls)
+from conftest import (count_evaluations, last_round, multiqubit_random_states, per_round,
+                      qubit_pairs_states, random_bell_diagonal, random_unitary,
+                      sequential_shortfalls)
 from qcorr import (OptimizerConfig, correlations, infotheory, linalg,
                    measurement, optimizer, states)
 from qcorr.errors import DimensionMismatch, NotAQubit, ParamOutOfRange
@@ -45,12 +46,6 @@ def ascend(rho, k, starts):
     ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), k)
     starts = np.asarray(starts, dtype=complex)
     return optimizer._ascend(ev, starts, ev.j_bases(starts, alone(starts)), alone(starts))
-
-
-def per_round(d):
-    """Evaluations of an ascent round in dimension d: a gradient, the d(d-1)
-    of its Hessian's forward differences, and the trials."""
-    return 1 + d * (d - 1) + optimizer._LADDER.size
 
 
 def qubit_basis(theta, phi):
@@ -222,9 +217,9 @@ class TestRefineLocal:
                             states.random_density([2], rng))
         _, j, evals = ascend(rho, 0, [qubit_basis(0.3, 0.3)])
         assert abs(j[0]) < 1e-8
-        # one round (a gradient, the d(d-1) = 2 of its Hessian, the trials),
-        # then no trial gains: the search ends long before the cap
-        assert evals[0] == per_round(2)
+        # the model predicts no gain, so the search ends in its first round
+        # on its one evaluated trial, long before the cap
+        assert evals[0] == last_round(2)
 
     def test_qubit_searches_end_within_five_rounds(self):
         # Newton steps from the start grid; gradient steps alone ran to the
@@ -270,6 +265,10 @@ class TestUnitaryFromGenerator:
         for m in range(3):
             for r in range(5):
                 assert np.abs(u[m, r] - expm_series(t[m, r] * a[m])).max() < 1e-10
+
+
+# pure states whose first step measures subsystem k: (dims, k)
+PURE_FIRST_STEPS = [((2, 2), 0), ((2, 3), 0), ((2, 3), 1), ((3, 2), 0), ((2, 2, 2), 1)]
 
 
 class TestOptimizeMeasurement:
@@ -354,6 +353,51 @@ class TestOptimizeMeasurement:
         res = optimizer.optimize_measurement(rho, 0)
         assert ascent_evals[0] > 0
         assert res.iterations == grid_evals + ascent_evals[0]
+
+    @pytest.mark.parametrize("dims, k", PURE_FIRST_STEPS,
+                             ids=[f"{'x'.join(map(str, dims))}-k{k}" for dims, k in PURE_FIRST_STEPS])
+    def test_a_pure_state_first_step_is_not_searched(self, monkeypatch, dims, k):
+        # one leaf of 1 x 1 blocks: every basis gives J = S(rho_rest), so the
+        # result is the one the search returns, with no basis evaluated
+        rho = states.random_density(dims, np.random.default_rng([19, *dims, k]), rank=1)
+        ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), k)
+        assert ev.shape[1:] == (1, 1, 1)
+        config = OptimizerConfig()
+        search = optimizer._qubit_searches if ev.dk == 2 else optimizer._qudit_searches
+        ((bases, js, _, j_grid),) = search([ev], config)
+        best = optimizer._first_best(js)
+        counted = count_evaluations(monkeypatch)
+        res = optimizer.optimize_measurement(rho, k, config)
+        assert res.iterations == 0 and counted == []
+        assert (res.measurement.basis == bases[best]).all()
+        assert res.j_value == js[best] == ev.rest_entropy[0]
+        if ev.dk == 2:
+            assert res.params == optimizer._bloch_angles(bases[best])
+            assert res.oracle_gap == js[best] - j_grid == 0.0
+        else:
+            assert res.params is None and res.oracle_gap is None
+
+    @pytest.mark.parametrize("dims, k, rank", [((2, 2), 0, None), ((2, 3), 0, 2),
+                                               ((3, 2), 0, None), ((4, 2), 0, 2),
+                                               ((2, 2), 0, 1), ((3, 2), 0, 1)],
+                             ids=["qubit", "qubit_rank2", "qutrit", "ququart_rank2",
+                                  "pure_qubit", "pure_qutrit"])
+    def test_iterations_are_the_bases_evaluated(self, monkeypatch, dims, k, rank):
+        rho = states.random_density(dims, np.random.default_rng([1901, *dims]), rank=rank)
+        counted = count_evaluations(monkeypatch)
+        res = optimizer.optimize_measurement(rho, k)
+        assert res.iterations == sum(counted)
+        assert (res.iterations == 0) == (rank == 1)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3)])
+    def test_batched_iterations_are_the_bases_evaluated(self, monkeypatch, dims):
+        # every subsystem of one state, in one batch of problems
+        rho = states.random_density(dims, np.random.default_rng([1902, *dims]))
+        ens = measurement.CQEnsemble.of(rho)
+        config = OptimizerConfig(restarts=8)
+        counted = count_evaluations(monkeypatch)
+        results = optimizer._optimize([(ens, k) for k in range(len(dims))], config)
+        assert sum(res.iterations for res in results) == sum(counted)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
     def test_qubit_params_are_canonical_angles_of_the_basis(self, rng, dims):
@@ -531,8 +575,8 @@ class TestQuditRestarts:
         # gradient steps took 12597 and 6402 evaluations, conjugate steps
         # from all 32 restarts 5828 and 4988, and from waves of 8 1583 and
         # 1311; Newton steps with conjugate ones where H was not negative
-        # definite 1132 and 905; saddle-free Newton steps in waves of 4
-        # take 394 and 446
+        # definite 1132 and 905; saddle-free Newton steps in waves of 4,
+        # each start's last round evaluating only its kept trial, 374 and 426
         catalog = np.random.default_rng(2011)
         ginibre = lambda d, rank: states.random_density([d], catalog, rank=rank).matrix
         p = catalog.dirichlet(np.ones(3))
@@ -543,22 +587,25 @@ class TestQuditRestarts:
 
     def test_a_failed_newton_round_retries_along_the_x_it_computed(self, monkeypatch):
         # the retry steps along the gradient that round computed, so some
-        # rounds take no gradient; each gradient counts with the d(d-1) of
-        # its Hessian, each trial once. On this rank-2 4x2 state two of the
-        # four default starts fail one round
+        # search-rounds take no gradient; each gradient counts with the
+        # d(d-1) of its Hessian, each trial once. On this rank-2 4x2 state
+        # two of the four default starts fail one round
         rho = states.random_density((4, 2), np.random.default_rng([2016, 4]), rank=2)
         ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
         starts = optimizer._haar_bases(np.random.default_rng(0), 4, 4)
         j0 = ev.j_bases(starts, alone(starts))
-        gradients, trials = [], []
-        directions, j_bases = optimizer._directions, ev.j_bases
+        gradients, rounds, trials = [], [], []
+        directions, rotations, j_bases = optimizer._directions, optimizer._rotations, ev.j_bases
         monkeypatch.setattr(optimizer, "_directions",
                             lambda ev, v, counts: gradients.append(len(v))
                             or directions(ev, v, counts))
+        # every round turns each live search once, along its direction
+        monkeypatch.setattr(optimizer, "_rotations",
+                            lambda a, t: rounds.append(len(a)) or rotations(a, t))
         monkeypatch.setattr(ev, "j_bases",
                             lambda b, counts: trials.append(len(b)) or j_bases(b, counts))
         _, _, evals = optimizer._ascend(ev, starts, j0, alone(starts))
-        assert sum(gradients) < sum(trials) // optimizer._LADDER.size
+        assert sum(gradients) < sum(rounds)
         assert evals.sum() == (1 + 4 * 3) * sum(gradients) + sum(trials)
 
     @pytest.mark.parametrize("rank", [None, 2])
@@ -589,13 +636,29 @@ class TestQuditRestarts:
         m = g @ g.conj().T
         assert wave_shortfall(states.from_dense(m / np.trace(m).real, (3, 3)), 1) <= 1e-11
 
+    # The rank-3 5x2 state of default_rng([91, 350]): 28 of its 32 default
+    # starts creep along a nearly flat ridge, gaining about 1e-9 bits a round
+    # against a predicted gain of about 5e-10, above _MODEL_FLOOR, and run
+    # to the round cap; its search ends 1.44e-8 bits below the best of all
+    # 32 starts ascended.
+    @pytest.mark.xfail(strict=True, reason="the ascent creeps along a nearly flat ridge "
+                                           "to the round cap")
+    def test_a_rank_three_5x2_start_ends_before_the_round_cap(self):
+        rho = states.random_density((5, 2), np.random.default_rng([91, 350]), rank=3)
+        _, _, evals = ascend(rho, 0, optimizer._haar_bases(np.random.default_rng(0), 32, 5)[:1])
+        assert evals[0] < optimizer._MAX_ROUNDS * per_round(5)
+
     def test_waves_continue_until_two_restarts_agree(self, rng, monkeypatch):
         # every basis attains sup J on a pure state, so with waves of one
-        # start the search stops after the second, the first that can agree
+        # start the waves stop after the second, the first that can agree,
+        # and each start ends in its first round. `_optimize` searches no
+        # pure state's first step, so the waves are run directly
         monkeypatch.setattr(optimizer, "_WAVE", 1)
         rho = states.random_density((3, 2), rng, rank=1)
-        _, _, evals = ascend(rho, 0, optimizer._haar_bases(np.random.default_rng(0), 32, 3)[:2])
-        assert optimizer.optimize_measurement(rho, 0).iterations == 2 + evals.sum()
+        ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
+        ((_, js, iterations, _),) = optimizer._qudit_searches([ev], OptimizerConfig())
+        assert len(js) == 2
+        assert iterations == 2 + 2 * last_round(3)
 
 
 def dense_evaluator(rho, k):
