@@ -225,11 +225,11 @@ def cmd_sweep(args) -> int:
                               "and --step be finite and positive")
     config = _make_config(args)
     rows = ["param,I,D0,D1,Q,C"]
-    n = int(round((args.stop - args.start) / args.step))
+    # the rows up to --stop: the tolerance and the clamp absorb float drift only
+    n = math.floor((args.stop - args.start) / args.step * (1 + 1e-9))
     for i in range(n + 1):
-        p = args.start + i * args.step
-        # the clamp absorbs float drift on the last row only
-        rho = states.named("werner", p=min(max(p, 0.0), 1.0))
+        p = min(args.start + i * args.step, args.stop)
+        rho = states.named("werner", p=p)
         rep = correlations.full_report(rho, config)
         (d0, _), (d1, _) = rep.per_subsystem
         rows.append(f"{p:.12g},{rep.mutual_info:.12g},{d0:.12g},{d1:.12g},"
@@ -299,7 +299,7 @@ def _verify_oracle(config, failures):
     res = optimizer.optimize_measurement(rho, 0, config)
     ev = measurement._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
     starts = optimizer._starts(4, config)
-    _, js, _ = optimizer._ascend(ev, starts, ev.j_bases(starts, [len(starts)]), [len(starts)])
+    _, js = optimizer._ascend(ev, starts, ev.j_bases(starts, [len(starts)]), [len(starts)])
     _check("oracle mixed 4x2 waves against every restart", abs(res.j_value - js.max()),
            1e-11, failures)
     # full_report ascends its searches on the unmeasured state in one batch,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measurement as msr
 from .errors import BadOrder
 from .infotheory import (ProbabilityTable, classical_mutual_information,
                          probability_table)
@@ -183,8 +182,9 @@ def classify(rho: DensityMatrix, config: OptimizerConfig = OptimizerConfig(),
     results = _optimize([(ens, 0), (ens, 1)], config)
     zero = [r.discord <= tol for r in results]
     if all(zero):
-        cond = msr.conditionals(rho, 0, results[0].measurement)
-        present = [s.matrix for s in cond.states if s is not None]
+        # the conditional states on subsystem 1 of the outcomes that occur
+        split = ens.split(0, results[0].measurement.basis)
+        present = split.blocks / split.probs[:, None, None]
         commuting = all(
             np.abs(a @ b - b @ a).max() <= tol
             for i, a in enumerate(present) for b in present[i + 1:])

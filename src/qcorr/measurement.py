@@ -25,12 +25,11 @@ import numpy as np
 from . import linalg
 from .errors import (AngleOutOfRange, DimensionMismatch, NotUnitary,
                      SinglePartyState)
-from .infotheory import entropy_of_spectrum
+from .infotheory import CLAMP, entropy_of_spectrum
 from .states import DensityMatrix, from_dense
 
 UNITARY_TOL = 1e-8
 ZERO_PROB = 1e-12
-_CLAMP = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,7 +295,7 @@ def _conditional_entropy(blocks: np.ndarray) -> np.ndarray:
     else:
         # spectrum of blocks / q_a without a normalized copy of the blocks
         lam = np.linalg.eigvalsh(blocks) / safe[..., None]
-    plogp = np.where(lam > _CLAMP, lam * np.log2(np.maximum(lam, _CLAMP)), 0.0)
+    plogp = np.where(lam > CLAMP, lam * np.log2(np.maximum(lam, CLAMP)), 0.0)
     cond_entropy = -plogp.sum(axis=(-2, -1))
     return np.where(probs > ZERO_PROB, probs * cond_entropy, 0.0).sum(axis=0)
 
@@ -310,14 +309,14 @@ def _small_log(blocks: np.ndarray, traces: np.ndarray, safe: np.ndarray) -> np.n
     however close the eigenvalues are (its limit f' where they meet).
     """
     lam = _small_spectrum(blocks, traces, safe)
-    c = np.maximum(lam, _CLAMP)
+    c = np.maximum(lam, CLAMP)
     f = np.log2(c)
     if blocks.shape[-1] == 1:
         return f[..., None]
     gap = lam[..., 1] - lam[..., 0]
     slope = np.where(gap > 0, np.log1p((c[..., 1] - c[..., 0]) / c[..., 0])
                      / (math.log(2) * np.where(gap > 0, gap, 1.0)),
-                     np.where(lam[..., 0] > _CLAMP, 1 / (math.log(2) * c[..., 0]), 0.0))
+                     np.where(lam[..., 0] > CLAMP, 1 / (math.log(2) * c[..., 0]), 0.0))
     out = blocks / safe[..., None, None]
     half_diff = (out[..., 0, 0] - out[..., 1, 1]) / 2
     mean = (f[..., 0] + f[..., 1]) / 2
@@ -353,6 +352,8 @@ class _JEvaluator:
     problem by problem: its first counts[0] bases are problem 0's, the next
     counts[1] problem 1's, and so on ([n] when P = 1). Each problem's bases
     take one GEMM against its own layout, the GEMM of its bases alone.
+    `evaluated[p]` counts the bases of problem p whose J or gradient the
+    evaluator has taken; a stack starts from its evaluators' counts.
     """
 
     def __init__(self, view: np.ndarray, rest_entropy: float):
@@ -360,6 +361,7 @@ class _JEvaluator:
         self._leaf_shape = (n_leaves, b, b)
         self._by_c = (np.ascontiguousarray(view.transpose(3, 1, 0, 2, 4)).reshape(self.dk, -1),)
         self.rest_entropy = np.array([rest_entropy], dtype=float)
+        self.evaluated = [0]
 
     @classmethod
     def of(cls, ens: CQEnsemble, k: int) -> _JEvaluator:
@@ -380,6 +382,7 @@ class _JEvaluator:
         ev.dk, ev._leaf_shape = evaluators[0].dk, evaluators[0]._leaf_shape
         ev._by_c = sum((e._by_c for e in evaluators), ())
         ev.rest_entropy = np.concatenate([e.rest_entropy for e in evaluators])
+        ev.evaluated = sum((e.evaluated for e in evaluators), [])
         return ev
 
     @property
@@ -392,10 +395,12 @@ class _JEvaluator:
 
         One GEMM per problem of its slice of the stacked outcome vectors
         (n, d_k, d_k), vectors as rows, against that problem's layout.
+        Each problem's count is added to `evaluated`.
         """
         dk = bases.shape[1]
         parts, lo = [], 0
-        for by_c, count in zip(self._by_c, counts):
+        for p, (by_c, count) in enumerate(zip(self._by_c, counts)):
+            self.evaluated[p] += count
             if count:
                 rows = bases[lo:lo + count].swapaxes(0, 1).reshape(dk * count, dk)
                 parts.append((rows @ by_c).reshape(dk, count, dk, -1))
@@ -441,7 +446,7 @@ class _JEvaluator:
             logs_t = _small_log(blocks.swapaxes(-1, -2), traces, safe)
         else:
             w, u = np.linalg.eigh(blocks)
-            log_w = np.log2(np.maximum(w / safe[..., None], _CLAMP))
+            log_w = np.log2(np.maximum(w / safe[..., None], CLAMP))
             logs_t = (u.conj() * log_w[..., None, :]) @ u.swapaxes(-1, -2)
         logs_t[probs <= ZERO_PROB] = 0.0
         dk, n = half.shape[:2]

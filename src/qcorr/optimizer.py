@@ -113,7 +113,7 @@ class OptimalMeasurementResult:
     measurement: ProjectiveMeasurement
     j_value: float       # bits
     discord: float       # bits, floored at 0
-    iterations: int      # bases whose J or gradient was evaluated; 0 where J is constant
+    iterations: int      # bases the J kernel evaluated, `_JEvaluator.evaluated`; 0 for constant J
     oracle_gap: float | None = None   # qubit: ascended J minus the start grid's best J
     params: tuple[float, float] | None = None  # (theta, phi) for qubits, else None
 
@@ -294,7 +294,7 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
-            counts: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Riemannian ascent of J from every basis of the stack, all in lockstep.
 
     A round moves a live basis V (vectors as rows) to exp(t D) V, with the
@@ -314,18 +314,14 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
     `_MAX_ROUNDS` rounds. Each search keeps its own X, so the lockstep run
     equals the starts ascended one by one. `j` holds the starts' J, and
     `counts` the number of starts of each problem in `ev`, the stack holding
-    problem 0's first. Returns the final bases, their J and each search's
-    evaluations (each gradient and each trial count one, so a fresh round
-    counts 1 + d(d-1) + `_LADDER`.size, the round a search ends in
-    1 + d(d-1) + 1 and a retry `_LADDER`.size).
+    problem 0's first. Returns the final bases and their J; `ev.evaluated`
+    counts the bases evaluated.
     """
     bases, j = bases.copy(), np.array(j, dtype=float)
     problem = np.repeat(np.arange(len(counts)), counts)
-    evals = np.zeros(len(bases), dtype=int)
-    # each search's X from its last failed round, and the turn of its retry
-    last_x, turn = np.zeros_like(bases), np.zeros(len(bases))
+    # each search's X and direction D from its last failed round
+    last_x, last_d = np.zeros_like(bases), np.zeros_like(bases)
     retry = np.zeros(len(bases), dtype=bool)
-    gradients = 1 + len(_generators(ev.dk)[0])
     live = np.arange(len(bases))
     for _ in range(_MAX_ROUNDS):
         if live.size == 0:
@@ -333,10 +329,7 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
         v, on, again = bases[live], problem[live], retry[live]
         live_counts = np.bincount(on, minlength=len(counts)).tolist()
         if again.any():
-            # |X| = sqrt(2) |g|, so these trials turn by the ladder's multiples of `turn`
-            x, d, fresh = last_x[live], np.empty_like(v), ~again
-            back = x[again]
-            d[again] = back * (turn[live[again]] / np.sqrt(_inner(back, back) / 2))[:, None, None]
+            x, d, fresh = last_x[live], last_d[live], ~again
             if fresh.any():
                 fresh_counts = np.bincount(on[fresh], minlength=len(counts)).tolist()
                 x[fresh], d[fresh] = _directions(ev, v[fresh], fresh_counts)
@@ -344,7 +337,6 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
             x, d = _directions(ev, v, live_counts)
         slope = _inner(x, d)
         done = ~again & (slope / 2 <= _MODEL_FLOOR)
-        evals[live] += np.where(again, 0, gradients) + np.where(done, 1, _LADDER.size)
         if done.all():
             # the last round: every live search ends on its t = 1 trial alone
             unit = _rotations(d, _LADDER[None, _UNIT_TRIAL:_UNIT_TRIAL + 1]) @ v[:, None]
@@ -369,14 +361,17 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
         pick[done] = _UNIT_TRIAL
         retry[live] = fail = ~(again | moved | done)
         if fail.any():
-            # the failed round's shortest trial turned by |s| / 16, |D| = sqrt(2) |s|
-            last_x[live[fail]] = x[fail]
-            turn[live[fail]] = _LADDER[-1] * np.sqrt(_inner(d[fail], d[fail]) / 2)
+            # the retry's D is X scaled to the turn of the failed round's
+            # shortest trial, |s| / 16: |D| = sqrt(2) |s| and |X| = sqrt(2) |g|
+            back = x[fail]
+            turn = _LADDER[-1] * np.sqrt(_inner(d[fail], d[fail]) / 2)
+            last_x[live[fail]] = back
+            last_d[live[fail]] = back * (turn / np.sqrt(_inner(back, back) / 2))[:, None, None]
         rows, pick = rows[moved | done], pick[moved | done]
         bases[live[rows]] = trials[rows, pick]
         j[live[rows]] = values[rows, pick]
         live = live[~done & (moved | ~again)]
-    return bases, j, evals
+    return bases, j
 
 
 def optimize_measurement(rho: DensityMatrix, k: int,
@@ -400,6 +395,8 @@ def _optimize(problems: list[tuple[CQEnsemble, int]],
     A problem of shape (d_k, 1, 1, 1), one leaf of 1 x 1 blocks, has J =
     `rest_entropy` for every basis (a pure state's first step), so it is not
     searched: it takes the first start, which every search of it returns.
+    Each group's evaluators are stacked once, and a result's `iterations` is
+    the stack's count of its problem's bases (`_JEvaluator.evaluated`).
     """
     infos = [ens.mutual_information() for ens, _ in problems]
     evs = [_JEvaluator.of(ens, k) for ens, k in problems]
@@ -408,16 +405,17 @@ def _optimize(problems: list[tuple[CQEnsemble, int]],
         groups.setdefault(ev.shape, []).append(p)
     results = [None] * len(problems)
     for shape, members in groups.items():
+        ev = _JEvaluator.stack([evs[p] for p in members])
         search = (_constant_searches if shape[1:] == (1, 1, 1)
                   else _qubit_searches if shape[0] == 2 else _qudit_searches)
-        found = search([evs[p] for p in members], config)
-        for p, (bases, js, iterations, j_grid) in zip(members, found):
-            best = _first_best(js)
-            j = float(js[best])
-            params, gap = (None, None) if j_grid is None else (_bloch_angles(bases[best]),
-                                                               j - j_grid)
-            results[p] = OptimalMeasurementResult(ProjectiveMeasurement(bases[best]), j,
-                                                  max(infos[p] - j, 0.0), iterations, gap, params)
+        bases, js, j_grid = search(ev, config)
+        for i, (p, best) in enumerate(zip(members, _first_best(js))):
+            j = float(js[i, best])
+            params, gap = (None, None) if j_grid is None else (_bloch_angles(bases[i, best]),
+                                                               j - float(j_grid[i]))
+            results[p] = OptimalMeasurementResult(ProjectiveMeasurement(bases[i, best]), j,
+                                                  max(infos[p] - j, 0.0), ev.evaluated[i],
+                                                  gap, params)
     return results
 
 
@@ -432,8 +430,8 @@ def _starts(dk: int, config: OptimizerConfig) -> np.ndarray:
     return _haar_bases(np.random.default_rng(config.seed), config.restarts, dk)
 
 
-def _constant_searches(evs: list[_JEvaluator], config: OptimizerConfig) -> list[tuple]:
-    """(bases, J, iterations, the start grid's J or None) of each problem whose J is constant.
+def _constant_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
+    """(bases, J, the start grid's J or None) of each problem of `ev`, whose J is constant.
 
     Every outcome of the one leaf is a 1 x 1 block, of entropy 0, so every
     basis gives J = S(rho_rest) (Henderson & Vedral, J. Phys. A 34:6899,
@@ -441,52 +439,41 @@ def _constant_searches(evs: list[_JEvaluator], config: OptimizerConfig) -> list[
     of it returns unturned: a qubit's start grid's pole, whose J is the
     grid's best, or a qudit's first Haar basis. No basis is evaluated.
     """
-    dk = evs[0].dk
-    start = _starts(dk, config)[:1]
-    return [(start.copy(), ev.rest_entropy, 0, float(ev.rest_entropy[0]) if dk == 2 else None)
-            for ev in evs]
+    start = _starts(ev.dk, config)[:1]
+    bases = np.broadcast_to(start, (len(ev.rest_entropy),) + start.shape).copy()
+    return bases, ev.rest_entropy[:, None], ev.rest_entropy if ev.dk == 2 else None
 
 
-def _qubit_searches(evs: list[_JEvaluator], config: OptimizerConfig) -> list[tuple]:
-    """(bases, J, iterations, the start grid's J) of each qubit problem, ascended from its grid."""
-    ev = _JEvaluator.stack(evs)
+def _qubit_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
+    """(bases, J, the start grid's J) of each qubit problem of `ev`, ascended from its grid."""
     grid = _starts(2, config)
     j = _grid_j(ev, grid)
     best = _first_best(j)
-    j_grid = j[np.arange(len(evs)), best]
-    bases, js, evals = _ascend(ev, grid[best], j_grid, [1] * len(evs))
-    return [(bases[p:p + 1], js[p:p + 1], len(grid) + int(evals[p]), float(j_grid[p]))
-            for p in range(len(evs))]
+    j_grid = j[np.arange(len(j)), best]
+    bases, js = _ascend(ev, grid[best], j_grid, [1] * len(j))
+    return bases[:, None], js[:, None], j_grid
 
 
-def _qudit_searches(evs: list[_JEvaluator], config: OptimizerConfig) -> list[tuple]:
-    """(bases, J, iterations, None) of each qudit problem's ascended waves.
+def _qudit_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
+    """(bases, J, None) of each qudit problem of `ev` over its starts, ascended in waves.
 
     Every problem draws the same seeded starts, so they are drawn once; the
-    live problems' waves ascend together.
+    live problems' waves ascend together. J is -inf at starts not ascended.
     """
-    ev = _JEvaluator.stack(evs)
     starts = _starts(ev.dk, config)
-    waves = [[] for _ in evs]  # each problem's ascended waves: (bases, J, evaluations)
-    live = list(range(len(evs)))
+    bases = np.broadcast_to(starts, (len(ev.rest_entropy),) + starts.shape).copy()
+    js = np.full(bases.shape[:2], -np.inf)
+    live = np.ones(len(js), dtype=bool)
     for lo in range(0, len(starts), _WAVE):
-        wave = starts[lo:lo + _WAVE]
-        rows = np.concatenate([wave] * len(live))
-        counts = [len(wave) if p in live else 0 for p in range(len(evs))]
-        bases, js, evals = _ascend(ev, rows, ev.j_bases(rows, counts), counts)
-        for i, p in enumerate(live):
-            part = slice(i * len(wave), (i + 1) * len(wave))
-            waves[p].append((bases[part], js[part], evals[part]))
-        still = []
-        for p in live:
-            seen = np.concatenate([w[1] for w in waves[p]])
-            if np.count_nonzero(seen >= seen.max() - _AGREE) < 2:
-                still.append(p)
-        live = still
-        if not live:
+        wave = slice(lo, lo + _WAVE)
+        n = len(starts[wave])
+        rows = bases[live, wave].reshape(-1, ev.dk, ev.dk)
+        counts = (live * n).tolist()
+        found, j = _ascend(ev, rows, ev.j_bases(rows, counts), counts)
+        bases[live, wave] = found.reshape(-1, n, ev.dk, ev.dk)
+        js[live, wave] = j.reshape(-1, n)
+        seen = js[live]
+        live[live] = np.count_nonzero(seen >= seen.max(axis=1, keepdims=True) - _AGREE, axis=1) < 2
+        if not live.any():
             break
-    found = []
-    for parts in waves:
-        bases, js, evals = (np.concatenate(a) for a in zip(*parts))
-        found.append((bases, js, len(js) + int(evals.sum()), None))
-    return found
+    return bases, js, None

@@ -315,6 +315,18 @@ class TestSweep:
         assert out == "\n".join(expected) + "\n"
         assert calls == [0, 1, 1] * 3  # D0 (= step 0), D1, step 1
 
+    @pytest.mark.parametrize("start, stop, step, params", [
+        ("0", "1", "0.6", ["0", "0.6"]),
+        ("0", "0.5", "0.3", ["0", "0.3"]),
+        # 0.3 / 0.1 is 2.9999999999999996 in floats
+        ("0", "0.3", "0.1", ["0", "0.1", "0.2", "0.3"]),
+    ])
+    def test_rows_stop_at_stop(self, capsys, start, stop, step, params):
+        code, out, _ = run(capsys, ["sweep", "werner", "--start", start, "--stop", stop,
+                                    "--step", step])
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == params
+
     def test_unknown_family(self, capsys):
         code, _, _ = run(capsys, ["sweep", "unknown"])
         assert code == 2

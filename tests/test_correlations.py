@@ -408,6 +408,15 @@ class TestClassify:
     def test_discordant(self, paper_state):
         assert correlations.classify(paper_state) == "discordant"
 
+    def test_classical_classical_builds_one_ensemble(self, monkeypatch):
+        # the conditional states come from the ensemble the searches used
+        rho = states.from_dense(np.diag([0.4, 0.1, 0.2, 0.3]), (2, 2))
+        built, of = [], measurement.CQEnsemble.of
+        monkeypatch.setattr(measurement.CQEnsemble, "of",
+                            staticmethod(lambda rho: built.append(rho) or of(rho)))
+        assert correlations.classify(rho) == "classical_classical"
+        assert built == [rho]
+
     def test_rejects_multipartite(self, rng):
         with pytest.raises(BadOrder):
             correlations.classify(states.random_density((2, 2, 2), rng))

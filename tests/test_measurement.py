@@ -335,7 +335,7 @@ def small_block_cases():
         # pure conditional states: the other eigenvalue is rounding dust
         ("rank1", leaves(density(6, 1)), bases),
         # a conditional eigenvalue near 1e-13, and a leaf whose blocks have
-        # both below _CLAMP
+        # both below CLAMP
         ("below_clamp", leaves(density(6, 1) + 1e-13 * density(6)), bases),
         ("faint_leaf", leaves(density(6), 1e-12 * density(6)), bases),
         ("zero_probability", leaves(faint @ density(6) @ faint), zero_outcome),
@@ -352,3 +352,16 @@ def test_closed_form_gradient_matches_eigh(name, view, bases):
     assert view.shape[2] <= 2
     ev = measurement._JEvaluator(view, 0.0)
     assert np.abs(ev.gradient(bases, [len(bases)]) - eigh_gradient(view, bases)).max() < 1e-12
+
+
+def test_a_stack_counts_each_problems_bases(rng):
+    # both J and its gradient count each problem's bases, in stack order
+    ensembles = [measurement.CQEnsemble.of(states.random_density((2, 2), rng)) for _ in range(3)]
+    evs = [measurement._JEvaluator.of(ens, 0) for ens in ensembles]
+    ev = measurement._JEvaluator.stack(evs)
+    assert ev.evaluated == [0, 0, 0]
+    bases = np.array([random_unitary(2, rng).T for _ in range(5)])
+    ev.j_bases(bases, [2, 0, 3])
+    assert ev.evaluated == [2, 0, 3]
+    ev.gradient(bases, [2, 0, 3])
+    assert ev.evaluated == [4, 0, 6]
