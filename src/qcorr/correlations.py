@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadOrder
+from .errors import BadOrder, ParamOutOfRange
 from .infotheory import (ProbabilityTable, classical_mutual_information,
                          probability_table)
-from .measurement import CQEnsemble, ProjectiveMeasurement, _is_index
+from .linalg import is_integer
+from .measurement import CQEnsemble, ProjectiveMeasurement
 from .optimizer import (OptimalMeasurementResult, OptimizerConfig, _optimize,
                         optimize_measurement)
-from .states import DensityMatrix
+from .states import DensityMatrix, _number
 
 CLASSIFY_TOL = 1e-6
 
@@ -114,7 +115,7 @@ def _sequential_reports(ens: CQEnsemble, orders, config: OptimizerConfig,
     checked = []
     for order in orders:
         order = tuple(order)
-        if (not all(_is_index(k) for k in order)
+        if (not all(is_integer(k) for k in order)
                 or sorted(order) != list(range(n))):
             raise BadOrder(f"{order} is not a permutation of 0..{n - 1}")
         checked.append(tuple(int(k) for k in order))
@@ -172,8 +173,11 @@ def classify(rho: DensityMatrix, config: OptimizerConfig = OptimizerConfig(),
     """Classify a bipartite state.
 
     Returns one of 'product', 'classical_classical', 'classical_quantum(k)'
-    or 'discordant'. Zero-discord detection uses the soft threshold `tol`.
+    or 'discordant'. Zero-discord detection uses the soft threshold `tol`,
+    a finite real >= 0 and not a bool (else ParamOutOfRange).
     """
+    if _number("classify tol", tol) < 0:
+        raise ParamOutOfRange(f"classify tol must be >= 0, got {tol!r}")
     if rho.n_subsystems != 2:
         raise BadOrder("classification is defined for bipartite states")
     ens = CQEnsemble.of(rho)

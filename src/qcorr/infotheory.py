@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,7 +47,7 @@ def probability_table(probs, dims: Sequence[int]) -> ProbabilityTable:
     to 1 within 1e-9; negative dust is clamped to 0. Raises NotADistribution.
     """
     dims = tuple(dims)
-    if not all(isinstance(d, numbers.Integral) and d >= 1 for d in dims):
+    if not all(linalg.is_integer(d) and d >= 1 for d in dims):
         raise NotADistribution(f"outcome dims must be integers >= 1, got {dims}")
     dims = tuple(int(d) for d in dims)
     p = _distribution(probs)

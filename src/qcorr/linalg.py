@@ -7,6 +7,7 @@ and takes each spectrum on the factor's smaller side.
 """
 from __future__ import annotations
 
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -14,6 +15,11 @@ import numpy as np
 from .errors import DimensionMismatch
 
 HERMITICITY_TOL = 1e-9
+
+
+def is_integer(k) -> bool:
+    """Whether k is an integer and not a bool, as an index or a dimension must be."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool)
 
 
 def as_array(entries, dtype=np.complex128, error=DimensionMismatch) -> np.ndarray:
@@ -53,14 +59,15 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
     index decomposes big-endian over `dims`.
     """
     dims = list(dims)
-    keep = sorted(set(keep))
+    keep = set(keep)
     n = len(dims)
     total = int(np.prod(dims))
     m = as_matrix(m)
     if m.shape != (total, total):
         raise DimensionMismatch(f"matrix is {m.shape}, dims product is {total}")
-    if not keep or any(k < 0 or k >= n for k in keep):
+    if not keep or not all(is_integer(k) and 0 <= k < n for k in keep):
         raise DimensionMismatch(f"keep={keep} is not a nonempty subset of 0..{n - 1}")
+    keep = sorted(int(k) for k in keep)
     t = m.reshape(dims + dims)
     # trace axis pairs for discarded subsystems, highest index first so
     # earlier axis numbers stay valid

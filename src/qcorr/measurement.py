@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,14 +95,9 @@ def measurement_from_unitary(u: np.ndarray) -> ProjectiveMeasurement:
     return ProjectiveMeasurement(linalg.as_matrix(u).T)
 
 
-def _is_index(k) -> bool:
-    """Whether k is an integer and not a bool, as a subsystem index must be."""
-    return isinstance(k, numbers.Integral) and not isinstance(k, bool)
-
-
 def _subsystem(k, among: tuple[int, ...]) -> int:
-    """k as an int, if it is an index (`_is_index`) in `among`; else DimensionMismatch."""
-    if not _is_index(k) or k not in among:
+    """k as an int, if it is an integer (`linalg.is_integer`) in `among`; else DimensionMismatch."""
+    if not linalg.is_integer(k) or k not in among:
         raise DimensionMismatch(f"subsystem {k!r} is not one of {among}")
     return int(k)
 

@@ -14,19 +14,20 @@ and it turns by at most pi/4. The Hessian
 comes from forward differences of the analytic gradient, so a round
 evaluates 1 + d(d-1) gradients in one batched call. A search ends where
 its model predicts no further gain, on its t = 1 trial, the only trial of
-that round it evaluates; after a failed retry along the gradient; or at
-the round cap. A pure state's first step, where every basis gives the same
-J, is not searched. The starts ascend in lockstep, so each
-round is one batched gradient call and one batched J evaluation of its
-line search; a qudit's starts do so in waves of `_WAVE`, until two of them
-agree on the best J. One call may search
+that round it evaluates; when a retry in the same round along the
+gradient gains nothing either; or at the round cap. A pure state's first
+step, where every basis gives the same J, is not searched. The starts
+ascend in lockstep, so each round is one batched gradient call and one
+batched J evaluation of its line search (and one of its retries); a
+qudit's starts do so in waves of `_WAVE`, until two of them agree on the
+best J. One call may search
 several problems, a subsystem of an ensemble each: those of one subsystem
 dimension and leaf shape ascend in the same lockstep, each start keeping
 its own problem, so a batch takes as many rounds as its longest search
 and every search ends where it ends alone. Outcome blocks of at most
 2 x 2 take their spectrum and log in closed form, larger ones through
 LAPACK. The fine grid of the public `grid_search_qubit` is only an oracle
-for the ascent.
+for the ascent; one rule drops the antipodal repeats of both grids.
 J is evaluated on a classical-quantum ensemble of leaves (a state that no
 step has measured yet is a single leaf), so later steps of a sequential run
 diagonalize per-leaf blocks, not the dense state. Each leaf carries a factor
@@ -41,28 +42,28 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import NotAQubit, ParamOutOfRange
+from .linalg import is_integer
 from .measurement import (CQEnsemble, ProjectiveMeasurement, _JEvaluator,
                           basis_vectors)
 from .states import DensityMatrix
 
-# A qubit search ascends from the best of this grid's 57 Bloch directions:
-# 5 theta rows spanning [0, pi/2], the equator included, by 16 phi columns
-# spanning [0, 2 pi), the pole counted once and the equator's antipodal half
-# dropped. The other hemisphere holds only antipodes, of equal J. Five rows
-# space theta by pi/8, as the 16 columns space the equator's phi; coarser
-# grids such as 3 x 16 or 5 x 12 let some searches need a sixth round.
-_START_GRID = (5, 16)
+# A qubit search ascends from the best of the 57 Bloch directions that
+# `_grid_points` keeps of this grid: 9 theta rows spanning [0, pi] by 16 phi
+# columns spanning [0, 2 pi), which leaves the 5 rows of [0, pi/2], the pole
+# counted once and the equator's antipodal half dropped. The rows space theta
+# by pi/8, as the 16 columns space the equator's phi; coarser grids such as
+# 5 x 16 or 9 x 12 let some searches need a sixth round.
+_START_GRID = (9, 16)
 # Bound on the entries of a grid chunk's `_half_blocks`, (d_k, chunk, d_k,
 # L b b): d_k times its outcome blocks, the largest array of the chunk. It
 # keeps a grid's working set flat as the leaves L and their size b grow.
 _GRID_CHUNK_ELEMENTS = 1 << 20
-# Ascent rounds per start.
+# Ascent rounds per start, each a Newton ladder and at most one retry ladder.
 _MAX_ROUNDS = 500
 # Qudit starts ascended together; waves continue until two ascended starts
 # are within _AGREE (bits) of the best J so far, or the restarts run out.
@@ -101,8 +102,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or not (value >= 0 if name == "seed" else value > 0)):
+            if not (is_integer(value) and (value >= 0 if name == "seed" else value > 0)):
                 raise ParamOutOfRange(f"{name} must be an integer "
                                       f"{'>= 0' if name == 'seed' else '> 0'}, got {value!r}")
 
@@ -118,62 +118,50 @@ class OptimalMeasurementResult:
     params: tuple[float, float] | None = None  # (theta, phi) for qubits, else None
 
 
-def _grid_rows(n: int) -> int:
-    """Number of leading theta rows of the n x n qubit grid that are evaluated.
-
-    Measuring along the Bloch direction -u only swaps the two outcomes, so
-    J(-u) = J(u). With an even n the antipode of grid point (theta_i, phi_j)
-    is the grid point (theta_{n-1-i}, phi_{j+n/2}), which has the smaller
-    flat index whenever i >= n / 2; skipping those rows leaves the argmax
-    and its tie-break unchanged. An odd n puts the antipodes of all but the
-    poles off the grid, so every row is kept.
-    """
-    return n // 2 if n % 2 == 0 else n
-
-
 def grid_search_qubit(rho: DensityMatrix, k: int,
                       n: int = 128) -> tuple[float, float, float]:
     """Best J over an n x n grid: inclusive theta, periodic phi.
 
     Ties within 1e-12 break to the lexicographically smallest (theta, phi).
-    Only the first `_grid_rows` theta rows are evaluated (half the sphere
-    when n is even).
+    Only the points `_grid_points` keeps are evaluated: the upper half of the
+    sphere when n is even, the pole and every row between the poles when n
+    is odd.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+    if not (is_integer(n) and n >= 1):
         raise ParamOutOfRange(f"grid size must be an integer > 0, got {n!r}")
     ev = _JEvaluator.of(CQEnsemble.of(rho), k)
     if ev.dk != 2:
         raise NotAQubit(f"subsystem {k} has dimension {ev.dk}")
-    angles, bases = _grid_points(np.linspace(0.0, math.pi, n)[:_grid_rows(n)],
-                                 np.arange(n) * (2 * math.pi / n))
+    angles, bases = _grid_points(n, n)
     (j,) = _grid_j(ev, bases)
     best = _first_best(j)
     theta, phi = angles[best]
     return float(theta), float(phi), float(j[best])
 
 
-def _grid_points(thetas: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The points thetas x phis, theta major, as (theta, phi) pairs and their `basis_vectors`.
+def _grid_points(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows x cols grid over [0, pi] x [0, 2 pi), theta major, less its repeats.
 
-    A theta = 0 row keeps only its first point: the others are the same pole.
-    A theta = pi/2 row of an even number of phis keeps its first half: phi
-    column j + n/2 of the equator is the antipode of column j, of equal J,
-    and the tie rule picks the earlier one. An odd count keeps the row whole.
+    Returns the kept points as (theta, phi) pairs and their `basis_vectors`.
+    Measuring along the Bloch direction -u only swaps the two outcomes, so
+    J(-u) = J(u): a point is dropped if an earlier point has its direction
+    or its antipode, which leaves the argmax and its tie rule unchanged.
+    Every point of rows 0 and rows - 1 is a pole, so only the first point of
+    those rows is kept. The antipode of any other point (theta_i, phi_j) is
+    (theta_{rows-1-i}, phi_{j+cols/2}), on the grid only when cols is even.
     """
-    tt, pp = [a.ravel() for a in np.meshgrid(thetas, phis, indexing='ij')]
-    column = np.tile(np.arange(len(phis)), len(thetas))
-    keep = (tt != 0) | (column == 0)
-    if len(phis) % 2 == 0:
-        keep &= (tt != math.pi / 2) | (column < len(phis) // 2)
-    tt, pp = tt[keep], pp[keep]
+    flat = np.arange(rows * cols)
+    i, j = np.divmod(flat, cols)
+    antipode = (rows - 1 - i) * cols + (j + cols // 2) % cols
+    keep = np.where((i == 0) | (i == rows - 1), flat == 0, (cols % 2 == 1) | (antipode > flat))
+    tt, pp = np.linspace(0.0, math.pi, rows)[i[keep]], j[keep] * (2 * math.pi / cols)
     return np.stack([tt, pp], axis=1), np.stack(basis_vectors(tt, pp), axis=1)
 
 
 @functools.cache
 def _start_points(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_grid_points` of the rows x cols start grid over [0, pi/2] x [0, 2 pi), built once."""
-    points = _grid_points(np.linspace(0.0, math.pi / 2, rows),
-                          np.arange(cols) * (2 * math.pi / cols))
+    """`_grid_points` of the rows x cols start grid, built once."""
+    points = _grid_points(rows, cols)
     for a in points:
         a.flags.writeable = False
     return points
@@ -293,84 +281,88 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum('mab,mab->m', x.conj(), y).real
 
 
+def _climb(ev: _JEvaluator, v: np.ndarray, x: np.ndarray, d: np.ndarray, j: np.ndarray,
+           on: np.ndarray, n_problems: int,
+           ending: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The trial each basis V keeps of its ladder exp(t D) V, its J, and whether it gained.
+
+    The `_LADDER` trials are one `j_bases` call; `on` holds each basis's
+    problem in `ev`, and `j` its J. The best trial gaining at least `_ARMIJO`
+    t <X, D> is kept, and it gained if it gains more than `_GAIN_FLOOR`. A
+    basis marked `ending` keeps its t = 1 trial, its only trial evaluated.
+    """
+    trials = _rotations(d, _LADDER[None]) @ v[:, None]
+    if ending.any():
+        # an ending search's other trials are never read
+        keep = ~ending[:, None] | (np.arange(_LADDER.size) == _UNIT_TRIAL)
+        counts = np.bincount(on, weights=keep.sum(axis=1), minlength=n_problems)
+        values = np.full(keep.shape, -np.inf)
+        values[keep] = ev.j_bases(trials[keep], counts.astype(int).tolist())
+    else:
+        counts = np.bincount(on, minlength=n_problems) * _LADDER.size
+        values = ev.j_bases(trials.reshape((-1,) + v.shape[1:]),
+                            counts.tolist()).reshape(trials.shape[:2])
+    gain = values - j[:, None]
+    armijo = gain >= _ARMIJO * _LADDER * _inner(x, d)[:, None]
+    pick = np.where(armijo, values, -np.inf).argmax(axis=1)
+    pick[ending] = _UNIT_TRIAL
+    rows = np.arange(len(v))
+    return (trials[rows, pick], values[rows, pick],
+            armijo[rows, pick] & (gain[rows, pick] > _GAIN_FLOOR))
+
+
 def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
             counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Riemannian ascent of J from every basis of the stack, all in lockstep.
 
-    A round moves a live basis V (vectors as rows) to exp(t D) V, with the
-    gradient X and the saddle-free Newton direction D from one `_directions`
-    call, at the `_LADDER` multiples t of D; the trials are one `j_bases`
-    call. The best trial gaining at least `_ARMIJO` t <X, D> is accepted.
-    Where the model's predicted gain <X, D> / 2 is at most `_MODEL_FLOOR`,
-    the search ends on its t = 1 trial, whatever that trial gains, so that
-    trial is the only one of the round it evaluates. A round in which every
-    live search ends rotates and evaluates only those trials and stops; one
-    in which some end masks their other trials out of the one `j_bases`
-    stack, and one in which none ends evaluates every ladder. A round with
-    no trial gaining more than `_GAIN_FLOOR` is retried once from the
-    same point along the X it computed, its trials turning by the `_LADDER`
-    multiples of that round's shortest trial, so a ridge narrower than the
-    model's step is still climbed; a failed retry ends the search, as do
-    `_MAX_ROUNDS` rounds. Each search keeps its own X, so the lockstep run
-    equals the starts ascended one by one. `j` holds the starts' J, and
-    `counts` the number of starts of each problem in `ev`, the stack holding
-    problem 0's first. Returns the final bases and their J; `ev.evaluated`
-    counts the bases evaluated.
+    A round takes the gradient X and the saddle-free Newton direction D of
+    every live basis V (vectors as rows) from one `_directions` call, and
+    climbs the ladder of trials exp(t D) V (`_climb`). Where the model's
+    predicted gain <X, D> / 2 is at most `_MODEL_FLOOR`, the search ends on
+    its t = 1 trial, whatever that trial gains, so that trial is the only
+    one of the round it evaluates. A round in which every live search ends
+    rotates and evaluates only those trials and stops; one in which some
+    end masks their other trials out of the ladder's `j_bases` stack, and
+    one in which none ends evaluates every ladder. A search whose ladder
+    gains nothing climbs a second ladder in the same round, from the same
+    point along its X, whose trials turn by the `_LADDER` multiples of its
+    shortest trial's turn, so a ridge narrower than the model's step is
+    still climbed; a failed retry ends the search, as do `_MAX_ROUNDS`
+    rounds. A search carries only its basis and J from round to round, so
+    the lockstep run equals the starts ascended one by one. `j` holds the
+    starts' J, and `counts` the number of starts of each problem in `ev`,
+    the stack holding problem 0's first. Returns the final bases and their
+    J; `ev.evaluated` counts the bases evaluated.
     """
     bases, j = bases.copy(), np.array(j, dtype=float)
     problem = np.repeat(np.arange(len(counts)), counts)
-    # each search's X and direction D from its last failed round
-    last_x, last_d = np.zeros_like(bases), np.zeros_like(bases)
-    retry = np.zeros(len(bases), dtype=bool)
     live = np.arange(len(bases))
     for _ in range(_MAX_ROUNDS):
         if live.size == 0:
             break
-        v, on, again = bases[live], problem[live], retry[live]
+        v, on = bases[live], problem[live]
         live_counts = np.bincount(on, minlength=len(counts)).tolist()
-        if again.any():
-            x, d, fresh = last_x[live], last_d[live], ~again
-            if fresh.any():
-                fresh_counts = np.bincount(on[fresh], minlength=len(counts)).tolist()
-                x[fresh], d[fresh] = _directions(ev, v[fresh], fresh_counts)
-        else:
-            x, d = _directions(ev, v, live_counts)
-        slope = _inner(x, d)
-        done = ~again & (slope / 2 <= _MODEL_FLOOR)
+        x, d = _directions(ev, v, live_counts)
+        done = _inner(x, d) / 2 <= _MODEL_FLOOR
         if done.all():
             # the last round: every live search ends on its t = 1 trial alone
             unit = _rotations(d, _LADDER[None, _UNIT_TRIAL:_UNIT_TRIAL + 1]) @ v[:, None]
             bases[live] = unit[:, 0]
             j[live] = ev.j_bases(unit[:, 0], live_counts)
             break
-        trials = _rotations(d, _LADDER[None]) @ v[:, None]
-        if done.any():
-            # an ending search's other trials are never read
-            keep = ~done[:, None] | (np.arange(_LADDER.size) == _UNIT_TRIAL)
-            trial_counts = np.bincount(on, weights=keep.sum(axis=1), minlength=len(counts))
-            values = np.full(keep.shape, -np.inf)
-            values[keep] = ev.j_bases(trials[keep], trial_counts.astype(int).tolist())
-        else:
-            values = ev.j_bases(trials.reshape((-1,) + v.shape[1:]),
-                                [c * _LADDER.size for c in live_counts]).reshape(trials.shape[:2])
-        gain = values - j[live, None]
-        armijo = gain >= _ARMIJO * _LADDER * slope[:, None]
-        pick = np.where(armijo, values, -np.inf).argmax(axis=1)
-        rows = np.arange(live.size)
-        moved = armijo[rows, pick] & (gain[rows, pick] > _GAIN_FLOOR)
-        pick[done] = _UNIT_TRIAL
-        retry[live] = fail = ~(again | moved | done)
+        found, values, moved = _climb(ev, v, x, d, j[live], on, len(counts), done)
+        fail = ~(moved | done)
         if fail.any():
-            # the retry's D is X scaled to the turn of the failed round's
-            # shortest trial, |s| / 16: |D| = sqrt(2) |s| and |X| = sqrt(2) |g|
+            # the retry's D is X scaled to the turn of the shortest trial,
+            # |s| / 16: |D| = sqrt(2) |s| and |X| = sqrt(2) |g|
             back = x[fail]
             turn = _LADDER[-1] * np.sqrt(_inner(d[fail], d[fail]) / 2)
-            last_x[live[fail]] = back
-            last_d[live[fail]] = back * (turn / np.sqrt(_inner(back, back) / 2))[:, None, None]
-        rows, pick = rows[moved | done], pick[moved | done]
-        bases[live[rows]] = trials[rows, pick]
-        j[live[rows]] = values[rows, pick]
-        live = live[~done & (moved | ~again)]
+            back_d = back * (turn / np.sqrt(_inner(back, back) / 2))[:, None, None]
+            found[fail], values[fail], moved[fail] = _climb(
+                ev, v[fail], back, back_d, j[live[fail]], on[fail], len(counts), done[fail])
+        took = moved | done
+        bases[live[took]], j[live[took]] = found[took], values[took]
+        live = live[moved & ~done]
     return bases, j
 
 

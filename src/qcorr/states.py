@@ -54,7 +54,7 @@ class DensityMatrix:
 def _dims(dims: Sequence[int]) -> tuple[int, ...]:
     """`dims` as a tuple of ints, each an integer >= 2."""
     dims = tuple(dims)
-    if not all(isinstance(d, numbers.Integral) and d >= 2 for d in dims):
+    if not all(linalg.is_integer(d) and d >= 2 for d in dims):
         raise DimensionMismatch(f"subsystem dimensions must be integers >= 2, got {dims}")
     return tuple(int(d) for d in dims)
 
@@ -91,10 +91,10 @@ def from_pure(amplitudes, dims: Sequence[int]) -> DensityMatrix:
 
 
 def reduced(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state on the kept subsystems."""
-    keep = sorted(set(keep))
+    """Reduced state on the kept subsystems, a nonempty set of indices (else DimensionMismatch)."""
+    keep = set(keep)
     sub = linalg.partial_trace(rho.matrix, rho.dims, keep)
-    return from_dense(sub, [rho.dims[k] for k in keep])
+    return from_dense(sub, [rho.dims[k] for k in sorted(keep)])
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -209,10 +209,12 @@ def named(family: str, **params) -> DensityMatrix:
 
 def random_density(dims: Sequence[int], rng: np.random.Generator,
                    rank: int | None = None) -> DensityMatrix:
-    """Random full-rank (or rank-limited) state from a Ginibre ensemble."""
+    """Random state from a Ginibre ensemble, of full rank or of `rank`, an integer >= 1."""
     dims = _dims(dims)
     total = math.prod(dims)
-    rank = total if rank is None else rank
+    if rank is not None and not (linalg.is_integer(rank) and rank >= 1):
+        raise ParamOutOfRange(f"rank must be an integer >= 1, got {rank!r}")
+    rank = total if rank is None else int(rank)
     g = rng.standard_normal((total, rank)) + 1j * rng.standard_normal((total, rank))
     m = g @ g.conj().T
     return from_dense(m / np.trace(m).real, dims)

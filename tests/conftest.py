@@ -79,8 +79,7 @@ def last_round(d: int) -> int:
 
 def oracle_j(ens, k: int, n: int) -> float:
     """The best J of the n x n `grid_search_qubit` grid on qubit k of a cq ensemble."""
-    _, bases = optimizer._grid_points(np.linspace(0, math.pi, n)[:optimizer._grid_rows(n)],
-                                      np.arange(n) * (2 * math.pi / n))
+    _, bases = optimizer._grid_points(n, n)
     return float(optimizer._grid_j(optimizer._JEvaluator.of(ens, k), bases).max())
 
 

@@ -9,7 +9,7 @@ from conftest import (count_evaluations, count_searches, last_round, per_round,
                       random_bell_diagonal, random_unitary)
 from qcorr import (OptimizerConfig, correlations, infotheory, measurement,
                    optimizer, states)
-from qcorr.errors import BadOrder
+from qcorr.errors import BadOrder, ParamOutOfRange
 
 PAPER_DA = 0.6008760366928562
 PAPER_DB_STEP2 = 0.2017520733857121
@@ -420,6 +420,13 @@ class TestClassify:
     def test_rejects_multipartite(self, rng):
         with pytest.raises(BadOrder):
             correlations.classify(states.random_density((2, 2, 2), rng))
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, True, "1e-6"])
+    def test_rejects_a_tol_that_is_not_a_finite_real_at_least_zero(self, tol):
+        # a product state was labelled "discordant" at nan and at -1
+        rho = states.named("product", bloch=[[0, 0, 1], [1, 0, 0]])
+        with pytest.raises(ParamOutOfRange):
+            correlations.classify(rho, tol=tol)
 
 
 def test_full_report_takes_subsystem_zero_from_step_zero(monkeypatch, rng):

@@ -56,9 +56,15 @@ def qubit_basis(theta, phi):
     return np.array(measurement.basis_vectors(theta, phi))
 
 
-def grid_best(ev, thetas, phis):
-    """The first basis of the grid thetas x phis within 1e-12 of its best J, and that J."""
-    _, bases = optimizer._grid_points(thetas, phis)
+def full_grid(rows, cols):
+    """Every (theta, phi) of the rows x cols grid over [0, pi] x [0, 2 pi), theta major."""
+    return [a.ravel() for a in np.meshgrid(np.linspace(0, math.pi, rows),
+                                           np.arange(cols) * (2 * math.pi / cols), indexing='ij')]
+
+
+def grid_best(ev, rows, cols):
+    """The first basis of the rows x cols `_grid_points` within 1e-12 of its best J, and that J."""
+    _, bases = optimizer._grid_points(rows, cols)
     (j,) = optimizer._grid_j(ev, bases)
     best = optimizer._first_best(j)
     return bases[best], j[best]
@@ -145,8 +151,37 @@ class TestGridSearchQubit:
     @pytest.mark.parametrize("cols, kept", [(16, 8), (15, 15)])
     def test_the_equator_drops_its_antipodal_half_when_even(self, cols, kept):
         phis = np.arange(cols) * (2 * math.pi / cols)
-        angles, _ = optimizer._grid_points(np.array([math.pi / 4, math.pi / 2]), phis)
-        assert angles[cols:].tolist() == [[math.pi / 2, phi] for phi in phis[:kept]]
+        angles, _ = optimizer._grid_points(5, cols)
+        equator = angles[angles[:, 0] == math.pi / 2]
+        assert equator.tolist() == [[math.pi / 2, phi] for phi in phis[:kept]]
+
+    @pytest.mark.parametrize("rows, cols", [(9, 16), (8, 8), (7, 7), (6, 5), (5, 6),
+                                            (2, 3), (1, 4), (3, 1)])
+    def test_the_grid_drops_exactly_its_repeated_directions_and_antipodes(self, rows, cols):
+        # the whole rows x cols grid, theta major: a point is kept iff no
+        # earlier point has its Bloch direction or its antipode
+        tt, pp = full_grid(rows, cols)
+        bloch = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=1)
+        overlaps = np.abs(bloch @ bloch.T)
+        repeats = np.tril(overlaps > 1 - 1e-9, k=-1).any(axis=1)
+        angles, bases = optimizer._grid_points(rows, cols)
+        assert angles.tolist() == np.stack([tt, pp], axis=1)[~repeats].tolist()
+        assert bases.tobytes() == np.stack(measurement.basis_vectors(*angles.T),
+                                           axis=1).tobytes()
+
+    @pytest.mark.parametrize("n", [5, 7, 129])
+    def test_an_odd_grid_evaluates_its_south_pole_once(self, monkeypatch, n):
+        # the south pole's row repeats the antipode of the north pole, so an
+        # odd n x n grid evaluates the pole and n - 2 full rows, and its best
+        # is that of every point of the grid
+        rho = states.random_density((2, 3), np.random.default_rng([21, n]), rank=2)
+        ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
+        tt, pp = full_grid(n, n)
+        (j,) = optimizer._grid_j(ev, np.stack(measurement.basis_vectors(tt, pp), axis=1))
+        best = optimizer._first_best(j)
+        counted = count_evaluations(monkeypatch)
+        assert optimizer.grid_search_qubit(rho, 0, n) == (tt[best], pp[best], j[best])
+        assert sum(counted) == 1 + n * (n - 2)
 
     def test_dropped_equator_points_match_their_antipodes(self):
         # column j + cols/2 of the equator is the antipode of column j
@@ -337,22 +372,20 @@ class TestOptimizeMeasurement:
         assert res.measurement.subsystem_dim == 3
         assert res.j_value <= infotheory.mutual_information(rho) + 1e-9
 
-    @pytest.mark.parametrize("n, grid_evals", [(8, 21), (7, 43), (None, 57)])
+    @pytest.mark.parametrize("n, grid_evals", [(8, 25), (7, 36), (None, 57)])
     def test_iterations_count_evaluations(self, rng, monkeypatch, n, grid_evals):
-        # the start grid's directions (theta rows over [0, pi/2] by phi
-        # columns, the pole counted once, an even equator's first half),
-        # then the ascent; a start grid of n phi columns is given the theta
-        # rows of the n-point oracle grid
+        # the start grid's directions (the points `_grid_points` keeps: the
+        # pole once, then of an even column count the rows above the equator
+        # and the equator's first half, of an odd one every row but the
+        # poles'), then the ascent; an n x n start grid is the oracle's
         if n is None:
             grid = optimizer._START_GRID
         else:
-            grid = (optimizer._grid_rows(n), n)
+            grid = (n, n)
             monkeypatch.setattr(optimizer, "_START_GRID", grid)
         rho = states.random_density((2, 2), rng)
         ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
-        rows, cols = grid
-        start, _ = grid_best(ev, np.linspace(0, math.pi / 2, rows),
-                             np.arange(cols) * (2 * math.pi / cols))
+        start, _ = grid_best(ev, *grid)
         _, _, ascent_evals = ascend(rho, 0, [start])
         res = optimizer.optimize_measurement(rho, 0)
         assert ascent_evals > 0
@@ -587,10 +620,11 @@ class TestQuditRestarts:
         assert res.iterations <= max_evals
 
     def test_a_failed_newton_round_retries_along_the_x_it_computed(self, monkeypatch):
-        # the retry steps along the gradient that round computed, so some
-        # search-rounds take no gradient; each gradient counts with the
-        # d(d-1) of its Hessian, each trial once. On this rank-2 4x2 state
-        # two of the four default starts fail one round
+        # a round whose ladder gains nothing retries in itself along the
+        # gradient it computed, so some turned bases take no gradient of their
+        # own; each gradient counts with the d(d-1) of its Hessian, each trial
+        # once. On this rank-2 4x2 state two of the four default starts fail
+        # one round
         rho = states.random_density((4, 2), np.random.default_rng([2016, 4]), rank=2)
         ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
         starts = optimizer._haar_bases(np.random.default_rng(0), 4, 4)
@@ -600,7 +634,8 @@ class TestQuditRestarts:
         monkeypatch.setattr(optimizer, "_directions",
                             lambda ev, v, counts: gradients.append(len(v))
                             or directions(ev, v, counts))
-        # every round turns each live search once, along its direction
+        # every round turns each live search along its direction, and each
+        # failed one again along its X
         monkeypatch.setattr(optimizer, "_rotations",
                             lambda a, t: rounds.append(len(a)) or rotations(a, t))
         monkeypatch.setattr(ev, "j_bases",
@@ -608,6 +643,29 @@ class TestQuditRestarts:
         optimizer._ascend(ev, starts, j0, alone(starts))
         assert sum(gradients) < sum(rounds)
         assert ev.evaluated == [len(starts) + (1 + 4 * 3) * sum(gradients) + sum(trials)]
+
+    def test_every_round_takes_the_directions_of_every_live_search(self, monkeypatch):
+        # a failed round retries in itself, so each round's one `_directions`
+        # call takes every live search, and the round's first turn, its
+        # Newton ladder, turns those same bases; only the retries of the two
+        # starts that fail a round turn bases that call did not take
+        rho = states.random_density((4, 2), np.random.default_rng([2016, 4]), rank=2)
+        ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
+        starts = optimizer._haar_bases(np.random.default_rng(0), 4, 4)
+        calls = []
+        directions, rotations = optimizer._directions, optimizer._rotations
+        monkeypatch.setattr(optimizer, "_directions",
+                            lambda ev, v, counts: calls.append(("directions", len(v)))
+                            or directions(ev, v, counts))
+        monkeypatch.setattr(optimizer, "_rotations",
+                            lambda a, t: calls.append(("rotations", len(a))) or rotations(a, t))
+        optimizer._ascend(ev, starts, ev.j_bases(starts, alone(starts)), alone(starts))
+        rounds = [i for i, (name, _) in enumerate(calls) if name == "directions"]
+        assert calls[0] == ("directions", len(starts))
+        assert all(calls[i + 1] == ("rotations", calls[i][1]) for i in rounds)
+        retried = [n for i, (name, n) in enumerate(calls)
+                   if name == "rotations" and i - 1 not in rounds]
+        assert sum(retried) == 2
 
     @pytest.mark.parametrize("rank", [None, 2])
     @pytest.mark.parametrize("dims, k", WAVE_SHAPES)
@@ -725,8 +783,7 @@ class TestGramView:
             m = measurement.ProjectiveMeasurement(basis)
             assert abs(ev.j_bases(basis[None], alone([basis]))[0] - reference_J(rho, k, m)) < 1e-12
         if rho.dims[k] == 2:
-            _, grid = optimizer._grid_points(np.linspace(0, math.pi, 32)[:16],
-                                             np.arange(32) * (math.pi / 16))
+            _, grid = optimizer._grid_points(32, 32)
             j, j_d = optimizer._grid_j(ev, grid), optimizer._grid_j(dense, grid)
             assert optimizer._first_best(j) == optimizer._first_best(j_d)
             assert np.abs(j - j_d).max() < 1e-12

@@ -146,6 +146,13 @@ class TestReducedAndTensor:
         rho = states.reduced(states.named("ghz", n=3), {1})
         assert np.abs(rho.matrix - np.eye(2) / 2).max() < 1e-12
 
+    @pytest.mark.parametrize("keep", [{True}, {0.5}, {0, 2}, set()])
+    def test_reduced_rejects_what_is_not_a_set_of_indices(self, keep):
+        # {True} used to give subsystem 1's state, {0.5} a bare TypeError
+        rho = states.random_density((2, 3), np.random.default_rng(21))
+        with pytest.raises(DimensionMismatch):
+            states.reduced(rho, keep)
+
     def test_tensor_dims(self):
         a = states.named("maximally_mixed", dims=[2])
         out = states.tensor(a, a)
@@ -159,6 +166,13 @@ def test_random_density_valid(rng):
         rho = states.random_density(dims, rng)
         assert rho.spectrum[0] >= -1e-9
         assert abs(np.trace(rho.matrix) - 1) < 1e-9
+
+
+@pytest.mark.parametrize("rank", [0, -1, 2.5, True])
+def test_random_density_rejects_a_rank_that_is_not_a_positive_integer(rng, rank):
+    # rank 0 used to fail in from_dense, -1 in numpy, 2.5 and True with a TypeError
+    with pytest.raises(ParamOutOfRange):
+        states.random_density((2, 2), rng, rank=rank)
 
 
 def test_random_bell_diagonal_marginals(rng):
