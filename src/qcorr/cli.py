@@ -299,7 +299,8 @@ def _verify_oracle(config, failures):
     res = optimizer.optimize_measurement(rho, 0, config)
     ev = measurement._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
     starts = optimizer._starts(4, config)
-    _, js = optimizer._ascend(ev, starts, ev.j_bases(starts, [len(starts)]), [len(starts)])
+    on = np.zeros(len(starts), dtype=int)
+    _, js = optimizer._ascend(ev, starts, ev.j_bases(starts, on), on)
     _check("oracle mixed 4x2 waves against every restart", abs(res.j_value - js.max()),
            1e-11, failures)
     # full_report ascends its searches on the unmeasured state in one batch,

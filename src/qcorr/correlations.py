@@ -15,7 +15,7 @@ import numpy as np
 from .errors import BadOrder, ParamOutOfRange
 from .infotheory import (ProbabilityTable, classical_mutual_information,
                          probability_table)
-from .linalg import is_integer
+from .linalg import as_tuple, is_integer
 from .measurement import CQEnsemble, ProjectiveMeasurement
 from .optimizer import (OptimalMeasurementResult, OptimizerConfig, _optimize,
                         optimize_measurement)
@@ -114,7 +114,7 @@ def _sequential_reports(ens: CQEnsemble, orders, config: OptimizerConfig,
     info = ens.mutual_information()
     checked = []
     for order in orders:
-        order = tuple(order)
+        order = as_tuple(order, "order", BadOrder)
         if (not all(is_integer(k) for k in order)
                 or sorted(order) != list(range(n))):
             raise BadOrder(f"{order} is not a permutation of 0..{n - 1}")

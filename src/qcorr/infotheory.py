@@ -46,7 +46,7 @@ def probability_table(probs, dims: Sequence[int]) -> ProbabilityTable:
     `probs` must have prod(dims) finite entries, none below -1e-12, that sum
     to 1 within 1e-9; negative dust is clamped to 0. Raises NotADistribution.
     """
-    dims = tuple(dims)
+    dims = linalg.as_tuple(dims, "outcome dims", NotADistribution)
     if not all(linalg.is_integer(d) and d >= 1 for d in dims):
         raise NotADistribution(f"outcome dims must be integers >= 1, got {dims}")
     dims = tuple(int(d) for d in dims)

@@ -22,6 +22,15 @@ def is_integer(k) -> bool:
     return isinstance(k, numbers.Integral) and not isinstance(k, bool)
 
 
+def as_tuple(items, what: str, error=DimensionMismatch) -> tuple:
+    """`items` as a tuple; a bare value that is not iterable, such as an int, raises `error`."""
+    try:
+        items = iter(items)
+    except TypeError:
+        raise error(f"{what} must be a sequence, got {items!r}") from None
+    return tuple(items)
+
+
 def as_array(entries, dtype=np.complex128, error=DimensionMismatch) -> np.ndarray:
     """Coerce to an array of `dtype`; ragged, non-numeric or non-finite entries raise `error`."""
     try:
@@ -58,8 +67,8 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
     Subsystem 0 is the leftmost (most significant) tensor factor; the row
     index decomposes big-endian over `dims`.
     """
-    dims = list(dims)
-    keep = set(keep)
+    dims = list(as_tuple(dims, "dims"))
+    keep = set(as_tuple(keep, "keep"))
     n = len(dims)
     total = int(np.prod(dims))
     m = as_matrix(m)

@@ -146,7 +146,7 @@ def induced_J(rho: DensityMatrix, k: int, m: ProjectiveMeasurement) -> float:
     information of the non-selective channel output.
     """
     _check_dims(rho, k, m)
-    return float(_JEvaluator.of(CQEnsemble.of(rho), k).j_bases(m.basis[None], [1])[0])
+    return float(_JEvaluator.of(CQEnsemble.of(rho), k).j_bases(m.basis[None], [0])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,14 +320,29 @@ def _small_log(blocks: np.ndarray, traces: np.ndarray, safe: np.ndarray) -> np.n
     return out
 
 
+def _view(ens: CQEnsemble, k: int) -> tuple[np.ndarray, float]:
+    """The view of subsystem k of `ens` that `_JEvaluator` reads, and S of the rest.
+
+    The view is the Gram one when the factors have fewer columns than
+    d_rest, the dense one otherwise; S of the rest is the sum of the other
+    subsystems' marginal entropies.
+    """
+    f = ens.factor_view(k)
+    if f.shape[3] < f.shape[2]:
+        view = np.einsum('lcbx,laby->laxcy', f.conj(), f)
+    else:
+        view = np.einsum('laxr,lcyr->laxcy', f, f.conj())
+    return view, sum(s for j, s in enumerate(ens.marginal_entropies) if j != k)
+
+
 class _JEvaluator:
     """J for measurements on an unmeasured subsystem k of a cq ensemble, for P such problems.
 
-    `view` is linear in the outcome vector's outer product: the outcome block
-    of leaf i and vector v is sum_{a,c} conj(v_a) view[i, a, :, c, :] v_c.
-    With the leaf factors split by the rows of subsystem k into F_a
-    (d_rest x r), where d_rest counts only the unmeasured subsystems other
-    than k, it is one of two views of the same spectra:
+    Each problem's view is linear in the outcome vector's outer product: the
+    outcome block of leaf i and vector v is sum_{a,c} conj(v_a) view[i, a,
+    :, c, :] v_c. With the leaf factors split by the rows of subsystem k
+    into F_a (d_rest x r), where d_rest counts only the unmeasured
+    subsystems other than k, it is one of two views of the same spectra:
 
     - dense, (L, d_k, d_rest, d_k, d_rest): view[a, :, c, :] = F_a F_c^dagger,
       so the block is <v| W_i |v>;
@@ -335,69 +350,53 @@ class _JEvaluator:
       block is Phi^dagger Phi for Phi = <v| F_i, whose nonzero spectrum is
       that of the dense block Phi Phi^dagger.
 
-    `of` takes the Gram view when r < d_rest, the dense one otherwise. J and
-    its gradient read either alike. A state nobody has measured is L = 1.
-    The evaluator keeps the view only in the layout of its one GEMM,
-    (c, (a, L, b, b)).
+    `_view` takes the Gram view when r < d_rest, the dense one otherwise. J
+    and its gradient read either alike. A state nobody has measured is L =
+    1. The P views share one `shape` (d_k, L, b, b), and the evaluator keeps
+    each only in the layout of its one GEMM, (c, (a, L, b, b)), with its
+    problem's `rest_entropy`; `of` is the evaluator of one problem.
 
-    `stack` joins the evaluators of P problems of one `shape` (d_k, L, b, b),
-    each keeping its layout and its `rest_entropy`; one evaluator of `of` is
-    P = 1. A stack of bases given to `j_bases` or `gradient` is ordered
-    problem by problem: its first counts[0] bases are problem 0's, the next
-    counts[1] problem 1's, and so on ([n] when P = 1). Each problem's bases
-    take one GEMM against its own layout, the GEMM of its bases alone.
-    `evaluated[p]` counts the bases of problem p whose J or gradient the
-    evaluator has taken; a stack starts from its evaluators' counts.
+    A stack of bases given to `j_bases` or `gradient` comes with `on`, the
+    problem of each basis, non-decreasing: problem 0's bases first. Each
+    problem's bases take one GEMM against its own layout, the GEMM of its
+    bases alone. `evaluated[p]` counts the bases of problem p whose J or
+    gradient the evaluator has taken.
     """
 
-    def __init__(self, view: np.ndarray, rest_entropy: float):
-        n_leaves, self.dk, b = view.shape[:3]
+    def __init__(self, views: list[np.ndarray], rest_entropies: list[float]):
+        n_leaves, self.dk, b = views[0].shape[:3]
         self._leaf_shape = (n_leaves, b, b)
-        self._by_c = (np.ascontiguousarray(view.transpose(3, 1, 0, 2, 4)).reshape(self.dk, -1),)
-        self.rest_entropy = np.array([rest_entropy], dtype=float)
-        self.evaluated = [0]
+        self._by_c = [np.ascontiguousarray(view.transpose(3, 1, 0, 2, 4)).reshape(self.dk, -1)
+                      for view in views]
+        self.rest_entropy = np.array(rest_entropies, dtype=float)
+        self.evaluated = [0] * len(views)
 
     @classmethod
     def of(cls, ens: CQEnsemble, k: int) -> _JEvaluator:
-        """The evaluator on subsystem k of `ens`, reading the smaller view."""
-        f = ens.factor_view(k)
-        if f.shape[3] < f.shape[2]:
-            view = np.einsum('lcbx,laby->laxcy', f.conj(), f)
-        else:
-            view = np.einsum('laxr,lcyr->laxcy', f, f.conj())
-        return cls(view, sum(s for j, s in enumerate(ens.marginal_entropies) if j != k))
-
-    @classmethod
-    def stack(cls, evaluators: list[_JEvaluator]) -> _JEvaluator:
-        """One evaluator of the problems of `evaluators`, in order; they share `shape`."""
-        if len(evaluators) == 1:
-            return evaluators[0]
-        ev = object.__new__(cls)
-        ev.dk, ev._leaf_shape = evaluators[0].dk, evaluators[0]._leaf_shape
-        ev._by_c = sum((e._by_c for e in evaluators), ())
-        ev.rest_entropy = np.concatenate([e.rest_entropy for e in evaluators])
-        ev.evaluated = sum((e.evaluated for e in evaluators), [])
-        return ev
+        """The evaluator of the one problem of subsystem k of `ens`."""
+        view, rest_entropy = _view(ens, k)
+        return cls([view], [rest_entropy])
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """(d_k, L, b, b): problems of one shape can share a stack."""
+        """(d_k, L, b, b), the shape of every problem's view."""
         return (self.dk,) + self._leaf_shape
 
-    def _half_blocks(self, bases: np.ndarray, counts: list[int]) -> np.ndarray:
+    def _half_blocks(self, bases: np.ndarray, on: np.ndarray) -> np.ndarray:
         """T[a, n, x] = sum_c v_{n,a,c} view[:, x, :, c, :], as (d_k, n, d_k, L b b).
 
         One GEMM per problem of its slice of the stacked outcome vectors
-        (n, d_k, d_k), vectors as rows, against that problem's layout.
-        Each problem's count is added to `evaluated`.
+        (n, d_k, d_k), vectors as rows, against that problem's layout; `on`
+        holds each basis's problem. Each problem's bases are added to
+        `evaluated`.
         """
         dk = bases.shape[1]
         parts, lo = [], 0
-        for p, (by_c, count) in enumerate(zip(self._by_c, counts)):
+        for p, count in enumerate(np.bincount(on, minlength=len(self._by_c)).tolist()):
             self.evaluated[p] += count
             if count:
                 rows = bases[lo:lo + count].swapaxes(0, 1).reshape(dk * count, dk)
-                parts.append((rows @ by_c).reshape(dk, count, dk, -1))
+                parts.append((rows @ self._by_c[p]).reshape(dk, count, dk, -1))
                 lo += count
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
@@ -412,12 +411,12 @@ class _JEvaluator:
         blocks = bases.conj().swapaxes(0, 1)[:, :, None] @ half
         return blocks.reshape((dk, n) + self._leaf_shape)
 
-    def j_bases(self, bases: np.ndarray, counts: list[int]) -> np.ndarray:
-        """J for every basis of the stack `bases` (n, d_k, d_k), vectors as rows."""
-        blocks = self._blocks(bases, self._half_blocks(bases, counts))
-        return self.rest_entropy.repeat(counts) - _conditional_entropy(blocks)
+    def j_bases(self, bases: np.ndarray, on: np.ndarray) -> np.ndarray:
+        """J for every basis of the stack `bases` (n, d_k, d_k), vectors as rows, of problem `on`."""
+        blocks = self._blocks(bases, self._half_blocks(bases, on))
+        return self.rest_entropy[on] - _conditional_entropy(blocks)
 
-    def gradient(self, bases: np.ndarray, counts: list[int]) -> np.ndarray:
+    def gradient(self, bases: np.ndarray, on: np.ndarray) -> np.ndarray:
         """dJ/d conj(bases) for every basis of the stack, in its layout.
 
         Row a is sum_i Tr_rest[log2(B_ai / q_a) W_i] v_a, with B_ai the
@@ -430,7 +429,7 @@ class _JEvaluator:
         T[a] contracted with the transpose of log2(B_a / q_a), one
         matrix-vector product per (a, n).
         """
-        half = self._half_blocks(bases, counts)
+        half = self._half_blocks(bases, on)
         blocks = self._blocks(bases, half)
         traces = np.einsum('...ii->...', blocks.real)
         probs = traces.sum(axis=-1)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import NotAQubit, ParamOutOfRange
 from .linalg import is_integer
-from .measurement import (CQEnsemble, ProjectiveMeasurement, _JEvaluator,
+from .measurement import (CQEnsemble, ProjectiveMeasurement, _JEvaluator, _view,
                           basis_vectors)
 from .states import DensityMatrix
 
@@ -180,8 +180,7 @@ def _grid_j(ev: _JEvaluator, bases: np.ndarray) -> np.ndarray:
     for lo in range(0, j.size, chunk):
         hi = min(lo + chunk, j.size)
         pairs = np.arange(lo, hi)
-        j[lo:hi] = ev.j_bases(bases[pairs % g],
-                              np.bincount(pairs // g, minlength=n_problems).tolist())
+        j[lo:hi] = ev.j_bases(bases[pairs % g], pairs // g)
     return j.reshape(n_problems, g)
 
 
@@ -237,8 +236,7 @@ def _generators(d: int) -> tuple[np.ndarray, np.ndarray]:
     return gens, turns
 
 
-def _directions(ev: _JEvaluator, v: np.ndarray,
-                counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _directions(ev: _JEvaluator, v: np.ndarray, on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients X of the bases v and their saddle-free Newton directions D.
 
     Both are in the fixed left frame, where a basis V moves to exp(t D) V:
@@ -246,21 +244,20 @@ def _directions(ev: _JEvaluator, v: np.ndarray,
     G = dJ/d conj(V). In the coordinates s of sum_p s_p E_p over the
     `_generators`, the gradient is g_p = <E_p, X> / 2, and the Hessian H
     comes from forward differences of g along exp(h E_q) V: d(d-1) more
-    gradients in the same call, each basis followed by its turns, so each
-    problem's rows stay one slice (`counts` holds each problem's number of
-    bases, in `ev`'s order). D has s = -H'^{-1} g, where H' is H with each
-    eigenvalue lambda_i taken as -max(|lambda_i|, `_FLAT_CURVATURE`
-    max |lambda|): the Newton step where H is negative definite, and an
-    ascent direction everywhere (Dauphin et al., NeurIPS 2014). A
-    rank-deficient marginal of the measured subsystem makes some directions
-    exactly flat, which the floor keeps finite. s is scaled down to at most
-    `_MAX_TURN`, half the pi/2 turn along one generator that swaps two
-    outcomes.
+    gradients in the same call, each basis followed by its turns, so the
+    rows keep the order of `on`, each basis's problem in `ev`. D has
+    s = -H'^{-1} g, where H' is H with each eigenvalue lambda_i taken as
+    -max(|lambda_i|, `_FLAT_CURVATURE` max |lambda|): the Newton step where
+    H is negative definite, and an ascent direction everywhere (Dauphin et
+    al., NeurIPS 2014). A rank-deficient marginal of the measured subsystem
+    makes some directions exactly flat, which the floor keeps finite. s is
+    scaled down to at most `_MAX_TURN`, half the pi/2 turn along one
+    generator that swaps two outcomes.
     """
     m, dk = len(v), v.shape[-1]
     gens, turns = _generators(dk)
     v = np.concatenate([v[:, None], turns @ v[:, None]], axis=1).reshape(-1, dk, dk)
-    x = ev.gradient(v, [c * (1 + len(gens)) for c in counts]) @ v.conj().swapaxes(-1, -2)
+    x = ev.gradient(v, on.repeat(1 + len(gens))) @ v.conj().swapaxes(-1, -2)
     x -= x.conj().swapaxes(-1, -2)
     g = np.einsum('pab,nab->np', gens.conj(), x).real.reshape(m, 1 + len(gens), -1) / 2
     h = (g[:, 1:] - g[:, :1]) / _FD_STEP
@@ -282,8 +279,7 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _climb(ev: _JEvaluator, v: np.ndarray, x: np.ndarray, d: np.ndarray, j: np.ndarray,
-           on: np.ndarray, n_problems: int,
-           ending: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+           on: np.ndarray, ending: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The trial each basis V keeps of its ladder exp(t D) V, its J, and whether it gained.
 
     The `_LADDER` trials are one `j_bases` call; `on` holds each basis's
@@ -295,13 +291,11 @@ def _climb(ev: _JEvaluator, v: np.ndarray, x: np.ndarray, d: np.ndarray, j: np.n
     if ending.any():
         # an ending search's other trials are never read
         keep = ~ending[:, None] | (np.arange(_LADDER.size) == _UNIT_TRIAL)
-        counts = np.bincount(on, weights=keep.sum(axis=1), minlength=n_problems)
         values = np.full(keep.shape, -np.inf)
-        values[keep] = ev.j_bases(trials[keep], counts.astype(int).tolist())
+        values[keep] = ev.j_bases(trials[keep], np.broadcast_to(on[:, None], keep.shape)[keep])
     else:
-        counts = np.bincount(on, minlength=n_problems) * _LADDER.size
         values = ev.j_bases(trials.reshape((-1,) + v.shape[1:]),
-                            counts.tolist()).reshape(trials.shape[:2])
+                            on.repeat(_LADDER.size)).reshape(trials.shape[:2])
     gain = values - j[:, None]
     armijo = gain >= _ARMIJO * _LADDER * _inner(x, d)[:, None]
     pick = np.where(armijo, values, -np.inf).argmax(axis=1)
@@ -312,7 +306,7 @@ def _climb(ev: _JEvaluator, v: np.ndarray, x: np.ndarray, d: np.ndarray, j: np.n
 
 
 def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
-            counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+            on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Riemannian ascent of J from every basis of the stack, all in lockstep.
 
     A round takes the gradient X and the saddle-free Newton direction D of
@@ -330,27 +324,25 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
     still climbed; a failed retry ends the search, as do `_MAX_ROUNDS`
     rounds. A search carries only its basis and J from round to round, so
     the lockstep run equals the starts ascended one by one. `j` holds the
-    starts' J, and `counts` the number of starts of each problem in `ev`,
-    the stack holding problem 0's first. Returns the final bases and their
-    J; `ev.evaluated` counts the bases evaluated.
+    starts' J, and `on` each start's problem in `ev`, problem 0's first.
+    Returns the final bases and their J; `ev.evaluated` counts the bases
+    evaluated.
     """
     bases, j = bases.copy(), np.array(j, dtype=float)
-    problem = np.repeat(np.arange(len(counts)), counts)
     live = np.arange(len(bases))
     for _ in range(_MAX_ROUNDS):
         if live.size == 0:
             break
-        v, on = bases[live], problem[live]
-        live_counts = np.bincount(on, minlength=len(counts)).tolist()
-        x, d = _directions(ev, v, live_counts)
+        v, v_on = bases[live], on[live]
+        x, d = _directions(ev, v, v_on)
         done = _inner(x, d) / 2 <= _MODEL_FLOOR
         if done.all():
             # the last round: every live search ends on its t = 1 trial alone
             unit = _rotations(d, _LADDER[None, _UNIT_TRIAL:_UNIT_TRIAL + 1]) @ v[:, None]
             bases[live] = unit[:, 0]
-            j[live] = ev.j_bases(unit[:, 0], live_counts)
+            j[live] = ev.j_bases(unit[:, 0], v_on)
             break
-        found, values, moved = _climb(ev, v, x, d, j[live], on, len(counts), done)
+        found, values, moved = _climb(ev, v, x, d, j[live], v_on, done)
         fail = ~(moved | done)
         if fail.any():
             # the retry's D is X scaled to the turn of the shortest trial,
@@ -359,7 +351,7 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
             turn = _LADDER[-1] * np.sqrt(_inner(d[fail], d[fail]) / 2)
             back_d = back * (turn / np.sqrt(_inner(back, back) / 2))[:, None, None]
             found[fail], values[fail], moved[fail] = _climb(
-                ev, v[fail], back, back_d, j[live[fail]], on[fail], len(counts), done[fail])
+                ev, v[fail], back, back_d, j[live[fail]], v_on[fail], done[fail])
         took = moved | done
         bases[live[took]], j[live[took]] = found[took], values[took]
         live = live[moved & ~done]
@@ -376,7 +368,7 @@ def _optimize(problems: list[tuple[CQEnsemble, int]],
               config: OptimizerConfig) -> list[OptimalMeasurementResult]:
     """optimize_measurement on unmeasured subsystem k of a cq ensemble, for each (ensemble, k).
 
-    The problems whose evaluators share a `shape` ascend in one lockstep,
+    The problems whose views share a shape ascend in one lockstep,
     each start keeping its own problem, so every result is that of its
     problem searched alone. A qubit problem starts from its own
     `_START_GRID` argmax (its J taken from the grid, so `oracle_gap` >= 0),
@@ -387,19 +379,20 @@ def _optimize(problems: list[tuple[CQEnsemble, int]],
     A problem of shape (d_k, 1, 1, 1), one leaf of 1 x 1 blocks, has J =
     `rest_entropy` for every basis (a pure state's first step), so it is not
     searched: it takes the first start, which every search of it returns.
-    Each group's evaluators are stacked once, and a result's `iterations` is
-    the stack's count of its problem's bases (`_JEvaluator.evaluated`).
+    Each group is one evaluator of its problems' views, and a result's
+    `iterations` is that evaluator's count of its problem's bases
+    (`_JEvaluator.evaluated`).
     """
     infos = [ens.mutual_information() for ens, _ in problems]
-    evs = [_JEvaluator.of(ens, k) for ens, k in problems]
+    views = [_view(ens, k) for ens, k in problems]
     groups = {}
-    for p, ev in enumerate(evs):
-        groups.setdefault(ev.shape, []).append(p)
+    for p, (view, _) in enumerate(views):
+        groups.setdefault(view.shape, []).append(p)
     results = [None] * len(problems)
-    for shape, members in groups.items():
-        ev = _JEvaluator.stack([evs[p] for p in members])
-        search = (_constant_searches if shape[1:] == (1, 1, 1)
-                  else _qubit_searches if shape[0] == 2 else _qudit_searches)
+    for members in groups.values():
+        ev = _JEvaluator(*zip(*(views[p] for p in members)))
+        search = (_constant_searches if ev.shape[1:] == (1, 1, 1)
+                  else _qubit_searches if ev.dk == 2 else _qudit_searches)
         bases, js, j_grid = search(ev, config)
         for i, (p, best) in enumerate(zip(members, _first_best(js))):
             j = float(js[i, best])
@@ -442,7 +435,7 @@ def _qubit_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
     j = _grid_j(ev, grid)
     best = _first_best(j)
     j_grid = j[np.arange(len(j)), best]
-    bases, js = _ascend(ev, grid[best], j_grid, [1] * len(j))
+    bases, js = _ascend(ev, grid[best], j_grid, np.arange(len(j)))
     return bases[:, None], js[:, None], j_grid
 
 
@@ -460,8 +453,8 @@ def _qudit_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
         wave = slice(lo, lo + _WAVE)
         n = len(starts[wave])
         rows = bases[live, wave].reshape(-1, ev.dk, ev.dk)
-        counts = (live * n).tolist()
-        found, j = _ascend(ev, rows, ev.j_bases(rows, counts), counts)
+        on = np.flatnonzero(live).repeat(n)
+        found, j = _ascend(ev, rows, ev.j_bases(rows, on), on)
         bases[live, wave] = found.reshape(-1, n, ev.dk, ev.dk)
         js[live, wave] = j.reshape(-1, n)
         seen = js[live]

@@ -53,7 +53,7 @@ class DensityMatrix:
 
 def _dims(dims: Sequence[int]) -> tuple[int, ...]:
     """`dims` as a tuple of ints, each an integer >= 2."""
-    dims = tuple(dims)
+    dims = linalg.as_tuple(dims, "subsystem dimensions")
     if not all(linalg.is_integer(d) and d >= 2 for d in dims):
         raise DimensionMismatch(f"subsystem dimensions must be integers >= 2, got {dims}")
     return tuple(int(d) for d in dims)
@@ -92,7 +92,7 @@ def from_pure(amplitudes, dims: Sequence[int]) -> DensityMatrix:
 
 def reduced(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept subsystems, a nonempty set of indices (else DimensionMismatch)."""
-    keep = set(keep)
+    keep = set(linalg.as_tuple(keep, "keep"))
     sub = linalg.partial_trace(rho.matrix, rho.dims, keep)
     return from_dense(sub, [rho.dims[k] for k in sorted(keep)])
 

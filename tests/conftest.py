@@ -132,9 +132,9 @@ def count_evaluations(monkeypatch) -> list:
     for name in ("j_bases", "gradient"):
         method = getattr(measurement._JEvaluator, name)
 
-        def counting(self, bases, counts, method=method):
+        def counting(self, bases, on, method=method):
             counted.append(len(bases))
-            return method(self, bases, counts)
+            return method(self, bases, on)
 
         monkeypatch.setattr(measurement._JEvaluator, name, counting)
     return counted

@@ -86,9 +86,10 @@ class TestSequentialMeasure:
         with pytest.raises(BadOrder):
             correlations.sequential_measure(paper_state, (0, 0))
 
-    @pytest.mark.parametrize("order", [[0, 1.5], [0.0, 1], ["0", 1], [True, False]])
+    @pytest.mark.parametrize("order", [[0, 1.5], [0.0, 1], ["0", 1], [True, False], 0])
     def test_order_must_be_integers(self, paper_state, order):
-        # [0, 1.5] used to run the order (0, 1), and [True, False] the order (1, 0)
+        # [0, 1.5] used to run the order (0, 1), [True, False] the order (1, 0),
+        # and 0 raised a bare TypeError
         with pytest.raises(BadOrder):
             correlations.sequential_measure(paper_state, order)
 

@@ -52,9 +52,10 @@ class TestProbabilityTable:
 
     @pytest.mark.parametrize("p, dims", [([[0.5], [0.5, 0]], (2, 2)), ([math.nan, 1], (2,)),
                                          (["a", 1], (2,)), ([0.5, 0.5], (3,)),
-                                         ([0.5, 0.5], (2.5,)), ([0.5, 0.5], (True, 2))],
+                                         ([0.5, 0.5], (2.5,)), ([0.5, 0.5], (True, 2)),
+                                         ([0.5, 0.5], 2)],
                              ids=["ragged", "nan", "not-a-number", "wrong-size",
-                                  "non-integer-dims", "bool-dims"])
+                                  "non-integer-dims", "bool-dims", "bare-integer-dims"])
     def test_rejects_what_is_not_a_table(self, p, dims):
         with pytest.raises(NotADistribution):
             infotheory.probability_table(p, dims)

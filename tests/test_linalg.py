@@ -139,6 +139,11 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatch):
             linalg.partial_trace(np.eye(4), [2, 2], set())
 
+    def test_a_bare_index_is_not_a_set_to_keep(self):
+        # it used to raise a bare TypeError: 'int' object is not iterable
+        with pytest.raises(DimensionMismatch):
+            linalg.partial_trace(np.eye(4) / 4, [2, 2], 1)
+
 
 def test_random_unitary_is_unitary(rng):
     u = random_unitary(4, rng)

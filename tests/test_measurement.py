@@ -350,18 +350,25 @@ SMALL_BLOCK_CASES = small_block_cases()
 def test_closed_form_gradient_matches_eigh(name, view, bases):
     # blocks of b <= 2 take log2(B / q) in closed form, with eigh's clamp and zero rule
     assert view.shape[2] <= 2
-    ev = measurement._JEvaluator(view, 0.0)
-    assert np.abs(ev.gradient(bases, [len(bases)]) - eigh_gradient(view, bases)).max() < 1e-12
+    ev = measurement._JEvaluator([view], [0.0])
+    on = np.zeros(len(bases), dtype=int)
+    assert np.abs(ev.gradient(bases, on) - eigh_gradient(view, bases)).max() < 1e-12
 
 
 def test_a_stack_counts_each_problems_bases(rng):
-    # both J and its gradient count each problem's bases, in stack order
+    # each basis is evaluated on the problem `on` names, as by that problem's
+    # evaluator alone, and both J and its gradient count each problem's bases
     ensembles = [measurement.CQEnsemble.of(states.random_density((2, 2), rng)) for _ in range(3)]
-    evs = [measurement._JEvaluator.of(ens, 0) for ens in ensembles]
-    ev = measurement._JEvaluator.stack(evs)
+    ev = measurement._JEvaluator(*zip(*(measurement._view(ens, 0) for ens in ensembles)))
     assert ev.evaluated == [0, 0, 0]
     bases = np.array([random_unitary(2, rng).T for _ in range(5)])
-    ev.j_bases(bases, [2, 0, 3])
+    on = np.array([0, 0, 2, 2, 2])
+    j = ev.j_bases(bases, on)
     assert ev.evaluated == [2, 0, 3]
-    ev.gradient(bases, [2, 0, 3])
+    grad = ev.gradient(bases, on)
     assert ev.evaluated == [4, 0, 6]
+    for p in (0, 2):
+        alone = measurement._JEvaluator.of(ensembles[p], 0)
+        mine = on == p
+        assert (j[mine] == alone.j_bases(bases[mine], on[mine] - p)).all()
+        assert (grad[mine] == alone.gradient(bases[mine], on[mine] - p)).all()

@@ -37,8 +37,8 @@ def reference_J(rho, k, m):
 
 
 def alone(bases):
-    """The problem counts of a stack of bases that are all one problem's."""
-    return [len(bases)]
+    """The problem index of each basis of a stack of bases that are all one problem's."""
+    return np.zeros(len(bases), dtype=int)
 
 
 def ascend(rho, k, starts):
@@ -201,8 +201,8 @@ class TestGridSearchQubit:
         sizes = []
         half_blocks = optimizer._JEvaluator._half_blocks
 
-        def spy(self, bases, counts):
-            out = half_blocks(self, bases, counts)
+        def spy(self, bases, on):
+            out = half_blocks(self, bases, on)
             sizes.append(out.size)
             return out
 
@@ -632,14 +632,14 @@ class TestQuditRestarts:
         gradients, rounds, trials = [], [], []
         directions, rotations, j_bases = optimizer._directions, optimizer._rotations, ev.j_bases
         monkeypatch.setattr(optimizer, "_directions",
-                            lambda ev, v, counts: gradients.append(len(v))
-                            or directions(ev, v, counts))
+                            lambda ev, v, on: gradients.append(len(v))
+                            or directions(ev, v, on))
         # every round turns each live search along its direction, and each
         # failed one again along its X
         monkeypatch.setattr(optimizer, "_rotations",
                             lambda a, t: rounds.append(len(a)) or rotations(a, t))
         monkeypatch.setattr(ev, "j_bases",
-                            lambda b, counts: trials.append(len(b)) or j_bases(b, counts))
+                            lambda b, on: trials.append(len(b)) or j_bases(b, on))
         optimizer._ascend(ev, starts, j0, alone(starts))
         assert sum(gradients) < sum(rounds)
         assert ev.evaluated == [len(starts) + (1 + 4 * 3) * sum(gradients) + sum(trials)]
@@ -655,8 +655,8 @@ class TestQuditRestarts:
         calls = []
         directions, rotations = optimizer._directions, optimizer._rotations
         monkeypatch.setattr(optimizer, "_directions",
-                            lambda ev, v, counts: calls.append(("directions", len(v)))
-                            or directions(ev, v, counts))
+                            lambda ev, v, on: calls.append(("directions", len(v)))
+                            or directions(ev, v, on))
         monkeypatch.setattr(optimizer, "_rotations",
                             lambda a, t: calls.append(("rotations", len(a))) or rotations(a, t))
         optimizer._ascend(ev, starts, ev.j_bases(starts, alone(starts)), alone(starts))
@@ -707,6 +707,18 @@ class TestQuditRestarts:
         _, _, evals = ascend(rho, 0, optimizer._haar_bases(np.random.default_rng(0), 32, 5)[:1])
         assert evals < optimizer._MAX_ROUNDS * per_round(5)
 
+    # The same state's best J: the best of its 32 default starts, each
+    # ascended with no curvature floor (_FLAT_CURVATURE = 0), where 10 of
+    # the 32 end within 1e-9 of it, as `induced_J` at its basis reads. The
+    # default search ends 2.5e-8 bits below it, as its starts creep to the
+    # round cap; with no floor they end within 3,899 evaluations, but the
+    # first wave's starts 0 and 2 agree on a maximum 6.5e-7 bits lower.
+    @pytest.mark.xfail(strict=True, reason="the starts creep to the round cap, and with no "
+                                           "curvature floor the waves stop on a lower maximum")
+    def test_a_rank_three_5x2_search_reaches_its_best_start(self):
+        rho = states.random_density((5, 2), np.random.default_rng([91, 350]), rank=3)
+        assert optimizer.optimize_measurement(rho, 0).j_value >= 0.9891822011826777 - 1e-9
+
     def test_waves_continue_until_two_restarts_agree(self, rng, monkeypatch):
         # every basis attains sup J on a pure state, so with waves of one
         # start the waves stop after the second, the first that can agree,
@@ -733,8 +745,8 @@ def dense_evaluator(rho, k):
     dk = rho.dims[k]
     rest_entropy = sum(infotheory.von_neumann_entropy(states.reduced(rho, {j}))
                        for j in range(n) if j != k)
-    return optimizer._JEvaluator(t.reshape(1, dk, rho.dim // dk, dk, rho.dim // dk),
-                                 rest_entropy)
+    return optimizer._JEvaluator([t.reshape(1, dk, rho.dim // dk, dk, rho.dim // dk)],
+                                 [rest_entropy])
 
 
 def _low_rank_states():

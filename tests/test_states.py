@@ -49,6 +49,16 @@ class TestFromDense:
     def test_accepts_numpy_integer_dims(self):
         assert states.from_dense(np.eye(4) / 4, np.array([2, 2])).dims == (2, 2)
 
+    @pytest.mark.parametrize("build", [
+        lambda: states.from_dense(np.eye(4) / 4, 4),
+        lambda: states.from_pure([1, 0, 0, 0], 4),
+        lambda: states.random_density(2, np.random.default_rng(3)),
+    ], ids=["from_dense", "from_pure", "random_density"])
+    def test_a_bare_integer_is_not_dims(self, build):
+        # each used to raise a bare TypeError: 'int' object is not iterable
+        with pytest.raises(DimensionMismatch):
+            build()
+
 
 class TestFromPure:
     def test_ket00(self):
@@ -146,9 +156,9 @@ class TestReducedAndTensor:
         rho = states.reduced(states.named("ghz", n=3), {1})
         assert np.abs(rho.matrix - np.eye(2) / 2).max() < 1e-12
 
-    @pytest.mark.parametrize("keep", [{True}, {0.5}, {0, 2}, set()])
+    @pytest.mark.parametrize("keep", [{True}, {0.5}, {0, 2}, set(), 0])
     def test_reduced_rejects_what_is_not_a_set_of_indices(self, keep):
-        # {True} used to give subsystem 1's state, {0.5} a bare TypeError
+        # {True} used to give subsystem 1's state, {0.5} and 0 a bare TypeError
         rho = states.random_density((2, 3), np.random.default_rng(21))
         with pytest.raises(DimensionMismatch):
             states.reduced(rho, keep)
