@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure or a closed standard output
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -76,12 +77,16 @@ def parse_state_spec(doc: dict) -> states.DensityMatrix:
 
 def load_state(path: str) -> states.DensityMatrix:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: line {e.lineno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: byte {e.start}: {e.reason}") from e
+    except RecursionError as e:
+        raise ParseError(f"{path}: JSON nested too deeply") from e
     return parse_state_spec(doc)
 
 
@@ -224,22 +229,23 @@ def cmd_sweep(args) -> int:
         raise ParamOutOfRange("--start and --stop must satisfy 0 <= start <= stop <= 1 "
                               "and --step be finite and positive")
     config = _make_config(args)
-    rows = ["param,I,D0,D1,Q,C"]
-    # the rows up to --stop: the tolerance and the clamp absorb float drift only
-    n = math.floor((args.stop - args.start) / args.step * (1 + 1e-9))
-    for i in range(n + 1):
-        p = min(args.start + i * args.step, args.stop)
-        rho = states.named("werner", p=p)
-        rep = correlations.full_report(rho, config)
-        (d0, _), (d1, _) = rep.per_subsystem
-        rows.append(f"{p:.12g},{rep.mutual_info:.12g},{d0:.12g},{d1:.12g},"
-                    f"{rep.sequential.q_total:.12g},{rep.sequential.c_total:.12g}")
-    text = "\n".join(rows) + "\n"
-    if args.csv:
-        with open(args.csv, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    # open --csv before the sweep, so that a path it cannot write costs no rows
+    try:
+        out = open(args.csv, "w") if args.csv else contextlib.nullcontext(sys.stdout)
+    except OSError as e:
+        raise QcorrError(f"cannot write {args.csv}: {e}") from e
+    with out as f:
+        rows = ["param,I,D0,D1,Q,C"]
+        # the rows up to --stop: the tolerance and the clamp absorb float drift only
+        n = math.floor((args.stop - args.start) / args.step * (1 + 1e-9))
+        for i in range(n + 1):
+            p = min(args.start + i * args.step, args.stop)
+            rho = states.named("werner", p=p)
+            rep = correlations.full_report(rho, config)
+            (d0, _), (d1, _) = rep.per_subsystem
+            rows.append(f"{p:.12g},{rep.mutual_info:.12g},{d0:.12g},{d1:.12g},"
+                        f"{rep.sequential.q_total:.12g},{rep.sequential.c_total:.12g}")
+        f.write("\n".join(rows) + "\n")
     return 0
 
 
@@ -373,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="optimizer seed (default: QCORR_SEED env or 0)")
         p.add_argument("--restarts", type=int, default=None,
                        help="subsystem dim > 2: at most this many Haar starts, "
-                            "ascended in waves of 4")
+                            "ascended in waves of 4 until two ended starts agree "
+                            "on the best J, checked every round")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("info", help="entropies and mutual information")

@@ -19,8 +19,9 @@ gradient gains nothing either; or at the round cap. A pure state's first
 step, where every basis gives the same J, is not searched. The starts
 ascend in lockstep, so each round is one batched gradient call and one
 batched J evaluation of its line search (and one of its retries); a
-qudit's starts do so in waves of `_WAVE`, until two of them agree on the
-best J. One call may search
+qudit's starts do so in waves of `_WAVE`, and after every round in which
+a start ends the search stops once two ended starts agree on the best J
+and no ascending start is above it. One call may search
 several problems, a subsystem of an ensemble each: those of one subsystem
 dimension and leaf shape ascend in the same lockstep, each start keeping
 its own problem, so a batch takes as many rounds as its longest search
@@ -65,8 +66,9 @@ _START_GRID = (9, 16)
 _GRID_CHUNK_ELEMENTS = 1 << 20
 # Ascent rounds per start, each a Newton ladder and at most one retry ladder.
 _MAX_ROUNDS = 500
-# Qudit starts ascended together; waves continue until two ascended starts
-# are within _AGREE (bits) of the best J so far, or the restarts run out.
+# Qudit starts ascended together. Checked after every round, a search stops
+# once two ended starts are within _AGREE (bits) of the best J among its
+# ended starts and no ascending start is above it, or the restarts run out.
 _WAVE = 4
 _AGREE = 1e-9
 # Trial steps of an ascent round, as multiples of its direction.
@@ -94,8 +96,9 @@ class OptimizerConfig:
     """Settings of a measurement search: both are integers, and bools are rejected.
 
     `restarts` (> 0) caps the seeded Haar starts of a subsystem of dimension
-    above 2, ascended in waves of 4; `seed` (>= 0) seeds their draw. A qubit
-    search uses neither.
+    above 2, ascended in waves of 4 until two ended starts agree on the best
+    J, a rule checked after every round; `seed` (>= 0) seeds their draw. A
+    qubit search uses neither.
     """
     restarts: int = 32
     seed: int = 0
@@ -305,8 +308,8 @@ def _climb(ev: _JEvaluator, v: np.ndarray, x: np.ndarray, d: np.ndarray, j: np.n
             armijo[rows, pick] & (gain[rows, pick] > _GAIN_FLOOR))
 
 
-def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
-            on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray, on: np.ndarray,
+            settle=None) -> tuple[np.ndarray, np.ndarray]:
     """Riemannian ascent of J from every basis of the stack, all in lockstep.
 
     A round takes the gradient X and the saddle-free Newton direction D of
@@ -325,12 +328,14 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
     rounds. A search carries only its basis and J from round to round, so
     the lockstep run equals the starts ascended one by one. `j` holds the
     starts' J, and `on` each start's problem in `ev`, problem 0's first.
-    Returns the final bases and their J; `ev.evaluated` counts the bases
-    evaluated.
+    After each round in which a search ends, `settle(j, live)`, if given,
+    is told every basis's J and which are still live, and returns which of
+    those to stop: they end at J = -inf. Returns the final bases and their
+    J; `ev.evaluated` counts the bases evaluated.
     """
     bases, j = bases.copy(), np.array(j, dtype=float)
     live = np.arange(len(bases))
-    for _ in range(_MAX_ROUNDS):
+    for rounds in range(1, _MAX_ROUNDS + 1):
         if live.size == 0:
             break
         v, v_on = bases[live], on[live]
@@ -341,20 +346,27 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray,
             unit = _rotations(d, _LADDER[None, _UNIT_TRIAL:_UNIT_TRIAL + 1]) @ v[:, None]
             bases[live] = unit[:, 0]
             j[live] = ev.j_bases(unit[:, 0], v_on)
-            break
-        found, values, moved = _climb(ev, v, x, d, j[live], v_on, done)
-        fail = ~(moved | done)
-        if fail.any():
-            # the retry's D is X scaled to the turn of the shortest trial,
-            # |s| / 16: |D| = sqrt(2) |s| and |X| = sqrt(2) |g|
-            back = x[fail]
-            turn = _LADDER[-1] * np.sqrt(_inner(d[fail], d[fail]) / 2)
-            back_d = back * (turn / np.sqrt(_inner(back, back) / 2))[:, None, None]
-            found[fail], values[fail], moved[fail] = _climb(
-                ev, v[fail], back, back_d, j[live[fail]], v_on[fail], done[fail])
-        took = moved | done
-        bases[live[took]], j[live[took]] = found[took], values[took]
-        live = live[moved & ~done]
+            going = live[:0]
+        else:
+            found, values, moved = _climb(ev, v, x, d, j[live], v_on, done)
+            fail = ~(moved | done)
+            if fail.any():
+                # the retry's D is X scaled to the turn of the shortest trial,
+                # |s| / 16: |D| = sqrt(2) |s| and |X| = sqrt(2) |g|
+                back = x[fail]
+                turn = _LADDER[-1] * np.sqrt(_inner(d[fail], d[fail]) / 2)
+                back_d = back * (turn / np.sqrt(_inner(back, back) / 2))[:, None, None]
+                found[fail], values[fail], moved[fail] = _climb(
+                    ev, v[fail], back, back_d, j[live[fail]], v_on[fail], done[fail])
+            took = moved | done
+            bases[live[took]], j[live[took]] = found[took], values[took]
+            # the round cap ends every search still live
+            going = live[moved & ~done] if rounds < _MAX_ROUNDS else live[:0]
+        if settle is not None and going.size < live.size:
+            stop = settle(j, going)
+            j[going[stop]] = -np.inf
+            going = going[~stop]
+        live = going
     return bases, j
 
 
@@ -373,9 +385,10 @@ def _optimize(problems: list[tuple[CQEnsemble, int]],
     problem searched alone. A qubit problem starts from its own
     `_START_GRID` argmax (its J taken from the grid, so `oracle_gap` >= 0),
     a qudit problem from the seeded Haar bases. Those ascend in waves of
-    `_WAVE` consecutive starts of the one draw, and a problem's waves stop
-    once two of its ascended starts are within `_AGREE` of its best J so
-    far. The best ascended start wins by the grids' tie rule (`_first_best`).
+    `_WAVE` consecutive starts of the one draw; after every round in which a
+    start ends, a problem whose ended starts settle it (`_settled`) stops
+    its ascending starts and begins no further wave. The best ended start
+    wins by the grids' tie rule (`_first_best`).
     A problem of shape (d_k, 1, 1, 1), one leaf of 1 x 1 blocks, has J =
     `rest_entropy` for every basis (a pure state's first step), so it is not
     searched: it takes the first start, which every search of it returns.
@@ -439,26 +452,49 @@ def _qubit_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
     return bases[:, None], js[:, None], j_grid
 
 
+def _settled(js: np.ndarray, ascending: np.ndarray) -> np.ndarray:
+    """Whether each problem's qudit search may stop, from its starts' J, as (P,): the wave rule.
+
+    `js` holds the J of each problem's starts, -inf where a start has not
+    begun, and `ascending` marks the starts still ascending; the rest with a
+    finite J have ended. A problem settles once two of its ended starts are
+    within `_AGREE` of the best J among them, and none of its ascending
+    starts is above that best. As an ascending start's J only rises, the
+    rule can only come to hold in a round in which a start ends.
+    """
+    ended = ~ascending & (js > -np.inf)
+    best = np.where(ended, js, -np.inf).max(axis=1, keepdims=True)
+    agree = np.count_nonzero(ended & (js >= best - _AGREE), axis=1) >= 2
+    return agree & ~(ascending & (js > best)).any(axis=1)
+
+
 def _qudit_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
     """(bases, J, None) of each qudit problem of `ev` over its starts, ascended in waves.
 
     Every problem draws the same seeded starts, so they are drawn once; the
-    live problems' waves ascend together. J is -inf at starts not ascended.
+    live problems' waves of `_WAVE` consecutive starts ascend together.
+    After every round in which a start ends, a problem that `_settled`
+    stops its ascending starts and begins no further wave. J is -inf at
+    starts not ascended, those stopped included.
     """
     starts = _starts(ev.dk, config)
     bases = np.broadcast_to(starts, (len(ev.rest_entropy),) + starts.shape).copy()
     js = np.full(bases.shape[:2], -np.inf)
-    live = np.ones(len(js), dtype=bool)
+    settled = np.zeros(len(js), dtype=bool)
     for lo in range(0, len(starts), _WAVE):
-        wave = slice(lo, lo + _WAVE)
-        n = len(starts[wave])
-        rows = bases[live, wave].reshape(-1, ev.dk, ev.dk)
-        on = np.flatnonzero(live).repeat(n)
-        found, j = _ascend(ev, rows, ev.j_bases(rows, on), on)
-        bases[live, wave] = found.reshape(-1, n, ev.dk, ev.dk)
-        js[live, wave] = j.reshape(-1, n)
-        seen = js[live]
-        live[live] = np.count_nonzero(seen >= seen.max(axis=1, keepdims=True) - _AGREE, axis=1) < 2
-        if not live.any():
+        n = len(starts[lo:lo + _WAVE])
+        on = np.flatnonzero(~settled).repeat(n)
+        rows = on, lo + np.arange(on.size) % n  # each row's (problem, start)
+
+        def settle(j, live):
+            js[rows] = j
+            ascending = np.zeros(js.shape, dtype=bool)
+            ascending[on[live], rows[1][live]] = True
+            settled[:] = _settled(js, ascending)
+            return settled[on[live]]
+
+        found, j = _ascend(ev, bases[rows], ev.j_bases(bases[rows], on), on, settle)
+        bases[rows], js[rows] = found, j
+        if settled.all():
             break
     return bases, js, None

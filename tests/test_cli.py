@@ -150,6 +150,16 @@ class TestInfo:
         code, _, err = run(capsys, ["info", "/nonexistent.json"])
         assert code == 2
 
+    @pytest.mark.parametrize("content", [b'\xff\xfe{"kind": "named"}', b"[" * 100000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_unparsable_file_exit_code(self, capsys, tmp_path, content):
+        path = tmp_path / "state.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, ["info", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ParseError: ")
+
 
 class TestDiscord:
     def test_paper_example(self, capsys, paper_file):
@@ -330,6 +340,16 @@ class TestSweep:
     def test_unknown_family(self, capsys):
         code, _, _ = run(capsys, ["sweep", "unknown"])
         assert code == 2
+
+    def test_an_unwritable_csv_path_exits_two_before_the_sweep(self, capsys, monkeypatch,
+                                                               tmp_path):
+        calls = count_searches(monkeypatch)
+        code, out, err = run(capsys, ["sweep", "werner", "--step", "0.5",
+                                      "--csv", str(tmp_path / "missing" / "sweep.csv")])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: QcorrError: cannot write ")
+        assert calls == []
 
 
 class TestVerify:

@@ -552,6 +552,22 @@ def wave_shortfall(rho, k):
     return j.max() - optimizer.optimize_measurement(rho, k).j_value
 
 
+def catalog_qutrit_state(state):
+    """The 3x2 "classical_quantum" or "mixed" state of the benchmark's qutrit_qubit workload.
+
+    Both are drawn, in that order, from the workload's catalog stream,
+    default_rng(2011): a classical-quantum state in the qutrit's
+    computational basis with rank-2 qubit parts, then a full-rank Ginibre
+    state. The workload then turns the qubit by a seeded unitary, which
+    leaves the qutrit's J as it is.
+    """
+    catalog = np.random.default_rng(2011)
+    ginibre = lambda d, rank: states.random_density([d], catalog, rank=rank).matrix
+    p = catalog.dirichlet(np.ones(3))
+    cq = sum(p[i] * np.kron(np.diag(np.eye(3)[i]), ginibre(2, 2)) for i in range(3))
+    return states.from_dense({"classical_quantum": cq, "mixed": ginibre(6, 6)}[state], (3, 2))
+
+
 # (dims, measured subsystem) of the wave-stop oracle suite
 WAVE_SHAPES = [((3, 2), 0), ((2, 3), 1), ((3, 3), 0), ((3, 3), 1), ((4, 2), 0),
                ((4, 4), 0), ((5, 2), 0), ((3, 3, 3), 0), ((3, 3, 3), 1)]
@@ -562,21 +578,28 @@ class TestQuditRestarts:
     @pytest.mark.parametrize("dims", [(3, 2), (3, 3), (4, 2)])
     def test_lockstep_matches_restarts_one_by_one(self, rng, dims, seed):
         # the restarts ascend in lockstep, one batched call per round; each
-        # must take the path it takes alone
+        # the lockstep ascends to its end must take the path it takes alone,
+        # and the others stop only once two ended starts agree on the best J
         rho = states.random_density(dims, rng)
         config = OptimizerConfig(restarts=4, seed=seed)
         starts = optimizer._haar_bases(np.random.default_rng(seed), config.restarts, dims[0])
-        best, best_j, evals = None, -math.inf, config.restarts
-        for start in starts:
-            (basis,), (j,), n = ascend(rho, 0, start[None])
-            evals += n
-            if j > best_j + 1e-12:
-                best, best_j = basis, j
+        solo = [ascend(rho, 0, start[None]) for start in starts]
+        solo_j = np.array([j for _, (j,), _ in solo])
+        ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
+        (bases,), (js,), _ = optimizer._qudit_searches(ev, config)
+        ended = np.flatnonzero(np.isfinite(js))
+        assert ended.size >= 2
+        for i in ended:
+            (basis,), _, _ = solo[i]
+            assert np.abs(bases[i] - basis).max() < 1e-12
+            assert abs(js[i] - solo_j[i]) < 1e-12
+        best = ended[optimizer._first_best(solo_j[ended])]
         res = optimizer.optimize_measurement(rho, 0, config)
         assert res.params is None
-        assert np.abs(res.measurement.basis - best).max() < 1e-12
-        assert abs(res.j_value - best_j) < 1e-12
-        assert res.iterations == evals
+        assert np.abs(res.measurement.basis - solo[best][0][0]).max() < 1e-12
+        assert abs(res.j_value - solo_j[best]) < 1e-12
+        assert abs(res.j_value - solo_j.max()) < 1e-11
+        assert res.iterations <= config.restarts + sum(n for _, _, n in solo)
         # the reference recipe is independent: projectors, one eigvalsh per outcome
         assert abs(res.j_value - reference_J(rho, 0, res.measurement)) < 1e-12
 
@@ -610,14 +633,19 @@ class TestQuditRestarts:
     @pytest.mark.parametrize("state, max_evals", [("classical_quantum", 420), ("mixed", 475)])
     def test_benchmark_qutrit_searches_take_few_evaluations(self, state, max_evals):
         # the qutrit sides of the benchmark's qutrit_qubit states, whose
-        # searches take 374 and 426 evaluations
-        catalog = np.random.default_rng(2011)
-        ginibre = lambda d, rank: states.random_density([d], catalog, rank=rank).matrix
-        p = catalog.dirichlet(np.ones(3))
-        cq = sum(p[i] * np.kron(np.diag(np.eye(3)[i]), ginibre(2, 2)) for i in range(3))
-        rho = {"classical_quantum": cq, "mixed": ginibre(6, 6)}[state]
-        res = optimizer.optimize_measurement(states.from_dense(rho, (3, 2)), 0)
+        # searches take 306 and 418 evaluations
+        res = optimizer.optimize_measurement(catalog_qutrit_state(state), 0)
         assert res.iterations <= max_evals
+
+    @pytest.mark.parametrize("state", ["classical_quantum", "mixed"])
+    def test_a_wave_settles_before_its_last_start_ends(self, state):
+        # the first wave settles while some of its starts still ascend: two
+        # ended starts agree on the best J and none ascending is above it,
+        # so those stop there (two of them on the first state, one on the second)
+        rho = catalog_qutrit_state(state)
+        _, _, evals = ascend(rho, 0, optimizer._starts(3, OptimizerConfig())[:optimizer._WAVE])
+        assert optimizer.optimize_measurement(rho, 0).iterations < optimizer._WAVE + evals
+        assert wave_shortfall(rho, 0) <= 1e-11
 
     def test_a_failed_newton_round_retries_along_the_x_it_computed(self, monkeypatch):
         # a round whose ladder gains nothing retries in itself along the
