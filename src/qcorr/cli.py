@@ -374,24 +374,28 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Werner convention: werner(p) = p |psi-><psi-| + (1-p) I/4.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # each subcommand takes only the options it reads
+    def search_options(p):
         p.add_argument("--seed", type=int, default=None,
                        help="optimizer seed (default: QCORR_SEED env or 0)")
         p.add_argument("--restarts", type=int, default=None,
                        help="subsystem dim > 2: at most this many Haar starts, "
                             "ascended in waves of 4 until two ended starts agree "
                             "on the best J, checked every round")
+
+    def json_option(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("info", help="entropies and mutual information")
     p.add_argument("statefile")
-    common(p)
+    json_option(p)
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("discord", help="discord and classical correlation for one subsystem")
     p.add_argument("statefile")
     p.add_argument("--subsystem", type=int, default=0)
-    common(p)
+    search_options(p)
+    json_option(p)
     p.set_defaults(func=cmd_discord)
 
     p = sub.add_parser("overall", help="sequential overall Q and C")
@@ -401,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated measurement order, e.g. 1,0")
     orders.add_argument("--all-orders", action="store_true",
                         help="report every measurement order (up to 4 subsystems)")
-    common(p)
+    search_options(p)
+    json_option(p)
     p.set_defaults(func=cmd_overall)
 
     p = sub.add_parser("sweep", help="sweep a one-parameter family to CSV")
@@ -410,13 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", type=float, default=1.0)
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--csv", default=None, help="output path (default: stdout)")
-    common(p)
+    search_options(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run built-in verification suites")
     p.add_argument("--suite", default="all",
                    help="paper-example | bounds | oracle | identities | all")
-    common(p)
+    search_options(p)
     p.set_defaults(func=cmd_verify)
     return parser
 

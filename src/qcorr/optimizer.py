@@ -15,14 +15,17 @@ comes from forward differences of the analytic gradient, so a round
 evaluates 1 + d(d-1) gradients in one batched call. A search ends where
 its model predicts no further gain, on its t = 1 trial, the only trial of
 that round it evaluates; when a retry in the same round along the
-gradient gains nothing either; or at the round cap. A pure state's first
-step, where every basis gives the same J, is not searched. The starts
-ascend in lockstep, so each round is one batched gradient call and one
-batched J evaluation of its line search (and one of its retries); a
-qudit's starts do so in waves of `_WAVE`, and after every round in which
-a start ends the search stops once two ended starts agree on the best J
-and no ascending start is above it. One call may search
-several problems, a subsystem of an ensemble each: those of one subsystem
+gradient gains nothing either; or at the round cap. A round keeps its
+highest-J trial, and one tolerance, `_TIE`, settles every comparison of
+two J: whether a trial gains, whether a start is above the best, and
+which of the tied best wins. A pure state's first step, where every
+basis gives the same J, is not searched. The starts ascend in lockstep,
+so each round is one batched gradient call and one batched J evaluation
+of its line search (and one of its retries); a qudit's starts do so in
+waves of `_WAVE`, and after every round in which a start ends the search
+stops once two ended starts agree on the best J and no ascending start
+is above it by more than `_TIE`. One call may search several problems, a
+subsystem of an ensemble each: those of one subsystem
 dimension and leaf shape ascend in the same lockstep, each start keeping
 its own problem, so a batch takes as many rounds as its longest search
 and every search ends where it ends alone. Outcome blocks of at most
@@ -68,16 +71,17 @@ _GRID_CHUNK_ELEMENTS = 1 << 20
 _MAX_ROUNDS = 500
 # Qudit starts ascended together. Checked after every round, a search stops
 # once two ended starts are within _AGREE (bits) of the best J among its
-# ended starts and no ascending start is above it, or the restarts run out.
+# ended starts and no ascending start is above it by more than _TIE, or the
+# restarts run out.
 _WAVE = 4
 _AGREE = 1e-9
 # Trial steps of an ascent round, as multiples of its direction.
 _LADDER = np.array([4.0, 2.0, 1.0, 0.5, 0.25, 1 / 16])
 _UNIT_TRIAL = 2  # the index of t = 1 in _LADDER
-# A trial is accepted if it gains at least this share of its first-order gain.
-_ARMIJO = 1e-4
-# A round fails when no accepted trial gains more J (bits) than this.
-_GAIN_FLOOR = 1e-12
+# J values (bits) within this of each other are tied: a trial gains only by
+# more than this, a start is above the best only by more than this, and the
+# first of the J within this of the best wins.
+_TIE = 1e-12
 # A search ends when its model predicts no larger gain (bits) than this.
 _MODEL_FLOOR = 2e-12
 # Forward-difference step of a search's Hessian H. The error of H is O(h)
@@ -125,7 +129,7 @@ def grid_search_qubit(rho: DensityMatrix, k: int,
                       n: int = 128) -> tuple[float, float, float]:
     """Best J over an n x n grid: inclusive theta, periodic phi.
 
-    Ties within 1e-12 break to the lexicographically smallest (theta, phi).
+    Ties within `_TIE` break to the lexicographically smallest (theta, phi).
     Only the points `_grid_points` keeps are evaluated: the upper half of the
     sphere when n is even, the pole and every row between the poles when n
     is odd.
@@ -188,8 +192,8 @@ def _grid_j(ev: _JEvaluator, bases: np.ndarray) -> np.ndarray:
 
 
 def _first_best(j: np.ndarray) -> np.ndarray:
-    """Index of the first J within 1e-12 of the best, along the last axis: the one tie rule."""
-    return (j >= j.max(axis=-1, keepdims=True) - 1e-12).argmax(axis=-1)
+    """Index of the first J within `_TIE` of the best, along the last axis: the one tie rule."""
+    return (j >= j.max(axis=-1, keepdims=True) - _TIE).argmax(axis=-1)
 
 
 def _bloch_angles(basis: np.ndarray) -> tuple[float, float]:
@@ -281,31 +285,26 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum('mab,mab->m', x.conj(), y).real
 
 
-def _climb(ev: _JEvaluator, v: np.ndarray, x: np.ndarray, d: np.ndarray, j: np.ndarray,
+def _climb(ev: _JEvaluator, v: np.ndarray, d: np.ndarray, j: np.ndarray,
            on: np.ndarray, ending: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The trial each basis V keeps of its ladder exp(t D) V, its J, and whether it gained.
 
     The `_LADDER` trials are one `j_bases` call; `on` holds each basis's
-    problem in `ev`, and `j` its J. The best trial gaining at least `_ARMIJO`
-    t <X, D> is kept, and it gained if it gains more than `_GAIN_FLOOR`. A
-    basis marked `ending` keeps its t = 1 trial, its only trial evaluated.
+    problem in `ev`, and `j` its J. Each basis keeps its highest-J trial,
+    which gained if it beats `j` by more than `_TIE`. A basis marked
+    `ending` evaluates only its t = 1 trial, the others reading -inf, so it
+    keeps that trial.
     """
     trials = _rotations(d, _LADDER[None]) @ v[:, None]
     if ending.any():
-        # an ending search's other trials are never read
         keep = ~ending[:, None] | (np.arange(_LADDER.size) == _UNIT_TRIAL)
         values = np.full(keep.shape, -np.inf)
         values[keep] = ev.j_bases(trials[keep], np.broadcast_to(on[:, None], keep.shape)[keep])
     else:
         values = ev.j_bases(trials.reshape((-1,) + v.shape[1:]),
                             on.repeat(_LADDER.size)).reshape(trials.shape[:2])
-    gain = values - j[:, None]
-    armijo = gain >= _ARMIJO * _LADDER * _inner(x, d)[:, None]
-    pick = np.where(armijo, values, -np.inf).argmax(axis=1)
-    pick[ending] = _UNIT_TRIAL
-    rows = np.arange(len(v))
-    return (trials[rows, pick], values[rows, pick],
-            armijo[rows, pick] & (gain[rows, pick] > _GAIN_FLOOR))
+    rows, pick = np.arange(len(v)), values.argmax(axis=1)
+    return trials[rows, pick], values[rows, pick], values[rows, pick] - j > _TIE
 
 
 def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray, on: np.ndarray,
@@ -314,20 +313,22 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray, on: np.ndarray,
 
     A round takes the gradient X and the saddle-free Newton direction D of
     every live basis V (vectors as rows) from one `_directions` call, and
-    climbs the ladder of trials exp(t D) V (`_climb`). Where the model's
-    predicted gain <X, D> / 2 is at most `_MODEL_FLOOR`, the search ends on
-    its t = 1 trial, whatever that trial gains, so that trial is the only
-    one of the round it evaluates. A round in which every live search ends
-    rotates and evaluates only those trials and stops; one in which some
-    end masks their other trials out of the ladder's `j_bases` stack, and
-    one in which none ends evaluates every ladder. A search whose ladder
-    gains nothing climbs a second ladder in the same round, from the same
-    point along its X, whose trials turn by the `_LADDER` multiples of its
-    shortest trial's turn, so a ridge narrower than the model's step is
-    still climbed; a failed retry ends the search, as do `_MAX_ROUNDS`
-    rounds. A search carries only its basis and J from round to round, so
-    the lockstep run equals the starts ascended one by one. `j` holds the
-    starts' J, and `on` each start's problem in `ev`, problem 0's first.
+    climbs the ladder of trials exp(t D) V (`_climb`), keeping its
+    highest-J trial if that beats the basis's J by more than `_TIE`. Where
+    the model's predicted gain <X, D> / 2 is at most `_MODEL_FLOOR`, the
+    search ends on its t = 1 trial, whatever that trial gains, so that
+    trial is the only one of the round it evaluates. A round in which every
+    live search ends rotates and evaluates only those trials and stops; one
+    in which some end masks their other trials out of the ladder's
+    `j_bases` stack, and one in which none ends evaluates every ladder. A
+    search whose ladder gains no more than `_TIE` climbs a second ladder in
+    the same round, from the same point along its X, whose trials turn by
+    the `_LADDER` multiples of its shortest trial's turn, so a ridge
+    narrower than the model's step is still climbed; a failed retry ends
+    the search, as do `_MAX_ROUNDS` rounds. A search carries only its basis
+    and J from round to round, so the lockstep run equals the starts
+    ascended one by one. `j` holds the starts' J, and `on` each start's
+    problem in `ev`, problem 0's first.
     After each round in which a search ends, `settle(j, live)`, if given,
     is told every basis's J and which are still live, and returns which of
     those to stop: they end at J = -inf. Returns the final bases and their
@@ -348,16 +349,16 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray, on: np.ndarray,
             j[live] = ev.j_bases(unit[:, 0], v_on)
             going = live[:0]
         else:
-            found, values, moved = _climb(ev, v, x, d, j[live], v_on, done)
+            found, values, moved = _climb(ev, v, d, j[live], v_on, done)
             fail = ~(moved | done)
             if fail.any():
                 # the retry's D is X scaled to the turn of the shortest trial,
                 # |s| / 16: |D| = sqrt(2) |s| and |X| = sqrt(2) |g|
                 back = x[fail]
                 turn = _LADDER[-1] * np.sqrt(_inner(d[fail], d[fail]) / 2)
-                back_d = back * (turn / np.sqrt(_inner(back, back) / 2))[:, None, None]
+                back *= (turn / np.sqrt(_inner(back, back) / 2))[:, None, None]
                 found[fail], values[fail], moved[fail] = _climb(
-                    ev, v[fail], back, back_d, j[live[fail]], v_on[fail], done[fail])
+                    ev, v[fail], back, j[live[fail]], v_on[fail], done[fail])
             took = moved | done
             bases[live[took]], j[live[took]] = found[took], values[took]
             # the round cap ends every search still live
@@ -459,13 +460,14 @@ def _settled(js: np.ndarray, ascending: np.ndarray) -> np.ndarray:
     begun, and `ascending` marks the starts still ascending; the rest with a
     finite J have ended. A problem settles once two of its ended starts are
     within `_AGREE` of the best J among them, and none of its ascending
-    starts is above that best. As an ascending start's J only rises, the
+    starts is above that best by more than `_TIE`, so rounding noise does
+    not keep it ascending. As an ascending start's J only rises, the
     rule can only come to hold in a round in which a start ends.
     """
     ended = ~ascending & (js > -np.inf)
     best = np.where(ended, js, -np.inf).max(axis=1, keepdims=True)
     agree = np.count_nonzero(ended & (js >= best - _AGREE), axis=1) >= 2
-    return agree & ~(ascending & (js > best)).any(axis=1)
+    return agree & ~(ascending & (js > best + _TIE)).any(axis=1)
 
 
 def _qudit_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:

@@ -66,6 +66,9 @@ class TestStateFiles:
          "amplitudes": [[True, 0], [0, 0], [0, False], [0, 0]]},
         {"kind": "dense", "dims": [2],
          "matrix": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]},
+        {"kind": "named", "family": "werner", "params": [0.5]},  # params not an object
+        {"kind": "dense", "dims": [1, 2]},
+        {"kind": "pure", "dims": [2, 2]},                         # missing amplitudes
     ])
     def test_parse_errors(self, tmp_path, doc):
         with pytest.raises(cli.ParseError):
@@ -150,8 +153,9 @@ class TestInfo:
         code, _, err = run(capsys, ["info", "/nonexistent.json"])
         assert code == 2
 
-    @pytest.mark.parametrize("content", [b'\xff\xfe{"kind": "named"}', b"[" * 100000],
-                             ids=["not-utf8", "nested-too-deep"])
+    @pytest.mark.parametrize("content", [b'\xff\xfe{"kind": "named"}', b"[" * 100000,
+                                         b'{"kind": '],
+                             ids=["not-utf8", "nested-too-deep", "not-json"])
     def test_unparsable_file_exit_code(self, capsys, tmp_path, content):
         path = tmp_path / "state.json"
         path.write_bytes(content)
@@ -404,6 +408,18 @@ class TestVerify:
         code, _, _ = run(capsys, ["verify", "--suite", "nope"])
         assert code == 2
 
+    def test_a_failed_check_exits_one(self, capsys, monkeypatch):
+        # the identities suite runs as it is, but its Q + C = I check reads a
+        # residual above its tolerance
+        check = cli._check
+        monkeypatch.setattr(cli, "_check", lambda name, residual, tol, failures: check(
+            name, 1.0 if name == "identity Q + C = I" else residual, tol, failures))
+        code, out, _ = run(capsys, ["verify", "--suite", "identities"])
+        assert code == 1
+        assert "FAIL identity Q + C = I: residual 1.000e+00 (tol 1e-06)\n" in out
+        assert out.count("PASS") == 1
+        assert out.endswith("1 check(s) failed\n")
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv, env", [
@@ -417,11 +433,14 @@ class TestInputErrors:
         (["sweep", "werner", "--start", "1", "--stop", "1.5", "--step", "0.25"], {}),
         (["sweep", "werner", "--start", "-0.5", "--stop", "1"], {}),
         (["sweep", "werner", "--start", "1", "--stop", "0"], {}),
+        (["overall", "{ghz5}", "--all-orders"], {}),
     ])
-    def test_exit_code_two(self, capsys, paper_file, monkeypatch, argv, env):
+    def test_exit_code_two(self, capsys, tmp_path, paper_file, monkeypatch, argv, env):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        code, _, err = run(capsys, [a.format(paper=paper_file) for a in argv])
+        ghz5 = write_state(tmp_path, {"kind": "named", "family": "ghz", "params": {"n": 5}},
+                           "ghz5.json")
+        code, _, err = run(capsys, [a.format(paper=paper_file, ghz5=ghz5) for a in argv])
         assert code == 2
         assert err.startswith("error: ")
 
@@ -430,6 +449,19 @@ class TestInputErrors:
             cli.main(["discord", paper_file, "--grid", "16"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --grid 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["info", "{paper}"], ["--seed", "1"]),
+        (["info", "{paper}"], ["--restarts", "2"]),
+        (["sweep", "werner"], ["--json"]),
+        (["verify"], ["--json"]),
+    ], ids=["info-seed", "info-restarts", "sweep-json", "verify-json"])
+    def test_an_option_the_command_does_not_read_is_rejected(self, capsys, paper_file,
+                                                             argv, unread):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([a.format(paper=paper_file) for a in argv] + unread)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(unread)}" in capsys.readouterr().err
 
     def test_sweep_start_above_stop_prints_no_rows(self, capsys):
         code, out, err = run(capsys, ["sweep", "werner", "--start", "1", "--stop", "0"])

@@ -32,6 +32,10 @@ class TestShannon:
         p = [(2 + SQRT2) / 4, (2 - SQRT2) / 4]
         assert abs(infotheory.shannon_entropy(p) - PAPER_MARGINAL_ENTROPY) < 1e-12
 
+    def test_reads_a_probability_table(self):
+        table = infotheory.probability_table([0.25, 0.25, 0.5, 0.0], (2, 2))
+        assert abs(infotheory.shannon_entropy(table) - 1.5) < 1e-12
+
     def test_rejects_bad_distribution(self):
         with pytest.raises(NotADistribution):
             infotheory.shannon_entropy([0.5, 0.6])

@@ -145,6 +145,11 @@ class TestPartialTrace:
             linalg.partial_trace(np.eye(4) / 4, [2, 2], 1)
 
 
+def test_as_matrix_rejects_a_3d_array():
+    with pytest.raises(DimensionMismatch):
+        linalg.as_matrix(np.zeros((2, 2, 2)))
+
+
 def test_random_unitary_is_unitary(rng):
     u = random_unitary(4, rng)
     assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-10

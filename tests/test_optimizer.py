@@ -633,15 +633,15 @@ class TestQuditRestarts:
     @pytest.mark.parametrize("state, max_evals", [("classical_quantum", 420), ("mixed", 475)])
     def test_benchmark_qutrit_searches_take_few_evaluations(self, state, max_evals):
         # the qutrit sides of the benchmark's qutrit_qubit states, whose
-        # searches take 306 and 418 evaluations
+        # searches take 306 and 397 evaluations
         res = optimizer.optimize_measurement(catalog_qutrit_state(state), 0)
         assert res.iterations <= max_evals
 
     @pytest.mark.parametrize("state", ["classical_quantum", "mixed"])
     def test_a_wave_settles_before_its_last_start_ends(self, state):
         # the first wave settles while some of its starts still ascend: two
-        # ended starts agree on the best J and none ascending is above it,
-        # so those stop there (two of them on the first state, one on the second)
+        # ended starts agree on the best J and none ascending is above it by
+        # more than the tie tolerance, so those stop there (two on each state)
         rho = catalog_qutrit_state(state)
         _, _, evals = ascend(rho, 0, optimizer._starts(3, OptimizerConfig())[:optimizer._WAVE])
         assert optimizer.optimize_measurement(rho, 0).iterations < optimizer._WAVE + evals

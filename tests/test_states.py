@@ -133,6 +133,8 @@ class TestNamed:
         # total dimension above MAX_NAMED_DIM, refused before any allocation
         ("ghz", {"n": 13}), ("ghz", {"n": 10 ** 12}), ("product", {"bloch": [[0, 0, 1]] * 13}),
         ("maximally_mixed", {"dims": (64, 65)}), ("maximally_mixed", {"dims": (2,) * 60}),
+        # a Bloch vector longer than 1, and a GHZ state of one qubit
+        ("product", {"bloch": [[1, 1, 0]]}), ("ghz", {"n": 1}),
     ])
     def test_rejects_malformed_params(self, family, params):
         with pytest.raises(ParamOutOfRange):
