@@ -228,6 +228,10 @@ def cmd_sweep(args) -> int:
             and math.isfinite(args.step) and args.step > 0):
         raise ParamOutOfRange("--start and --stop must satisfy 0 <= start <= stop <= 1 "
                               "and --step be finite and positive")
+    # the rows up to --stop: the tolerance and the clamp absorb float drift only
+    n = (args.stop - args.start) / args.step * (1 + 1e-9)
+    if not math.isfinite(n):
+        raise ParamOutOfRange(f"--step {args.step!r} gives no finite row count")
     config = _make_config(args)
     # open --csv before the sweep, so that a path it cannot write costs no rows
     try:
@@ -236,9 +240,7 @@ def cmd_sweep(args) -> int:
         raise QcorrError(f"cannot write {args.csv}: {e}") from e
     with out as f:
         rows = ["param,I,D0,D1,Q,C"]
-        # the rows up to --stop: the tolerance and the clamp absorb float drift only
-        n = math.floor((args.stop - args.start) / args.step * (1 + 1e-9))
-        for i in range(n + 1):
+        for i in range(math.floor(n) + 1):
             p = min(args.start + i * args.step, args.stop)
             rho = states.named("werner", p=p)
             rep = correlations.full_report(rho, config)
@@ -277,8 +279,9 @@ def _verify_bounds(config, failures):
         rho = states.random_density((2, 2), rng)
         seq = correlations.sequential_measure(rho, (0, 1), config)
         res = seq.steps[0]  # the search on subsystem 0 of rho
-        # the I that Q and C are taken against, not the dense matrix's
-        worst_chain = max(worst_chain, -res.discord,
+        # the I that Q and C are taken against, not the dense matrix's; 0 <= D_A
+        # is read as J <= I, as the reported discord is floored at 0
+        worst_chain = max(worst_chain, res.j_value - seq.mutual_info,
                           res.discord - seq.q_total, seq.q_total - seq.mutual_info)
         worst_c = max(worst_c, seq.c_total - res.j_value)
     _check("bounds 0 <= D_A <= Q <= I", worst_chain, 1e-6, failures)
@@ -380,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="optimizer seed (default: QCORR_SEED env or 0)")
         p.add_argument("--restarts", type=int, default=None,
                        help="subsystem dim > 2: at most this many Haar starts, "
-                            "ascended in waves of 4 until two ended starts agree "
+                            "ascended in waves of 4 until one ended start reaches "
+                            "the mutual information I or two ended starts agree "
                             "on the best J, checked every round")
 
     def json_option(p):

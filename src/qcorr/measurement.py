@@ -320,19 +320,21 @@ def _small_log(blocks: np.ndarray, traces: np.ndarray, safe: np.ndarray) -> np.n
     return out
 
 
-def _view(ens: CQEnsemble, k: int) -> tuple[np.ndarray, float]:
-    """The view of subsystem k of `ens` that `_JEvaluator` reads, and S of the rest.
+def _view(ens: CQEnsemble, k: int) -> tuple[np.ndarray, float, float]:
+    """The view of subsystem k of `ens` that `_JEvaluator` reads, S of the rest, and I.
 
     The view is the Gram one when the factors have fewer columns than
     d_rest, the dense one otherwise; S of the rest is the sum of the other
-    subsystems' marginal entropies.
+    subsystems' marginal entropies, and I is the ensemble's mutual
+    information, which bounds every J of the view.
     """
     f = ens.factor_view(k)
     if f.shape[3] < f.shape[2]:
         view = np.einsum('lcbx,laby->laxcy', f.conj(), f)
     else:
         view = np.einsum('laxr,lcyr->laxcy', f, f.conj())
-    return view, sum(s for j, s in enumerate(ens.marginal_entropies) if j != k)
+    return (view, sum(s for j, s in enumerate(ens.marginal_entropies) if j != k),
+            ens.mutual_information())
 
 
 class _JEvaluator:
@@ -354,7 +356,9 @@ class _JEvaluator:
     and its gradient read either alike. A state nobody has measured is L =
     1. The P views share one `shape` (d_k, L, b, b), and the evaluator keeps
     each only in the layout of its one GEMM, (c, (a, L, b, b)), with its
-    problem's `rest_entropy`; `of` is the evaluator of one problem.
+    problem's `rest_entropy` and `mutual_info` I; `of` is the evaluator of
+    one problem. No basis gives a J above I (Ollivier & Zurek, PRL
+    88:017901, 2001), so a search that reaches I has reached the maximum.
 
     A stack of bases given to `j_bases` or `gradient` comes with `on`, the
     problem of each basis, non-decreasing: problem 0's bases first. Each
@@ -363,19 +367,20 @@ class _JEvaluator:
     gradient the evaluator has taken.
     """
 
-    def __init__(self, views: list[np.ndarray], rest_entropies: list[float]):
+    def __init__(self, views: list[np.ndarray], rest_entropies: list[float],
+                 mutual_infos: list[float]):
         n_leaves, self.dk, b = views[0].shape[:3]
         self._leaf_shape = (n_leaves, b, b)
         self._by_c = [np.ascontiguousarray(view.transpose(3, 1, 0, 2, 4)).reshape(self.dk, -1)
                       for view in views]
         self.rest_entropy = np.array(rest_entropies, dtype=float)
+        self.mutual_info = np.array(mutual_infos, dtype=float)
         self.evaluated = [0] * len(views)
 
     @classmethod
     def of(cls, ens: CQEnsemble, k: int) -> _JEvaluator:
         """The evaluator of the one problem of subsystem k of `ens`."""
-        view, rest_entropy = _view(ens, k)
-        return cls([view], [rest_entropy])
+        return cls(*zip(_view(ens, k)))
 
     @property
     def shape(self) -> tuple[int, ...]:

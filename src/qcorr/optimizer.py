@@ -15,16 +15,23 @@ comes from forward differences of the analytic gradient, so a round
 evaluates 1 + d(d-1) gradients in one batched call. A search ends where
 its model predicts no further gain, on its t = 1 trial, the only trial of
 that round it evaluates; when a retry in the same round along the
-gradient gains nothing either; or at the round cap. A round keeps its
+gradient gains nothing either; at the round cap; or where its J is
+within `_TIE` of its problem's mutual information I, checked before its
+first round and after every round. No basis gives a J above I, and one
+at I loses no correlation: the step's discord is zero, as where the
+state is classical on the measured side (Ollivier & Zurek, PRL 88:017901,
+2001), so such a search has reached the maximum and evaluates nothing
+more; a qubit grid argmax at I is not ascended. A round keeps its
 highest-J trial, and one tolerance, `_TIE`, settles every comparison of
-two J: whether a trial gains, whether a start is above the best, and
-which of the tied best wins. A pure state's first step, where every
-basis gives the same J, is not searched. The starts ascend in lockstep,
-so each round is one batched gradient call and one batched J evaluation
-of its line search (and one of its retries); a qudit's starts do so in
-waves of `_WAVE`, and after every round in which a start ends the search
-stops once two ended starts agree on the best J and no ascending start
-is above it by more than `_TIE`. One call may search several problems, a
+two J: whether a trial gains, whether a start is above the best, which
+of the tied best wins, and whether a J has reached I. A pure state's
+first step, where every basis gives the same J, is not searched. The
+starts ascend in lockstep, so each round is one batched gradient call and
+one batched J evaluation of its line search (and one of its retries); a
+qudit's starts do so in waves of `_WAVE`, and after every round in which
+a start ends the search stops as soon as one ended start is at I, or
+once two ended starts agree on the best J and no ascending start is
+above it by more than `_TIE`. One call may search several problems, a
 subsystem of an ensemble each: those of one subsystem
 dimension and leaf shape ascend in the same lockstep, each start keeping
 its own problem, so a batch takes as many rounds as its longest search
@@ -100,9 +107,10 @@ class OptimizerConfig:
     """Settings of a measurement search: both are integers, and bools are rejected.
 
     `restarts` (> 0) caps the seeded Haar starts of a subsystem of dimension
-    above 2, ascended in waves of 4 until two ended starts agree on the best
-    J, a rule checked after every round; `seed` (>= 0) seeds their draw. A
-    qubit search uses neither.
+    above 2, ascended in waves of 4 until one ended start reaches the mutual
+    information I, the maximum, or two ended starts agree on the best J, a
+    rule checked after every round; `seed` (>= 0) seeds their draw. A qubit
+    search uses neither.
     """
     restarts: int = 32
     seed: int = 0
@@ -329,14 +337,27 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray, on: np.ndarray,
     and J from round to round, so the lockstep run equals the starts
     ascended one by one. `j` holds the starts' J, and `on` each start's
     problem in `ev`, problem 0's first.
-    After each round in which a search ends, `settle(j, live)`, if given,
-    is told every basis's J and which are still live, and returns which of
-    those to stop: they end at J = -inf. Returns the final bases and their
-    J; `ev.evaluated` counts the bases evaluated.
+    Before the first round and after every round, a search whose J is
+    within `_TIE` of its problem's `mutual_info` I ends where it is: as
+    J <= I, it has reached the maximum. Each row's ceiling, I less `_TIE`,
+    is taken once, so the rule costs a round one comparison. Whenever a
+    search ends, `settle(j, live)`, if given, is told every basis's J and
+    which are still live, and returns which of those to stop: they end at
+    J = -inf. Returns the final bases and their J; `ev.evaluated` counts
+    the bases evaluated.
     """
     bases, j = bases.copy(), np.array(j, dtype=float)
-    live = np.arange(len(bases))
-    for rounds in range(1, _MAX_ROUNDS + 1):
+    ceiling = ev.mutual_info[on] - _TIE
+    live = going = np.arange(len(bases))
+    # pass r ends what round r - 1 left at its ceiling, then takes round r;
+    # the pass after the round cap only ends
+    for rounds in range(1, _MAX_ROUNDS + 2):
+        going = going[j[going] < ceiling[going]]
+        if settle is not None and going.size < live.size:
+            stop = settle(j, going)
+            j[going[stop]] = -np.inf
+            going = going[~stop]
+        live = going
         if live.size == 0:
             break
         v, v_on = bases[live], on[live]
@@ -363,11 +384,6 @@ def _ascend(ev: _JEvaluator, bases: np.ndarray, j: np.ndarray, on: np.ndarray,
             bases[live[took]], j[live[took]] = found[took], values[took]
             # the round cap ends every search still live
             going = live[moved & ~done] if rounds < _MAX_ROUNDS else live[:0]
-        if settle is not None and going.size < live.size:
-            stop = settle(j, going)
-            j[going[stop]] = -np.inf
-            going = going[~stop]
-        live = going
     return bases, j
 
 
@@ -389,7 +405,10 @@ def _optimize(problems: list[tuple[CQEnsemble, int]],
     `_WAVE` consecutive starts of the one draw; after every round in which a
     start ends, a problem whose ended starts settle it (`_settled`) stops
     its ascending starts and begins no further wave. The best ended start
-    wins by the grids' tie rule (`_first_best`).
+    wins by the grids' tie rule (`_first_best`). Each problem's mutual
+    information I, which its evaluator carries, gives its discord, I - J,
+    and ends every search of it that reaches I: a qubit grid argmax at I is
+    the result, with `oracle_gap` 0 and the grid's evaluations alone.
     A problem of shape (d_k, 1, 1, 1), one leaf of 1 x 1 blocks, has J =
     `rest_entropy` for every basis (a pure state's first step), so it is not
     searched: it takes the first start, which every search of it returns.
@@ -397,10 +416,9 @@ def _optimize(problems: list[tuple[CQEnsemble, int]],
     `iterations` is that evaluator's count of its problem's bases
     (`_JEvaluator.evaluated`).
     """
-    infos = [ens.mutual_information() for ens, _ in problems]
     views = [_view(ens, k) for ens, k in problems]
     groups = {}
-    for p, (view, _) in enumerate(views):
+    for p, (view, *_) in enumerate(views):
         groups.setdefault(view.shape, []).append(p)
     results = [None] * len(problems)
     for members in groups.values():
@@ -412,9 +430,9 @@ def _optimize(problems: list[tuple[CQEnsemble, int]],
             j = float(js[i, best])
             params, gap = (None, None) if j_grid is None else (_bloch_angles(bases[i, best]),
                                                                j - float(j_grid[i]))
+            discord = max(float(ev.mutual_info[i]) - j, 0.0)
             results[p] = OptimalMeasurementResult(ProjectiveMeasurement(bases[i, best]), j,
-                                                  max(infos[p] - j, 0.0), ev.evaluated[i],
-                                                  gap, params)
+                                                  discord, ev.evaluated[i], gap, params)
     return results
 
 
@@ -453,12 +471,14 @@ def _qubit_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
     return bases[:, None], js[:, None], j_grid
 
 
-def _settled(js: np.ndarray, ascending: np.ndarray) -> np.ndarray:
+def _settled(js: np.ndarray, ascending: np.ndarray, ceiling: np.ndarray) -> np.ndarray:
     """Whether each problem's qudit search may stop, from its starts' J, as (P,): the wave rule.
 
     `js` holds the J of each problem's starts, -inf where a start has not
     begun, and `ascending` marks the starts still ascending; the rest with a
-    finite J have ended. A problem settles once two of its ended starts are
+    finite J have ended. `ceiling` is each problem's I less `_TIE`. A
+    problem settles as soon as one of its ended starts is at its ceiling,
+    the maximum, as J <= I; otherwise once two of its ended starts are
     within `_AGREE` of the best J among them, and none of its ascending
     starts is above that best by more than `_TIE`, so rounding noise does
     not keep it ascending. As an ascending start's J only rises, the
@@ -467,7 +487,7 @@ def _settled(js: np.ndarray, ascending: np.ndarray) -> np.ndarray:
     ended = ~ascending & (js > -np.inf)
     best = np.where(ended, js, -np.inf).max(axis=1, keepdims=True)
     agree = np.count_nonzero(ended & (js >= best - _AGREE), axis=1) >= 2
-    return agree & ~(ascending & (js > best + _TIE)).any(axis=1)
+    return (best[:, 0] >= ceiling) | (agree & ~(ascending & (js > best + _TIE)).any(axis=1))
 
 
 def _qudit_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
@@ -476,13 +496,15 @@ def _qudit_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
     Every problem draws the same seeded starts, so they are drawn once; the
     live problems' waves of `_WAVE` consecutive starts ascend together.
     After every round in which a start ends, a problem that `_settled`
-    stops its ascending starts and begins no further wave. J is -inf at
+    stops its ascending starts and begins no further wave: one whose start
+    reaches its I, even before the first round, settles then. J is -inf at
     starts not ascended, those stopped included.
     """
     starts = _starts(ev.dk, config)
     bases = np.broadcast_to(starts, (len(ev.rest_entropy),) + starts.shape).copy()
     js = np.full(bases.shape[:2], -np.inf)
     settled = np.zeros(len(js), dtype=bool)
+    ceiling = ev.mutual_info - _TIE
     for lo in range(0, len(starts), _WAVE):
         n = len(starts[lo:lo + _WAVE])
         on = np.flatnonzero(~settled).repeat(n)
@@ -492,7 +514,7 @@ def _qudit_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
             js[rows] = j
             ascending = np.zeros(js.shape, dtype=bool)
             ascending[on[live], rows[1][live]] = True
-            settled[:] = _settled(js, ascending)
+            settled[:] = _settled(js, ascending, ceiling)
             return settled[on[live]]
 
         found, j = _ascend(ev, bases[rows], ev.j_bases(bases[rows], on), on, settle)

@@ -97,7 +97,8 @@ def test_criterion_5_property_suite_200_states():
         info = infotheory.mutual_information(rho)
         res = optimizer.optimize_measurement(rho, 0, DEFAULT)
         seq = correlations.sequential_measure(rho, (0, 1), DEFAULT)
-        worst_chain = max(worst_chain, -res.discord,
+        # 0 <= D_A as J <= I, the unfloored discord, against the I of Q and C
+        worst_chain = max(worst_chain, res.j_value - seq.mutual_info,
                           res.discord - seq.q_total, seq.q_total - info)
         worst_c = max(worst_c, seq.c_total - res.j_value)
         out = measurement.apply_nonselective(rho, 0, random_qubit_measurement(rng))

@@ -383,11 +383,11 @@ class TestVerify:
         worst_chain, worst_c = 0.0, 0.0
         for _ in range(20):
             rho = states.random_density((2, 2), rng)
-            info = infotheory.mutual_information(rho)
             res = optimizer.optimize_measurement(rho, 0, config)
             seq = correlations.sequential_measure(rho, (0, 1), config)
-            worst_chain = max(worst_chain, -res.discord,
-                              res.discord - seq.q_total, seq.q_total - info)
+            # 0 <= D_A as J <= I, the unfloored discord, against the I of Q and C
+            worst_chain = max(worst_chain, res.j_value - seq.mutual_info,
+                              res.discord - seq.q_total, seq.q_total - seq.mutual_info)
             worst_c = max(worst_c, seq.c_total - res.j_value)
         expected = (f"PASS bounds 0 <= D_A <= Q <= I: residual {worst_chain:.3e} (tol 1e-06)\n"
                     f"PASS bounds C <= C_A: residual {worst_c:.3e} (tol 1e-06)\n"
@@ -427,6 +427,7 @@ class TestInputErrors:
         (["discord", "{paper}", "--subsystem", "5"], {}),
         (["discord", "{paper}", "--subsystem", "-1"], {}),
         (["sweep", "werner", "--step", "0"], {}),
+        (["sweep", "werner", "--step", "1e-320"], {}),
         (["discord", "{paper}"], {"QCORR_SEED": "x"}),
         (["discord", "{paper}", "--seed", "-1"], {}),
         (["overall", "{paper}", "--order", "0,x"], {}),

@@ -62,7 +62,12 @@ class TestSequentialMeasure:
         rho = states.random_density((2, 2), rng)
         seq = correlations.sequential_measure(rho, (0, 1))
         assert seq.q_total == pytest.approx(sum(seq.step_discords), abs=1e-12)
-        assert all(d >= -1e-9 for d in seq.step_discords)
+        # a step discord is floored at 0, so 0 <= D is read as J <= I, each
+        # step's J against the I of the ensemble it measured
+        ens = measurement.CQEnsemble.of(rho)
+        for k, step in zip(seq.order, seq.steps):
+            assert step.j_value - ens.mutual_information() <= 1e-9
+            ens = ens.split(k, step.measurement.basis)
 
     def test_final_state_is_classical(self, rng):
         rho = states.random_density((2, 2), rng)
@@ -352,6 +357,65 @@ def test_q_is_unchanged_under_local_unitaries(dims, rank):
     assert max(qs) - min(qs) <= 1e-9
 
 
+def random_cq_state(rng):
+    """sum_i p_i |i><i| x rho_i on 3 x 2: classical on the qutrit, with full-rank qubit parts."""
+    p = rng.dirichlet(np.ones(3))
+    return states.from_dense(sum(p[i] * np.kron(np.diag(np.eye(3)[i]),
+                                                states.random_density([2], rng).matrix)
+                                 for i in range(3)), (3, 2))
+
+
+def test_q_of_a_classical_quantum_state_is_unchanged_under_local_unitaries():
+    # step 0 ends as a start reaches J = I, within the tie tolerance, and
+    # the basis it keeps is the one step 1 measures after
+    rng = np.random.default_rng(2025)
+    for _ in range(3):
+        rho = random_cq_state(rng)
+        qs = [correlations.overall_q(rho)]
+        for _ in range(4):
+            u = np.kron(random_unitary(3, rng), random_unitary(2, rng))
+            qs.append(correlations.overall_q(states.from_dense(u @ rho.matrix @ u.conj().T,
+                                                               (3, 2))))
+        assert max(qs) - min(qs) <= 1e-9
+
+
+def j_above_i(rho) -> list[float]:
+    """J - I of every search of `full_report`, each against the I of the ensemble it measured."""
+    rep = correlations.full_report(rho)
+    excess = [c - rep.mutual_info for _, c in rep.per_subsystem]
+    ens = measurement.CQEnsemble.of(rho)
+    for k, step in zip(rep.sequential.order, rep.sequential.steps):
+        excess.append(step.j_value - ens.mutual_information())
+        ens = ens.split(k, step.measurement.basis)
+    return excess
+
+
+def _certificate_states():
+    found = []
+    for dims in [(2, 2), (2, 3), (3, 2), (2, 2, 2)]:
+        for rank in (1, 2, 3):
+            rng = np.random.default_rng([2025, *dims, rank])
+            found += [(f"{'x'.join(map(str, dims))}_rank{rank}_{i}",
+                       states.random_density(dims, rng, rank=rank)) for i in range(3)]
+    rng = np.random.default_rng([2025, 0])
+    found += [(f"cq_3x2_{i}", random_cq_state(rng)) for i in range(3)]
+    # a rank-2 state under dust: (1 - eps) rho + eps I / d
+    eps = 1e-13
+    rank2 = states.random_density((3, 2), np.random.default_rng([2025, 1]), rank=2)
+    found.append(("dust_3x2_rank2",
+                  states.from_dense((1 - eps) * rank2.matrix + eps * np.eye(6) / 6, (3, 2))))
+    return found
+
+
+CERTIFICATE_STATES = _certificate_states()
+
+
+@pytest.mark.parametrize("name, rho", CERTIFICATE_STATES, ids=[c[0] for c in CERTIFICATE_STATES])
+def test_no_search_ends_above_the_mutual_information(name, rho):
+    # J <= I is the premise of the search's ending at J = I
+    assert max(j_above_i(rho)) <= 1e-13
+
+
 class TestOverall:
     def test_paper_example(self, paper_state):
         assert abs(correlations.overall_q(paper_state) - PAPER_Q) < 1e-3
@@ -375,11 +439,13 @@ class TestBounds:
             rho = states.random_density((2, 2), rng)
             info = infotheory.mutual_information(rho)
             d_a = correlations.discord(rho, 0)
+            c_a = correlations.classical_hv(rho, 0)
             seq = correlations.sequential_measure(rho, (0, 1))
-            assert d_a >= -1e-9
+            # the discord is floored at 0, so 0 <= D_A is read as J <= I
+            assert c_a - seq.mutual_info <= 1e-9
             assert d_a <= seq.q_total + 1e-6
             assert seq.q_total <= info + 1e-6
-            assert seq.c_total <= correlations.classical_hv(rho, 0) + 1e-6
+            assert seq.c_total <= c_a + 1e-6
 
     def test_bell_diagonal_corollary(self, rng):
         for _ in range(10):

@@ -350,7 +350,7 @@ SMALL_BLOCK_CASES = small_block_cases()
 def test_closed_form_gradient_matches_eigh(name, view, bases):
     # blocks of b <= 2 take log2(B / q) in closed form, with eigh's clamp and zero rule
     assert view.shape[2] <= 2
-    ev = measurement._JEvaluator([view], [0.0])
+    ev = measurement._JEvaluator([view], [0.0], [0.0])
     on = np.zeros(len(bases), dtype=int)
     assert np.abs(ev.gradient(bases, on) - eigh_gradient(view, bases)).max() < 1e-12
 

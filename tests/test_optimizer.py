@@ -252,13 +252,23 @@ class TestRefineLocal:
         assert j[0] >= ev_start - 1e-12
 
     def test_constant_landscape_terminates(self, rng):
+        # every basis of a pure entangled state gives J = S(rho_1), below
+        # I = 2 S(rho_1): the model predicts no gain, so the search ends in
+        # its first round on its one evaluated trial, long before the cap
+        rho = states.random_density((2, 2), rng, rank=1)
+        _, j, evals = ascend(rho, 0, [qubit_basis(0.3, 0.3)])
+        assert abs(j[0] - infotheory.von_neumann_entropy(states.reduced(rho, {1}))) < 1e-8
+        assert evals == last_round(2)
+
+    def test_a_start_at_the_mutual_information_is_not_ascended(self, rng):
+        # every basis of a product state gives J = I = 0, the maximum as
+        # J <= I, so the start is kept and nothing more is evaluated
         rho = states.tensor(states.random_density([2], rng),
                             states.random_density([2], rng))
-        _, j, evals = ascend(rho, 0, [qubit_basis(0.3, 0.3)])
+        start = qubit_basis(0.3, 0.3)
+        bases, j, evals = ascend(rho, 0, [start])
         assert abs(j[0]) < 1e-8
-        # the model predicts no gain, so the search ends in its first round
-        # on its one evaluated trial, long before the cap
-        assert evals == last_round(2)
+        assert evals == 0 and (bases[0] == start).all()
 
     def test_qubit_searches_end_within_five_rounds(self):
         # Newton steps from the start grid; gradient steps alone ran to the
@@ -633,15 +643,18 @@ class TestQuditRestarts:
     @pytest.mark.parametrize("state, max_evals", [("classical_quantum", 420), ("mixed", 475)])
     def test_benchmark_qutrit_searches_take_few_evaluations(self, state, max_evals):
         # the qutrit sides of the benchmark's qutrit_qubit states, whose
-        # searches take 306 and 397 evaluations
+        # searches take 264 and 397 evaluations: the classical-quantum one
+        # ends as its first start reaches J = I
         res = optimizer.optimize_measurement(catalog_qutrit_state(state), 0)
         assert res.iterations <= max_evals
 
     @pytest.mark.parametrize("state", ["classical_quantum", "mixed"])
     def test_a_wave_settles_before_its_last_start_ends(self, state):
-        # the first wave settles while some of its starts still ascend: two
+        # the first wave settles while some of its starts still ascend, so
+        # those stop there: on the classical-quantum state as its first start
+        # ends at J = I, the maximum (three stop), on the mixed one as two
         # ended starts agree on the best J and none ascending is above it by
-        # more than the tie tolerance, so those stop there (two on each state)
+        # more than the tie tolerance (two stop)
         rho = catalog_qutrit_state(state)
         _, _, evals = ascend(rho, 0, optimizer._starts(3, OptimizerConfig())[:optimizer._WAVE])
         assert optimizer.optimize_measurement(rho, 0).iterations < optimizer._WAVE + evals
@@ -761,6 +774,45 @@ class TestQuditRestarts:
         assert ev.evaluated == [2 + 2 * last_round(3)]
 
 
+class TestZeroDiscordEnds:
+    """J <= I, so a search whose J is within `_TIE` of I has reached the maximum and ends."""
+
+    GRID = len(optimizer._start_points(*optimizer._START_GRID)[1])
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_ghz_steps_after_the_first_take_their_grid_point(self, n):
+        # after step 0 the rest of a GHZ state is classical in the pole's
+        # basis, whose grid point is at J = I and is not ascended
+        seq = correlations.sequential_measure(states.named("ghz", n=n), range(n))
+        for step in seq.steps[1:]:
+            assert step.iterations == self.GRID
+            assert step.oracle_gap == 0.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("label", ["bell_diagonal_0", "bell_diagonal_1"])
+    def test_a_bell_diagonal_second_step_takes_its_grid_point(self, seed, label):
+        seq = correlations.sequential_measure(qubit_pairs_states(seed)[label], (0, 1))
+        assert seq.steps[1].iterations == self.GRID
+        assert seq.steps[1].oracle_gap == 0.0
+
+    def test_a_mixed_product_state_evaluates_only_its_starts(self):
+        # J = I = 0 at every basis: the qutrit's first wave of starts ends
+        # before its first round and settles its search, and the qubit's grid
+        # argmax is not ascended
+        rng = np.random.default_rng(25)
+        rho = states.tensor(states.random_density([3], rng), states.random_density([2], rng))
+        assert optimizer.optimize_measurement(rho, 0).iterations == optimizer._WAVE
+        res = optimizer.optimize_measurement(rho, 1)
+        assert res.iterations == self.GRID and res.oracle_gap == 0.0
+
+    def test_the_benchmark_classical_quantum_qutrit_search_ends_at_i(self):
+        rho = catalog_qutrit_state("classical_quantum")
+        res = optimizer.optimize_measurement(rho, 0)
+        info = measurement.CQEnsemble.of(rho).mutual_information()
+        assert res.iterations < 306
+        assert abs(res.j_value - info) <= optimizer._TIE
+
+
 def dense_evaluator(rho, k):
     """A _JEvaluator on subsystem k of rho that reads the dense view.
 
@@ -774,7 +826,7 @@ def dense_evaluator(rho, k):
     rest_entropy = sum(infotheory.von_neumann_entropy(states.reduced(rho, {j}))
                        for j in range(n) if j != k)
     return optimizer._JEvaluator([t.reshape(1, dk, rho.dim // dk, dk, rho.dim // dk)],
-                                 [rest_entropy])
+                                 [rest_entropy], [infotheory.mutual_information(rho)])
 
 
 def _low_rank_states():
