@@ -26,6 +26,7 @@ from . import correlations, infotheory, measurement, optimizer, states
 from .errors import BadOrder, ParamOutOfRange, ParseError, QcorrError
 
 SCHEMA_VERSION = "4"
+MAX_SWEEP_ROWS = 100_000  # a sweep with more rows is an input error, not a run without end
 
 
 # ---------------------------------------------------------------- state files
@@ -148,15 +149,13 @@ def _make_config(args) -> optimizer.OptimizerConfig:
 
 def cmd_info(args) -> int:
     rho = load_state(args.statefile)
-    ens = measurement.CQEnsemble.of(rho)
-    info = ens.mutual_information()
-    marginals, joint = list(ens.marginal_entropies), ens.joint_entropy
-    doc = {"dims": list(rho.dims), "marginal_entropies": marginals,
-           "joint_entropy": joint, "mutual_info": info}
-    lines = [f"dims: {list(rho.dims)}",
-             *(f"S(rho_{k}) = {s:.12g}" for k, s in enumerate(marginals)),
-             f"S(rho)   = {joint:.12g}",
-             f"I        = {info:.12g}"]
+    doc = {"dims": list(rho.dims), "marginal_entropies": infotheory.marginal_entropies(rho),
+           "joint_entropy": infotheory.von_neumann_entropy(rho),
+           "mutual_info": infotheory.mutual_information(rho)}
+    lines = [f"dims: {doc['dims']}",
+             *(f"S(rho_{k}) = {s:.12g}" for k, s in enumerate(doc["marginal_entropies"])),
+             f"S(rho)   = {doc['joint_entropy']:.12g}",
+             f"I        = {doc['mutual_info']:.12g}"]
     emit(doc, args.json, lines)
     return 0
 
@@ -230,8 +229,8 @@ def cmd_sweep(args) -> int:
                               "and --step be finite and positive")
     # the rows up to --stop: the tolerance and the clamp absorb float drift only
     n = (args.stop - args.start) / args.step * (1 + 1e-9)
-    if not math.isfinite(n):
-        raise ParamOutOfRange(f"--step {args.step!r} gives no finite row count")
+    if not n < MAX_SWEEP_ROWS:
+        raise ParamOutOfRange(f"--step {args.step!r} gives more than {MAX_SWEEP_ROWS} rows")
     config = _make_config(args)
     # open --csv before the sweep, so that a path it cannot write costs no rows
     try:
@@ -279,8 +278,7 @@ def _verify_bounds(config, failures):
         rho = states.random_density((2, 2), rng)
         seq = correlations.sequential_measure(rho, (0, 1), config)
         res = seq.steps[0]  # the search on subsystem 0 of rho
-        # the I that Q and C are taken against, not the dense matrix's; 0 <= D_A
-        # is read as J <= I, as the reported discord is floored at 0
+        # 0 <= D_A is read as J <= I, as the reported discord is floored at 0
         worst_chain = max(worst_chain, res.j_value - seq.mutual_info,
                           res.discord - seq.q_total, seq.q_total - seq.mutual_info)
         worst_c = max(worst_c, seq.c_total - res.j_value)

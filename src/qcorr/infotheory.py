@@ -9,7 +9,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, NotADistribution, SinglePartyState
-from .states import DensityMatrix, reduced
+from .states import DensityMatrix
 
 CLAMP = 1e-12
 INFINITE = math.inf  # distinguished relative-entropy result, not a failure
@@ -73,25 +73,29 @@ def entropy_of_spectrum(w: np.ndarray) -> float:
     return 0.0 - float((w * np.log2(w)).sum())
 
 
+def marginal_entropies(rho: DensityMatrix) -> tuple[float, ...]:
+    """S(rho_j) of every subsystem j, in bits, of the reduced states F_j F_j^dagger of rho's factor.
+
+    Each over its trace, which is 1 up to the rounding of the factor's norm,
+    so that a pure product state's entropies read exactly 0.
+    """
+    f = rho.factor.reshape(rho.dims + (-1,))
+    f_js = (np.moveaxis(f, j, 0).reshape(d, -1) for j, d in enumerate(rho.dims))
+    grams = (f_j @ f_j.conj().T for f_j in f_js)
+    return tuple(entropy_of_spectrum(np.linalg.eigvalsh(m / np.trace(m).real)) for m in grams)
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -Tr(rho log2 rho), in bits."""
-    return entropy_of_spectrum(rho.spectrum)
+    """S(rho) in bits, of rho's factor: its eigenvalues above 1e-14, rescaled to unit trace."""
+    w = rho.spectrum[-rho.factor.shape[1]:]
+    return entropy_of_spectrum(w / w.sum())
 
 
 def mutual_information(rho: DensityMatrix) -> float:
-    """Total correlations of the matrix as given: sum of marginal entropies minus joint entropy.
-
-    The marginals come from `reduced` and the joint entropy from rho's own
-    spectrum, eigenvalue dust included. Q, C, discord and `qcorr info` use
-    `CQEnsemble.mutual_information` instead, taken on rho's dust-free factor
-    rescaled to unit trace; on a state with dust the two differ (by up to
-    4e-8 bits where the dust is near -1e-9).
-    """
+    """Total correlations: marginal_entropies summed, minus von_neumann_entropy."""
     if rho.n_subsystems < 2:
         raise SinglePartyState("mutual information needs at least 2 subsystems")
-    marginals = sum(von_neumann_entropy(reduced(rho, {k}))
-                    for k in range(rho.n_subsystems))
-    return marginals - von_neumann_entropy(rho)
+    return sum(marginal_entropies(rho)) - von_neumann_entropy(rho)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .errors import (AngleOutOfRange, DimensionMismatch, NotUnitary,
                      SinglePartyState)
-from .infotheory import CLAMP, entropy_of_spectrum
+from .infotheory import CLAMP, entropy_of_spectrum, marginal_entropies, von_neumann_entropy
 from .states import DensityMatrix, from_dense
 
 UNITARY_TOL = 1e-8
@@ -175,19 +175,10 @@ class CQEnsemble:
 
     @classmethod
     def of(cls, rho: DensityMatrix) -> CQEnsemble:
-        f, marginals = rho.factor.reshape(rho.dims + (-1,)), []
-        for j, d in enumerate(rho.dims):
-            f_j = np.moveaxis(f, j, 0).reshape(d, -1)
-            m = f_j @ f_j.conj().T
-            # over its trace, which is 1 up to the rounding of the factor's
-            # norm, so that a pure product state's entropies read exactly 0
-            marginals.append(entropy_of_spectrum(np.linalg.eigvalsh(m / np.trace(m).real)))
         ens = cls(rho.dims, (), np.zeros((1, 0), dtype=int), rho.factor[None],
-                  np.ones(1), tuple(marginals))
-        # from_dense has diagonalized rho already: the factor's spectrum is
-        # the eigenvalues it keeps, rescaled to unit trace
-        w = rho.spectrum[-rho.factor.shape[1]:]
-        ens.__dict__["joint_entropy"] = entropy_of_spectrum(w / w.sum())
+                  np.ones(1), marginal_entropies(rho))
+        # from_dense has diagonalized rho already; the property would do it again
+        ens.__dict__["joint_entropy"] = von_neumann_entropy(rho)
         return ens
 
     @property

@@ -82,8 +82,10 @@ def from_dense(matrix, dims: Sequence[int]) -> DensityMatrix:
 
 
 def from_pure(amplitudes, dims: Sequence[int]) -> DensityMatrix:
-    """Rank-1 projector |psi><psi| from a normalized amplitude vector."""
-    psi = linalg.as_array(amplitudes).ravel()
+    """Rank-1 projector |psi><psi| from a normalized vector of prod(dims) amplitudes."""
+    psi, dims = linalg.as_array(amplitudes).ravel(), _dims(dims)
+    if psi.size != math.prod(dims):
+        raise DimensionMismatch(f"{psi.size} amplitudes for dims {dims}")
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-9:
         raise NotNormalized(f"amplitude norm is {norm!r}")

@@ -435,6 +435,7 @@ class TestInputErrors:
         (["sweep", "werner", "--start", "-0.5", "--stop", "1"], {}),
         (["sweep", "werner", "--start", "1", "--stop", "0"], {}),
         (["overall", "{ghz5}", "--all-orders"], {}),
+        (["sweep", "werner", "--step", "1e-300"], {}),
     ])
     def test_exit_code_two(self, capsys, tmp_path, paper_file, monkeypatch, argv, env):
         for name, value in env.items():

@@ -336,10 +336,20 @@ def test_eigenvalue_dust_moves_nothing(name, clean, renormalized):
     assert np.abs(np.array(seq.step_discords) - ref.step_discords).max() <= 1e-9
     assert abs(seq.q_total - ref.q_total) <= 1e-9
     assert abs(seq.c_total - ref.c_total) <= 1e-9
-    # Q and C split the ensemble's own I, which infotheory.mutual_information
-    # (the dusty matrix's) misses by up to 4e-8 here
     assert seq.q_total <= seq.mutual_info
     assert abs(seq.q_total + seq.c_total - seq.mutual_info) <= 1e-12
+
+
+@pytest.mark.parametrize("renormalized", [False, True], ids=["lowered", "renormalized"])
+@pytest.mark.parametrize("name, clean", DUSTY_STATES, ids=[d[0] for d in DUSTY_STATES])
+def test_every_entropy_of_a_dusty_state_takes_one_path(name, clean, renormalized):
+    # the public entropies and the report's are the same floats, so that
+    # D_k + C_k = I and Q + C = I hold for the I that infotheory reports
+    dusty = with_dust(clean, np.random.default_rng(9), renormalized)
+    report = correlations.full_report(dusty, OptimizerConfig(restarts=4))
+    assert infotheory.mutual_information(dusty) == report.mutual_info
+    assert infotheory.von_neumann_entropy(dusty) == report.joint_entropy
+    assert infotheory.marginal_entropies(dusty) == report.marginal_entropies
 
 
 @pytest.mark.parametrize("dims, rank", [((2, 2), None), ((2, 2), 2), ((3, 2), None),

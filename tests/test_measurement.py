@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary
-from qcorr import infotheory, measurement, states
+from qcorr import infotheory, linalg, measurement, states
 from qcorr.errors import AngleOutOfRange, DimensionMismatch, NotUnitary
 
 SQRT2 = math.sqrt(2)
@@ -255,9 +255,13 @@ def test_channel_monotonicity(rng):
 
 class TestCQEnsemble:
     def test_one_leaf_is_the_state(self, rng):
+        # the textbook recipe, sharing no code with the factor: each marginal
+        # by partial trace of the dense matrix, every spectrum by eigvalsh
         rho = states.random_density((2, 3), rng)
         ens = measurement.CQEnsemble.of(rho)
-        assert abs(ens.mutual_information() - infotheory.mutual_information(rho)) < 1e-12
+        entropy = lambda m: infotheory.entropy_of_spectrum(np.linalg.eigvalsh(m))
+        marginals = [entropy(linalg.partial_trace(rho.matrix, rho.dims, {j})) for j in (0, 1)]
+        assert abs(ens.mutual_information() - (sum(marginals) - entropy(rho.matrix))) < 1e-12
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (2, 3, 2)])
     def test_split_matches_the_channel(self, rng, dims):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,19 @@ class TestFromPure:
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
             states.from_pure([1, 1], [2])
+
+    def test_an_amplitude_count_off_dims_is_rejected_before_the_outer_product(self):
+        # 2000 amplitudes for dims (2, 2): their 2000 x 2000 projector
+        # would take 64 MB, and a state file's 100k amplitudes 160 GB
+        psi = np.ones(2000) / math.sqrt(2000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch):
+                states.from_pure(psi, (2, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 21
 
     @pytest.mark.parametrize("amplitudes", [[[1, 0], [0]], ["a", 0], [math.nan, 1]],
                              ids=["ragged", "not-a-number", "nan"])
