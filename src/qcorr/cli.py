@@ -380,10 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="optimizer seed (default: QCORR_SEED env or 0)")
         p.add_argument("--restarts", type=int, default=None,
-                       help="subsystem dim > 2: at most this many Haar starts, "
-                            "ascended in waves of 4 until one ended start reaches "
-                            "the mutual information I or two ended starts agree "
-                            "on the best J, checked every round")
+                       help="subsystem dim > 2: at most this many Haar starts "
+                            f"(1..{optimizer.MAX_RESTARTS}), ascended in waves of 4 "
+                            "until one ended start reaches the mutual information I "
+                            "or two ended starts agree on the best J, checked every round")
 
     def json_option(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")

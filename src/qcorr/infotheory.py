@@ -9,7 +9,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, NotADistribution, SinglePartyState
-from .states import DensityMatrix
+from .states import DensityMatrix, factor_marginal
 
 CLAMP = 1e-12
 INFINITE = math.inf  # distinguished relative-entropy result, not a failure
@@ -25,6 +25,9 @@ class ProbabilityTable:
     probs: np.ndarray
 
     def marginal(self, k: int) -> np.ndarray:
+        """Party k's outcome distribution; k is an integer in 0..n-1, else DimensionMismatch."""
+        if not (linalg.is_integer(k) and 0 <= k < len(self.dims)):
+            raise DimensionMismatch(f"party {k!r} is not an index in 0..{len(self.dims) - 1}")
         t = self.probs.reshape(self.dims)
         axes = tuple(i for i in range(len(self.dims)) if i != k)
         return t.sum(axis=axes)
@@ -79,9 +82,7 @@ def marginal_entropies(rho: DensityMatrix) -> tuple[float, ...]:
     Each over its trace, which is 1 up to the rounding of the factor's norm,
     so that a pure product state's entropies read exactly 0.
     """
-    f = rho.factor.reshape(rho.dims + (-1,))
-    f_js = (np.moveaxis(f, j, 0).reshape(d, -1) for j, d in enumerate(rho.dims))
-    grams = (f_j @ f_j.conj().T for f_j in f_js)
+    grams = (factor_marginal(rho, [j]) for j in range(rho.n_subsystems))
     return tuple(entropy_of_spectrum(np.linalg.eigvalsh(m / np.trace(m).real)) for m in grams)
 
 
@@ -99,24 +100,21 @@ def mutual_information(rho: DensityMatrix) -> float:
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """S(rho||sigma) = -S(rho) - Tr(rho log2 sigma), in bits.
+    """S(rho||sigma) = -S(rho) - Tr(rho log2 sigma), in bits, on the two factors.
 
-    Returns math.inf when the support of rho is not contained in the
-    support of sigma.
+    With F_sigma = U sqrt(p), the cross term is sum_i log2(p_i) |u_i^dagger F_rho|^2
+    over sigma's support, the eigenvalues its factor keeps. Returns math.inf
+    when more than 1e-9 of rho's weight lies outside that support.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimension {rho.dim} vs {sigma.dim}")
-    w, u = np.linalg.eigh(sigma.matrix)
-    # rho-weight carried by the near-null eigenspace of sigma
-    null = w < CLAMP
-    if null.any():
-        un = u[:, null]
-        weight = float(np.einsum('ik,ij,jk->', un.conj(), rho.matrix, un).real)
-        if weight > 1e-9:
-            return INFINITE
-    log_sigma = (u * np.log2(np.maximum(w, CLAMP))) @ linalg.dag(u)
-    cross = float(np.trace(rho.matrix @ log_sigma).real)
-    return -von_neumann_entropy(rho) - cross
+    w = sigma.spectrum[-sigma.factor.shape[1]:]
+    p = w / w.sum()
+    # rho's weight on each eigenvector u_i = f_i / sqrt(p_i) of sigma
+    weight = (np.abs(sigma.factor.conj().T @ rho.factor) ** 2).sum(axis=1) / p
+    if 1.0 - weight.sum() > 1e-9:
+        return INFINITE
+    return -von_neumann_entropy(rho) - float(weight @ np.log2(p))
 
 
 def classical_mutual_information(p: ProbabilityTable) -> float:

@@ -8,7 +8,6 @@ and takes each spectrum on the factor's smaller side.
 from __future__ import annotations
 
 import numbers
-from typing import Sequence
 
 import numpy as np
 
@@ -59,31 +58,3 @@ def dag(m: np.ndarray) -> np.ndarray:
 def hermitian_defect(h: np.ndarray) -> float:
     """Max entrywise modulus of h - h^dagger."""
     return float(np.abs(h - dag(h)).max())
-
-
-def partial_trace(m: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
-    """Trace out every subsystem not in `keep`.
-
-    Subsystem 0 is the leftmost (most significant) tensor factor; the row
-    index decomposes big-endian over `dims`.
-    """
-    dims = list(as_tuple(dims, "dims"))
-    keep = set(as_tuple(keep, "keep"))
-    n = len(dims)
-    total = int(np.prod(dims))
-    m = as_matrix(m)
-    if m.shape != (total, total):
-        raise DimensionMismatch(f"matrix is {m.shape}, dims product is {total}")
-    if not keep or not all(is_integer(k) and 0 <= k < n for k in keep):
-        raise DimensionMismatch(f"keep={keep} is not a nonempty subset of 0..{n - 1}")
-    keep = sorted(int(k) for k in keep)
-    t = m.reshape(dims + dims)
-    # trace axis pairs for discarded subsystems, highest index first so
-    # earlier axis numbers stay valid
-    traced = 0
-    for k in sorted(set(range(n)) - set(keep), reverse=True):
-        cur = n - traced
-        t = np.trace(t, axis1=k, axis2=k + cur)
-        traced += 1
-    d_keep = int(np.prod([dims[k] for k in keep]))
-    return t.reshape(d_keep, d_keep)

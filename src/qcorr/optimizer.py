@@ -82,6 +82,9 @@ _MAX_ROUNDS = 500
 # restarts run out.
 _WAVE = 4
 _AGREE = 1e-9
+# Most restarts a config takes: a qudit search draws all its seeded Haar
+# bases, and their QR, before its first wave, however early the waves stop.
+MAX_RESTARTS = 10_000
 # Trial steps of an ascent round, as multiples of its direction.
 _LADDER = np.array([4.0, 2.0, 1.0, 0.5, 0.25, 1 / 16])
 _UNIT_TRIAL = 2  # the index of t = 1 in _LADDER
@@ -106,11 +109,11 @@ _MAX_TURN = math.pi / 4
 class OptimizerConfig:
     """Settings of a measurement search: both are integers, and bools are rejected.
 
-    `restarts` (> 0) caps the seeded Haar starts of a subsystem of dimension
-    above 2, ascended in waves of 4 until one ended start reaches the mutual
-    information I, the maximum, or two ended starts agree on the best J, a
-    rule checked after every round; `seed` (>= 0) seeds their draw. A qubit
-    search uses neither.
+    `restarts` (1..MAX_RESTARTS) caps the seeded Haar starts of a subsystem
+    of dimension above 2, ascended in waves of 4 until one ended start
+    reaches the mutual information I, the maximum, or two ended starts agree
+    on the best J, a rule checked after every round; `seed` (>= 0) seeds
+    their draw. A qubit search uses neither.
     """
     restarts: int = 32
     seed: int = 0
@@ -120,6 +123,9 @@ class OptimizerConfig:
             if not (is_integer(value) and (value >= 0 if name == "seed" else value > 0)):
                 raise ParamOutOfRange(f"{name} must be an integer "
                                       f"{'>= 0' if name == 'seed' else '> 0'}, got {value!r}")
+        if self.restarts > MAX_RESTARTS:
+            raise ParamOutOfRange(f"restarts must be at most {MAX_RESTARTS}, "
+                                  f"got {self.restarts!r}")
 
 
 @dataclass(frozen=True, eq=False)

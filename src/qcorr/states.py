@@ -92,16 +92,32 @@ def from_pure(amplitudes, dims: Sequence[int]) -> DensityMatrix:
     return from_dense(np.outer(psi, psi.conj()), dims)
 
 
+def factor_marginal(rho: DensityMatrix, keep: Sequence[int]) -> np.ndarray:
+    """F_K F_K^dagger, rho's reduced matrix on the ascending subsystems `keep`.
+
+    F_K holds the kept subsystems' rows of rho's factor, the other
+    subsystems and the rank side by side as its columns, so the trace over
+    the rest is one product and leaves rho's eigenvalue dust out.
+    """
+    f = np.moveaxis(rho.factor.reshape(rho.dims + (-1,)), keep, range(len(keep)))
+    f_k = f.reshape(math.prod(rho.dims[k] for k in keep), -1)
+    return f_k @ f_k.conj().T
+
+
 def reduced(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept subsystems, a nonempty set of indices (else DimensionMismatch)."""
     keep = set(linalg.as_tuple(keep, "keep"))
-    sub = linalg.partial_trace(rho.matrix, rho.dims, keep)
-    return from_dense(sub, [rho.dims[k] for k in sorted(keep)])
+    n = rho.n_subsystems
+    if not keep or not all(linalg.is_integer(k) and 0 <= k < n for k in keep):
+        raise DimensionMismatch(f"keep={keep} is not a nonempty subset of 0..{n - 1}")
+    keep = sorted(int(k) for k in keep)
+    return from_dense(factor_marginal(rho, keep), [rho.dims[k] for k in keep])
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Tensor product state; dims concatenate."""
-    return from_dense(np.kron(a.matrix, b.matrix), a.dims + b.dims)
+    """Tensor product state, f f^dagger of the factors' product f; dims concatenate."""
+    f = np.kron(a.factor, b.factor)
+    return from_dense(f @ f.conj().T, a.dims + b.dims)
 
 
 def _bell_vector(which: str) -> np.ndarray:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qcorr import correlations, from_dense, measurement, named, optimizer
+from qcorr.errors import DimensionMismatch
+from qcorr.linalg import as_matrix, as_tuple, is_integer
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -11,6 +13,34 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
+    """Trace out every subsystem not in `keep`: the dense reference for `states.reduced`.
+
+    Subsystem 0 is the leftmost (most significant) tensor factor; the row
+    index decomposes big-endian over `dims`.
+    """
+    dims = list(as_tuple(dims, "dims"))
+    keep = set(as_tuple(keep, "keep"))
+    n = len(dims)
+    total = int(np.prod(dims))
+    m = as_matrix(m)
+    if m.shape != (total, total):
+        raise DimensionMismatch(f"matrix is {m.shape}, dims product is {total}")
+    if not keep or not all(is_integer(k) and 0 <= k < n for k in keep):
+        raise DimensionMismatch(f"keep={keep} is not a nonempty subset of 0..{n - 1}")
+    keep = sorted(int(k) for k in keep)
+    t = m.reshape(dims + dims)
+    # trace axis pairs for discarded subsystems, highest index first so
+    # earlier axis numbers stay valid
+    traced = 0
+    for k in sorted(set(range(n)) - set(keep), reverse=True):
+        cur = n - traced
+        t = np.trace(t, axis1=k, axis2=k + cur)
+        traced += 1
+    d_keep = int(np.prod([dims[k] for k in keep]))
+    return t.reshape(d_keep, d_keep)
 
 
 def random_bell_diagonal(rng: np.random.Generator):

@@ -436,6 +436,10 @@ class TestInputErrors:
         (["sweep", "werner", "--start", "1", "--stop", "0"], {}),
         (["overall", "{ghz5}", "--all-orders"], {}),
         (["sweep", "werner", "--step", "1e-300"], {}),
+        # above optimizer.MAX_RESTARTS; the paper example's qubit search
+        # draws no Haar start, so nothing of that size is allocated
+        (["discord", "{paper}", "--restarts", "1000000000"], {}),
+        (["overall", "{paper}", "--restarts", "10001"], {}),
     ])
     def test_exit_code_two(self, capsys, tmp_path, paper_file, monkeypatch, argv, env):
         for name, value in env.items():

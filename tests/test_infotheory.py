@@ -64,6 +64,18 @@ class TestProbabilityTable:
         with pytest.raises(NotADistribution):
             infotheory.probability_table(p, dims)
 
+    @pytest.mark.parametrize("k", [2, 5, -1, True, 0.5, "0"])
+    def test_a_party_is_an_index_of_the_table(self, k):
+        # 5, -1 and 0.5 used to sum the whole table to 1.0, and True gave party 1
+        table = infotheory.probability_table([0.25, 0.25, 0.5, 0.0], (2, 2))
+        with pytest.raises(DimensionMismatch):
+            table.marginal(k)
+
+    def test_marginal_of_each_party(self):
+        table = infotheory.probability_table([0.25, 0.25, 0.5, 0.0], (2, 2))
+        assert table.marginal(0).tolist() == [0.5, 0.5]
+        assert table.marginal(np.int64(1)).tolist() == [0.75, 0.25]
+
 
 class TestVonNeumann:
     def test_pure_state(self):
@@ -140,6 +152,41 @@ class TestRelativeEntropy:
         with pytest.raises(DimensionMismatch):
             infotheory.relative_entropy(states.random_density([2], rng),
                                         states.random_density([3], rng))
+
+
+def dense_relative_entropy(rho, sigma):
+    """S(rho||sigma) on the dense matrices: eigh of sigma, its eigenvalues
+    below 1e-12 its null space, and log2 clamped there."""
+    w, u = np.linalg.eigh(sigma.matrix)
+    null = u[:, w < 1e-12]
+    if np.einsum('ik,ij,jk->', null.conj(), rho.matrix, null).real > 1e-9:
+        return math.inf
+    log_sigma = (u * np.log2(np.maximum(w, 1e-12))) @ u.conj().T
+    s_rho = infotheory.entropy_of_spectrum(np.linalg.eigvalsh(rho.matrix))
+    return -s_rho - float(np.trace(rho.matrix @ log_sigma).real)
+
+
+def test_relative_entropy_matches_the_dense_formula():
+    # random pairs of every rank; half of the rhos lie in sigma's support
+    rng = np.random.default_rng(2027)
+    finite = 0
+    for _ in range(240):
+        dims = [(2,), (3,), (2, 2), (3, 2), (2, 2, 2)][rng.integers(5)]
+        d = math.prod(dims)
+        sigma = states.random_density(dims, rng, rank=int(rng.integers(1, d + 1)))
+        rank = int(rng.integers(1, d + 1))
+        if rng.random() < 0.5:
+            w, u = np.linalg.eigh(sigma.matrix)
+            support = u[:, w > 1e-12]
+            shape = (support.shape[1], rank)
+            g = support @ (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            rho = states.from_dense(g @ g.conj().T / np.linalg.norm(g) ** 2, dims)
+        else:
+            rho = states.random_density(dims, rng, rank=rank)
+        got, want = infotheory.relative_entropy(rho, sigma), dense_relative_entropy(rho, sigma)
+        assert got == want if math.isinf(want) else abs(got - want) <= 1e-12
+        finite += math.isfinite(want)
+    assert 100 <= finite < 240
 
 
 class TestClassicalMutualInformation:

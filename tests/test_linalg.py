@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unitary
+from conftest import partial_trace, random_unitary
 from qcorr import linalg, states
 from qcorr.errors import DimensionMismatch, NotHermitian
 
@@ -22,7 +24,7 @@ def random_state_matrix(n, rng):
 
 
 class TestKron:
-    """states.tensor is np.kron in the big-endian order partial_trace reads."""
+    """states.tensor is np.kron in the big-endian order states.reduced reads."""
 
     def test_identity(self):
         mixed = states.from_dense(np.eye(2) / 2, (2,))
@@ -47,8 +49,8 @@ class TestKron:
         a = random_state_matrix(3, rng)
         b = random_state_matrix(2, rng)
         out = states.tensor(states.from_dense(a, (3,)), states.from_dense(b, (2,)))
-        assert np.abs(linalg.partial_trace(out.matrix, [3, 2], {0}) - a).max() < 1e-10
-        assert np.abs(linalg.partial_trace(out.matrix, [3, 2], {1}) - b).max() < 1e-10
+        assert np.abs(states.reduced(out, {0}).matrix - a).max() < 1e-10
+        assert np.abs(states.reduced(out, {1}).matrix - b).max() < 1e-10
         assert np.allclose(out.spectrum, np.sort(np.outer(
             np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)).ravel()))
 
@@ -100,49 +102,60 @@ class TestEigh:
 
 
 class TestPartialTrace:
+    """states.reduced traces out every subsystem not kept, from the factor."""
+
     def test_factorized(self, rng):
-        a = random_hermitian(2, rng)
-        b = random_hermitian(3, rng)
-        b = b @ b.conj().T
-        b /= np.trace(b)
-        out = linalg.partial_trace(np.kron(a, b), [2, 3], {0})
-        assert np.abs(out - a).max() < 1e-10
+        a = random_state_matrix(2, rng)
+        b = random_state_matrix(3, rng)
+        out = states.reduced(states.from_dense(np.kron(a, b), (2, 3)), {0})
+        assert np.abs(out.matrix - a).max() < 1e-10
 
     def test_bell_marginal(self):
         # by hand: |phi+><phi+| has entries 1/2 at corners; tracing A sums
         # the (0,0) and (1,1) blocks, giving I/2
         psi = np.array([1, 0, 0, 1]) / SQRT2
-        rho = np.outer(psi, psi)
-        out = linalg.partial_trace(rho, [2, 2], {1})
-        assert np.allclose(out, np.eye(2) / 2)
+        out = states.reduced(states.from_pure(psi, (2, 2)), {1})
+        assert np.allclose(out.matrix, np.eye(2) / 2)
 
     def test_keep_all(self, rng):
-        m = random_hermitian(6, rng)
-        out = linalg.partial_trace(m, [2, 3], {0, 1})
-        assert np.abs(out - m).max() < 1e-12
+        rho = states.from_dense(random_state_matrix(6, rng), (2, 3))
+        out = states.reduced(rho, {0, 1})
+        assert out.dims == (2, 3)
+        assert np.abs(out.matrix - rho.matrix).max() < 1e-12
 
     def test_trace_preserving(self, rng):
-        m = random_hermitian(8, rng)
-        out = linalg.partial_trace(m, [2, 2, 2], {1})
-        assert abs(np.trace(out) - np.trace(m)) < 1e-10
+        rho = states.from_dense(random_state_matrix(8, rng), (2, 2, 2))
+        out = states.factor_marginal(rho, [1])
+        assert abs(np.trace(out) - np.trace(rho.matrix)) < 1e-10
 
     def test_composition(self, rng):
-        m = random_hermitian(12, rng)
-        at_once = linalg.partial_trace(m, [2, 2, 3], {0})
-        stepwise = linalg.partial_trace(
-            linalg.partial_trace(m, [2, 2, 3], {0, 1}), [2, 2], {0})
-        assert np.abs(at_once - stepwise).max() < 1e-10
+        rho = states.from_dense(random_state_matrix(12, rng), (2, 2, 3))
+        at_once = states.reduced(rho, {0})
+        stepwise = states.reduced(states.reduced(rho, {0, 1}), {0})
+        assert np.abs(at_once.matrix - stepwise.matrix).max() < 1e-10
+
+    @pytest.mark.parametrize("rank", [1, 2, 5, 12])
+    def test_matches_the_dense_partial_trace(self, rng, rank):
+        # every nonempty keep, the split {0, 2} too, in big-endian order
+        rho = states.random_density((2, 3, 2), rng, rank=rank)
+        for size in (1, 2, 3):
+            for keep in itertools.combinations(range(3), size):
+                out = states.reduced(rho, set(keep))
+                assert out.dims == tuple(rho.dims[k] for k in keep)
+                assert np.abs(out.matrix - partial_trace(rho.matrix, rho.dims, keep)
+                              ).max() < 1e-12
 
     def test_dimension_mismatch(self):
+        rho = states.named("maximally_mixed", dims=[2, 2])
         with pytest.raises(DimensionMismatch):
-            linalg.partial_trace(np.eye(4), [2, 3], {0})
+            states.reduced(rho, {2})
         with pytest.raises(DimensionMismatch):
-            linalg.partial_trace(np.eye(4), [2, 2], set())
+            states.reduced(rho, set())
 
     def test_a_bare_index_is_not_a_set_to_keep(self):
         # it used to raise a bare TypeError: 'int' object is not iterable
         with pytest.raises(DimensionMismatch):
-            linalg.partial_trace(np.eye(4) / 4, [2, 2], 1)
+            states.reduced(states.named("maximally_mixed", dims=[2, 2]), 1)
 
 
 def test_as_matrix_rejects_a_3d_array():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_unitary
-from qcorr import infotheory, linalg, measurement, states
+from conftest import partial_trace, random_unitary
+from qcorr import infotheory, measurement, states
 from qcorr.errors import AngleOutOfRange, DimensionMismatch, NotUnitary
 
 SQRT2 = math.sqrt(2)
@@ -260,7 +260,7 @@ class TestCQEnsemble:
         rho = states.random_density((2, 3), rng)
         ens = measurement.CQEnsemble.of(rho)
         entropy = lambda m: infotheory.entropy_of_spectrum(np.linalg.eigvalsh(m))
-        marginals = [entropy(linalg.partial_trace(rho.matrix, rho.dims, {j})) for j in (0, 1)]
+        marginals = [entropy(partial_trace(rho.matrix, rho.dims, {j})) for j in (0, 1)]
         assert abs(ens.mutual_information() - (sum(marginals) - entropy(rho.matrix))) < 1e-12
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (2, 3, 2)])

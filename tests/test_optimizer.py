@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (count_evaluations, last_round, multiqubit_random_states, per_round,
-                      qubit_pairs_states, random_bell_diagonal, random_unitary,
+from conftest import (count_evaluations, last_round, multiqubit_random_states, partial_trace,
+                      per_round, qubit_pairs_states, random_bell_diagonal, random_unitary,
                       sequential_shortfalls)
-from qcorr import (OptimizerConfig, correlations, infotheory, linalg,
-                   measurement, optimizer, states)
+from qcorr import (OptimizerConfig, correlations, infotheory, measurement,
+                   optimizer, states)
 from qcorr.errors import DimensionMismatch, NotAQubit, ParamOutOfRange
 
 PAPER_DA = 0.6008760366928562
@@ -19,17 +19,18 @@ def reference_J(rho, k, m):
 
     Each projector is embedded as I x P_a x I, the outcome block is the
     partial trace of P rho P over subsystem k, and its normalized spectrum
-    comes from one eigvalsh per outcome; the marginals come from `reduced`.
+    comes from one eigvalsh per outcome; each marginal is the partial trace
+    of rho's matrix, diagonalized by eigvalsh.
     """
     rest = [j for j in range(rho.n_subsystems) if j != k]
-    rest_entropy = sum(infotheory.von_neumann_entropy(states.reduced(rho, {j}))
-                       for j in rest)
+    rest_entropy = sum(infotheory.entropy_of_spectrum(
+        np.linalg.eigvalsh(partial_trace(rho.matrix, rho.dims, {j}))) for j in rest)
     left = np.eye(math.prod(rho.dims[:k]))
     right = np.eye(math.prod(rho.dims[k + 1:]))
     cond = 0.0
     for p in m.projectors:
         full = np.kron(np.kron(left, p), right)
-        block = linalg.partial_trace(full @ rho.matrix @ full, rho.dims, rest)
+        block = partial_trace(full @ rho.matrix @ full, rho.dims, rest)
         prob = np.trace(block).real
         if prob >= 1e-12:
             cond += prob * infotheory.entropy_of_spectrum(np.linalg.eigvalsh(block / prob))
@@ -1045,6 +1046,15 @@ def test_config_rejects_bad_fields(field, value):
     known = {f.name for f in dataclasses.fields(OptimizerConfig)}
     with pytest.raises(ValueError if field in known else TypeError):
         OptimizerConfig(**{field: value})
+
+
+@pytest.mark.parametrize("restarts", [10_001, 10 ** 9])
+def test_config_caps_restarts(restarts):
+    # the whole seeded draw is made before the first wave: 100,000 restarts
+    # of a 3x2 state's qutrit peaked at 62.5 MB for a search of 358 bases
+    with pytest.raises(ParamOutOfRange):
+        OptimizerConfig(restarts=restarts)
+    assert OptimizerConfig(restarts=optimizer.MAX_RESTARTS).restarts == 10_000
 
 
 def test_config_accepts_numpy_integers():

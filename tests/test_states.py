@@ -186,6 +186,14 @@ class TestReducedAndTensor:
         assert np.abs(out.matrix - np.eye(4) / 4).max() < 1e-12
         assert abs(np.trace(out.matrix) - 1) < 1e-12
 
+    def test_tensor_of_states_within_the_trace_tolerance_is_a_state(self):
+        # the product of the two matrices had trace 0.9999999982 and was rejected
+        a = states.from_dense(np.diag([0.3, 0.7 - 9e-10]), (2,))
+        out = states.tensor(a, a)
+        assert abs(np.trace(out.matrix).real - 1) < 1e-12
+        assert np.abs(out.spectrum - np.sort(np.outer([0.3, 0.7], [0.3, 0.7]).ravel())
+                      ).max() < 1e-9
+
 
 def test_random_density_valid(rng):
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:
