@@ -329,6 +329,51 @@ def _verify_oracle(config, failures):
         worst = max(worst, abs(seq.steps[1].j_value
                                - optimizer.grid_search_qubit(after, 1, 512)[2]))
     _check("oracle pure 2x2 step-1 512x512 grid agreement", worst, 1e-4, failures)
+    # a rank-2 d x 2 state's sup J over POVMs on the d side has a closed form;
+    # from d = 4 on a projective measurement attains it, below it bounds J
+    worst, above = 0.0, 0.0
+    for dims in [(4, 2), (5, 2), (2, 2), (3, 2)]:
+        for _ in range(2):
+            rho = states.random_density(dims, rng, rank=2)
+            gap = _koashi_winter_j(rho) - optimizer.optimize_measurement(rho, 0, config).j_value
+            above = max(above, -gap)
+            if dims[0] >= 4:
+                worst = max(worst, abs(gap))
+    _check("oracle rank-2 4x2, 5x2 J = Koashi-Winter closed form", worst, 1e-9, failures)
+    _check("oracle rank-2 d x 2 J <= Koashi-Winter closed form", above, 1e-12, failures)
+    # classical on the 4-dim side in a Haar basis: the search takes the
+    # marginal's eigenbasis, where the discord is zero
+    q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    p = rng.dirichlet(np.ones(4))
+    m = sum(p[i] * np.kron(np.outer(q[:, i], q[:, i].conj()),
+                           states.random_density([2], rng).matrix) for i in range(4))
+    res = optimizer.optimize_measurement(states.from_dense(m, (4, 2)), 0, config)
+    _check("oracle Haar-basis classical-quantum 4x2 D_0 = 0", res.discord, 1e-12, failures)
+
+
+_SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def _koashi_winter_j(rho) -> float:
+    """sup J over POVMs on subsystem 0 of a rank-2 d x 2 state, in closed form.
+
+    Purify rho by a qubit E, psi = sum_i sqrt(w_i) |u_i> |i>_E over its two
+    eigenpairs. By Koashi & Winter (PRA 69:022309, 2004) the sup is
+    S(rho_A) - E_F(rho_AE), with A the unmeasured qubit. The two-qubit
+    rho_AE = sum_a |x_a><x_a|, |x_a> = <a|psi, has Wootters' E_F (PRL
+    80:2245, 1998), whose concurrence takes the singular values of the
+    complex symmetric [x_a^T (sigma_y x sigma_y) x_b]. Shares no code with
+    the search.
+    """
+    d = rho.dims[0]
+    w, u = np.linalg.eigh(rho.matrix)
+    x = (u[:, -2:] * np.sqrt(w[-2:] / w[-2:].sum())).reshape(d, 4)  # row a: x_a over (A, E)
+    rho_a = np.einsum('abe,ace->bc', x.reshape(d, 2, 2), x.reshape(d, 2, 2).conj())
+    lam = np.concatenate([np.linalg.svd(x @ _SIGMA_YY @ x.T, compute_uv=False), np.zeros(4)])
+    c = max(0.0, lam[0] - lam[1:4].sum())
+    p = (1 + math.sqrt(max(0.0, 1 - c * c))) / 2
+    return (infotheory.entropy_of_spectrum(np.linalg.eigvalsh(rho_a))
+            - infotheory.shannon_entropy([p, 1 - p]))
 
 
 def _verify_identities(config, failures):
@@ -383,7 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="subsystem dim > 2: at most this many Haar starts "
                             f"(1..{optimizer.MAX_RESTARTS}), ascended in waves of 4 "
                             "until one ended start reaches the mutual information I "
-                            "or two ended starts agree on the best J, checked every round")
+                            "or two ended starts agree on the best J, checked every round; "
+                            "none if the marginal's eigenbasis is already at I (a "
+                            "degenerate marginal's may miss)")
 
     def json_option(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")

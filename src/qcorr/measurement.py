@@ -25,7 +25,7 @@ from . import linalg
 from .errors import (AngleOutOfRange, DimensionMismatch, NotUnitary,
                      SinglePartyState)
 from .infotheory import CLAMP, entropy_of_spectrum, marginal_entropies, von_neumann_entropy
-from .states import DensityMatrix, from_dense
+from .states import DensityMatrix, _number, from_dense
 
 UNITARY_TOL = 1e-8
 ZERO_PROB = 1e-12
@@ -82,7 +82,13 @@ def basis_vectors(theta: float | np.ndarray,
 
 
 def qubit_measurement(theta: float, phi: float) -> ProjectiveMeasurement:
-    """The basis cos(t/2)|0> + e^{i phi} sin(t/2)|1> and its complement."""
+    """The basis cos(t/2)|0> + e^{i phi} sin(t/2)|1> and its complement.
+
+    Each angle must be a finite real, not a bool, in its range, else
+    AngleOutOfRange.
+    """
+    for name, value in (("theta", theta), ("phi", phi)):
+        _number(name, value, error=AngleOutOfRange)
     if not 0.0 <= theta <= math.pi:
         raise AngleOutOfRange(f"theta={theta} outside [0, pi]")
     if not 0.0 <= phi < 2 * math.pi:
@@ -377,6 +383,16 @@ class _JEvaluator:
     def shape(self) -> tuple[int, ...]:
         """(d_k, L, b, b), the shape of every problem's view."""
         return (self.dk,) + self._leaf_shape
+
+    def marginals(self) -> np.ndarray:
+        """The measured marginal rho_k of each problem, as (P, d_k, d_k).
+
+        rho_k[a, c] = sum_i Tr view[i, a, :, c, :], in the dense and the
+        Gram view alike, as Tr F_a F_c^dagger = Tr F_c^dagger F_a. Measuring
+        other subsystems leaves it as it is.
+        """
+        shape = (self.dk,) + self.shape
+        return np.array([np.einsum('calxx->ac', by_c.reshape(shape)) for by_c in self._by_c])
 
     def _half_blocks(self, bases: np.ndarray, on: np.ndarray) -> np.ndarray:
         """T[a, n, x] = sum_c v_{n,a,c} view[:, x, :, c, :], as (d_k, n, d_k, L b b).

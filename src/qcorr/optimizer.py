@@ -21,10 +21,15 @@ first round and after every round. No basis gives a J above I, and one
 at I loses no correlation: the step's discord is zero, as where the
 state is classical on the measured side (Ollivier & Zurek, PRL 88:017901,
 2001), so such a search has reached the maximum and evaluates nothing
-more; a qubit grid argmax at I is not ascended. A round keeps its
-highest-J trial, and one tolerance, `_TIE`, settles every comparison of
-two J: whether a trial gains, whether a start is above the best, which
-of the tied best wins, and whether a J has reached I. A pure state's
+more; a qubit grid argmax at I is not ascended. A basis at I leaves the
+state unchanged, so it diagonalizes the measured marginal rho_k: a qudit
+search first evaluates rho_k's eigenbasis, and where that is at I it is
+the result after one evaluation. Where rho_k's spectrum is degenerate the
+classical basis may be any basis of the eigenspace and the check can
+miss; the search then ascends its starts as it would without it. A round
+keeps its highest-J trial, and one tolerance, `_TIE`, settles every
+comparison of two J: whether a trial gains, whether a start is above the
+best, which of the tied best wins, and whether a J has reached I. A pure state's
 first step, where every basis gives the same J, is not searched. The
 starts ascend in lockstep, so each round is one batched gradient call and
 one batched J evaluation of its line search (and one of its retries); a
@@ -113,7 +118,10 @@ class OptimizerConfig:
     of dimension above 2, ascended in waves of 4 until one ended start
     reaches the mutual information I, the maximum, or two ended starts agree
     on the best J, a rule checked after every round; `seed` (>= 0) seeds
-    their draw. A qubit search uses neither.
+    their draw. Such a search first evaluates its marginal's eigenbasis,
+    and where that is at I, as on a state classical on the measured side
+    with a nondegenerate marginal, it ascends no start. A qubit search
+    uses neither.
     """
     restarts: int = 32
     seed: int = 0
@@ -407,10 +415,11 @@ def _optimize(problems: list[tuple[CQEnsemble, int]],
     each start keeping its own problem, so every result is that of its
     problem searched alone. A qubit problem starts from its own
     `_START_GRID` argmax (its J taken from the grid, so `oracle_gap` >= 0),
-    a qudit problem from the seeded Haar bases. Those ascend in waves of
-    `_WAVE` consecutive starts of the one draw; after every round in which a
-    start ends, a problem whose ended starts settle it (`_settled`) stops
-    its ascending starts and begins no further wave. The best ended start
+    a qudit problem from the seeded Haar bases, unless its marginal's
+    eigenbasis, evaluated first, is at I (`_qudit_searches`). Those ascend
+    in waves of `_WAVE` consecutive starts of the one draw; after every
+    round in which a start ends, a problem whose ended starts settle it
+    (`_settled`) stops its ascending starts and begins no further wave. The best ended start
     wins by the grids' tie rule (`_first_best`). Each problem's mutual
     information I, which its evaluator carries, gives its discord, I - J,
     and ends every search of it that reaches I: a qubit grid argmax at I is
@@ -488,7 +497,9 @@ def _settled(js: np.ndarray, ascending: np.ndarray, ceiling: np.ndarray) -> np.n
     within `_AGREE` of the best J among them, and none of its ascending
     starts is above that best by more than `_TIE`, so rounding noise does
     not keep it ascending. As an ascending start's J only rises, the
-    rule can only come to hold in a round in which a start ends.
+    rule can only come to hold in a round in which a start ends. A problem
+    whose marginal eigenbasis is at I holds it as its ended start 0, so it
+    stays settled.
     """
     ended = ~ascending & (js > -np.inf)
     best = np.where(ended, js, -np.inf).max(axis=1, keepdims=True)
@@ -499,6 +510,19 @@ def _settled(js: np.ndarray, ascending: np.ndarray, ceiling: np.ndarray) -> np.n
 def _qudit_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
     """(bases, J, None) of each qudit problem of `ev` over its starts, ascended in waves.
 
+    First, one `j_bases` call evaluates every problem's marginal
+    eigenbasis, the eigenvectors of its rho_k (`_JEvaluator.marginals`). A
+    step has zero discord exactly when some basis leaves the state
+    unchanged, and that basis diagonalizes rho_k (Ollivier & Zurek, PRL
+    88:017901, 2001), so where rho_k's spectrum is nondegenerate it is the
+    only basis that can reach I. A problem whose eigenbasis is within
+    `_TIE` of its I is settled: that basis is its start 0, the others
+    read -inf, and it begins no wave. Where every problem is settled, no
+    start is drawn and the eigenbasis is each problem's one start. Where
+    rho_k is degenerate the classical basis may be any basis of the
+    eigenspace, so the check can miss; such a problem, as every other,
+    then ascends its starts as it would without the check, the one
+    evaluation added to its count.
     Every problem draws the same seeded starts, so they are drawn once; the
     live problems' waves of `_WAVE` consecutive starts ascend together.
     After every round in which a start ends, a problem that `_settled`
@@ -506,11 +530,17 @@ def _qudit_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
     reaches its I, even before the first round, settles then. J is -inf at
     starts not ascended, those stopped included.
     """
-    starts = _starts(ev.dk, config)
-    bases = np.broadcast_to(starts, (len(ev.rest_entropy),) + starts.shape).copy()
-    js = np.full(bases.shape[:2], -np.inf)
-    settled = np.zeros(len(js), dtype=bool)
+    n_problems = len(ev.rest_entropy)
     ceiling = ev.mutual_info - _TIE
+    eigen = np.linalg.eigh(ev.marginals())[1].swapaxes(-1, -2)  # eigenvectors as rows
+    j_eigen = ev.j_bases(eigen, np.arange(n_problems))
+    settled = j_eigen >= ceiling
+    if settled.all():
+        return eigen[:, None], j_eigen[:, None], None
+    starts = _starts(ev.dk, config)
+    bases = np.broadcast_to(starts, (n_problems,) + starts.shape).copy()
+    js = np.full(bases.shape[:2], -np.inf)
+    bases[settled, 0], js[settled, 0] = eigen[settled], j_eigen[settled]
     for lo in range(0, len(starts), _WAVE):
         n = len(starts[lo:lo + _WAVE])
         on = np.flatnonzero(~settled).repeat(n)

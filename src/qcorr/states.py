@@ -133,13 +133,12 @@ def _bell_vector(which: str) -> np.ndarray:
     return np.array(table[which], dtype=np.complex128)
 
 
-def _number(name: str, value, kind=numbers.Real):
-    """`value` if it is a finite real (with kind=Integral, an integer); bools are not."""
+def _number(name: str, value, kind=numbers.Real, error=ParamOutOfRange):
+    """`value` if it is a finite real (kind=Integral: an integer), else `error`; bools are not."""
     if (isinstance(value, bool) or not isinstance(value, kind)
             or not (isinstance(value, numbers.Integral) or math.isfinite(value))):
-        raise ParamOutOfRange(f"{name} must be a finite "
-                              f"{'integer' if kind is numbers.Integral else 'number'}, "
-                              f"got {value!r}")
+        raise error(f"{name} must be a finite "
+                    f"{'integer' if kind is numbers.Integral else 'number'}, got {value!r}")
     return value
 
 

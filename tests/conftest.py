@@ -6,6 +6,7 @@ import pytest
 from qcorr import correlations, from_dense, measurement, named, optimizer
 from qcorr.errors import DimensionMismatch
 from qcorr.linalg import as_matrix, as_tuple, is_integer
+from qcorr.states import random_density
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -13,6 +14,24 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def classical_quantum_state(rng: np.random.Generator, dims, k: int, p=None):
+    """sum_i p_i |u_i><u_i| x rho_i on two subsystems, classical on subsystem k.
+
+    The u_i are the columns of a Haar-random unitary on subsystem k, the
+    rho_i random full-rank states of the other subsystem, and p, unless
+    given, a Dirichlet draw.
+    """
+    d, other = dims[k], dims[1 - k]
+    if p is None:
+        p = rng.dirichlet(np.ones(d))
+    u = random_unitary(d, rng)
+    m = 0
+    for i in range(d):
+        pair = np.outer(u[:, i], u[:, i].conj()), random_density([other], rng).matrix
+        m = m + p[i] * np.kron(*(pair if k == 0 else pair[::-1]))
+    return from_dense(m, dims)
 
 
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:

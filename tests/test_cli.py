@@ -369,8 +369,11 @@ class TestVerify:
     def test_oracle_suite_covers_the_qudit_search(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "oracle"])
         assert code == 0
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 8
         assert "PASS oracle pure 3x2" in out
+        assert "PASS oracle rank-2 4x2, 5x2 J = Koashi-Winter closed form" in out
+        assert "PASS oracle rank-2 d x 2 J <= Koashi-Winter closed form" in out
+        assert "PASS oracle Haar-basis classical-quantum 4x2 D_0 = 0" in out
         assert "PASS oracle pure 2x2 step-1 512x512 grid agreement" in out
         assert "PASS oracle batched searches against solo searches: residual 0.000e+00" in out
         waves = next(line for line in out.splitlines() if "4x2 waves" in line)
@@ -401,7 +404,7 @@ class TestVerify:
     def test_every_suite_passes_at_the_default_config(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "all"])
         assert code == 0
-        assert out.count("PASS") == 12 and "FAIL" not in out
+        assert out.count("PASS") == 15 and "FAIL" not in out
         assert out.endswith("all checks passed\n")
 
     def test_unknown_suite(self, capsys):

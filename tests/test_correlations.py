@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (count_evaluations, count_searches, last_round, per_round,
-                      random_bell_diagonal, random_unitary)
+from conftest import (classical_quantum_state, count_evaluations, count_searches, last_round,
+                      per_round, random_bell_diagonal, random_unitary)
 from qcorr import (OptimizerConfig, correlations, infotheory, measurement,
                    optimizer, states)
 from qcorr.errors import BadOrder, ParamOutOfRange
@@ -504,6 +504,28 @@ class TestClassify:
 
     def test_discordant(self, paper_state):
         assert correlations.classify(paper_state) == "discordant"
+
+    # qudit states in random local bases, each measured side searched on the qudit path
+    @pytest.mark.parametrize("dims, k", [((3, 2), 0), ((2, 3), 1)], ids=["3x2", "2x3"])
+    def test_qudit_classical_quantum(self, dims, k):
+        rho = classical_quantum_state(np.random.default_rng([28, *dims]), dims, k)
+        assert correlations.classify(rho) == f"classical_quantum({k})"
+
+    def test_qudit_classical_classical(self):
+        # sum_ij p_ij |u_i><u_i| x |w_j><w_j| on 3 x 3
+        rng = np.random.default_rng(28)
+        u, w = random_unitary(3, rng), random_unitary(3, rng)
+        p = rng.dirichlet(np.ones(9)).reshape(3, 3)
+        m = sum(p[i, j] * np.kron(np.outer(u[:, i], u[:, i].conj()),
+                                  np.outer(w[:, j], w[:, j].conj()))
+                for i in range(3) for j in range(3))
+        assert correlations.classify(states.from_dense(m, (3, 3))) == "classical_classical"
+
+    def test_qudit_discordant(self):
+        rng = np.random.default_rng(28)
+        u = np.kron(random_unitary(3, rng), random_unitary(3, rng))
+        m = u @ states.random_density((3, 3), rng).matrix @ u.conj().T
+        assert correlations.classify(states.from_dense(m, (3, 3))) == "discordant"
 
     def test_classical_classical_builds_one_ensemble(self, monkeypatch):
         # the conditional states come from the ensemble the searches used

@@ -39,6 +39,21 @@ class TestQubitMeasurement:
         with pytest.raises(AngleOutOfRange):
             measurement.qubit_measurement(0.1, 7.0)
 
+    # True once built theta = 1 rad; strings and None raised a bare
+    # TypeError, and an array phi a ValueError
+    @pytest.mark.parametrize("theta, phi", [
+        (True, False), (True, 0.0), (0.0, False), ("1", 0.0), (None, 0.0), (0.0, "0"),
+        (0.0, np.array([0.1, 0.2])), (np.array(0.5), 0.0), (math.nan, 0.0), (0.0, math.inf),
+        (1 + 0j, 0.0)])
+    def test_rejects_an_angle_that_is_not_a_finite_real(self, theta, phi):
+        with pytest.raises(AngleOutOfRange):
+            measurement.qubit_measurement(theta, phi)
+
+    def test_takes_numpy_and_integer_angles(self):
+        expected = measurement.qubit_measurement(1.0, 0.0).basis
+        for theta, phi in [(np.float64(1.0), np.float64(0.0)), (1, 0), (np.int64(1), np.int64(0))]:
+            assert (measurement.qubit_measurement(theta, phi).basis == expected).all()
+
     def test_basis_is_the_bloch_formula(self):
         # cos(t/2)|0> + e^{i phi} sin(t/2)|1> and -sin(t/2)|0> + e^{i phi} cos(t/2)|1>,
         # by the math module's scalar functions

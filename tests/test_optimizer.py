@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (count_evaluations, last_round, multiqubit_random_states, partial_trace,
-                      per_round, qubit_pairs_states, random_bell_diagonal, random_unitary,
-                      sequential_shortfalls)
-from qcorr import (OptimizerConfig, correlations, infotheory, measurement,
+from conftest import (classical_quantum_state, count_evaluations, last_round,
+                      multiqubit_random_states, partial_trace, per_round, qubit_pairs_states,
+                      random_bell_diagonal, random_unitary, sequential_shortfalls)
+from qcorr import (OptimizerConfig, cli, correlations, infotheory, measurement,
                    optimizer, states)
 from qcorr.errors import DimensionMismatch, NotAQubit, ParamOutOfRange
 
@@ -579,6 +579,15 @@ def catalog_qutrit_state(state):
     return states.from_dense({"classical_quantum": cq, "mixed": ginibre(6, 6)}[state], (3, 2))
 
 
+def degenerate_cq_state():
+    """A 3x2 classical-quantum state in a Haar basis of the qutrit, p = (0.4, 0.3, 0.3).
+
+    Its qutrit marginal has a degenerate eigenspace, in which the classical
+    basis is one of many, so the marginal's eigenbasis is not at J = I.
+    """
+    return classical_quantum_state(np.random.default_rng([28, 0]), (3, 2), 0, [0.4, 0.3, 0.3])
+
+
 # (dims, measured subsystem) of the wave-stop oracle suite
 WAVE_SHAPES = [((3, 2), 0), ((2, 3), 1), ((3, 3), 0), ((3, 3), 1), ((4, 2), 0),
                ((4, 4), 0), ((5, 2), 0), ((3, 3, 3), 0), ((3, 3, 3), 1)]
@@ -610,7 +619,8 @@ class TestQuditRestarts:
         assert np.abs(res.measurement.basis - solo[best][0][0]).max() < 1e-12
         assert abs(res.j_value - solo_j[best]) < 1e-12
         assert abs(res.j_value - solo_j.max()) < 1e-11
-        assert res.iterations <= config.restarts + sum(n for _, _, n in solo)
+        # the marginal's eigenbasis, then the starts and their ascents
+        assert res.iterations <= 1 + config.restarts + sum(n for _, _, n in solo)
         # the reference recipe is independent: projectors, one eigvalsh per outcome
         assert abs(res.j_value - reference_J(rho, 0, res.measurement)) < 1e-12
 
@@ -622,7 +632,10 @@ class TestQuditRestarts:
                                u @ states.random_density([2], rng).matrix @ u.conj().T)
                 for i in range(3))
         rho = states.from_dense(m, (3, 2))
-        assert optimizer.optimize_measurement(rho, 0).discord <= 1e-6
+        res = optimizer.optimize_measurement(rho, 0)
+        assert res.discord <= 1e-6
+        # the marginal's eigenbasis is the classical basis, at J = I
+        assert res.iterations == 1
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
     def test_qubit_ascent_without_grid_reaches_grid_path(self, rng, dims):
@@ -644,19 +657,19 @@ class TestQuditRestarts:
     @pytest.mark.parametrize("state, max_evals", [("classical_quantum", 420), ("mixed", 475)])
     def test_benchmark_qutrit_searches_take_few_evaluations(self, state, max_evals):
         # the qutrit sides of the benchmark's qutrit_qubit states, whose
-        # searches take 264 and 397 evaluations: the classical-quantum one
-        # ends as its first start reaches J = I
+        # searches take 1 and 398 evaluations: the classical-quantum one ends
+        # at its marginal's eigenbasis, at J = I
         res = optimizer.optimize_measurement(catalog_qutrit_state(state), 0)
         assert res.iterations <= max_evals
 
     @pytest.mark.parametrize("state", ["classical_quantum", "mixed"])
     def test_a_wave_settles_before_its_last_start_ends(self, state):
         # the first wave settles while some of its starts still ascend, so
-        # those stop there: on the classical-quantum state as its first start
-        # ends at J = I, the maximum (three stop), on the mixed one as two
-        # ended starts agree on the best J and none ascending is above it by
-        # more than the tie tolerance (two stop)
-        rho = catalog_qutrit_state(state)
+        # those stop there: on a classical-quantum state whose degenerate
+        # marginal's eigenbasis misses J = I as its first start ends at I,
+        # the maximum, on the mixed one as two ended starts agree on the best
+        # J and none ascending is above it by more than the tie tolerance
+        rho = degenerate_cq_state() if state == "classical_quantum" else catalog_qutrit_state(state)
         _, _, evals = ascend(rho, 0, optimizer._starts(3, OptimizerConfig())[:optimizer._WAVE])
         assert optimizer.optimize_measurement(rho, 0).iterations < optimizer._WAVE + evals
         assert wave_shortfall(rho, 0) <= 1e-11
@@ -772,32 +785,8 @@ class TestQuditRestarts:
         _, (js,), _ = optimizer._qudit_searches(ev, OptimizerConfig())
         # starts not ascended read J = -inf
         assert np.isfinite(js).sum() == 2 and np.isfinite(js[:2]).all()
-        assert ev.evaluated == [2 + 2 * last_round(3)]
-
-
-SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
-
-
-def koashi_winter_bound(rho):
-    """sup J over POVMs on subsystem 0 of a rank-2 d x 2 state, in closed form.
-
-    Purify rho by a qubit E, psi = sum_i sqrt(w_i) |u_i> |i>_E over its two
-    eigenpairs. By Koashi & Winter (PRA 69:022309, 2004) the sup is
-    S(rho_A) - E_F(rho_AE), with A the unmeasured qubit. The two-qubit
-    rho_AE = sum_a |x_a><x_a|, |x_a> = <a|psi, has Wootters' E_F (PRL
-    80:2245, 1998), whose concurrence takes the singular values of the
-    complex symmetric [x_a^T (sigma_y x sigma_y) x_b]. Shares no code with
-    the search.
-    """
-    d = rho.dims[0]
-    w, u = np.linalg.eigh(rho.matrix)
-    x = (u[:, -2:] * np.sqrt(w[-2:] / w[-2:].sum())).reshape(d, 4)  # row a: x_a over (A, E)
-    rho_a = np.einsum('abe,ace->bc', x.reshape(d, 2, 2), x.reshape(d, 2, 2).conj())
-    lam = np.concatenate([np.linalg.svd(x @ SIGMA_YY @ x.T, compute_uv=False), np.zeros(4)])
-    c = max(0.0, lam[0] - lam[1:4].sum())
-    p = (1 + math.sqrt(max(0.0, 1 - c * c))) / 2
-    return (infotheory.entropy_of_spectrum(np.linalg.eigvalsh(rho_a))
-            - infotheory.shannon_entropy([p, 1 - p]))
+        # the marginal's eigenbasis, the two starts and their one round each
+        assert ev.evaluated == [1 + 2 + 2 * last_round(3)]
 
 
 @pytest.mark.parametrize("dims, exact", [((4, 2), True), ((5, 2), True),
@@ -812,7 +801,7 @@ def test_rank_two_qudit_searches_meet_the_koashi_winter_bound(dims, exact):
     rng = np.random.default_rng([77, *dims])
     for _ in range(40):
         rho = states.random_density(dims, rng, rank=2)
-        gap = koashi_winter_bound(rho) - optimizer.optimize_measurement(rho, 0).j_value
+        gap = cli._koashi_winter_j(rho) - optimizer.optimize_measurement(rho, 0).j_value
         assert gap >= -1e-12
         assert gap <= 1e-9 or not exact
 
@@ -839,12 +828,12 @@ class TestZeroDiscordEnds:
         assert seq.steps[1].oracle_gap == 0.0
 
     def test_a_mixed_product_state_evaluates_only_its_starts(self):
-        # J = I = 0 at every basis: the qutrit's first wave of starts ends
-        # before its first round and settles its search, and the qubit's grid
-        # argmax is not ascended
+        # J = I = 0 at every basis: the qutrit's marginal eigenbasis settles
+        # its search before any start, and the qubit's grid argmax is not
+        # ascended
         rng = np.random.default_rng(25)
         rho = states.tensor(states.random_density([3], rng), states.random_density([2], rng))
-        assert optimizer.optimize_measurement(rho, 0).iterations == optimizer._WAVE
+        assert optimizer.optimize_measurement(rho, 0).iterations == 1
         res = optimizer.optimize_measurement(rho, 1)
         assert res.iterations == self.GRID and res.oracle_gap == 0.0
 
@@ -852,8 +841,58 @@ class TestZeroDiscordEnds:
         rho = catalog_qutrit_state("classical_quantum")
         res = optimizer.optimize_measurement(rho, 0)
         info = measurement.CQEnsemble.of(rho).mutual_information()
-        assert res.iterations < 306
+        assert res.iterations == 1
         assert abs(res.j_value - info) <= optimizer._TIE
+
+
+class TestMarginalEigenbasis:
+    """A qudit search first evaluates the eigenbasis of its measured marginal rho_k.
+
+    A zero-discord step's classical basis diagonalizes rho_k, so where rho_k
+    is nondegenerate that eigenbasis reaches I and ends the search.
+    """
+
+    @pytest.mark.parametrize("dims, k", [((3, 2), 0), ((4, 2), 0), ((5, 2), 0), ((2, 3), 1)],
+                             ids=["3x2", "4x2", "5x2", "2x3"])
+    def test_a_classical_quantum_state_takes_its_marginal_eigenbasis(self, dims, k):
+        rng = np.random.default_rng([28, *dims, k])
+        for _ in range(3):
+            rho = classical_quantum_state(rng, dims, k)
+            res = optimizer.optimize_measurement(rho, k)
+            assert res.iterations == 1
+            info = measurement.CQEnsemble.of(rho).mutual_information()
+            assert abs(res.j_value - info) <= optimizer._TIE
+            assert abs(res.j_value - reference_J(rho, k, res.measurement)) < 1e-12
+            b = res.measurement.basis
+            turned = b.conj() @ partial_trace(rho.matrix, dims, {k}) @ b.T
+            assert np.abs(turned - np.diag(np.diag(turned))).max() < 1e-12
+
+    def test_a_maximally_mixed_state_takes_one_evaluation(self):
+        # I = 0, so every basis is at I, the eigenbasis first
+        res = optimizer.optimize_measurement(states.named("maximally_mixed", dims=[3, 3]), 0)
+        assert res.iterations == 1
+        assert res.discord == 0.0
+
+    def test_a_degenerate_marginal_falls_back_to_the_waves(self):
+        # the basis eigh returns in the 0.3 eigenspace is not the classical
+        # one, so the search ascends its waves as it did before the check
+        # (259 evaluations, J 0.34783761861217155), with one evaluation more
+        res = optimizer.optimize_measurement(degenerate_cq_state(), 0)
+        assert res.iterations == 259 + 1
+        assert abs(res.j_value - 0.34783761861217155) <= optimizer._TIE
+
+    def test_one_call_checks_every_problem_of_a_batch(self, monkeypatch):
+        # a batch's eigenbases are one j_bases call of one basis per problem,
+        # before any start; a settled problem then starts no wave
+        rng = np.random.default_rng(28)
+        ens = [measurement.CQEnsemble.of(classical_quantum_state(rng, (3, 2), 0)),
+               measurement.CQEnsemble.of(states.random_density((3, 2), rng))]
+        counted = count_evaluations(monkeypatch)
+        cq, mixed = optimizer._optimize([(e, 0) for e in ens], OptimizerConfig())
+        assert counted[0] == 2 and counted[1] == optimizer._WAVE
+        assert cq.iterations == 1 and mixed.iterations == sum(counted) - 1
+        solo = optimizer._optimize([(ens[1], 0)], OptimizerConfig())[0]
+        assert mixed.j_value == solo.j_value and mixed.iterations == solo.iterations
 
 
 def dense_evaluator(rho, k):
