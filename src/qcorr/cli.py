@@ -6,8 +6,9 @@ named) and a payload: `matrix` as nested [re, im] pairs (row-major),
 numbers are always [re, im] pairs.
 
 Werner convention: werner(p) = p |psi-><psi-| + (1-p) I/4.
-Exit codes: 0 success, 1 verification failure or a closed standard output
-(e.g. `qcorr overall ... | head -3`), 2 input error.
+Exit codes: 0 success, 1 verification failure or a standard output that is
+closed (e.g. `qcorr overall ... | head -3`, quietly) or cannot be written
+(with an `error:` line), 2 input error.
 """
 from __future__ import annotations
 
@@ -237,16 +238,22 @@ def cmd_sweep(args) -> int:
         out = open(args.csv, "w") if args.csv else contextlib.nullcontext(sys.stdout)
     except OSError as e:
         raise QcorrError(f"cannot write {args.csv}: {e}") from e
-    with out as f:
-        rows = ["param,I,D0,D1,Q,C"]
-        for i in range(math.floor(n) + 1):
-            p = min(args.start + i * args.step, args.stop)
-            rho = states.named("werner", p=p)
-            rep = correlations.full_report(rho, config)
-            (d0, _), (d1, _) = rep.per_subsystem
-            rows.append(f"{p:.12g},{rep.mutual_info:.12g},{d0:.12g},{d1:.12g},"
-                        f"{rep.sequential.q_total:.12g},{rep.sequential.c_total:.12g}")
-        f.write("\n".join(rows) + "\n")
+    try:
+        with out as f:
+            rows = ["param,I,D0,D1,Q,C"]
+            for i in range(math.floor(n) + 1):
+                p = min(args.start + i * args.step, args.stop)
+                rho = states.named("werner", p=p)
+                rep = correlations.full_report(rho, config)
+                (d0, _), (d1, _) = rep.per_subsystem
+                rows.append(f"{p:.12g},{rep.mutual_info:.12g},{d0:.12g},{d1:.12g},"
+                            f"{rep.sequential.q_total:.12g},{rep.sequential.c_total:.12g}")
+            f.write("\n".join(rows) + "\n")
+    except OSError as e:
+        # a failed write to standard output is main's to report
+        if not args.csv:
+            raise
+        raise QcorrError(f"cannot write {args.csv}: {e}") from e
     return 0
 
 
@@ -484,9 +491,12 @@ def main(argv=None) -> int:
     except QcorrError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader closed stdout; point it at devnull so that the flush at
-        # interpreter exit does not raise again
+    except OSError as e:
+        # stdout was closed by its reader or could not be written (a full
+        # disk, say); point it at devnull so that the flush at interpreter
+        # exit does not raise again
+        if not isinstance(e, BrokenPipeError):
+            print(f"error: cannot write standard output: {e}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 

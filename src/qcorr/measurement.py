@@ -334,6 +334,13 @@ def _view(ens: CQEnsemble, k: int) -> tuple[np.ndarray, float, float]:
             ens.mutual_information())
 
 
+# Bound on the entries of the `_half_blocks` of one `j_bases` chunk, (d_k,
+# chunk, d_k, L b b): d_k times its outcome blocks, the largest array of the
+# chunk. It keeps the working set of any stack of bases flat as the leaves L
+# and their size b grow.
+_CHUNK_ELEMENTS = 1 << 20
+
+
 class _JEvaluator:
     """J for measurements on an unmeasured subsystem k of a cq ensemble, for P such problems.
 
@@ -360,8 +367,10 @@ class _JEvaluator:
     A stack of bases given to `j_bases` or `gradient` comes with `on`, the
     problem of each basis, non-decreasing: problem 0's bases first. Each
     problem's bases take one GEMM against its own layout, the GEMM of its
-    bases alone. `evaluated[p]` counts the bases of problem p whose J or
-    gradient the evaluator has taken.
+    bases alone. `j_bases` takes a stack in chunks of at most `_chunk`
+    bases, whose `_half_blocks` hold at most `_CHUNK_ELEMENTS` entries; a
+    chunk may span problems. `evaluated[p]` counts the bases of problem p
+    whose J or gradient the evaluator has taken.
     """
 
     def __init__(self, views: list[np.ndarray], rest_entropies: list[float],
@@ -373,6 +382,7 @@ class _JEvaluator:
         self.rest_entropy = np.array(rest_entropies, dtype=float)
         self.mutual_info = np.array(mutual_infos, dtype=float)
         self.evaluated = [0] * len(views)
+        self._chunk = max(1, _CHUNK_ELEMENTS // (self.dk * math.prod(self.shape)))
 
     @classmethod
     def of(cls, ens: CQEnsemble, k: int) -> _JEvaluator:
@@ -425,6 +435,10 @@ class _JEvaluator:
 
     def j_bases(self, bases: np.ndarray, on: np.ndarray) -> np.ndarray:
         """J for every basis of the stack `bases` (n, d_k, d_k), vectors as rows, of problem `on`."""
+        step = self._chunk
+        if len(bases) > step:
+            return np.concatenate([self.j_bases(bases[lo:lo + step], on[lo:lo + step])
+                                   for lo in range(0, len(bases), step)])
         blocks = self._blocks(bases, self._half_blocks(bases, on))
         return self.rest_entropy[on] - _conditional_entropy(blocks)
 

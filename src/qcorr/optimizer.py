@@ -51,7 +51,10 @@ of r columns, and the kernel's view of it is the smaller of the r x r Gram
 blocks and the dense d_rest x d_rest blocks (see measurement._JEvaluator).
 The grids and the ascent evaluate J through that one kernel, so every step
 of a rank-r state diagonalizes blocks of at most r x r, whatever its
-dimension.
+dimension. The kernel also bounds its own working set: it evaluates any
+stack of bases, a grid, a ladder or a wave, in chunks whose half blocks,
+d_k times their outcome blocks, hold at most 2^20 entries
+(measurement._CHUNK_ELEMENTS), so no search here sizes its stacks.
 """
 from __future__ import annotations
 
@@ -75,10 +78,6 @@ from .states import DensityMatrix
 # by pi/8, as the 16 columns space the equator's phi; coarser grids such as
 # 5 x 16 or 9 x 12 let some searches need a sixth round.
 _START_GRID = (9, 16)
-# Bound on the entries of a grid chunk's `_half_blocks`, (d_k, chunk, d_k,
-# L b b): d_k times its outcome blocks, the largest array of the chunk. It
-# keeps a grid's working set flat as the leaves L and their size b grow.
-_GRID_CHUNK_ELEMENTS = 1 << 20
 # Ascent rounds per start, each a Newton ladder and at most one retry ladder.
 _MAX_ROUNDS = 500
 # Qudit starts ascended together. Checked after every round, a search stops
@@ -162,7 +161,7 @@ def grid_search_qubit(rho: DensityMatrix, k: int,
     if ev.dk != 2:
         raise NotAQubit(f"subsystem {k} has dimension {ev.dk}")
     angles, bases = _grid_points(n, n)
-    (j,) = _grid_j(ev, bases)
+    j = ev.j_bases(bases, np.zeros(len(bases), dtype=int))
     best = _first_best(j)
     theta, phi = angles[best]
     return float(theta), float(phi), float(j[best])
@@ -196,23 +195,6 @@ def _start_points(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     return points
 
 
-def _grid_j(ev: _JEvaluator, bases: np.ndarray) -> np.ndarray:
-    """J of each of the G qubit `bases` for each of the P problems of `ev`, as (P, G).
-
-    The P G (problem, basis) pairs go through `j_bases` in order, in chunks
-    whose `_half_blocks` hold at most `_GRID_CHUNK_ELEMENTS` entries; a
-    chunk may span problems.
-    """
-    n_problems, g = len(ev.rest_entropy), len(bases)
-    chunk = max(1, _GRID_CHUNK_ELEMENTS // (ev.dk * math.prod(ev.shape)))
-    j = np.empty(n_problems * g)
-    for lo in range(0, j.size, chunk):
-        hi = min(lo + chunk, j.size)
-        pairs = np.arange(lo, hi)
-        j[lo:hi] = ev.j_bases(bases[pairs % g], pairs // g)
-    return j.reshape(n_problems, g)
-
-
 def _first_best(j: np.ndarray) -> np.ndarray:
     """Index of the first J within `_TIE` of the best, along the last axis: the one tie rule."""
     return (j >= j.max(axis=-1, keepdims=True) - _TIE).argmax(axis=-1)
@@ -235,6 +217,17 @@ def _haar_bases(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]
+
+
+@functools.lru_cache(maxsize=1)
+def _haar_starts(d: int, restarts: int, seed: int) -> np.ndarray:
+    """The `restarts` seeded `_haar_bases` of C^d, read-only, drawn once for the last key.
+
+    One table stays allocated, the size of the one draw a search makes.
+    """
+    bases = _haar_bases(np.random.default_rng(seed), restarts, d)
+    bases.flags.writeable = False
+    return bases
 
 
 def _rotations(a: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -459,7 +452,7 @@ def _starts(dk: int, config: OptimizerConfig) -> np.ndarray:
     """
     if dk == 2:
         return _start_points(*_START_GRID)[1]
-    return _haar_bases(np.random.default_rng(config.seed), config.restarts, dk)
+    return _haar_starts(dk, config.restarts, config.seed)
 
 
 def _constant_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
@@ -478,8 +471,9 @@ def _constant_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
 
 def _qubit_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
     """(bases, J, the start grid's J) of each qubit problem of `ev`, ascended from its grid."""
-    grid = _starts(2, config)
-    j = _grid_j(ev, grid)
+    grid, n_problems = _starts(2, config), len(ev.rest_entropy)
+    j = ev.j_bases(np.tile(grid, (n_problems, 1, 1)),
+                   np.arange(n_problems).repeat(len(grid))).reshape(n_problems, -1)
     best = _first_best(j)
     j_grid = j[np.arange(len(j)), best]
     bases, js = _ascend(ev, grid[best], j_grid, np.arange(len(j)))

@@ -129,7 +129,8 @@ def last_round(d: int) -> int:
 def oracle_j(ens, k: int, n: int) -> float:
     """The best J of the n x n `grid_search_qubit` grid on qubit k of a cq ensemble."""
     _, bases = optimizer._grid_points(n, n)
-    return float(optimizer._grid_j(optimizer._JEvaluator.of(ens, k), bases).max())
+    ev = optimizer._JEvaluator.of(ens, k)
+    return float(ev.j_bases(bases, np.zeros(len(bases), dtype=int)).max())
 
 
 def sequential_shortfalls(rho, n: int) -> list[float]:

@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import io
 import itertools
 import json
 import math
@@ -355,6 +357,15 @@ class TestSweep:
         assert err.startswith("error: QcorrError: cannot write ")
         assert calls == []
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_failed_csv_write_exits_two(self, capsys):
+        # /dev/full opens, and every write to it fails with ENOSPC
+        code, out, err = run(capsys, ["sweep", "werner", "--step", "0.5", "--csv", "/dev/full"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: QcorrError: cannot write /dev/full: ")
+        assert "No space left on device" in err
+
 
 class TestVerify:
     def test_paper_example_suite(self, capsys):
@@ -541,6 +552,18 @@ class TestProcessExitCodes:
         assert proc.returncode == 1
         assert proc.stderr == ""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["info", "STATE"], ["sweep", "werner", "--step", "0.5"]],
+                             ids=["info", "sweep"])
+    def test_a_full_stdout_exits_one_with_an_error_line(self, paper_file, argv):
+        # as in `qcorr info STATE.json > /dev/full`
+        with open("/dev/full", "w") as full:
+            proc = self.run_module(*(paper_file if a == "STATE" else a for a in argv),
+                                   stdout=full)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot write standard output: ")
+        assert "Traceback" not in proc.stderr
+
     def test_malformed_named_state_exits_two(self, tmp_path):
         path = write_state(tmp_path, {"kind": "named", "family": "werner",
                                       "params": {"p": None}})
@@ -549,6 +572,35 @@ class TestProcessExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+
+class _FullStdout(io.StringIO):
+    """A standard output on a real file descriptor whose every write fails with ENOSPC."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fileno(self):
+        return self.fd
+
+
+def test_an_unwritable_stdout_is_reported_and_pointed_at_devnull(capsys, monkeypatch,
+                                                                  paper_file, tmp_path):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _FullStdout(fd))
+        code = cli.main(["info", paper_file])
+        pointed_at = os.fstat(fd)
+    finally:
+        os.close(fd)
+    assert code == 1
+    enospc = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert capsys.readouterr().err == f"error: cannot write standard output: {enospc}\n"
+    assert os.path.samestat(pointed_at, os.stat(os.devnull))
 
 
 class TestDeterminism:

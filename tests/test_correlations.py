@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -600,17 +601,17 @@ def _batch_states():
 BATCH_STATES = _batch_states()
 
 
-# A grid chunk bound of 100 half-block entries gives the rank2_2x2x2
-# state's start grids, 57 bases per problem, chunks of 6 bases at step 0
-# (2 x 2 Gram blocks of one leaf) and 3 at step 1 (2 x 2 blocks of two
-# leaves): chunks that split a problem's grid and, at step 0, chunks that
-# span two problems.
+# A chunk bound of 100 half-block entries gives the rank2_2x2x2 state's
+# `j_bases` stacks chunks of 6 bases at step 0 (2 x 2 Gram blocks of one
+# leaf) and 3 at step 1 (2 x 2 blocks of two leaves): chunks that split a
+# problem's start grid of 57 bases, or its ladders, and, at step 0, chunks
+# that span two problems.
 @pytest.mark.parametrize("name, chunk", [(name, None) for name in BATCH_STATES]
                          + [("rank2_2x2x2", 100)],
                          ids=list(BATCH_STATES) + ["rank2_2x2x2-chunk_100"])
 def test_full_report_batches_equal_solo_searches(monkeypatch, name, chunk):
     if chunk is not None:
-        monkeypatch.setattr(optimizer, "_GRID_CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(measurement, "_CHUNK_ELEMENTS", chunk)
     rho, config = BATCH_STATES[name], OptimizerConfig(restarts=16)
     batches = record_batches(monkeypatch)
     report = correlations.full_report(rho, config)
@@ -622,6 +623,45 @@ def test_full_report_batches_equal_solo_searches(monkeypatch, name, chunk):
     alone = correlations.sequential_measure(rho, range(rho.n_subsystems), config)
     for step, solo in zip(report.sequential.steps, alone.steps):
         assert_same_search(step, solo)
+
+
+def record_j_stacks(monkeypatch) -> list:
+    """Record the `_half_blocks` of every `j_bases` chunk as (caller of `j_bases`, entries)."""
+    stacks, half_blocks = [], measurement._JEvaluator._half_blocks
+
+    def recording(self, bases, on):
+        out = half_blocks(self, bases, on)
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "j_bases":  # not a gradient's
+            while frame.f_code.co_name == "j_bases":  # a chunk of a longer stack
+                frame = frame.f_back
+            stacks.append((frame.f_code.co_name, out.size))
+        return out
+
+    monkeypatch.setattr(measurement._JEvaluator, "_half_blocks", recording)
+    return stacks
+
+
+# A chunk bound of 40 half-block entries splits the start grids, the ladders
+# and the qutrit's waves of every step of these states into chunks of 1 to 3
+# bases. Unbounded, each kind of stack holds more than 40 entries somewhere.
+@pytest.mark.parametrize("rho", [BATCH_STATES["rank2_2x2x2"],
+                                 states.random_density((3, 2), np.random.default_rng(29))],
+                         ids=["rank2_2x2x2", "3x2"])
+def test_every_j_stack_keeps_its_half_blocks_within_the_bound(monkeypatch, rho):
+    order = range(rho.n_subsystems)
+    stacks = record_j_stacks(monkeypatch)
+    whole = correlations.sequential_measure(rho, order)
+    long_stacks = {caller for caller, size in stacks if size > 40}
+    assert {"_qubit_searches", "_climb"} <= long_stacks
+    assert rho.dims[0] == 2 or "_qudit_searches" in long_stacks
+    stacks.clear()
+    monkeypatch.setattr(measurement, "_CHUNK_ELEMENTS", 40)
+    chunked = correlations.sequential_measure(rho, order)
+    for step, solo in zip(chunked.steps, whole.steps, strict=True):
+        assert_same_search(step, solo)
+    assert (chunked.q_total, chunked.c_total) == (whole.q_total, whole.c_total)
+    assert max(size for _, size in stacks) <= 40
 
 
 # Random 2x2 states of default_rng(seed) whose full_report batch holds two

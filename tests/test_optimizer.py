@@ -66,7 +66,7 @@ def full_grid(rows, cols):
 def grid_best(ev, rows, cols):
     """The first basis of the rows x cols `_grid_points` within 1e-12 of its best J, and that J."""
     _, bases = optimizer._grid_points(rows, cols)
-    (j,) = optimizer._grid_j(ev, bases)
+    j = ev.j_bases(bases, alone(bases))
     best = optimizer._first_best(j)
     return bases[best], j[best]
 
@@ -178,7 +178,8 @@ class TestGridSearchQubit:
         rho = states.random_density((2, 3), np.random.default_rng([21, n]), rank=2)
         ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
         tt, pp = full_grid(n, n)
-        (j,) = optimizer._grid_j(ev, np.stack(measurement.basis_vectors(tt, pp), axis=1))
+        bases = np.stack(measurement.basis_vectors(tt, pp), axis=1)
+        j = ev.j_bases(bases, alone(bases))
         best = optimizer._first_best(j)
         counted = count_evaluations(monkeypatch)
         assert optimizer.grid_search_qubit(rho, 0, n) == (tt[best], pp[best], j[best])
@@ -193,7 +194,7 @@ class TestGridSearchQubit:
         for _ in range(5):
             ev = optimizer._JEvaluator.of(
                 measurement.CQEnsemble.of(states.random_density((2, 2), rng)), 0)
-            (j,) = optimizer._grid_j(ev, equator)
+            j = ev.j_bases(equator, alone(equator))
             assert np.abs(j[cols // 2:] - j[:cols // 2]).max() < 1e-14
 
     def test_grid_chunks_bound_their_half_blocks(self, monkeypatch):
@@ -208,7 +209,7 @@ class TestGridSearchQubit:
             return out
 
         monkeypatch.setattr(optimizer._JEvaluator, "_half_blocks", spy)
-        monkeypatch.setattr(optimizer, "_GRID_CHUNK_ELEMENTS", 4096)
+        monkeypatch.setattr(measurement, "_CHUNK_ELEMENTS", 4096)
         assert optimizer.grid_search_qubit(rho, 0, 64) == whole
         assert len(sizes) > 1 and max(sizes) <= 4096
 
@@ -624,6 +625,21 @@ class TestQuditRestarts:
         # the reference recipe is independent: projectors, one eigvalsh per outcome
         assert abs(res.j_value - reference_J(rho, 0, res.measurement)) < 1e-12
 
+    def test_the_seeded_starts_are_drawn_once(self, monkeypatch):
+        # the searches of one (d, restarts, seed) read one read-only table
+        optimizer._haar_starts.cache_clear()
+        draws, haar_bases = [], optimizer._haar_bases
+        monkeypatch.setattr(optimizer, "_haar_bases",
+                            lambda *args: draws.append(args) or haar_bases(*args))
+        rho = catalog_qutrit_state("mixed")
+        first, again = (optimizer.optimize_measurement(rho, 0) for _ in range(2))
+        assert len(draws) == 1
+        assert (first.measurement.basis == again.measurement.basis).all()
+        assert (first.j_value, first.iterations) == (again.j_value, again.iterations)
+        starts = optimizer._starts(3, OptimizerConfig())
+        assert not starts.flags.writeable
+        assert (starts == haar_bases(np.random.default_rng(0), 32, 3)).all()
+
     def test_classical_quantum_discord_is_zero(self, rng):
         # sum_i p_i |i><i| x rho_i with the qubit turned by a random unitary
         p = rng.dirichlet(np.ones(3))
@@ -958,7 +974,7 @@ class TestGramView:
             assert abs(ev.j_bases(basis[None], alone([basis]))[0] - reference_J(rho, k, m)) < 1e-12
         if rho.dims[k] == 2:
             _, grid = optimizer._grid_points(32, 32)
-            j, j_d = optimizer._grid_j(ev, grid), optimizer._grid_j(dense, grid)
+            j, j_d = ev.j_bases(grid, alone(grid)), dense.j_bases(grid, alone(grid))
             assert optimizer._first_best(j) == optimizer._first_best(j_d)
             assert np.abs(j - j_d).max() < 1e-12
 

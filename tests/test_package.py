@@ -1,5 +1,10 @@
+import ast
 import dataclasses
+import importlib
+import inspect
+import pkgutil
 import re
+import textwrap
 from pathlib import Path
 
 import qcorr
@@ -57,3 +62,39 @@ def test_the_readme_library_example_prints_what_it_documents():
             assert repr(float(value)).startswith(prefix), (line, value)
         checked += len(documented)
     assert checked > 0
+
+
+def _init_attributes(cls) -> set[str]:
+    """The attributes a class's own, hand-written `__init__` assigns on self."""
+    init = vars(cls).get("__init__")
+    if init is None or dataclasses.is_dataclass(cls):
+        return set()
+    tree = ast.parse(textwrap.dedent(inspect.getsource(init)))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+def test_every_private_name_the_readme_names_exists():
+    # a backticked `_name` must be an attribute of a qcorr module or a member
+    # of one of its classes, and a `_Class.attr` a member of that class: a
+    # class attribute or method, a dataclass field, or set by its __init__
+    modules = [importlib.import_module(f"qcorr.{info.name}")
+               for info in pkgutil.iter_modules(qcorr.__path__)]
+    classes = {cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__module__.startswith("qcorr.")}
+    members = {cls: set(dir(cls)) | set(getattr(cls, "__dataclass_fields__", ()))
+               | _init_attributes(cls) for cls in classes}
+    names = set(re.findall(r"`(_[A-Za-z]\w*(?:\.\w+)?)`", README.read_text(encoding="utf-8")))
+    missing = []
+    for name in sorted(names):
+        owner, _, attr = name.partition(".")
+        if attr:
+            found = any(cls.__name__ == owner and attr in members[cls] for cls in classes)
+        else:
+            found = (any(hasattr(module, name) for module in modules)
+                     or any(name in members[cls] for cls in classes))
+        if not found:
+            missing.append(name)
+    assert names
+    assert missing == []
