@@ -29,6 +29,9 @@ from .states import DensityMatrix, _number, from_dense
 
 UNITARY_TOL = 1e-8
 ZERO_PROB = 1e-12
+# Outcome blocks of at most this size take their spectrum and log in closed
+# form (`_small_spectrum`, `_small_log`), larger ones through LAPACK.
+_CLOSED_FORM_BLOCK = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +284,7 @@ def _conditional_entropy(blocks: np.ndarray) -> np.ndarray:
     traces = np.einsum('...ii->...', blocks.real)
     probs = traces.sum(axis=-1)
     safe = np.maximum(probs, ZERO_PROB)[..., None]
-    if blocks.shape[-1] <= 2:
+    if blocks.shape[-1] <= _CLOSED_FORM_BLOCK:
         lam = _small_spectrum(blocks, traces, safe)
     else:
         # spectrum of blocks / q_a without a normalized copy of the blocks
@@ -334,10 +337,10 @@ def _view(ens: CQEnsemble, k: int) -> tuple[np.ndarray, float, float]:
             ens.mutual_information())
 
 
-# Bound on the entries of the `_half_blocks` of one `j_bases` chunk, (d_k,
-# chunk, d_k, L b b): d_k times its outcome blocks, the largest array of the
-# chunk. It keeps the working set of any stack of bases flat as the leaves L
-# and their size b grow.
+# Bound on the entries of the `_half_blocks` of one `j_bases` or `gradient`
+# chunk, (d_k, chunk, d_k, L b b): d_k times its outcome blocks, the largest
+# array of the chunk. It keeps the working set of any stack of bases flat as
+# the leaves L and their size b grow.
 _CHUNK_ELEMENTS = 1 << 20
 
 
@@ -367,10 +370,10 @@ class _JEvaluator:
     A stack of bases given to `j_bases` or `gradient` comes with `on`, the
     problem of each basis, non-decreasing: problem 0's bases first. Each
     problem's bases take one GEMM against its own layout, the GEMM of its
-    bases alone. `j_bases` takes a stack in chunks of at most `_chunk`
-    bases, whose `_half_blocks` hold at most `_CHUNK_ELEMENTS` entries; a
-    chunk may span problems. `evaluated[p]` counts the bases of problem p
-    whose J or gradient the evaluator has taken.
+    bases alone. `j_bases` and `gradient` take a stack in chunks of at most
+    `_chunk` bases, whose `_half_blocks` hold at most `_CHUNK_ELEMENTS`
+    entries; a chunk may span problems. `evaluated[p]` counts the bases of
+    problem p whose J or gradient the evaluator has taken.
     """
 
     def __init__(self, views: list[np.ndarray], rest_entropies: list[float],
@@ -393,6 +396,11 @@ class _JEvaluator:
     def shape(self) -> tuple[int, ...]:
         """(d_k, L, b, b), the shape of every problem's view."""
         return (self.dk,) + self._leaf_shape
+
+    @property
+    def closed_form(self) -> bool:
+        """Whether the outcome blocks, b x b, take closed forms: b <= `_CLOSED_FORM_BLOCK`."""
+        return self._leaf_shape[-1] <= _CLOSED_FORM_BLOCK
 
     def marginals(self) -> np.ndarray:
         """The measured marginal rho_k of each problem, as (P, d_k, d_k).
@@ -433,12 +441,16 @@ class _JEvaluator:
         blocks = bases.conj().swapaxes(0, 1)[:, :, None] @ half
         return blocks.reshape((dk, n) + self._leaf_shape)
 
+    def _by_chunk(self, method, bases: np.ndarray, on: np.ndarray) -> np.ndarray:
+        """`method` on each run of `_chunk` consecutive bases of the stack, concatenated."""
+        step = self._chunk
+        return np.concatenate([method(bases[lo:lo + step], on[lo:lo + step])
+                               for lo in range(0, len(bases), step)])
+
     def j_bases(self, bases: np.ndarray, on: np.ndarray) -> np.ndarray:
         """J for every basis of the stack `bases` (n, d_k, d_k), vectors as rows, of problem `on`."""
-        step = self._chunk
-        if len(bases) > step:
-            return np.concatenate([self.j_bases(bases[lo:lo + step], on[lo:lo + step])
-                                   for lo in range(0, len(bases), step)])
+        if len(bases) > self._chunk:
+            return self._by_chunk(self.j_bases, bases, on)
         blocks = self._blocks(bases, self._half_blocks(bases, on))
         return self.rest_entropy[on] - _conditional_entropy(blocks)
 
@@ -449,19 +461,22 @@ class _JEvaluator:
         outcome block of leaf i and q_a = sum_i Tr B_ai; in the Gram view
         the trace and W_i are taken on its r x r blocks. The 1/ln 2 terms of
         the entropy derivatives cancel. Outcomes with q_a <= 1e-12 contribute
-        0, and eigenvalues of B_ai / q_a are clamped at 1e-12. Blocks of
-        b <= 2 take their log in closed form (`_small_log`), larger ones
-        from `eigh`. The trace reuses the blocks' `_half_blocks`: row a is
-        T[a] contracted with the transpose of log2(B_a / q_a), one
-        matrix-vector product per (a, n).
+        0, and eigenvalues of B_ai / q_a are clamped at 1e-12. Blocks that
+        take closed forms (`closed_form`) take their log from `_small_log`,
+        larger ones from `eigh`. The trace reuses the blocks' `_half_blocks`:
+        row a is T[a] contracted with the transpose of log2(B_a / q_a), one
+        matrix-vector product per (a, n). A stack is taken in chunks as by
+        `j_bases`.
         """
+        if len(bases) > self._chunk:
+            return self._by_chunk(self.gradient, bases, on)
         half = self._half_blocks(bases, on)
         blocks = self._blocks(bases, half)
         traces = np.einsum('...ii->...', blocks.real)
         probs = traces.sum(axis=-1)
         safe = np.maximum(probs, ZERO_PROB)[..., None]
         # log2(B_a / q_a), transposed (B^T has the spectrum of B)
-        if blocks.shape[-1] <= 2:
+        if self.closed_form:
             logs_t = _small_log(blocks.swapaxes(-1, -2), traces, safe)
         else:
             w, u = np.linalg.eigh(blocks)

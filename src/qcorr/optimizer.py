@@ -5,13 +5,15 @@ dimension: Riemannian ascent on the unitary group (Abrudan, Eriksson &
 Koivunen, IEEE TSP 56(3):1134, 2008), its directions taken in the fixed
 left frame. A qubit starts from the argmax of a coarse Bloch-angle grid,
 57 directions of the upper hemisphere with the equator, a higher
-dimension from seeded Haar-random bases. Every round of every search
-takes a saddle-free Newton step (Dauphin et al., NeurIPS 2014) in the
-d(d-1) generators that mix outcomes (Absil, Mahony & Sepulchre,
-Optimization Algorithms on Matrix Manifolds, 2008, ch. 6): the Hessian's
-eigenvalues enter by their magnitude, so the step ascends at saddles too,
-and it turns by at most pi/4. The Hessian
-comes from forward differences of the analytic gradient, so a round
+dimension from seeded Haar-random bases. Where the outcome blocks exceed
+2 x 2 and go through LAPACK, the qubit grid is evaluated coarse to fine:
+its 25 directions on every other theta row, then only the directions of
+the rows between them near the best few of those 25. Every round of
+every search takes a saddle-free Newton step (Dauphin et al., NeurIPS
+2014) in the d(d-1) generators that mix outcomes (Absil, Mahony &
+Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 6): the
+Hessian's eigenvalues enter by their magnitude, so the step ascends at
+saddles too, and it turns by at most pi/4. The Hessian comes from forward differences of the analytic gradient, so a round
 evaluates 1 + d(d-1) gradients in one batched call. A search ends where
 its model predicts no further gain, on its t = 1 trial, the only trial of
 that round it evaluates; when a retry in the same round along the
@@ -21,7 +23,8 @@ first round and after every round. No basis gives a J above I, and one
 at I loses no correlation: the step's discord is zero, as where the
 state is classical on the measured side (Ollivier & Zurek, PRL 88:017901,
 2001), so such a search has reached the maximum and evaluates nothing
-more; a qubit grid argmax at I is not ascended. A basis at I leaves the
+more; a qubit grid argmax at I is not ascended, nor, at blocks above
+2 x 2, is a coarse grid argmax at I refined. A basis at I leaves the
 state unchanged, so it diagonalizes the measured marginal rho_k: a qudit
 search first evaluates rho_k's eigenbasis, and where that is at I it is
 the result after one evaluation. Where rho_k's spectrum is degenerate the
@@ -78,6 +81,13 @@ from .states import DensityMatrix
 # by pi/8, as the 16 columns space the equator's phi; coarser grids such as
 # 5 x 16 or 9 x 12 let some searches need a sixth round.
 _START_GRID = (9, 16)
+# Where outcome blocks take LAPACK, the start grid is evaluated coarse to
+# fine: first the 25 points of its even theta rows, then those of its odd
+# rows within _FINE_RADIUS (rad) of any of the _FINE_AROUND best coarse
+# directions or their antipodes. Around one coarse direction that is 16
+# points at the pole, 8 at theta = pi/4 and 6 on the equator.
+_FINE_RADIUS = 0.6
+_FINE_AROUND = 4
 # Ascent rounds per start, each a Newton ladder and at most one retry ladder.
 _MAX_ROUNDS = 500
 # Qudit starts ascended together. Checked after every round, a search stops
@@ -137,12 +147,19 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class OptimalMeasurementResult:
-    """The measurement a search found on one subsystem, and how it found it."""
+    """The measurement a search found on one subsystem, and how it found it.
+
+    A qubit search with outcome blocks above 2 x 2 evaluates its start grid
+    coarse to fine (`_qubit_searches`), so its `iterations` count only the
+    grid directions it evaluated, and its `oracle_gap` is taken from the
+    best of those, which is the best of all 57 unless a sharp maximum lies
+    off the coarse rows and away from the best coarse directions.
+    """
     measurement: ProjectiveMeasurement
     j_value: float       # bits
     discord: float       # bits, floored at 0
     iterations: int      # bases the J kernel evaluated, `_JEvaluator.evaluated`; 0 for constant J
-    oracle_gap: float | None = None   # qubit: ascended J minus the start grid's best J
+    oracle_gap: float | None = None   # qubit: ascended J minus the start grid's best evaluated J
     params: tuple[float, float] | None = None  # (theta, phi) for qubits, else None
 
 
@@ -193,6 +210,29 @@ def _start_points(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     for a in points:
         a.flags.writeable = False
     return points
+
+
+@functools.cache
+def _coarse_to_fine(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse stage of the rows x cols start grid, and the fine points near each point.
+
+    Returns the indices into `_start_points(rows, cols)` of the points on
+    even theta rows, and a mask `near` over pairs of points: `near[i]` marks
+    the points on odd rows within `_FINE_RADIUS` of point i's Bloch
+    direction or of its antipode, and is empty where point i is on an odd
+    row. Of the 9 x 16 start grid that is the 25 points of theta = 0,
+    pi/4, pi/2, and around one of them 16, 8 or 6 of the 32 others. Both
+    are built once and read-only.
+    """
+    theta, phi = _start_points(rows, cols)[0].T
+    odd = np.rint(theta * (rows - 1) / math.pi) % 2 == 1
+    u = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
+                 axis=1)
+    near = (np.abs(u @ u.T) >= math.cos(_FINE_RADIUS)) & odd & ~odd[:, None]
+    coarse = np.flatnonzero(~odd)
+    for a in (coarse, near):
+        a.flags.writeable = False
+    return coarse, near
 
 
 def _first_best(j: np.ndarray) -> np.ndarray:
@@ -470,13 +510,37 @@ def _constant_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
 
 
 def _qubit_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
-    """(bases, J, the start grid's J) of each qubit problem of `ev`, ascended from its grid."""
-    grid, n_problems = _starts(2, config), len(ev.rest_entropy)
-    j = ev.j_bases(np.tile(grid, (n_problems, 1, 1)),
-                   np.arange(n_problems).repeat(len(grid))).reshape(n_problems, -1)
+    """(bases, J, the start grid's J) of each qubit problem of `ev`, ascended from its grid.
+
+    Where the outcome blocks take closed forms (`_JEvaluator.closed_form`),
+    one `j_bases` call evaluates every problem's 57 start directions: a
+    direction then costs little next to the call. Larger blocks go through
+    LAPACK, where each direction costs two `eigvalsh` calls, and the grid
+    is evaluated coarse to fine (`_coarse_to_fine`): one call evaluates the
+    25 directions of the even theta rows of every problem, and a second
+    only the odd-row directions within `_FINE_RADIUS` of one of each
+    problem's `_FINE_AROUND` best coarse directions (ties in grid order) or
+    its antipode, except where the coarse best is within `_TIE` of the
+    problem's I: it is then the maximum, and the result after 25
+    evaluations. Unevaluated directions read -inf. Each problem ascends
+    from the best evaluated direction, picked by the tie rule in grid order
+    (`_first_best`), whose J is the start grid's J.
+    """
+    grid, problems = _starts(2, config), np.arange(len(ev.rest_entropy))
+    coarse, near = _coarse_to_fine(*_START_GRID)
+    first = np.arange(len(grid)) if ev.closed_form else coarse
+    j = np.full((problems.size, len(grid)), -np.inf)
+    j[:, first] = ev.j_bases(np.tile(grid[first], (problems.size, 1, 1)),
+                             problems.repeat(first.size)).reshape(problems.size, -1)
+    if not ev.closed_form:
+        ranked = coarse[np.argsort(-j[:, coarse], axis=1, kind='stable')[:, :_FINE_AROUND]]
+        fine = near[ranked].any(axis=1) & (j.max(axis=1) < ev.mutual_info - _TIE)[:, None]
+        on, points = np.nonzero(fine)
+        if on.size:
+            j[on, points] = ev.j_bases(grid[points], on)
     best = _first_best(j)
-    j_grid = j[np.arange(len(j)), best]
-    bases, js = _ascend(ev, grid[best], j_grid, np.arange(len(j)))
+    j_grid = j[problems, best]
+    bases, js = _ascend(ev, grid[best], j_grid, problems)
     return bases[:, None], js[:, None], j_grid
 
 

@@ -626,25 +626,30 @@ def test_full_report_batches_equal_solo_searches(monkeypatch, name, chunk):
 
 
 def record_j_stacks(monkeypatch) -> list:
-    """Record the `_half_blocks` of every `j_bases` chunk as (caller of `j_bases`, entries)."""
+    """Record the `_half_blocks` of every `j_bases` and `gradient` chunk as (caller, entries).
+
+    The caller is the first frame outside measurement.py, the function that
+    handed the kernel the stack a chunk belongs to: `_directions` for a
+    gradient's.
+    """
     stacks, half_blocks = [], measurement._JEvaluator._half_blocks
 
     def recording(self, bases, on):
         out = half_blocks(self, bases, on)
         frame = sys._getframe(1)
-        if frame.f_code.co_name == "j_bases":  # not a gradient's
-            while frame.f_code.co_name == "j_bases":  # a chunk of a longer stack
-                frame = frame.f_back
-            stacks.append((frame.f_code.co_name, out.size))
+        while frame.f_globals is vars(measurement):  # the kernel and its chunking
+            frame = frame.f_back
+        stacks.append((frame.f_code.co_name, out.size))
         return out
 
     monkeypatch.setattr(measurement._JEvaluator, "_half_blocks", recording)
     return stacks
 
 
-# A chunk bound of 40 half-block entries splits the start grids, the ladders
-# and the qutrit's waves of every step of these states into chunks of 1 to 3
-# bases. Unbounded, each kind of stack holds more than 40 entries somewhere.
+# A chunk bound of 40 half-block entries splits the start grids, the ladders,
+# the qutrit's waves and the rounds' gradients of every step of these states
+# into chunks of 1 to 3 bases. Unbounded, each kind of stack holds more than
+# 40 entries somewhere.
 @pytest.mark.parametrize("rho", [BATCH_STATES["rank2_2x2x2"],
                                  states.random_density((3, 2), np.random.default_rng(29))],
                          ids=["rank2_2x2x2", "3x2"])
@@ -653,7 +658,7 @@ def test_every_j_stack_keeps_its_half_blocks_within_the_bound(monkeypatch, rho):
     stacks = record_j_stacks(monkeypatch)
     whole = correlations.sequential_measure(rho, order)
     long_stacks = {caller for caller, size in stacks if size > 40}
-    assert {"_qubit_searches", "_climb"} <= long_stacks
+    assert {"_qubit_searches", "_climb", "_directions"} <= long_stacks
     assert rho.dims[0] == 2 or "_qudit_searches" in long_stacks
     stacks.clear()
     monkeypatch.setattr(measurement, "_CHUNK_ELEMENTS", 40)
