@@ -211,11 +211,12 @@ class CQEnsemble:
         """The ensemble after measuring subsystem k in `basis` (vectors as rows).
 
         Leaf i and outcome a make the leaf of factor <v_a| F_i; leaves of
-        probability <= 1e-12 are dropped.
+        probability <= 1e-12 are dropped. The new factors are one batched
+        matmul of conj(basis) with each leaf's factor, its rows of k first.
         """
-        factors = np.einsum('ia,labr->libr', basis.conj(), self.factor_view(k))
-        n_leaves, dk, dr, r = factors.shape
-        factors = factors.reshape(n_leaves * dk, dr, r)
+        f = self.factor_view(k)
+        n_leaves, dk, dr, r = f.shape
+        factors = (basis.conj() @ f.reshape(n_leaves, dk, dr * r)).reshape(n_leaves * dk, dr, r)
         probs = (factors.real ** 2 + factors.imag ** 2).sum(axis=(1, 2))
         outcomes = np.column_stack([np.repeat(self.outcomes, dk, axis=0),
                                     np.tile(np.arange(dk), n_leaves)])
@@ -324,15 +325,21 @@ def _view(ens: CQEnsemble, k: int) -> tuple[np.ndarray, float, float]:
     """The view of subsystem k of `ens` that `_JEvaluator` reads, S of the rest, and I.
 
     The view is the Gram one when the factors have fewer columns than
-    d_rest, the dense one otherwise; S of the rest is the sum of the other
+    d_rest, the dense one otherwise, each one batched matmul of a leaf
+    factor's reshape with its adjoint; S of the rest is the sum of the other
     subsystems' marginal entropies, and I is the ensemble's mutual
     information, which bounds every J of the view.
     """
     f = ens.factor_view(k)
-    if f.shape[3] < f.shape[2]:
-        view = np.einsum('lcbx,laby->laxcy', f.conj(), f)
+    n_leaves, dk, dr, r = f.shape
+    if r < dr:
+        # g[l, :, (a, y)] = F_a[:, y], so entry ((a, y), (c, x)) of g^T conj(g)
+        # is (F_c^dagger F_a)[x, y]: the view with its two r axes swapped
+        g = f.transpose(0, 2, 1, 3).reshape(n_leaves, dr, dk * r)
+        view = (g.swapaxes(-1, -2) @ g.conj()).reshape(n_leaves, dk, r, dk, r).swapaxes(2, 4)
     else:
-        view = np.einsum('laxr,lcyr->laxcy', f, f.conj())
+        m = f.reshape(n_leaves, dk * dr, r)
+        view = (m @ m.conj().swapaxes(-1, -2)).reshape(n_leaves, dk, dr, dk, dr)
     return (view, sum(s for j, s in enumerate(ens.marginal_entropies) if j != k),
             ens.mutual_information())
 

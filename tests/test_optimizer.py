@@ -1166,6 +1166,24 @@ def test_gemm_kernel_matches_the_einsums(name, ens, k, basis):
     assert np.abs(blocks - einsum_blocks(view, bases)).max() < 1e-14
     assert np.abs(ev.gradient(bases, alone(bases)) - einsum_gradient(view, bases)).max() < 1e-14
 
+@pytest.mark.parametrize("name, ens, k, basis", GRADIENT_CASES,
+                         ids=[c[0] for c in GRADIENT_CASES])
+def test_views_and_splits_match_their_einsums(name, ens, k, basis):
+    # `_view` and `split` are batched matmuls of the leaf factors; the
+    # einsums they replaced give the same arrays up to rounding
+    f = ens.factor_view(k)
+    einsum_view = (np.einsum('lcbx,laby->laxcy', f.conj(), f) if f.shape[3] < f.shape[2]
+                   else np.einsum('laxr,lcyr->laxcy', f, f.conj()))
+    view = measurement._view(ens, k)[0]
+    assert view.shape == einsum_view.shape
+    assert np.abs(view - einsum_view).max() < 1e-14
+    factors = np.einsum('ia,labr->libr', basis.conj(), f).reshape((-1,) + f.shape[2:])
+    kept = (np.abs(factors) ** 2).sum(axis=(1, 2)) > measurement.ZERO_PROB
+    split = ens.split(k, basis)
+    assert split.factors.shape == factors[kept].shape
+    assert np.abs(split.factors - factors[kept]).max() < 1e-14
+
+
 ENTRY_POINTS = {
     "optimize_measurement": optimizer.optimize_measurement,
     "discord": correlations.discord,
