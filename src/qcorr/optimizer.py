@@ -13,8 +13,9 @@ every search takes a saddle-free Newton step (Dauphin et al., NeurIPS
 2014) in the d(d-1) generators that mix outcomes (Absil, Mahony &
 Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 6): the
 Hessian's eigenvalues enter by their magnitude, so the step ascends at
-saddles too, and it turns by at most pi/4. The Hessian comes from forward differences of the analytic gradient, so a round
-evaluates 1 + d(d-1) gradients in one batched call. A search ends where
+saddles too, and it turns by at most pi/4. The Hessian comes from forward
+differences of the analytic gradient, so a round evaluates 1 + d(d-1)
+gradients in one batched call. A search ends where
 its model predicts no further gain, on its t = 1 trial, the only trial of
 that round it evaluates; when a retry in the same round along the
 gradient gains nothing either; at the round cap; or where its J is
