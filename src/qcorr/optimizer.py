@@ -528,12 +528,14 @@ def _qubit_searches(ev: _JEvaluator, config: OptimizerConfig) -> tuple:
     (`_first_best`), whose J is the start grid's J.
     """
     grid, problems = _starts(2, config), np.arange(len(ev.rest_entropy))
-    coarse, near = _coarse_to_fine(*_START_GRID)
-    first = np.arange(len(grid)) if ev.closed_form else coarse
-    j = np.full((problems.size, len(grid)), -np.inf)
-    j[:, first] = ev.j_bases(np.tile(grid[first], (problems.size, 1, 1)),
-                             problems.repeat(first.size)).reshape(problems.size, -1)
-    if not ev.closed_form:
+    if ev.closed_form:
+        j = ev.j_bases(np.tile(grid, (problems.size, 1, 1)),
+                       problems.repeat(len(grid))).reshape(problems.size, -1)
+    else:
+        coarse, near = _coarse_to_fine(*_START_GRID)
+        j = np.full((problems.size, len(grid)), -np.inf)
+        j[:, coarse] = ev.j_bases(np.tile(grid[coarse], (problems.size, 1, 1)),
+                                  problems.repeat(coarse.size)).reshape(problems.size, -1)
         ranked = coarse[np.argsort(-j[:, coarse], axis=1, kind='stable')[:, :_FINE_AROUND]]
         fine = near[ranked].any(axis=1) & (j.max(axis=1) < ev.mutual_info - _TIE)[:, None]
         on, points = np.nonzero(fine)
