@@ -176,15 +176,21 @@ def count_evaluations(monkeypatch) -> list:
     """Record the number of bases of every `_JEvaluator.j_bases` and `gradient` call.
 
     Its sum is the number of bases whose J or gradient was evaluated, which
-    a search reports as `iterations`.
+    a search reports as `iterations`. A stack the kernel takes in chunks
+    calls the method again on each chunk; only the whole stack is recorded.
     """
-    counted = []
+    counted, inside = [], []
     for name in ("j_bases", "gradient"):
         method = getattr(measurement._JEvaluator, name)
 
         def counting(self, bases, on, method=method):
-            counted.append(len(bases))
-            return method(self, bases, on)
+            if not inside:
+                counted.append(len(bases))
+            inside.append(True)
+            try:
+                return method(self, bases, on)
+            finally:
+                inside.pop()
 
         monkeypatch.setattr(measurement._JEvaluator, name, counting)
     return counted

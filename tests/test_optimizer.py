@@ -427,12 +427,18 @@ class TestOptimizeMeasurement:
         else:
             assert res.params is None and res.oracle_gap is None
 
-    @pytest.mark.parametrize("dims, k, rank", [((2, 2), 0, None), ((2, 3), 0, 2),
-                                               ((3, 2), 0, None), ((4, 2), 0, 2),
-                                               ((2, 2), 0, 1), ((3, 2), 0, 1)],
+    # a chunk bound of 40 half-block entries splits the grid, ladder, wave
+    # and gradient stacks, each counted once
+    @pytest.mark.parametrize("dims, k, rank, chunk",
+                             [((2, 2), 0, None, None), ((2, 3), 0, 2, None),
+                              ((3, 2), 0, None, None), ((4, 2), 0, 2, None),
+                              ((2, 2), 0, 1, None), ((3, 2), 0, 1, None),
+                              ((2, 2, 2), 0, None, 40), ((3, 2), 0, None, 40)],
                              ids=["qubit", "qubit_rank2", "qutrit", "ququart_rank2",
-                                  "pure_qubit", "pure_qutrit"])
-    def test_iterations_are_the_bases_evaluated(self, monkeypatch, dims, k, rank):
+                                  "pure_qubit", "pure_qutrit", "qubit_chunked", "qutrit_chunked"])
+    def test_iterations_are_the_bases_evaluated(self, monkeypatch, dims, k, rank, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(measurement, "_CHUNK_ELEMENTS", chunk)
         rho = states.random_density(dims, np.random.default_rng([1901, *dims]), rank=rank)
         counted = count_evaluations(monkeypatch)
         res = optimizer.optimize_measurement(rho, k)
@@ -878,13 +884,18 @@ def full_grid_search(rho):
 
 # Sampled states, (stream, dims, rank, seed), whose coarse-to-fine start is
 # not the best of all 57 start directions, though their search ends as high,
-# within 1e-15, as the search from that best: 3 of 55,000 states, 500 of
-# each of 2x3, 2x4, 2x2x2, 2x5 and 2x2x3 at full and reduced rank per
-# stream 30..40.
+# within 1e-15, as the search from that best: 3 of 55,000 states, seeds
+# 0..499 of streams 30..40 of 2x3, 2x4 and 2x2x2 at full rank and rank 3,
+# 2x5 at full rank and rank 4, and 2x2x3 at full rank and rank 5.
 DIFFERING_STARTS = [(30, (2, 2, 3), None, 484), (31, (2, 2, 3), None, 400),
                     (38, (2, 4), 3, 442)]
 # The other 2 of those 55,000, whose search ends lower: 5.6e-4 and 3.2e-3 bits.
 MISSED_MAXIMA = [(35, (2, 5), None, 486), (35, (2, 2, 3), 5, 468)]
+
+
+def sample_id(case):
+    stream, dims, rank, seed = case
+    return f"{stream}-{'x'.join(map(str, dims))}-{'rank' + str(rank) if rank else 'full'}-{seed}"
 
 
 class TestCoarseToFineStartGrid:
@@ -902,7 +913,8 @@ class TestCoarseToFineStartGrid:
         assert [int(near[i].sum()) for i in (0, 17, 49)] == [16, 8, 6]
         assert not (coarse.flags.writeable or near.flags.writeable)
 
-    @pytest.mark.parametrize("dims, rank", [((2, 2), None), ((2, 3), 2), ((2, 2, 2), 2)])
+    @pytest.mark.parametrize("dims, rank", [((2, 2), None), ((2, 3), 2), ((2, 2, 2), 2)],
+                             ids=["2x2", "2x3_rank2", "2x2x2_rank2"])
     def test_closed_form_blocks_evaluate_every_start_direction_in_one_call(
             self, monkeypatch, dims, rank):
         rho = states.random_density(dims, np.random.default_rng([30, *dims]), rank=rank)
@@ -946,7 +958,8 @@ class TestCoarseToFineStartGrid:
             res = optimizer.optimize_measurement(rho, 0)
             assert res.j_value - res.oracle_gap == j_start
 
-    @pytest.mark.parametrize("stream, dims, rank, seed", DIFFERING_STARTS)
+    @pytest.mark.parametrize("stream, dims, rank, seed", DIFFERING_STARTS,
+                             ids=map(sample_id, DIFFERING_STARTS))
     def test_a_differing_start_ends_as_high(self, stream, dims, rank, seed):
         res, j_start, j_end = full_grid_search(sampled_state(stream, dims, rank, seed))
         assert res.j_value - res.oracle_gap < j_start
@@ -954,7 +967,8 @@ class TestCoarseToFineStartGrid:
 
     @pytest.mark.xfail(strict=True, reason="a sharp maximum lies between the coarse rows, "
                                            "away from the four best coarse directions")
-    @pytest.mark.parametrize("stream, dims, rank, seed", MISSED_MAXIMA)
+    @pytest.mark.parametrize("stream, dims, rank, seed", MISSED_MAXIMA,
+                             ids=map(sample_id, MISSED_MAXIMA))
     def test_a_missed_maximum_ends_as_high(self, stream, dims, rank, seed):
         res, _, j_end = full_grid_search(sampled_state(stream, dims, rank, seed))
         assert res.j_value >= j_end - 1e-9
