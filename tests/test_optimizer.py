@@ -878,7 +878,7 @@ def full_grid_search(rho):
     """The default search on qubit 0, the best J of all 57 start directions, and its ascent's J."""
     ev = optimizer._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
     start, j_start = grid_best(ev, *optimizer._START_GRID)
-    _, (j_end,) = optimizer._ascend(ev, start[None], np.array([j_start]), alone([start]))
+    _, (j_end,), _ = ascend(rho, 0, [start])
     return optimizer.optimize_measurement(rho, 0), j_start, j_end
 
 
