@@ -309,14 +309,16 @@ def _verify_oracle(config, failures):
     s0 = infotheory.von_neumann_entropy(states.reduced(rho, {0}))
     _check("oracle pure 3x2 D_0 = S(rho_0)", abs(res.discord - s0), 1e-6, failures)
     # qudit waves stop once two restarts agree; ascending every start is the oracle
-    rho = states.random_density((4, 2), rng)
-    res = optimizer.optimize_measurement(rho, 0, config)
-    ev = measurement._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
-    starts = optimizer._starts(4, config)
-    on = np.zeros(len(starts), dtype=int)
-    _, js = optimizer._ascend(ev, starts, ev.j_bases(starts, on), on)
-    _check("oracle mixed 4x2 waves against every restart", abs(res.j_value - js.max()),
-           1e-11, failures)
+    worst = 0.0
+    for rho in (states.random_density((4, 2), rng),
+                states.random_density((5, 2), np.random.default_rng([91, 350]), rank=3)):
+        res = optimizer.optimize_measurement(rho, 0, config)
+        ev = measurement._JEvaluator.of(measurement.CQEnsemble.of(rho), 0)
+        starts = optimizer._starts(rho.dims[0], config)
+        on = np.zeros(len(starts), dtype=int)
+        _, js = optimizer._ascend(ev, starts, ev.j_bases(starts, on), on)
+        worst = max(worst, abs(res.j_value - js.max()))
+    _check("oracle mixed 4x2 waves (and rank-3 5x2) against every restart", worst, 1e-11, failures)
     # full_report ascends its searches on the unmeasured state in one batch,
     # and each must equal that search alone
     rho = states.random_density((2, 2, 2), rng)

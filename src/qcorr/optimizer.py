@@ -13,9 +13,10 @@ every search takes a saddle-free Newton step (Dauphin et al., NeurIPS
 2014) in the d(d-1) generators that mix outcomes (Absil, Mahony &
 Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 6): the
 Hessian's eigenvalues enter by their magnitude, so the step ascends at
-saddles too, and it turns by at most pi/4. The Hessian comes from forward
-differences of the analytic gradient, so a round evaluates 1 + d(d-1)
-gradients in one batched call. A search ends where
+saddles too, shifted by the trust-region multiplier's closed-form bound
+(Moré & Sorensen, SIAM J. Sci. Stat. Comput. 4:553, 1983) so that it
+turns by at most pi/4. Forward differences of the analytic gradient give
+the Hessian: 1 + d(d-1) gradients a round, in one call. A search ends where
 its model predicts no further gain, on its t = 1 trial, the only trial of
 that round it evaluates; when a retry in the same round along the
 gradient gains nothing either; at the round cap; or where its J is
@@ -112,11 +113,10 @@ _MODEL_FLOOR = 2e-12
 # Forward-difference step of a search's Hessian H. The error of H is O(h)
 # down to about h = 1e-7, where the gradient's rounding takes over, and it
 # sets how closely a search's last step lands on the top. A saddle-free
-# Newton step takes each eigenvalue of H as
-# -max(|lambda|, _FLAT_CURVATURE max |lambda|), and turns by at most
-# _MAX_TURN in the generators' coordinates.
+# Newton step takes each eigenvalue of H as -(|lambda| + mu), where
+# mu = max(0, |g| / _MAX_TURN - min |lambda|) bounds the trust-region
+# multiplier, so it turns by at most _MAX_TURN in the generators' coordinates.
 _FD_STEP = 1e-6
-_FLAT_CURVATURE = 1e-3
 _MAX_TURN = math.pi / 4
 
 
@@ -310,12 +310,12 @@ def _directions(ev: _JEvaluator, v: np.ndarray, on: np.ndarray) -> tuple[np.ndar
     gradients in the same call, each basis followed by its turns, so the
     rows keep the order of `on`, each basis's problem in `ev`. D has
     s = -H'^{-1} g, where H' is H with each eigenvalue lambda_i taken as
-    -max(|lambda_i|, `_FLAT_CURVATURE` max |lambda|): the Newton step where
-    H is negative definite, and an ascent direction everywhere (Dauphin et
-    al., NeurIPS 2014). A rank-deficient marginal of the measured subsystem
-    makes some directions exactly flat, which the floor keeps finite. s is
-    scaled down to at most `_MAX_TURN`, half the pi/2 turn along one
-    generator that swaps two outcomes.
+    -(|lambda_i| + mu), mu = max(0, |g| / `_MAX_TURN` - min |lambda|) being
+    the closed-form upper bound on the trust-region multiplier: so |s| <=
+    `_MAX_TURN`, half the pi/2 turn that swaps two outcomes, the directions
+    a rank-deficient marginal makes exactly flat stay finite while g != 0,
+    and s ascends everywhere (Dauphin et al., NeurIPS 2014), the Newton step
+    where H is negative definite and min |lambda| >= |g| / `_MAX_TURN`.
     """
     m, dk = len(v), v.shape[-1]
     gens, turns = _generators(dk)
@@ -326,13 +326,10 @@ def _directions(ev: _JEvaluator, v: np.ndarray, on: np.ndarray) -> tuple[np.ndar
     h = (g[:, 1:] - g[:, :1]) / _FD_STEP
     x, g = x[::1 + len(gens)], g[:, 0]
     lam, q = np.linalg.eigh((h + h.swapaxes(1, 2)) / 2)
-    lam = np.abs(lam)
-    curvature = np.maximum(lam, _FLAT_CURVATURE * lam.max(axis=1, keepdims=True))
-    # s = q diag(1 / curvature) q^T g; where H is exactly 0, s = g before the cap
-    s = np.einsum('mpi,mi->mp', q, np.einsum('mpi,mp->mi', q, g)
-                  / np.where(curvature > 0, curvature, 1.0))
-    norm = np.sqrt(np.einsum('mp,mp->m', s, s))
-    s *= (_MAX_TURN / np.maximum(norm, _MAX_TURN))[:, None]
+    mu = np.sqrt(np.einsum('mp,mp->m', g, g)) / _MAX_TURN - np.abs(lam).min(axis=1)
+    lam = np.abs(lam) + np.maximum(mu, 0.0)[:, None]
+    # s = q diag(1 / lam) q^T g; a lam still 0 has g = 0, and takes s = 0
+    s = np.einsum('mpi,mi->mp', q, np.einsum('mpi,mp->mi', q, g) / np.where(lam > 0, lam, 1.0))
     return x, np.einsum('mp,pab->mab', s, gens)
 
 

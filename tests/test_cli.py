@@ -389,6 +389,7 @@ class TestVerify:
         assert "PASS oracle batched searches against solo searches: residual 0.000e+00" in out
         waves = next(line for line in out.splitlines() if "4x2 waves" in line)
         assert waves.startswith("PASS oracle mixed 4x2 waves") and waves.endswith("(tol 1e-11)")
+        assert "(and rank-3 5x2)" in waves
 
     def test_bounds_suite_searches_step_zero_once_per_state(self, capsys, monkeypatch):
         # the suite's output by the recipe that searched subsystem 0 twice
